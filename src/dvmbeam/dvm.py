@@ -8,9 +8,9 @@ generator alpha has entries alpha**(k*l), k, l = 0..N-1.  A chirp
 
 and the Toeplitz block embeds in a circulant of size M = 2N, which the DFT
 diagonalizes.  The resulting seven-factor chain applies the full transform in
-O(N log N) arithmetic.  This module builds that chain, the radix-2 FFT it
-rides on, and the recursive DFT factorization whose twiddle diagonals and
-leaf blocks later become trainable network parameters.
+O(N log N) arithmetic.  This module builds that chain, whose fixed DFT
+factors run on numpy.fft, and the recursive DFT factorization whose twiddle
+diagonals and leaf blocks later become trainable network parameters.
 
 All dense constructions here exist for verification; the apply paths never
 materialize an N x N matrix.
@@ -146,76 +146,36 @@ def circulant_first_column(spec: DvmSpec) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# radix-2 FFT (unnormalized), batched over columns
+# fixed DFTs on numpy.fft, batched over columns
 
 
-_TWIDDLE_CACHE: dict = {}
-_BITREV_CACHE: dict = {}
-
-
-def _stage_twiddles(size: int, inverse: bool) -> np.ndarray:
-    key = (size, inverse)
-    w = _TWIDDLE_CACHE.get(key)
-    if w is None:
-        m = np.arange(size // 2, dtype=np.float64)
-        sign = 1.0 if inverse else -1.0
-        w = np.exp(sign * 2j * np.pi * m / size)
-        w.setflags(write=False)
-        _TWIDDLE_CACHE[key] = w
-    return w
-
-
-def _bit_reversal(size: int) -> np.ndarray:
-    idx = _BITREV_CACHE.get(size)
-    if idx is None:
-        bits = size.bit_length() - 1
-        idx = np.zeros(size, dtype=np.intp)
-        for i in range(size):
-            idx[i] = int(format(i, f"0{bits}b")[::-1], 2) if bits else 0
-        idx.setflags(write=False)
-        _BITREV_CACHE[size] = idx
-    return idx
+def _pow2_dft(x, inverse: bool, norm: str, counter: OpCounter | None) -> np.ndarray:
+    x = np.asarray(x, dtype=np.complex128)
+    size = x.shape[0]
+    if size == 0 or size & (size - 1):
+        raise ValueError(f"FFT length must be a power of two, got {size}")
+    if counter is not None:
+        stages = size.bit_length() - 1
+        counter.tally(muls=(size >> 1) * stages, adds=size * stages)
+    return (np.fft.ifft if inverse else np.fft.fft)(x, axis=0, norm=norm)
 
 
 def fft(x, inverse: bool = False, counter: OpCounter | None = None) -> np.ndarray:
-    """Unnormalized radix-2 DFT, entries omega**(k*l) with omega = e^{-2pi j/K}.
-
-    Decimation in frequency: each stage is the butterfly
-    [u; v] -> [u + v; w (u - v)], which is exactly one level of the
-    recursive factorization used by the trainable chains; the final
-    bit-reversal collapses the cascade of even/odd interleavings.
+    """Unnormalized DFT along axis 0, entries omega**(k*l) with omega = e^{-2pi j/K}.
 
     Parameters
     ----------
     x : array_like, shape (K,) or (K, B)
         K must be a power of two.  Batches ride along axis 1.
     inverse : bool
-        Conjugated twiddles (still unnormalized; divide by K to invert).
+        Conjugate transform, entries omega**(-k*l) (still unnormalized;
+        divide by K to invert).
     counter : OpCounter, optional
-        Incremented by K/2 muls and K adds per stage.
+        Incremented by K/2 log2 K muls and K log2 K adds, the closed-form
+        count of a power-of-two FFT, so op totals do not depend on the
+        library that does the work.
     """
-    x = np.asarray(x)
-    size = x.shape[0]
-    if size == 0 or size & (size - 1):
-        raise ValueError(f"FFT length must be a power of two, got {size}")
-    y = np.array(x, dtype=np.complex128, copy=True)
-    flat = y.ndim == 1
-    if flat:
-        y = y[:, None]
-    stages = size.bit_length() - 1
-    for s in range(stages):
-        block = size >> s
-        half = block >> 1
-        v = y.reshape(1 << s, block, -1)
-        w = _stage_twiddles(block, inverse)
-        top = v[:, :half] + v[:, half:]
-        bot = (v[:, :half] - v[:, half:]) * w[None, :, None]
-        v[:, :half] = top
-        v[:, half:] = bot
-        if counter is not None:
-            counter.tally(muls=half << s, adds=size)
-    y = y[_bit_reversal(size)]
-    return y[:, 0] if flat else y
+    return _pow2_dft(x, inverse, "forward" if inverse else "backward", counter)
 
 
 def even_odd_permute(x) -> np.ndarray:
@@ -279,11 +239,11 @@ class Dft:
         return (self.size, self.size)
 
     def apply(self, x, counter=None):
-        y = fft(x, inverse=self.conj, counter=counter)
-        if self.normalized:
-            y = y * (1.0 / math.sqrt(self.size))
-            if counter is not None:
-                counter.tally(muls=self.size)
+        if not self.normalized:
+            return fft(x, inverse=self.conj, counter=counter)
+        y = _pow2_dft(x, self.conj, "ortho", counter)
+        if counter is not None:
+            counter.tally(muls=self.size)  # the 1/sqrt(size) scaling
         return y
 
     def dense(self):
@@ -309,8 +269,9 @@ class ZeroPad:
 
     def apply(self, x, counter=None):
         x = np.asarray(x)
-        pad = [(0, self.out_dim - self.in_dim)] + [(0, 0)] * (x.ndim - 1)
-        return np.pad(x, pad)
+        out = np.zeros((self.out_dim,) + x.shape[1:], x.dtype)
+        out[: self.in_dim] = x
+        return out
 
     def dense(self):
         out = np.zeros((self.out_dim, self.in_dim), dtype=np.complex128)
@@ -341,50 +302,6 @@ class Truncate:
         out = np.zeros((self.out_dim, self.in_dim), dtype=np.complex128)
         out[:, : self.out_dim] = np.eye(self.out_dim)
         return out
-
-
-class Permutation:
-    """Row permutation out[i] = x[index[i]]."""
-
-    def __init__(self, index: np.ndarray):
-        self.index = np.asarray(index, dtype=np.intp)
-
-    def __repr__(self):
-        return f"Permutation({len(self.index)})"
-
-    @property
-    def shape(self):
-        return (self.index.size, self.index.size)
-
-    def apply(self, x, counter=None):
-        return np.asarray(x)[self.index]
-
-    def dense(self):
-        return np.eye(len(self.index), dtype=np.complex128)[self.index]
-
-
-class DenseBlock:
-    """Small dense matrix factor (verification and leaf blocks only)."""
-
-    def __init__(self, matrix: np.ndarray):
-        self.matrix = np.asarray(matrix, dtype=np.complex128)
-
-    def __repr__(self):
-        r, c = self.matrix.shape
-        return f"DenseBlock({r} x {c})"
-
-    @property
-    def shape(self):
-        return self.matrix.shape
-
-    def apply(self, x, counter=None):
-        r, c = self.matrix.shape
-        if counter is not None:
-            counter.tally(muls=r * c, adds=r * (c - 1))
-        return self.matrix @ x
-
-    def dense(self):
-        return self.matrix
 
 
 @dataclass

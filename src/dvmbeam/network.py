@@ -27,11 +27,11 @@ import struct
 import numpy as np
 
 from .dvm import (
+    DvmSpec,
     RecursiveDftChain,
+    build_bluestein_chain,
     build_recursive_dft_chain,
-    circulant_first_column,
     cis,
-    fft,
 )
 
 KIND_STRUCTURED = "structured"
@@ -524,12 +524,8 @@ def init_from_dvm(net: Network, alpha: complex) -> Network:
         raise ValueError("exact DVM initialization requires complex parameter mode")
     if abs(abs(alpha) - 1.0) > 1e-12:
         raise ValueError("alpha must be unit modulus")
-    from .dvm import DvmSpec
-
-    spec = DvmSpec(cfg.n, alpha)
-    k = np.arange(cfg.n, dtype=np.float64)
-    d_hat = cis(spec.phi, 0.5 * k * k)
-    d_breve = fft(circulant_first_column(spec))
+    chirp = build_bluestein_chain(DvmSpec(cfg.n, alpha)).factors
+    d_hat, d_breve = chirp[0].values, chirp[3].values
     for blk in net.blocks:
         for i in range(cfg.p):
             blk.d_hat[i][...] = d_hat
@@ -616,8 +612,12 @@ def load_network(path: str) -> Network:
         raise ValueError(f"{path}: bad magic {magic!r}, not a network file")
     if version != _FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported format version {version}")
-    kind = {v: k for k, v in _KIND_CODE.items()}[kind_c]
-    mode = {v: k for k, v in _MODE_CODE.items()}[mode_c]
+    kind = {v: k for k, v in _KIND_CODE.items()}.get(kind_c)
+    if kind is None:
+        raise ValueError(f"{path}: unknown network kind code {kind_c} (byte 24)")
+    mode = {v: k for k, v in _MODE_CODE.items()}.get(mode_c)
+    if mode is None:
+        raise ValueError(f"{path}: unknown parameter mode code {mode_c} (byte 25)")
     cfg = NetworkConfig(
         n=n, p=p, depth=depth, l_layers=l_layers, kind=kind,
         activation_slope=slope, delay_alpha=complex(da_re, da_im), seed=seed,

@@ -240,6 +240,18 @@ def test_eval_missing_flags():
     assert main(["eval", "--model", "x"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("offset,what", [(24, "kind"), (25, "mode")])
+def test_eval_corrupt_model_code_byte(exact_model, data4_clean, work, capsys, offset, what):
+    data = bytearray(exact_model.read_bytes())
+    data[offset] = 7
+    bad = work / f"bad_{what}.net"
+    bad.write_bytes(bytes(data))
+    code = main(["eval", "--model", str(bad), "--data", str(data4_clean)])
+    assert code == EXIT_IO
+    err = capsys.readouterr().err
+    assert f"{what} code 7" in err and f"byte {offset}" in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -1,5 +1,5 @@
-"""Transform-layer tests: dense oracles, the chirp factor chain, the radix-2
-FFT, and the recursive butterfly factorization.
+"""Transform-layer tests: dense oracles, the chirp factor chain, the fixed DFT
+factors, and the recursive butterfly factorization.
 
 Every fast path is checked against an independently built dense matrix, never
 against itself.
@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from dvmbeam.dvm import (
+    Dft,
     DvmSpec,
     OpCounter,
+    ZeroPad,
     build_bluestein_chain,
     build_recursive_dft_chain,
     circulant_first_column,
@@ -283,7 +285,7 @@ def test_multiply_count_doubling_ratio():
 
 
 # ---------------------------------------------------------------------------
-# radix-2 FFT
+# fixed DFTs
 
 
 def test_fft_delta_and_constant():
@@ -329,9 +331,58 @@ def test_fft_counter_formula():
         assert counter.adds == size * lg
 
 
-def test_normalized_dft_unitarity():
-    from dvmbeam.dvm import Dft
+def test_dft_counter_formula():
+    # the fft count, plus one mul per element for the 1/sqrt(K) scaling
+    for size in (8, 64, 256):
+        lg = size.bit_length() - 1
+        for factor, extra in ((Dft(size), size), (Dft(size, conj=True), size),
+                              (Dft(size, normalized=False), 0)):
+            counter = OpCounter()
+            factor.apply(np.ones(size, dtype=complex), counter)
+            assert counter.muls == (size // 2) * lg + extra
+            assert counter.adds == size * lg
 
+
+def test_fast_apply_op_count_n1024():
+    # per column, whatever the batch: 3 diagonals, 2 normalized DFTs of 2048
+    chain = build_bluestein_chain(DvmSpec(1024, complex(np.exp(-0.31j))))
+    for x in (np.ones(1024, dtype=complex), np.ones((1024, 4), dtype=complex)):
+        counter = OpCounter()
+        fast_dvm_apply(chain, x, counter)
+        assert counter.muls + counter.adds == 75_776
+
+
+@pytest.mark.parametrize("batch", [(), (5,)])
+def test_fixed_dfts_match_dense_oracle(batch):
+    rng = np.random.default_rng(29)
+    size = 64
+    shape = (size,) + batch
+    x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    fwd, inv = dense_dft(size) @ x, dense_dft(size, inverse=True) @ x
+    root = math.sqrt(size)
+    for got, want in (
+        (fft(x), fwd),
+        (fft(x, inverse=True), inv),
+        (Dft(size).apply(x), fwd / root),
+        (Dft(size, conj=True).apply(x), inv / root),
+        (Dft(size, normalized=False).apply(x), fwd),
+    ):
+        assert got.shape == shape
+        assert np.linalg.norm(got - want) / np.linalg.norm(want) <= 1e-12
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_zero_pad_returns_fresh_zero_filled_array(dtype, batch):
+    x = np.arange(1, 1 + 8 * math.prod(batch), dtype=dtype).reshape((8,) + batch)
+    out = ZeroPad(16, 8).apply(x)
+    assert out.dtype == dtype and out.shape == (16,) + batch
+    assert not np.shares_memory(out, x)
+    assert np.array_equal(out[:8], x)
+    assert not out[8:].any()
+
+
+def test_normalized_dft_unitarity():
     for size in (2, 16, 256, 2048):
         f = Dft(size).dense()
         err = np.max(np.abs(f @ f.conj().T - np.eye(size)))
