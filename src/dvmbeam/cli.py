@@ -178,8 +178,14 @@ def cmd_train(args):
         )
     except ValueError as e:
         return _fail(EXIT_USAGE, str(e))
-    net = build_network(net_cfg)
     tr, va = split_dataset(ds, 0.8, seed=args.seed)
+    if len(va.x) == 0:
+        return _fail(
+            EXIT_USAGE,
+            f"the validation split of {args.data} is empty: every angle needs at "
+            f"least 2 samples (gen-data --samples-per-angle 2 or more)",
+        )
+    net = build_network(net_cfg)
     try:
         report = train(net, tr.x, tr.y, va.x, va.y, opt_cfg)
     except TrainingDiverged as e:

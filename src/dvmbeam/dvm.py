@@ -370,6 +370,36 @@ def scaled_dvm_apply(spec: DvmSpec, x, counter: OpCounter | None = None) -> np.n
 # recursive DFT factorization (the trainable block structure)
 
 
+# (size, depth) -> (perm, inverse perm); filled on first use, read-only
+_INTERLEAVE_CACHE: dict = {}
+
+
+def _interleave_index(size: int, depth: int):
+    """Row order that undoes depth levels of even/odd splitting.
+
+    Going bottom-up, level l interleaves the two halves of each block of
+    size >> l; the composition is one gather, out = y[perm], and its adjoint
+    is g[inv_perm].
+    """
+    key = (size, depth)
+    hit = _INTERLEAVE_CACHE.get(key)
+    if hit is None:
+        perm = np.arange(size)
+        for lvl in range(depth - 1, -1, -1):
+            perm = even_odd_permute(perm.reshape(1 << lvl, size >> lvl).T).T.reshape(size)
+        inv = np.argsort(perm)
+        perm.flags.writeable = inv.flags.writeable = False
+        hit = _INTERLEAVE_CACHE[key] = (perm, inv)
+    return hit
+
+
+def _param_array(a) -> np.ndarray:
+    """A real float64 array stays real (and stays the same array, so a view
+    into a parameter buffer remains one); anything else becomes complex128."""
+    a = np.asarray(a)
+    return a if a.dtype == np.float64 else a.astype(np.complex128, copy=False)
+
+
 class RecursiveDftChain:
     """DFT of a power-of-two size as depth butterfly levels plus leaf blocks.
 
@@ -394,8 +424,8 @@ class RecursiveDftChain:
             )
         self.size = size
         self.depth = depth
-        self.twiddles = [np.asarray(t, dtype=np.complex128) for t in twiddles]
-        self.leaf = np.asarray(leaf, dtype=np.complex128)
+        self.twiddles = [_param_array(t) for t in twiddles]
+        self.leaf = _param_array(leaf)
         self.scale = float(scale)
         self.shared = bool(shared)
         for lvl, t in enumerate(self.twiddles):
@@ -406,6 +436,7 @@ class RecursiveDftChain:
         n_leaves = 1 if shared else (1 << depth)
         if self.leaf.shape != (n_leaves, s, s):
             raise ValueError(f"leaf has shape {self.leaf.shape}, wanted ({n_leaves},{s},{s})")
+        self._perm, self._inv_perm = _interleave_index(size, depth)
 
     @property
     def leaf_size(self) -> int:
@@ -443,26 +474,17 @@ class RecursiveDftChain:
             if counter is not None:
                 counter.tally(muls=half << lvl, adds=size)
         s = self.leaf_size
-        segs = y.reshape(-1, s, y.shape[-1])
-        leaf_in = segs.copy() if want_trace else None
-        y = np.matmul(self.leaf, segs).reshape(size, -1)
+        segs = y.reshape(-1, s, y.shape[-1])  # kept by the trace: y is not written again
         if counter is not None:
             counter.tally(muls=(size // s) * s * s, adds=(size // s) * s * (s - 1))
-        for lvl in range(self.depth - 1, -1, -1):
-            block = size >> lvl
-            half = block >> 1
-            v = y.reshape(1 << lvl, block, -1)
-            out = np.empty_like(v)
-            out[:, 0::2] = v[:, :half]
-            out[:, 1::2] = v[:, half:]
-            y = out.reshape(size, -1)
+        y = np.matmul(self.leaf, segs).reshape(size, -1)[self._perm]
         if self.scale != 1.0:
-            y = y * self.scale
+            y *= self.scale
             if counter is not None:
                 counter.tally(muls=size)
         trace = None
         if want_trace:
-            trace = {"diffs": diffs, "leaf_in": leaf_in, "flat": flat}
+            trace = {"diffs": diffs, "leaf_in": segs, "flat": flat}
         return (y[:, 0] if flat else y), trace
 
     def backward(self, trace, grad_out):
@@ -477,15 +499,9 @@ class RecursiveDftChain:
         flat = g.ndim == 1
         if flat:
             g = g[:, None]
-        g = g * self.scale if self.scale != 1.0 else g.copy()
-        for lvl in range(self.depth):
-            block = size >> lvl
-            half = block >> 1
-            v = g.reshape(1 << lvl, block, -1)
-            inv = np.empty_like(v)
-            inv[:, :half] = v[:, 0::2]
-            inv[:, half:] = v[:, 1::2]
-            g = inv.reshape(size, -1)
+        g = g[self._inv_perm]
+        if self.scale != 1.0:
+            g *= self.scale
         s = self.leaf_size
         g_segs = g.reshape(-1, s, g.shape[-1])
         leaf_grad = np.matmul(g_segs, np.conj(trace["leaf_in"]).transpose(0, 2, 1))

@@ -18,11 +18,11 @@ rebuilds complex values from the two halves, which is what pins this layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-import io
+from dataclasses import dataclass
 import json
 import math
 import struct
+from typing import NamedTuple
 
 import numpy as np
 
@@ -197,8 +197,39 @@ class DenseBlockParams:
     bias_out: np.ndarray
 
 
+class ParamSlot(NamedTuple):
+    """Where one trainable array lives in the flat parameter vector.
+
+    offset and width count float64 entries; a "complex" slot holds
+    interleaved re/im pairs, a "real" slot plain values.
+    """
+
+    path: str
+    offset: int
+    kind: str
+    shape: tuple
+
+    @property
+    def width(self) -> int:
+        return math.prod(self.shape) * (2 if self.kind == "complex" else 1)
+
+    def view(self, buf: np.ndarray) -> np.ndarray:
+        """This slot's array as a view into buf (a vector laid out like the
+        network's flat parameters)."""
+        dtype = np.complex128 if self.kind == "complex" else np.float64
+        return np.ndarray(self.shape, dtype, buffer=buf, offset=8 * self.offset)
+
+
 class Network:
-    """A configured network plus its trainable and frozen state."""
+    """A configured network plus its trainable and frozen state.
+
+    Every trainable array is a view into one float64 vector, self.flat, in
+    the fixed declaration order of the .stnn format; complex arrays view
+    interleaved re/im pairs.  Writing an array writes the vector and vice
+    versa, so flattening costs one copy and an optimizer can update
+    self.flat in place.  Rebinding a parameter attribute to a new array
+    would detach it; write into it instead.
+    """
 
     def __init__(self, config: NetworkConfig, blocks: list):
         self.config = config
@@ -208,85 +239,78 @@ class Network:
         self.delay = cis(phi, k)  # frozen diag(alpha**k), k = 0..2pn-1
         self.delay_exponents = k.astype(np.intp)
 
+        layout, places, pos = [], [], 0
+        for path, owner, key in self._walk():
+            arr = owner[key]
+            is_complex = arr.dtype.kind == "c"
+            layout.append(ParamSlot(path, pos, "complex" if is_complex else "real", arr.shape))
+            places.append((owner, key, arr))
+            pos += 2 * arr.size if is_complex else arr.size
+        self.layout = tuple(layout)
+        self.flat = np.zeros(pos)
+        views = []
+        for slot, (owner, key, arr) in zip(self.layout, places):
+            view = owner[key] = slot.view(self.flat)
+            view[...] = arr
+            views.append(view)
+        self._arrays = tuple(views)
+
+    def _walk(self):
+        """Yield (path, owner, key) with owner[key] the trainable array, in
+        declaration order; owner is a list or an object's __dict__."""
+        cfg = self.config
+        for b, blk in enumerate(self.blocks):
+            attrs = vars(blk)
+            if cfg.kind == KIND_DENSE:
+                for name in ("w1", "bias1", "skip", "w4", "bias_out"):
+                    yield f"block{b}.{name}", attrs, name
+                continue
+            for i in range(cfg.p):
+                yield f"block{b}.w1.sub{i}.d_hat", blk.d_hat, i
+                yield from _chain_walk(f"block{b}.w1.sub{i}.f", blk.f_chains[i])
+                yield f"block{b}.w1.sub{i}.d_breve", blk.d_breve, i
+            yield f"block{b}.bias1", attrs, "bias1"
+            yield f"block{b}.skip", attrs, "skip"
+            for i in range(cfg.p):
+                yield from _chain_walk(f"block{b}.w4.sub{i}.fstar", blk.fstar_chains[i])
+                if blk.d_hat_out is not None:
+                    yield f"block{b}.w4.sub{i}.d_hat_out", blk.d_hat_out, i
+            yield f"block{b}.bias_out", attrs, "bias_out"
+
     # -- parameter plumbing ------------------------------------------------
 
     def param_entries(self):
         """Yield (path, array, kind) for every trainable array, in the fixed
-        declaration order used by flattening and serialization.
+        declaration order used by flattening and serialization.  kind
+        "complex" packs re/im pairs, "real" packs values."""
+        for slot, arr in zip(self.layout, self._arrays):
+            yield slot.path, arr, slot.kind
 
-        kind "complex" packs re/im pairs, "real" packs values, "creal" is a
-        complex-typed array whose imaginary parts are structurally zero
-        (real parameter mode), packing only the real parts.
-        """
-        cfg = self.config
-        chain_kind = "complex" if cfg.param_mode == MODE_COMPLEX else "creal"
-        diag_kind = "complex" if cfg.param_mode == MODE_COMPLEX else "real"
-        for b, blk in enumerate(self.blocks):
-            if cfg.kind == KIND_STRUCTURED:
-                for i in range(cfg.p):
-                    yield f"block{b}.w1.sub{i}.d_hat", blk.d_hat[i], diag_kind
-                    for lvl, tw in enumerate(blk.f_chains[i].twiddles):
-                        yield f"block{b}.w1.sub{i}.f.twiddle{lvl}", tw, chain_kind
-                    yield f"block{b}.w1.sub{i}.f.leaf", blk.f_chains[i].leaf, chain_kind
-                    yield f"block{b}.w1.sub{i}.d_breve", blk.d_breve[i], diag_kind
-                yield f"block{b}.bias1", blk.bias1, "real"
-                yield f"block{b}.skip", blk.skip, "real"
-                for i in range(cfg.p):
-                    for lvl, tw in enumerate(blk.fstar_chains[i].twiddles):
-                        yield f"block{b}.w4.sub{i}.fstar.twiddle{lvl}", tw, chain_kind
-                    yield f"block{b}.w4.sub{i}.fstar.leaf", blk.fstar_chains[i].leaf, chain_kind
-                    if blk.d_hat_out is not None:
-                        yield f"block{b}.w4.sub{i}.d_hat_out", blk.d_hat_out[i], diag_kind
-                yield f"block{b}.bias_out", blk.bias_out, "real"
-            else:
-                yield f"block{b}.w1", blk.w1, "real"
-                yield f"block{b}.bias1", blk.bias1, "real"
-                yield f"block{b}.skip", blk.skip, "real"
-                yield f"block{b}.w4", blk.w4, "real"
-                yield f"block{b}.bias_out", blk.bias_out, "real"
+    def param_views(self, buf: np.ndarray) -> dict:
+        """path -> view into buf for a vector laid out like self.flat (the
+        gradient accumulators of backward())."""
+        return {slot.path: slot.view(buf) for slot in self.layout}
 
     def param_count(self) -> int:
-        total = 0
-        for _, arr, kind in self.param_entries():
-            total += arr.size * (2 if kind == "complex" else 1)
-        return total
+        return self.flat.size
 
     def get_flat(self) -> np.ndarray:
-        parts = []
-        for _, arr, kind in self.param_entries():
-            if kind == "complex":
-                buf = np.empty(arr.size * 2)
-                buf[0::2] = arr.real.ravel()
-                buf[1::2] = arr.imag.ravel()
-                parts.append(buf)
-            elif kind == "creal":
-                parts.append(arr.real.ravel().copy())
-            else:
-                parts.append(arr.ravel().copy())
-        return np.concatenate(parts) if parts else np.zeros(0)
+        return self.flat.copy()
 
     def set_flat(self, flat: np.ndarray) -> None:
         flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != (self.param_count(),):
-            raise ValueError(
-                f"flat vector has {flat.shape}, expected ({self.param_count()},)"
-            )
-        pos = 0
-        for _, arr, kind in self.param_entries():
-            if kind == "complex":
-                k = arr.size * 2
-                chunk = flat[pos : pos + k]
-                arr.ravel()[...] = chunk[0::2] + 1j * chunk[1::2]
-            elif kind == "creal":
-                k = arr.size
-                arr.ravel()[...] = flat[pos : pos + k].astype(np.complex128)
-            else:
-                k = arr.size
-                arr.ravel()[...] = flat[pos : pos + k]
-            pos += k
+        if flat.shape != self.flat.shape:
+            raise ValueError(f"flat vector has {flat.shape}, expected {self.flat.shape}")
+        self.flat[...] = flat
 
     def forward(self, x, want_trace: bool = False):
         return forward(self, x, want_trace)
+
+
+def _chain_walk(prefix, chain):
+    for lvl in range(len(chain.twiddles)):
+        yield f"{prefix}.twiddle{lvl}", chain.twiddles, lvl
+    yield f"{prefix}.leaf", vars(chain), "leaf"
 
 
 @dataclass
@@ -502,9 +526,9 @@ def _chain_init(cfg, rng, exact, inverse=False):
         rng=None if exact else rng,
     )
     if cfg.param_mode == MODE_REAL and not exact:
-        for tw in chain.twiddles:
-            tw.imag = 0.0
-        chain.leaf.imag = 0.0
+        # real mode keeps the real parts of the same random draw
+        chain.twiddles = [tw.real for tw in chain.twiddles]
+        chain.leaf = chain.leaf.real
     return chain
 
 
@@ -548,14 +572,36 @@ def init_from_dvm(net: Network, alpha: complex) -> Network:
     return net
 
 
+def expected_param_count(cfg: NetworkConfig) -> int:
+    """Trainable scalar count of build_network(cfg), in closed form: no
+    loop and no allocation scale with any field of cfg, so a file header
+    can be checked before a network is built from it."""
+    n, p, hidden = cfg.n, cfg.p, cfg.hidden
+    if cfg.kind == KIND_DENSE:
+        per_block = 2 * hidden * 2 * n + 2 * hidden + 2 * n
+    else:
+        size, depth = cfg.chain_size, cfg.resolved_depth
+        leaf = size >> depth
+        if cfg.share_siblings:
+            # one diagonal per level: size/2 + size/4 + ... + leaf
+            chain = (size - leaf) + leaf * leaf
+        else:
+            # 2**l diagonals of size/2**(l+1) per level; 2**depth leaves
+            chain = depth * size // 2 + size * leaf
+        diag_n, diag_m = (n, cfg.m) if cfg.param_mode == MODE_COMPLEX else (2 * n, 2 * cfg.m)
+        entries = diag_n + diag_m + 2 * chain + (0 if cfg.tie_scaling else diag_n)
+        scalars = 2 * entries if cfg.param_mode == MODE_COMPLEX else entries
+        per_block = p * scalars + 2 * hidden + 2 * n
+    return per_block * cfg.blocks_count
+
+
 def count_parameters(net: Network) -> dict:
     """Trainable scalar count with a per-layer breakdown."""
     by_layer: dict = {}
-    for path, arr, kind in net.param_entries():
-        scalars = arr.size * (2 if kind == "complex" else 1)
-        parts = path.split(".")
-        layer = parts[1] if len(parts) > 1 else path
-        by_layer[layer] = by_layer.get(layer, 0) + scalars
+    for slot in net.layout:
+        parts = slot.path.split(".")
+        layer = parts[1] if len(parts) > 1 else slot.path
+        by_layer[layer] = by_layer.get(layer, 0) + slot.width
     return {"total": sum(by_layer.values()), "by_layer": by_layer}
 
 
@@ -618,19 +664,24 @@ def load_network(path: str) -> Network:
     mode = {v: k for k, v in _MODE_CODE.items()}.get(mode_c)
     if mode is None:
         raise ValueError(f"{path}: unknown parameter mode code {mode_c} (byte 25)")
+    for name, value, offset in (("tie-scaling", tie, 26), ("share-siblings", share, 27)):
+        if value not in (0, 1):
+            raise ValueError(f"{path}: {name} flag {value} (byte {offset}) must be 0 or 1")
     cfg = NetworkConfig(
         n=n, p=p, depth=depth, l_layers=l_layers, kind=kind,
         activation_slope=slope, delay_alpha=complex(da_re, da_im), seed=seed,
         param_mode=mode, tie_scaling=bool(tie), share_siblings=bool(share),
     )
-    net = build_network(cfg)
-    flat = np.frombuffer(data[head_size:], dtype="<f8")
-    if flat.size != n_params or n_params != net.param_count():
+    # the header is untrusted: check its sizes before allocating a network
+    want = expected_param_count(cfg)
+    payload = len(data) - head_size
+    if payload != 8 * n_params or n_params != want:
         raise ValueError(
-            f"{path}: parameter payload {flat.size} does not match header "
-            f"{n_params} / config {net.param_count()}"
+            f"{path}: parameter payload of {payload} bytes does not match header "
+            f"{n_params} / config {want} parameters of 8 bytes"
         )
-    net.set_flat(np.asarray(flat, dtype=np.float64))
+    net = build_network(cfg)
+    net.set_flat(np.frombuffer(data, dtype="<f8", offset=head_size))
     return net
 
 
@@ -638,12 +689,12 @@ def network_to_json(net: Network) -> dict:
     """JSON-friendly mirror of the binary format, for inspection."""
     params = {}
     for path, arr, kind in net.param_entries():
-        if kind in ("complex", "creal"):
+        if kind == "complex":
             params[path] = {
                 "kind": kind,
                 "shape": list(arr.shape),
                 "re": arr.real.ravel().tolist(),
-                "im": arr.imag.ravel().tolist() if kind == "complex" else None,
+                "im": arr.imag.ravel().tolist(),
             }
         else:
             params[path] = {

@@ -58,31 +58,24 @@ def mse_loss(pred, target, n: int) -> float:
 
 @dataclass
 class GradientPack:
-    """Gradients keyed by the parameter paths of Network.param_entries."""
+    """Gradients keyed by the parameter paths of Network.param_entries.
+
+    Each array in data is a view into flat, which is laid out like the
+    network's flat parameter vector.
+    """
 
     data: dict
+    flat: np.ndarray
 
     def to_flat(self, net: Network) -> np.ndarray:
-        parts = []
-        for path, arr, kind in net.param_entries():
-            g = self.data[path]
-            if kind == "complex":
-                buf = np.empty(arr.size * 2)
-                buf[0::2] = g.real.ravel()
-                buf[1::2] = g.imag.ravel()
-                parts.append(buf)
-            elif kind == "creal":
-                parts.append(np.asarray(g).real.ravel())
-            else:
-                parts.append(np.asarray(g).real.ravel())
-        return np.concatenate(parts) if parts else np.zeros(0)
+        return self.flat
 
 
-def _zero_grads(net: Network) -> dict:
-    out = {}
-    for path, arr, kind in net.param_entries():
-        out[path] = np.zeros_like(arr)
-    return out
+def _accumulate(grads, key, g):
+    """Add a complex carrier product into a gradient slot; a real parameter
+    takes its real part, the gradient restricted to the real axis."""
+    dst = grads[key]
+    dst += g if dst.dtype.kind == "c" else g.real
 
 
 def _leaky_grad(pre, slope):
@@ -128,14 +121,14 @@ def _block_backward(cfg: NetworkConfig, blk, delay, tr, g_out, grads, prefix):
             key = f"{prefix}.w4.sub{i}.{d_out_name}"
         else:
             key = f"{prefix}.w1.sub{i}.d_hat"  # tied scaling accumulates here
-        grads[key] += gd if np.iscomplexobj(grads[key]) else gd.real
+        _accumulate(grads, key, gd)
         g_t = np.conj(d_out[i])[:, None] * g_v
         g_fs = np.zeros((size, cols), dtype=np.complex128)
         g_fs[:in_dim] = g_t
         g_ci, tw_g, leaf_g = blk.fstar_chains[i].backward(tr.fstar_traces[i], g_fs)
         for lvl, tg in enumerate(tw_g):
-            grads[f"{prefix}.w4.sub{i}.fstar.twiddle{lvl}"] += tg
-        grads[f"{prefix}.w4.sub{i}.fstar.leaf"] += leaf_g
+            _accumulate(grads, f"{prefix}.w4.sub{i}.fstar.twiddle{lvl}", tg)
+        _accumulate(grads, f"{prefix}.w4.sub{i}.fstar.leaf", leaf_g)
         if complex_mode:
             g_y3c[i * m : (i + 1) * m] += g_ci
         else:
@@ -157,17 +150,15 @@ def _block_backward(cfg: NetworkConfig, blk, delay, tr, g_out, grads, prefix):
             g_z = np.concatenate([g_z.real, g_z.imag]).astype(np.complex128)
         c_i = tr.chain_out[i]
         gdb = (g_z * np.conj(c_i)).sum(axis=1)
-        key = f"{prefix}.w1.sub{i}.d_breve"
-        grads[key] += gdb if np.iscomplexobj(grads[key]) else gdb.real
+        _accumulate(grads, f"{prefix}.w1.sub{i}.d_breve", gdb)
         g_c = np.conj(blk.d_breve[i])[:, None] * g_z
         g_pad, tw_g, leaf_g = blk.f_chains[i].backward(tr.chain_traces[i], g_c)
         for lvl, tg in enumerate(tw_g):
-            grads[f"{prefix}.w1.sub{i}.f.twiddle{lvl}"] += tg
-        grads[f"{prefix}.w1.sub{i}.f.leaf"] += leaf_g
+            _accumulate(grads, f"{prefix}.w1.sub{i}.f.twiddle{lvl}", tg)
+        _accumulate(grads, f"{prefix}.w1.sub{i}.f.leaf", leaf_g)
         g_u = g_pad[:in_dim]
         gdh = (g_u * np.conj(tr.x_c)).sum(axis=1)
-        key = f"{prefix}.w1.sub{i}.d_hat"
-        grads[key] += gdh if np.iscomplexobj(grads[key]) else gdh.real
+        _accumulate(grads, f"{prefix}.w1.sub{i}.d_hat", gdh)
         g_x_c += np.conj(blk.d_hat[i])[:, None] * g_u
 
     if complex_mode:
@@ -187,12 +178,13 @@ def backward(net: Network, trace, target, norm: float | None = None) -> Gradient
     if norm is None:
         norm = cfg.n * y.shape[1]
     g = (2.0 / norm) * (y - target)
-    grads = _zero_grads(net)
+    flat = np.zeros(net.param_count())
+    grads = net.param_views(flat)
     for b in range(len(net.blocks) - 1, -1, -1):
         g = _block_backward(
             cfg, net.blocks[b], net.delay, trace.block_traces[b], g, grads, f"block{b}"
         )
-    return GradientPack(grads)
+    return GradientPack(grads, flat)
 
 
 def loss_and_grads(net: Network, x, target, norm: float | None = None):
@@ -236,12 +228,8 @@ def grad_check(
     pack = backward(net, trace, t2)
     analytic = pack.to_flat(net)
 
-    spans = []  # (path, start, stop) over the flat vector
-    pos = 0
-    for path, arr, kind in net.param_entries():
-        k = arr.size * (2 if kind == "complex" else 1)
-        spans.append((path, pos, pos + k))
-        pos += k
+    # (path, start, stop) over the flat vector
+    spans = [(s.path, s.offset, s.offset + s.width) for s in net.layout]
     if corrupt is not None:
         path, idx, factor = corrupt
         for p_, a_, b_ in spans:
@@ -334,13 +322,17 @@ class _AdamState:
         self.m = np.zeros(size)
         self.v = np.zeros(size)
 
-    def step(self, theta, g, lr, b1=0.9, b2=0.999, eps=1e-8):
+    def update(self, g, lr, b1=0.9, b2=0.999, eps=1e-8):
+        """Advance the moments by gradient g; returns the step to subtract
+        from the parameters."""
         self.t += 1
-        self.m = b1 * self.m + (1 - b1) * g
-        self.v = b2 * self.v + (1 - b2) * g * g
+        self.m *= b1
+        self.m += (1 - b1) * g
+        self.v *= b2
+        self.v += (1 - b2) * g * g
         mh = self.m / (1 - b1 ** self.t)
         vh = self.v / (1 - b2 ** self.t)
-        return theta - lr * mh / (np.sqrt(vh) + eps)
+        return lr * mh / (np.sqrt(vh) + eps)
 
 
 _LM_PARAM_LIMIT = 5000
@@ -425,7 +417,7 @@ def optimizer_step(theta, grad, state, opt: OptimizerConfig):
             raise ValueError("theta and grad shapes differ")
         if state is None:
             state = _AdamState(theta.size)
-        return state.step(theta, grad, opt.lr), state
+        return theta - state.update(grad, opt.lr), state
     if not isinstance(state, dict) or not {"net", "x", "t"} <= state.keys():
         raise ValueError(
             "the damped least-squares kind needs residuals, not a gradient: "
@@ -559,8 +551,10 @@ def train(
     n_samples = xT.shape[1]
     if n_samples == 0:
         raise ValueError("training set is empty")
+    if np.size(val_x) == 0 or np.size(val_t) == 0:
+        raise ValueError("validation set is empty")
     rng = np.random.default_rng(opt.seed)
-    theta = net.get_flat()
+    theta = net.flat  # updated in place: every parameter array views it
     adam = _AdamState(theta.size) if opt.name == "adam" else None
     mu = opt.lm_mu
     train_hist: list = []
@@ -584,12 +578,10 @@ def train(
             else:
                 flat_g, sq = _batch_grads(net, xb, tb, opt.workers)
                 loss_b = sq / (cfg.n * xb.shape[1])
-                theta = net.get_flat()
                 if opt.name == "sgd":
-                    theta = theta - opt.lr * flat_g
+                    theta -= opt.lr * flat_g
                 else:
-                    theta = adam.step(theta, flat_g, opt.lr)
-                net.set_flat(theta)
+                    theta -= adam.update(flat_g, opt.lr)
                 sq_sum += sq
             steps_run += 1
             seen += xb.shape[1]

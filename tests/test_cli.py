@@ -171,6 +171,17 @@ def test_train_divergence_exit_code(data8, capsys):
     assert "diverged" in capsys.readouterr().err
 
 
+def test_train_empty_validation_split(work, capsys):
+    path = work / "one_per_angle.bin"
+    assert main(["gen-data", "--n", "4", "--freq-ghz", "24", "--samples-per-angle", "1",
+                 "--seed", "3", "--out", str(path)]) == EXIT_OK
+    capsys.readouterr()
+    code = main(["train", "--data", str(path), "--epochs", "1"])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "validation split" in err and "--samples-per-angle" in err
+
+
 def test_train_missing_data_flag(capsys):
     assert main(["train"]) == EXIT_USAGE
 
@@ -250,6 +261,32 @@ def test_eval_corrupt_model_code_byte(exact_model, data4_clean, work, capsys, of
     assert code == EXIT_IO
     err = capsys.readouterr().err
     assert f"{what} code 7" in err and f"byte {offset}" in err
+
+
+@pytest.mark.parametrize("offset,what", [(26, "tie-scaling"), (27, "share-siblings")])
+def test_eval_corrupt_model_flag_byte(exact_model, data4_clean, work, capsys, offset, what):
+    data = bytearray(exact_model.read_bytes())
+    data[offset] = 7
+    bad = work / f"bad_{what}.net"
+    bad.write_bytes(bytes(data))
+    code = main(["eval", "--model", str(bad), "--data", str(data4_clean)])
+    assert code == EXIT_IO
+    err = capsys.readouterr().err
+    assert f"{what} flag 7" in err and f"byte {offset}" in err
+
+
+@pytest.mark.parametrize("offset,value", [(8, 1024), (20, 4 * 10**9 + 1)],
+                         ids=["n1024", "huge_l_layers"])
+def test_eval_oversized_header(exact_model, data4_clean, work, capsys, offset, value):
+    import struct
+
+    data = bytearray(exact_model.read_bytes())
+    struct.pack_into("<I", data, offset, value)
+    bad = work / f"big_{offset}.net"
+    bad.write_bytes(bytes(data))
+    code = main(["eval", "--model", str(bad), "--data", str(data4_clean)])
+    assert code == EXIT_IO
+    assert "does not match" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -534,3 +534,49 @@ def test_recursive_chain_backward_against_finite_differences():
                 an = gflat[idx].real if part == "re" else gflat[idx].imag
                 worst = max(worst, abs(fd - an) / max(1.0, abs(an)))
     assert worst <= 1e-5
+
+
+def test_recursive_chain_backward_is_adjoint_at_every_depth():
+    # the input gradient of a linear map is its adjoint: <A x, g> = <x, A^H g>;
+    # this pins the inverse of the output un-interleave at every depth
+    rng = np.random.default_rng(30)
+    for size in (2, 4, 8, 16, 32, 64):
+        for depth in range(0, size.bit_length()):
+            for shared in (True, False):
+                chain = build_recursive_dft_chain(size, depth, exact=False, normalized=True,
+                                                  shared=shared, rng=rng)
+                x = rng.normal(size=(size, 3)) + 1j * rng.normal(size=(size, 3))
+                g = rng.normal(size=(size, 3)) + 1j * rng.normal(size=(size, 3))
+                y, trace = chain.apply_trace(x)
+                gx, _, _ = chain.backward(trace, g)
+                lhs, rhs = np.vdot(g, y), np.vdot(gx, x)
+                assert abs(lhs - rhs) <= 1e-12 * abs(lhs), (size, depth, shared)
+
+
+def test_recursive_chain_interleave_index_is_shared():
+    # the output row order depends only on (size, depth): chains share it
+    a = build_recursive_dft_chain(32, 5, exact=True)
+    b = build_recursive_dft_chain(32, 5, exact=False, rng=np.random.default_rng(0))
+    assert a._perm is b._perm and a._inv_perm is b._inv_perm
+    assert not a._perm.flags.writeable
+
+
+def test_recursive_chain_real_parameters_stay_real():
+    from dvmbeam.dvm import RecursiveDftChain
+
+    rng = np.random.default_rng(31)
+    tw = [rng.normal(size=(1, 4)), rng.normal(size=(1, 2))]
+    leaf = rng.normal(size=(1, 2, 2))
+    real = RecursiveDftChain(8, 2, tw, leaf, scale=0.5)
+    assert real.twiddles[0] is tw[0] and real.leaf is leaf  # no complex copy
+    cplx = RecursiveDftChain(8, 2, [t.astype(complex) for t in tw], leaf.astype(complex),
+                             scale=0.5)
+    x = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
+    g = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
+    y_r, tr_r = real.apply_trace(x)
+    y_c, tr_c = cplx.apply_trace(x)
+    assert np.array_equal(y_r, y_c)
+    gx_r, tw_r, leaf_r = real.backward(tr_r, g)
+    gx_c, tw_c, leaf_c = cplx.backward(tr_c, g)
+    assert np.array_equal(gx_r, gx_c) and np.array_equal(leaf_r, leaf_c)
+    assert all(np.array_equal(a, b) for a, b in zip(tw_r, tw_c))

@@ -12,6 +12,7 @@ from dvmbeam.network import (
     NetworkConfig,
     build_network,
     count_parameters,
+    expected_param_count,
     forward,
     init_from_dvm,
     leaky_relu,
@@ -351,12 +352,123 @@ def test_flat_roundtrip():
 
 
 def test_real_mode_flat_stays_real():
+    # real mode stores chain twiddles and leaves as plain float64 views of the
+    # flat vector, so there is no imaginary part to drift
     net = build_network(NetworkConfig(n=8, param_mode=MODE_REAL, seed=10))
     flat = net.get_flat()
     net.set_flat(flat * 1.5)
-    for _, arr, kind in net.param_entries():
-        if kind == "creal":
-            assert np.max(np.abs(arr.imag)) == 0.0
+    blk = net.blocks[0]
+    chains = blk.f_chains + blk.fstar_chains
+    arrays = [a for c in chains for a in c.param_arrays()] + blk.d_hat + blk.d_breve
+    for arr in arrays:
+        assert arr.dtype == np.float64
+        assert arr.base is net.flat
+    assert {kind for _, _, kind in net.param_entries()} == {"real"}
+    assert np.array_equal(net.get_flat(), flat * 1.5)
+
+
+# configurations covering both kinds, both parameter modes, untied scaling,
+# unshared siblings, p > 1 and repeated blocks
+BUFFER_CONFIGS = [
+    NetworkConfig(n=8, seed=1),
+    NetworkConfig(n=8, param_mode=MODE_REAL, seed=2),
+    NetworkConfig(n=4, p=2, tie_scaling=False, share_siblings=False, l_layers=9, seed=3),
+    NetworkConfig(n=4, p=2, param_mode=MODE_REAL, tie_scaling=False,
+                  share_siblings=False, seed=4),
+    NetworkConfig(n=4, depth=0, seed=5),
+    NetworkConfig(n=8, kind=KIND_DENSE, l_layers=9, seed=6),
+]
+
+
+def _block_arrays(net):
+    """Every trainable array as the forward pass reaches it, by path."""
+    out = {}
+    for b, blk in enumerate(net.blocks):
+        for name in ("bias1", "skip", "bias_out", "w1", "w4"):
+            if hasattr(blk, name):
+                out[f"block{b}.{name}"] = getattr(blk, name)
+        if net.config.kind == KIND_DENSE:
+            continue
+        for i in range(net.config.p):
+            out[f"block{b}.w1.sub{i}.d_hat"] = blk.d_hat[i]
+            out[f"block{b}.w1.sub{i}.d_breve"] = blk.d_breve[i]
+            if blk.d_hat_out is not None:
+                out[f"block{b}.w4.sub{i}.d_hat_out"] = blk.d_hat_out[i]
+            for side, chain in (("w1", blk.f_chains[i]), ("w4", blk.fstar_chains[i])):
+                tag = "f" if side == "w1" else "fstar"
+                for lvl, tw in enumerate(chain.twiddles):
+                    out[f"block{b}.{side}.sub{i}.{tag}.twiddle{lvl}"] = tw
+                out[f"block{b}.{side}.sub{i}.{tag}.leaf"] = chain.leaf
+    return out
+
+
+def _unpack(flat, net):
+    """Decode a flat vector into arrays by path, re/im pairs interleaved."""
+    out, pos = {}, 0
+    for path, arr, kind in net.param_entries():
+        if kind == "complex":
+            chunk = flat[pos : pos + 2 * arr.size]
+            out[path] = (chunk[0::2] + 1j * chunk[1::2]).reshape(arr.shape)
+        else:
+            out[path] = flat[pos : pos + arr.size].reshape(arr.shape)
+        pos += out[path].size * (2 if kind == "complex" else 1)
+    assert pos == flat.size
+    return out
+
+
+@pytest.mark.parametrize("cfg", BUFFER_CONFIGS, ids=lambda c: f"{c.kind}-{c.param_mode}-p{c.p}")
+def test_set_flat_shows_in_every_parameter_array(cfg):
+    net = build_network(cfg)
+    theta = np.random.default_rng(50).normal(size=net.param_count())
+    net.set_flat(theta)
+    want = _unpack(theta, net)
+    entries = {path: arr for path, arr, _ in net.param_entries()}
+    reached = _block_arrays(net)
+    assert set(entries) == set(reached) == set(want)
+    for path, ref in want.items():
+        assert np.array_equal(entries[path], ref), path
+        assert np.array_equal(reached[path], ref), path
+        assert np.shares_memory(reached[path], net.flat), path
+
+
+@pytest.mark.parametrize("cfg", BUFFER_CONFIGS, ids=lambda c: f"{c.kind}-{c.param_mode}-p{c.p}")
+def test_parameter_array_write_shows_in_get_flat(cfg):
+    net = build_network(cfg)
+    for path, arr in _block_arrays(net).items():
+        before = net.get_flat()
+        arr[...] = arr * 2 + (1 + 1j if np.iscomplexobj(arr) else 1)
+        after = net.get_flat()
+        assert np.array_equal(_unpack(after, net)[path], arr), path
+        others = {p: v for p, v in _unpack(after, net).items() if p != path}
+        ref = {p: v for p, v in _unpack(before, net).items() if p != path}
+        assert all(np.array_equal(v, ref[p]) for p, v in others.items()), path
+
+
+@pytest.mark.parametrize("cfg", BUFFER_CONFIGS, ids=lambda c: f"{c.kind}-{c.param_mode}-p{c.p}")
+def test_complex_parameter_views_are_aligned(cfg):
+    net = build_network(cfg)
+    for path, arr, kind in net.param_entries():
+        if kind == "complex":
+            assert arr.dtype == np.complex128
+            assert arr.ctypes.data % 16 == 0 and arr.flags.aligned, path
+
+
+def test_get_flat_is_a_copy():
+    net = build_network(NetworkConfig(n=4, seed=15))
+    flat = net.get_flat()
+    flat += 1.0
+    assert not np.array_equal(net.get_flat(), flat)
+    assert not np.shares_memory(flat, net.flat)
+
+
+@pytest.mark.parametrize("cfg", BUFFER_CONFIGS + [
+    NetworkConfig(n=16, depth=3, share_siblings=False, seed=7),
+    NetworkConfig(n=2, depth=2, seed=8),
+    NetworkConfig(n=8, depth=5, param_mode=MODE_REAL, share_siblings=False, seed=9),
+    NetworkConfig(n=4, p=3, kind=KIND_DENSE, seed=10),
+], ids=lambda c: f"{c.kind}-{c.param_mode}-p{c.p}-d{c.depth}")
+def test_expected_param_count_matches_built_network(cfg):
+    assert expected_param_count(cfg) == build_network(cfg).param_count()
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +522,45 @@ def test_load_rejects_bad_files(tmp_path):
         load_network(str(clipped))
 
 
+def _rewrite_header(raw, offset, fmt, value):
+    import struct
+
+    out = bytearray(raw)
+    struct.pack_into(fmt, out, offset, value)
+    return bytes(out)
+
+
+@pytest.mark.parametrize("offset,value", [(8, 1024), (20, 4 * 10**9 + 1)],
+                         ids=["n1024", "huge_l_layers"])
+def test_load_checks_header_before_building(tmp_path, monkeypatch, offset, value):
+    import dvmbeam.network as network
+
+    net = build_network(NetworkConfig(n=4, seed=16))
+    good = tmp_path / "good.stnn"
+    save_network(net, str(good))
+    bad = tmp_path / "bad.stnn"
+    bad.write_bytes(_rewrite_header(good.read_bytes(), offset, "<I", value))
+
+    def refuse(cfg):
+        raise AssertionError(f"built a network from an unchecked header: {cfg}")
+
+    monkeypatch.setattr(network, "build_network", refuse)
+    with pytest.raises(ValueError, match="does not match"):
+        load_network(str(bad))
+
+
+@pytest.mark.parametrize("offset,name", [(26, "tie-scaling"), (27, "share-siblings")])
+def test_load_rejects_flag_bytes_other_than_0_or_1(tmp_path, offset, name):
+    net = build_network(NetworkConfig(n=4, seed=17))
+    path = tmp_path / "net.stnn"
+    save_network(net, str(path))
+    raw = bytearray(path.read_bytes())
+    raw[offset] = 7
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=f"{name} flag 7 \\(byte {offset}\\)"):
+        load_network(str(path))
+
+
 def test_json_export(tmp_path):
     import json
 
@@ -422,3 +573,11 @@ def test_json_export(tmp_path):
     mirror = network_to_json(net)
     assert set(doc["params"]) == {p for p, _, _ in net.param_entries()}
     assert doc["config"] == mirror["config"]
+
+
+def test_json_export_real_mode_entries_are_real():
+    net = build_network(NetworkConfig(n=4, param_mode=MODE_REAL, seed=18))
+    params = network_to_json(net)["params"]
+    leaf = params["block0.w1.sub0.f.leaf"]
+    assert leaf["kind"] == "real"
+    assert leaf["values"] == net.blocks[0].f_chains[0].leaf.ravel().tolist()

@@ -22,6 +22,7 @@ from dvmbeam.training import (
     TrainingDiverged,
     TrainReport,
     backward,
+    evaluate_mse,
     gauss_newton_lm_step,
     grad_check,
     loss_and_grads,
@@ -138,6 +139,41 @@ def test_gradient_flat_layout_matches_parameters():
     loss, pack = loss_and_grads(net, x, rng.normal(size=(8, 2)))
     assert pack.to_flat(net).shape == net.get_flat().shape
     assert loss >= 0.0
+
+
+def _interleaved_reference(pack, net):
+    """The pack-by-path layout, built the explicit way: complex gradients as
+    re/im pairs, real gradients as values, in declaration order."""
+    parts = []
+    for path, arr, kind in net.param_entries():
+        g = pack.data[path]
+        if kind == "complex":
+            buf = np.empty(arr.size * 2)
+            buf[0::2] = g.real.ravel()
+            buf[1::2] = g.imag.ravel()
+            parts.append(buf)
+        else:
+            parts.append(np.asarray(g).real.ravel())
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("cfg", [
+    NetworkConfig(n=4, seed=11),
+    NetworkConfig(n=4, param_mode="real", seed=12),
+    NetworkConfig(n=4, p=2, tie_scaling=False, share_siblings=False, l_layers=9, seed=13),
+    NetworkConfig(n=4, kind=KIND_DENSE, seed=14),
+], ids=["complex", "real", "untied-unshared", "dense"])
+def test_gradient_flat_equals_interleaved_pack(cfg):
+    net = build_network(cfg)
+    rng = np.random.default_rng(15)
+    x = rng.normal(size=(8, 5))
+    _, trace = forward(net, x, want_trace=True)
+    pack = backward(net, trace, rng.normal(size=(8, 5)))
+    flat = pack.to_flat(net)
+    assert np.array_equal(flat, _interleaved_reference(pack, net))
+    for path, arr, _ in net.param_entries():
+        assert pack.data[path].dtype == arr.dtype, path
+        assert np.shares_memory(pack.data[path], flat), path
 
 
 def test_grad_check_exact_init_linear():
@@ -428,6 +464,26 @@ def test_train_empty_dataset():
     empty = np.zeros((0, 8))
     with pytest.raises(ValueError, match="empty"):
         train(net, empty, empty, empty, empty, OptimizerConfig())
+
+
+def test_train_empty_validation_set():
+    net = random_net(0)
+    before = net.get_flat()
+    empty = np.zeros((0, 8))
+    with pytest.raises(ValueError, match="validation set is empty"):
+        train(net, DS.x, DS.y, empty, empty, OptimizerConfig(seed=0))
+    assert np.array_equal(net.get_flat(), before)  # rejected before any step
+
+
+def test_train_updates_the_network_buffer_in_place():
+    net = random_net(4)
+    buf = net.flat
+    before = net.get_flat()
+    rep = train(net, DS.x, DS.y, DS.x, DS.y,
+                OptimizerConfig(name="adam", lr=1e-2, batch_size=32, epochs=2, seed=4))
+    assert net.flat is buf
+    assert not np.array_equal(buf, before)
+    assert rep.final_train_mse == evaluate_mse(net, DS.x, DS.y)
 
 
 def test_train_width_mismatch():
