@@ -16,8 +16,6 @@ so any single sample can be regenerated without replaying the whole stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import csv
-import io
 import math
 import struct
 
@@ -27,6 +25,8 @@ from .dvm import DvmSpec, build_bluestein_chain, cis, fast_dvm_apply
 
 SPEED_OF_LIGHT = 299792458.0
 DEFAULT_SAMPLE_RATE = 32e9
+# rows formatted per write in save_dataset_csv
+_CSV_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -124,40 +124,39 @@ def make_dataset(
 
     Each angle contributes samples_per_angle snapshots on the time grid
     [0, 1) with step 1/samples_per_angle.  Sample s (counted across the
-    whole set) draws its noise from default_rng([seed, s]).
+    whole set) draws its noise from default_rng([seed, s]): 2n standard
+    normals, the real parts first.  All targets come from one batched
+    transform of the (n, samples) snapshot matrix.
     """
     if samples_per_angle < 1:
         raise ValueError("samples_per_angle must be >= 1")
     angles_deg = np.atleast_1d(np.asarray(angles_deg, dtype=np.float64))
     geom = ArrayGeometry(n, half_wavelength_spacing() if spacing is None else spacing)
     spec = DvmSpec(n, transform_alpha(freq, n, sample_rate))
-    chain = build_bluestein_chain(spec)
     t_grid = np.arange(samples_per_angle, dtype=np.float64) / samples_per_angle
     total = angles_deg.size * samples_per_angle
-    x = np.empty((total, 2 * n))
-    y = np.empty((total, 2 * n))
+    u = np.empty((n, total), dtype=np.complex128)
     angle_col = np.empty(total)
     time_col = np.empty(total)
-    row = 0
-    for a_deg in angles_deg:
+    for k, a_deg in enumerate(angles_deg):
+        rows = slice(k * samples_per_angle, (k + 1) * samples_per_angle)
         theta = math.radians(a_deg)
-        clean = synth_received(geom, freq, theta, t_grid)
-        for j in range(samples_per_angle):
-            u = clean[:, j]
-            if noise_std:
-                child = np.random.default_rng([seed, row])
-                s = noise_std / math.sqrt(2.0)
-                u = u + s * (
-                    child.standard_normal(n) + 1j * child.standard_normal(n)
-                )
-            v = fast_dvm_apply(chain, u)
-            x[row, :n] = u.real
-            x[row, n:] = u.imag
-            y[row, :n] = v.real
-            y[row, n:] = v.imag
-            angle_col[row] = theta
-            time_col[row] = t_grid[j]
-            row += 1
+        u[:, rows] = synth_received(geom, freq, theta, t_grid)
+        angle_col[rows] = theta
+        time_col[rows] = t_grid
+    if noise_std:
+        z = np.empty((total, 2 * n))
+        for row in range(total):
+            z[row] = np.random.default_rng([seed, row]).standard_normal(2 * n)
+        s = noise_std / math.sqrt(2.0)
+        u += s * (z[:, :n] + 1j * z[:, n:]).T
+    v = fast_dvm_apply(build_bluestein_chain(spec), u)
+    x = np.empty((total, 2 * n))
+    y = np.empty((total, 2 * n))
+    x[:, :n] = u.real.T
+    x[:, n:] = u.imag.T
+    y[:, :n] = v.real.T
+    y[:, n:] = v.imag.T
     return Dataset(
         x=x, y=y, angle=angle_col, time=time_col, n=n, freq=freq,
         sample_rate=sample_rate, spacing=geom.spacing,
@@ -241,6 +240,9 @@ def load_dataset(path: str, verify: bool = True, format: str = "binary",
         raise ValueError(f"{path}: bad magic {magic!r}, not a dataset file")
     if version != _VERSION:
         raise ValueError(f"{path}: unsupported dataset version {version}")
+    if n < 2 or not (rate > 0 and math.isfinite(rate)):
+        raise ValueError(f"{path}: header gives n={n} and sample rate {rate!r}; "
+                         "want n >= 2 and a positive finite rate")
     need = head_size + 8 * (count * 2 + count * 4 * n)
     if len(data) != need:
         raise ValueError(f"{path}: expected {need} bytes, found {len(data)}")
@@ -284,7 +286,8 @@ def verify_targets(ds: Dataset) -> float:
 
 def save_dataset_csv(ds: Dataset, path: str) -> None:
     """Tabular twin of the binary format: one header row, one row per sample,
-    17 significant digits per value (lossless for float64)."""
+    17 significant digits per value (lossless for float64), CRLF line ends.
+    Rows are formatted in blocks of _CSV_BLOCK_ROWS to bound the memory used."""
     n = ds.n
     header = (
         ["sample_id", "t", "angle_deg"]
@@ -293,44 +296,49 @@ def save_dataset_csv(ds: Dataset, path: str) -> None:
         + [f"y_re_{i}" for i in range(n)]
         + [f"y_im_{i}" for i in range(n)]
     )
+    row_fmt = "%d," + ",".join(["%.17g"] * (2 + 4 * n)) + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for i in range(ds.n_samples):
-            row = [str(i), f"{ds.time[i]:.17g}", f"{math.degrees(ds.angle[i]):.17g}"]
-            row += [f"{v:.17g}" for v in ds.x[i]]
-            row += [f"{v:.17g}" for v in ds.y[i]]
-            w.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        for a in range(0, ds.n_samples, _CSV_BLOCK_ROWS):
+            b = min(a + _CSV_BLOCK_ROWS, ds.n_samples)
+            vals = np.empty((b - a, 2 + 4 * n))
+            vals[:, 0] = ds.time[a:b]
+            vals[:, 1] = np.degrees(ds.angle[a:b])
+            vals[:, 2 : 2 + 2 * n] = ds.x[a:b]
+            vals[:, 2 + 2 * n :] = ds.y[a:b]
+            fh.write("".join(
+                row_fmt % (i, *row) for i, row in enumerate(vals.tolist(), a)
+            ))
 
 
 def load_dataset_csv(path: str, freq: float | None = None,
                      sample_rate: float = DEFAULT_SAMPLE_RATE,
                      spacing: float | None = None, noise_std: float = 0.0,
                      seed: int = 0, verify: bool = True) -> Dataset:
-    """Read the tabular format back.  The table carries no generator
-    metadata, so freq (and friends) must be supplied to re-verify targets;
-    without freq the data loads unverified."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or not rows[0] or rows[0][0] != "sample_id":
+    """Read the tabular format back (CRLF or LF line ends).  The table
+    carries no generator metadata, so freq (and friends) must be supplied to
+    re-verify targets; without freq the data loads unverified.  The
+    sample_id column is not parsed."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if not lines or lines[0].split(",", 1)[0] != "sample_id":
         raise ValueError(f"{path}: not a dataset table (missing header)")
-    width = len(rows[0])
-    if (width - 3) % 4:
-        raise ValueError(f"{path}: header has {width} columns, want 3 + 4n")
+    width = lines[0].count(",") + 1
+    if width < 11 or (width - 3) % 4:
+        raise ValueError(f"{path}: header has {width} columns, want 3 + 4n with n >= 2")
     n = (width - 3) // 4
-    count = len(rows) - 1
-    x = np.empty((count, 2 * n))
-    y = np.empty((count, 2 * n))
-    angle = np.empty(count)
-    time = np.empty(count)
-    for i, row in enumerate(rows[1:]):
-        if len(row) != width:
-            raise ValueError(f"{path}: row {i} has {len(row)} fields, want {width}")
-        vals = np.asarray(row[1:], dtype=np.float64)
-        time[i] = vals[0]
-        angle[i] = math.radians(vals[1])
-        x[i] = vals[2 : 2 + 2 * n]
-        y[i] = vals[2 + 2 * n :]
+    body = lines[1:]
+    for i, line in enumerate(body):
+        fields = line.count(",") + 1 if line else 0
+        if fields != width:
+            raise ValueError(f"{path}: row {i} has {fields} fields, want {width}")
+    vals = _parse_value_fields(path, body, width)
+    time = vals[:, 0].copy()
+    angle = np.radians(vals[:, 1])
+    x = vals[:, 2 : 2 + 2 * n].copy()
+    y = vals[:, 2 + 2 * n :].copy()
     ds = Dataset(
         x=x, y=y, angle=angle, time=time, n=n,
         freq=(math.nan if freq is None else freq), sample_rate=sample_rate,
@@ -345,3 +353,24 @@ def load_dataset_csv(path: str, freq: float | None = None,
                 f"by {err:.3e} (limit 1e-9); file is stale or corrupt"
             )
     return ds
+
+
+def _parse_value_fields(path: str, body: list, width: int) -> np.ndarray:
+    """float64 (rows, width - 1) array of every field but the first, parsed
+    in one call; a field that is not a number raises ValueError naming its
+    row."""
+    def parse(lines):
+        return np.loadtxt(lines, delimiter=",", usecols=range(1, width),
+                          comments=None, ndmin=2)
+
+    if not body:
+        return np.empty((0, width - 1))
+    try:
+        return parse(body)
+    except ValueError as err:
+        for i, line in enumerate(body):
+            try:
+                parse([line])
+            except ValueError:
+                raise ValueError(f"{path}: row {i} has a non-numeric value") from None
+        raise ValueError(f"{path}: {err}") from None

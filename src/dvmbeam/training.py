@@ -491,9 +491,10 @@ def _chunk_spans(cols: int):
     return [(a, min(a + _CHUNK_COLS, cols)) for a in range(0, cols, _CHUNK_COLS)]
 
 
-def _batch_grads(net: Network, xb, tb, workers: int):
+def _batch_grads(net: Network, xb, tb, pool):
     """Flat gradient and squared-error sum for one batch, reduced over
-    fixed-width chunks in fixed order."""
+    fixed-width chunks in fixed order.  Chunks run on pool (a thread pool,
+    or None to run them in this thread)."""
     cols = xb.shape[1]
     norm = net.config.n * cols
     spans = _chunk_spans(cols)
@@ -505,9 +506,8 @@ def _batch_grads(net: Network, xb, tb, workers: int):
         pack = backward(net, trace, tb[:, a:b], norm=norm)
         return pack.to_flat(net), sq
 
-    if workers > 1 and len(spans) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, spans))
+    if pool is not None and len(spans) > 1:
+        results = list(pool.map(one, spans))
     else:
         results = [one(s) for s in spans]
     flat = results[0][0]
@@ -565,46 +565,52 @@ def train(
     epochs_run = 0
     steps_run = 0
 
-    for epoch in range(opt.epochs):
-        order = rng.permutation(n_samples) if opt.shuffle else np.arange(n_samples)
-        sq_sum = 0.0
-        seen = 0
-        for a in range(0, n_samples, opt.batch_size):
-            idx = order[a : a + opt.batch_size]
-            xb, tb = xT[:, idx], tT[:, idx]
-            if opt.name == "gauss_newton_lm":
-                loss_b, mu = gauss_newton_lm_step(net, xb, tb, mu, opt)
-                sq_sum += loss_b * cfg.n * xb.shape[1]
-            else:
-                flat_g, sq = _batch_grads(net, xb, tb, opt.workers)
-                loss_b = sq / (cfg.n * xb.shape[1])
-                if opt.name == "sgd":
-                    theta -= opt.lr * flat_g
+    pool = (concurrent.futures.ThreadPoolExecutor(max_workers=opt.workers)
+            if opt.workers > 1 else None)
+    try:
+        for epoch in range(opt.epochs):
+            order = rng.permutation(n_samples) if opt.shuffle else np.arange(n_samples)
+            sq_sum = 0.0
+            seen = 0
+            for a in range(0, n_samples, opt.batch_size):
+                idx = order[a : a + opt.batch_size]
+                xb, tb = xT[:, idx], tT[:, idx]
+                if opt.name == "gauss_newton_lm":
+                    loss_b, mu = gauss_newton_lm_step(net, xb, tb, mu, opt)
+                    sq_sum += loss_b * cfg.n * xb.shape[1]
                 else:
-                    theta -= adam.update(flat_g, opt.lr)
-                sq_sum += sq
-            steps_run += 1
-            seen += xb.shape[1]
-            if not np.isfinite(loss_b):
-                raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch}, batch start {a}"
-                )
-        train_hist.append(sq_sum / (cfg.n * seen))
-        val_hist.append(evaluate_mse(net, val_x, val_t))
-        epochs_run = epoch + 1
-        if not np.isfinite(val_hist[-1]):
-            raise TrainingDiverged(f"non-finite validation loss at epoch {epoch}")
-        if opt.target_mse is not None and val_hist[-1] <= opt.target_mse:
-            stop_reason = "target_reached"
-            break
-        if val_hist[-1] < best_val:
-            best_val = val_hist[-1]
-            since_best = 0
-        else:
-            since_best += 1
-            if opt.patience is not None and since_best >= opt.patience:
-                stop_reason = "patience"
+                    flat_g, sq = _batch_grads(net, xb, tb, pool)
+                    loss_b = sq / (cfg.n * xb.shape[1])
+                    if opt.name == "sgd":
+                        theta -= opt.lr * flat_g
+                    else:
+                        theta -= adam.update(flat_g, opt.lr)
+                    sq_sum += sq
+                steps_run += 1
+                seen += xb.shape[1]
+                if not np.isfinite(loss_b):
+                    raise TrainingDiverged(
+                        f"non-finite loss at epoch {epoch}, batch start {a}"
+                    )
+            train_hist.append(sq_sum / (cfg.n * seen))
+            val_hist.append(evaluate_mse(net, val_x, val_t))
+            epochs_run = epoch + 1
+            if not np.isfinite(val_hist[-1]):
+                raise TrainingDiverged(f"non-finite validation loss at epoch {epoch}")
+            if opt.target_mse is not None and val_hist[-1] <= opt.target_mse:
+                stop_reason = "target_reached"
                 break
+            if val_hist[-1] < best_val:
+                best_val = val_hist[-1]
+                since_best = 0
+            else:
+                since_best += 1
+                if opt.patience is not None and since_best >= opt.patience:
+                    stop_reason = "patience"
+                    break
+    finally:
+        if pool is not None:
+            pool.shutdown()
 
     return TrainReport(
         network=cfg.to_dict(),

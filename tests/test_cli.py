@@ -406,6 +406,46 @@ def test_config_file_errors(work, capsys):
     assert main(["--config", str(work / "nope.conf"), "bench"]) == EXIT_IO
 
 
+def test_config_file_types_reach_each_subcommand(work, monkeypatch):
+    # config layering walks argparse's private `_actions`; this pins that
+    # every kind of option it converts still arrives typed in the args
+    import dvmbeam.cli as cli
+
+    seen = {}
+
+    def capture(name):
+        def run(args):
+            seen[name] = args
+            return EXIT_OK
+        return run
+
+    monkeypatch.setattr(cli, "cmd_gen_data", capture("gen-data"))
+    monkeypatch.setattr(cli, "cmd_verify", capture("verify"))
+    cfg = work / "typed.conf"
+    cfg.write_text(
+        "seed = 7              # int, shared by both subcommands\n"
+        "trials = 4            # int, verify only\n"
+        "noise-std = 0.25      # float\n"
+        "out = from_file.bin   # string\n"
+        "corrupt-twiddle = yes # boolean flag\n"
+    )
+    assert main(["--config", str(cfg), "gen-data"]) == EXIT_OK
+    assert main(["--config", str(cfg), "verify"]) == EXIT_OK
+    gen, ver = seen["gen-data"], seen["verify"]
+    assert gen.seed == 7 and type(gen.seed) is int
+    assert gen.noise_std == 0.25 and type(gen.noise_std) is float
+    assert gen.out == "from_file.bin"
+    assert ver.seed == 7 and type(ver.seed) is int
+    assert ver.trials == 4 and type(ver.trials) is int
+    assert ver.corrupt_twiddle is True
+    # untouched options keep their parser defaults
+    assert gen.samples_per_angle == 1000 and ver.n_max == 256
+
+    cfg.write_text("corrupt-twiddle = no\n")
+    assert main(["--config", str(cfg), "verify"]) == EXIT_OK
+    assert seen["verify"].corrupt_twiddle is False
+
+
 def test_installed_entry_point(work):
     # the console script must resolve and run a real subcommand
     res = subprocess.run(

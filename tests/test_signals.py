@@ -1,14 +1,17 @@
 """Signal simulator and dataset tests."""
 
+import csv
 import math
+import struct
 
 import numpy as np
 import pytest
 
-from dvmbeam.dvm import DvmSpec, scaled_dvm_dense
+from dvmbeam.dvm import DvmSpec, build_bluestein_chain, fast_dvm_apply, scaled_dvm_dense
 from dvmbeam.signals import (
     SPEED_OF_LIGHT,
     ArrayGeometry,
+    Dataset,
     half_wavelength_spacing,
     load_dataset,
     load_dataset_csv,
@@ -177,6 +180,76 @@ def test_verify_targets_reports_drift():
     assert verify_targets(ds) >= 0.9e-6
 
 
+def _reference_make_dataset(n, freq, angles_deg, samples_per_angle, noise_std, seed):
+    """The per-sample build make_dataset replaced: one transform per sample
+    and two standard_normal(n) draws from each sample's own generator."""
+    angles_deg = np.atleast_1d(np.asarray(angles_deg, dtype=np.float64))
+    geom = ArrayGeometry(n, half_wavelength_spacing())
+    chain = build_bluestein_chain(DvmSpec(n, transform_alpha(freq, n)))
+    t_grid = np.arange(samples_per_angle, dtype=np.float64) / samples_per_angle
+    total = angles_deg.size * samples_per_angle
+    x = np.empty((total, 2 * n))
+    y = np.empty((total, 2 * n))
+    angle_col = np.empty(total)
+    time_col = np.empty(total)
+    row = 0
+    for a_deg in angles_deg:
+        theta = math.radians(a_deg)
+        clean = synth_received(geom, freq, theta, t_grid)
+        for j in range(samples_per_angle):
+            u = clean[:, j]
+            if noise_std:
+                child = np.random.default_rng([seed, row])
+                s = noise_std / math.sqrt(2.0)
+                u = u + s * (child.standard_normal(n) + 1j * child.standard_normal(n))
+            v = fast_dvm_apply(chain, u)
+            x[row, :n] = u.real
+            x[row, n:] = u.imag
+            y[row, :n] = v.real
+            y[row, n:] = v.imag
+            angle_col[row] = theta
+            time_col[row] = t_grid[j]
+            row += 1
+    return x, y, angle_col, time_col
+
+
+DATASET_CONFIGS = [
+    (4, 24e9, [30.0, 40.0, 50.0], 20, 0.1, 100),
+    (4, 24e9, [30.0, 40.0, 50.0], 20, 0.0, 100),
+    (16, 27e9, [-45.0, -10.5, 0.0], 1, 0.2, 7),
+    (16, 32e9, [12.0], 50, 0.1, 3),
+    (64, 24e9, [-60.0, 60.0], 5, 0.3, 11),
+    (8, 24e9, [], 5, 0.1, 1),
+]
+DATASET_IDS = ["noisy", "noiseless", "one-per-angle", "one-angle", "n64", "no-angles"]
+
+
+@pytest.mark.parametrize("cfg", DATASET_CONFIGS, ids=DATASET_IDS)
+def test_make_dataset_matches_per_sample_reference(cfg):
+    ds = make_dataset(*cfg)
+    n = cfg[0]
+    total = len(cfg[2]) * cfg[3]
+    for got, want in zip((ds.x, ds.y, ds.angle, ds.time), _reference_make_dataset(*cfg)):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    assert ds.x.shape == ds.y.shape == (total, 2 * n)
+
+
+def test_make_dataset_transforms_once(monkeypatch):
+    import dvmbeam.signals as signals
+
+    calls = []
+    real = signals.fast_dvm_apply
+
+    def counting(chain, x, counter=None):
+        calls.append(np.shape(x))
+        return real(chain, x, counter)
+
+    monkeypatch.setattr(signals, "fast_dvm_apply", counting)
+    make_dataset(4, 24e9, [30.0, 40.0, 50.0], 20, 0.1, seed=1)
+    assert calls == [(4, 60)]
+
+
 def test_make_dataset_validation():
     with pytest.raises(ValueError):
         make_dataset(4, 24e9, [30.0], 0, 0.1, seed=1)
@@ -270,6 +343,25 @@ def test_load_rejects_corruption(tmp_path):
     assert back.n_samples == ds.n_samples
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n", 0), ("n", 1), ("sample_rate", 0.0), ("sample_rate", -32e9),
+    ("sample_rate", float("nan")),
+])
+def test_load_rejects_bad_header_values(tmp_path, field, value):
+    # n = 0 or a zero rate used to reach transform_alpha and divide by zero
+    ds = small_ds()
+    p = tmp_path / "d.dvmb"
+    save_dataset(ds, str(p))
+    raw = bytearray(p.read_bytes())
+    if field == "n":
+        raw[8:12] = struct.pack("<I", value)
+    else:
+        raw[32:40] = struct.pack("<d", value)
+    p.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="header gives"):
+        load_dataset(str(p), verify=False)
+
+
 def test_csv_roundtrip(tmp_path):
     ds = small_ds()
     p = tmp_path / "d.csv"
@@ -298,6 +390,180 @@ def test_csv_load_rejects_malformed(tmp_path):
     p.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError):
         load_dataset_csv(str(p))
+
+
+def _reference_save_csv(ds, path):
+    """The csv.writer table save_dataset_csv replaced."""
+    n = ds.n
+    header = (
+        ["sample_id", "t", "angle_deg"]
+        + [f"x_re_{i}" for i in range(n)]
+        + [f"x_im_{i}" for i in range(n)]
+        + [f"y_re_{i}" for i in range(n)]
+        + [f"y_im_{i}" for i in range(n)]
+    )
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for i in range(ds.n_samples):
+            row = [str(i), f"{ds.time[i]:.17g}", f"{math.degrees(ds.angle[i]):.17g}"]
+            row += [f"{v:.17g}" for v in ds.x[i]]
+            row += [f"{v:.17g}" for v in ds.y[i]]
+            w.writerow(row)
+
+
+def _reference_load_csv(path):
+    """The csv.reader parse load_dataset_csv replaced: (x, y, angle, time)."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    width = len(rows[0])
+    n = (width - 3) // 4
+    count = len(rows) - 1
+    x = np.empty((count, 2 * n))
+    y = np.empty((count, 2 * n))
+    angle = np.empty(count)
+    time = np.empty(count)
+    for i, row in enumerate(rows[1:]):
+        vals = np.asarray(row[1:], dtype=np.float64)
+        time[i] = vals[0]
+        angle[i] = math.radians(vals[1])
+        x[i] = vals[2 : 2 + 2 * n]
+        y[i] = vals[2 + 2 * n :]
+    return x, y, angle, time
+
+
+def _edge_value_dataset():
+    """600 rows (more than one write block) of values whose 17-digit text is
+    easy to get wrong: signed zeros, subnormals, huge and non-finite values."""
+    rng = np.random.default_rng(21)
+    special = np.array([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308,
+                        np.inf, -np.inf, np.nan, 1 / 3, 0.1, 1e16, 1.5e-7,
+                        123456789012345678.0, -7.0])
+    x = rng.choice(special, size=(600, 8))
+    y = rng.standard_normal((600, 8)) * 10.0 ** rng.integers(-300, 300, (600, 8))
+    angle = np.radians(rng.uniform(-90, 90, 600))
+    angle[:4] = [0.0, -0.0, np.pi / 2, -np.pi / 6]
+    return Dataset(x=x, y=y, angle=angle, time=rng.random(600), n=4, freq=24e9,
+                   sample_rate=32e9, spacing=half_wavelength_spacing(),
+                   noise_std=0.0, seed=0)
+
+
+CSV_CASES = [make_dataset(*cfg) for cfg in DATASET_CONFIGS] + [_edge_value_dataset()]
+CSV_IDS = DATASET_IDS + ["edge-values"]
+
+
+@pytest.mark.parametrize("ds", CSV_CASES, ids=CSV_IDS)
+def test_csv_bytes_and_parse_match_csv_module(ds, tmp_path):
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    save_dataset_csv(ds, str(got))
+    _reference_save_csv(ds, str(want))
+    assert got.read_bytes() == want.read_bytes()
+    back = load_dataset_csv(str(got))
+    for field, ref in zip(("x", "y", "angle", "time"), _reference_load_csv(str(want))):
+        arr = getattr(back, field)
+        assert arr.shape == ref.shape and arr.tobytes() == ref.tobytes(), field
+
+
+def test_csv_load_accepts_lf_line_ends(tmp_path):
+    ds = small_ds()
+    crlf, lf = tmp_path / "crlf.csv", tmp_path / "lf.csv"
+    save_dataset_csv(ds, str(crlf))
+    raw = crlf.read_bytes()
+    assert raw.count(b"\r\n") == ds.n_samples + 1
+    lf.write_bytes(raw.replace(b"\r\n", b"\n"))
+    a = load_dataset_csv(str(crlf), freq=ds.freq)
+    b = load_dataset_csv(str(lf), freq=ds.freq)
+    for field in ("x", "y", "angle", "time"):
+        assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+    # the last line end is optional
+    lf.write_bytes(raw.rstrip(b"\r\n"))
+    assert load_dataset_csv(str(lf)).n_samples == ds.n_samples
+
+
+def test_csv_sample_id_is_not_parsed(tmp_path):
+    ds = small_ds()
+    p = tmp_path / "d.csv"
+    save_dataset_csv(ds, str(p))
+    lines = p.read_bytes().split(b"\r\n")
+    lines[1] = b"first" + lines[1][1:]
+    p.write_bytes(b"\r\n".join(lines))
+    assert np.array_equal(load_dataset_csv(str(p), freq=ds.freq).x, ds.x)
+
+
+def _corrupt_table(tmp_path, edit):
+    ds = small_ds()
+    p = tmp_path / "d.csv"
+    save_dataset_csv(ds, str(p))
+    lines = p.read_text(encoding="utf-8").split("\n")
+    edit(lines)
+    p.write_text("\n".join(lines), encoding="utf-8")
+    return str(p)
+
+
+def _short_row(lines):
+    lines[3] = lines[3].rsplit(",", 1)[0]
+
+
+def _long_row(lines):
+    lines[3] = lines[3] + ",0"
+
+
+def _blank_row(lines):
+    lines.insert(3, "")
+
+
+def _trailing_blank_row(lines):
+    lines.append("")
+
+
+def _word_in_row(lines):
+    fields = lines[3].split(",")
+    fields[5] = "abc"
+    lines[3] = ",".join(fields)
+
+
+def _empty_field(lines):
+    fields = lines[3].split(",")
+    fields[2] = ""
+    lines[3] = ",".join(fields)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_short_row, "row 2 has 18 fields, want 19"),
+    (_long_row, "row 2 has 20 fields, want 19"),
+    (_blank_row, "row 2 has 0 fields, want 19"),
+    (_trailing_blank_row, "row 60 has 0 fields, want 19"),
+    (_word_in_row, "row 2 has a non-numeric value"),
+    (_empty_field, "row 2 has a non-numeric value"),
+], ids=["short-row", "long-row", "blank-line", "trailing-blank-line",
+        "word", "empty-field"])
+def test_csv_load_rejects_bad_rows(tmp_path, edit, message):
+    with pytest.raises(ValueError, match=message):
+        load_dataset_csv(_corrupt_table(tmp_path, edit))
+
+
+def test_csv_load_rejects_bad_header(tmp_path):
+    def drop_column(lines):
+        lines[0] = lines[0].rsplit(",", 1)[0]
+
+    with pytest.raises(ValueError, match="header has 18 columns, want 3 \\+ 4n with n >= 2"):
+        load_dataset_csv(_corrupt_table(tmp_path, drop_column))
+
+    def rename_first(lines):
+        lines[0] = "id" + lines[0][len("sample_id"):]
+
+    with pytest.raises(ValueError, match="missing header"):
+        load_dataset_csv(_corrupt_table(tmp_path, rename_first))
+    # a table with no value columns (n = 0) used to reach the transform and
+    # divide by zero
+    p = tmp_path / "no_values.csv"
+    p.write_bytes(b"sample_id,t,angle_deg\r\n0,0,30\r\n")
+    with pytest.raises(ValueError, match="header has 3 columns"):
+        load_dataset_csv(str(p), freq=24e9)
+    empty = tmp_path / "empty.csv"
+    empty.write_bytes(b"")
+    with pytest.raises(ValueError, match="missing header"):
+        load_dataset_csv(str(empty))
 
 
 def test_unknown_format_rejected(tmp_path):

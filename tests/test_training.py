@@ -2,6 +2,7 @@
 differences, the three optimizer kinds, and the training-loop contract
 (determinism, early stopping, divergence handling, report schema)."""
 
+import concurrent.futures
 import hashlib
 import json
 
@@ -424,6 +425,38 @@ def test_train_worker_count_never_changes_results():
         rep = train(net, DS.x, DS.y, DS.x, DS.y, opt)
         outs.append((rep.train_mse, rep.val_mse, net.get_flat().tobytes()))
     assert outs[0] == outs[1] == outs[2]
+
+
+def test_train_builds_one_thread_pool_per_call(monkeypatch):
+    made, closed = [], []
+
+    class CountingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+        def shutdown(self, *args, **kwargs):
+            closed.append(self)
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
+    for workers, pools in ((1, 0), (2, 1)):
+        made.clear()
+        closed.clear()
+        # 5 epochs of one 64-column batch: 5 steps of two chunks each
+        opt = OptimizerConfig(name="adam", lr=1e-2, batch_size=64, epochs=5,
+                              seed=4, workers=workers)
+        rep = train(random_net(4), DS.x, DS.y, DS.x, DS.y, opt)
+        assert rep.steps_run == 5
+        assert len(made) == pools and closed == made
+    # a diverging run still shuts its pool down
+    made.clear()
+    closed.clear()
+    opt = OptimizerConfig(name="sgd", lr=1e6, batch_size=64, epochs=50, seed=0,
+                          workers=2)
+    with np.errstate(all="ignore"), pytest.raises(TrainingDiverged):
+        train(random_net(0), DS.x, DS.y, DS.x, DS.y, opt)
+    assert len(made) == 1 and closed == made
 
 
 def test_train_loss_descends_for_every_seed():
