@@ -30,7 +30,6 @@ import math
 
 from .network import (
     KIND_DENSE,
-    KIND_STRUCTURED,
     NetworkConfig,
     build_network,
     count_parameters,

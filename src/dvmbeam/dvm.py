@@ -35,6 +35,10 @@ _TWO_PI = 6.283185307179586
 # quotient n below 2**20.
 _CIS_EXACT_LIMIT = float(1 << 21)
 
+# How far |alpha| may stray from 1 for a delay generator to count as unit
+# modulus (DvmSpec and the network's delay and exact initialization).
+UNIT_TOL = 1e-12
+
 
 def cis(phi: float, x) -> np.ndarray:
     """exp(1j * phi * x) with compensated argument reduction.
@@ -80,14 +84,13 @@ class DvmSpec:
 
     n: int
     alpha: complex
-    unit_tol: float = 1e-12
 
     def __post_init__(self):
         if self.n < 2 or self.n & (self.n - 1):
             raise ValueError(f"n must be a power of two >= 2, got {self.n}")
-        if abs(abs(self.alpha) - 1.0) > self.unit_tol:
+        if not abs(abs(self.alpha) - 1.0) <= UNIT_TOL:  # also rejects NaN
             raise ValueError(
-                f"alpha must be unit modulus within {self.unit_tol}, "
+                f"alpha must be unit modulus within {UNIT_TOL}, "
                 f"got |alpha| = {abs(self.alpha)!r}"
             )
 
@@ -219,28 +222,21 @@ class Diagonal:
 
 
 class Dft:
-    """Normalized or raw DFT factor, conjugated when conj is set."""
+    """Normalized (unitary) DFT factor, conjugated when conj is set; fft()
+    is the raw transform."""
 
-    def __init__(self, size: int, conj: bool = False, normalized: bool = True):
+    def __init__(self, size: int, conj: bool = False):
         self.size = size
         self.conj = conj
-        self.normalized = normalized
 
     def __repr__(self):
-        tags = [str(self.size)]
-        if self.conj:
-            tags.append("conj")
-        if not self.normalized:
-            tags.append("raw")
-        return f"Dft({', '.join(tags)})"
+        return f"Dft({self.size}{', conj' if self.conj else ''})"
 
     @property
     def shape(self):
         return (self.size, self.size)
 
     def apply(self, x, counter=None):
-        if not self.normalized:
-            return fft(x, inverse=self.conj, counter=counter)
         y = _pow2_dft(x, self.conj, "ortho", counter)
         if counter is not None:
             counter.tally(muls=self.size)  # the 1/sqrt(size) scaling
@@ -530,16 +526,6 @@ class RecursiveDftChain:
 
     def dense(self) -> np.ndarray:
         return self.apply(np.eye(self.size, dtype=np.complex128))
-
-    def copy(self) -> "RecursiveDftChain":
-        return RecursiveDftChain(
-            self.size,
-            self.depth,
-            [t.copy() for t in self.twiddles],
-            self.leaf.copy(),
-            self.scale,
-            self.shared,
-        )
 
 
 def build_recursive_dft_chain(

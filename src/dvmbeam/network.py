@@ -14,6 +14,8 @@ connection added around it, and biases.
 Hidden vectors of width 4pN are laid out as [real section | imaginary
 section], each section split into p slots of width 2N; the delay layer
 rebuilds complex values from the two halves, which is what pins this layout.
+The forward pass and its hand-written reverse live here side by side, so
+that layout and the parameter path names are known to this module only.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .dvm import (
+    UNIT_TOL,
     DvmSpec,
-    RecursiveDftChain,
     build_bluestein_chain,
     build_recursive_dft_chain,
     cis,
@@ -110,10 +112,13 @@ class NetworkConfig:
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.param_mode not in (MODE_COMPLEX, MODE_REAL):
             raise ValueError(f"unknown param_mode {self.param_mode!r}")
-        if abs(abs(self.delay_alpha) - 1.0) > 1e-12:
-            raise ValueError("delay_alpha must be unit modulus")
-        if self.activation_slope < 0:
-            raise ValueError("activation_slope must be >= 0")
+        # written so that NaN fails too: a corrupt model header must not load
+        if not abs(abs(self.delay_alpha) - 1.0) <= UNIT_TOL:
+            raise ValueError(f"delay_alpha must be unit modulus, got {self.delay_alpha!r}")
+        if not 0 <= self.activation_slope < math.inf:
+            raise ValueError(
+                f"activation_slope must be finite and >= 0, got {self.activation_slope!r}"
+            )
         if self.kind == KIND_STRUCTURED:
             lim = self.chain_size.bit_length() - 1
             if not 0 <= self.resolved_depth <= lim:
@@ -348,81 +353,79 @@ def _as_columns(x, width):
     return x, flat
 
 
-def _block_forward(cfg: NetworkConfig, blk, delay, x, want_trace):
-    n, p, m = cfg.n, cfg.p, cfg.m
-    hidden = cfg.hidden
-    if cfg.kind == KIND_DENSE:
-        pre1 = blk.w1 @ x + blk.bias1[:, None]
-        y1 = leaky_relu(pre1, cfg.activation_slope)
-        y1_c = y1[: hidden // 2] + 1j * y1[hidden // 2 :]
-        y2 = np.concatenate([(delay[:, None] * y1_c).real, (delay[:, None] * y1_c).imag])
-        y3 = y2 + blk.skip[:, None] * y1
-        y_out = blk.w4 @ y3 + blk.bias_out[:, None]
-        trace = None
-        if want_trace:
-            trace = BlockTrace(
-                x=x, x_c=None, chain_traces=[], chain_out=[], pre1=pre1, y1=y1,
-                y1_c=y1_c, y2=y2, y3=y3, fstar_traces=[], t_trunc=[], y_out=y_out,
-            )
-        return y_out, trace
+def _pack(cfg: NetworkConfig, re, im) -> np.ndarray:
+    """Real-split halves to the carrier a DFT chain runs on: re + j im in
+    complex mode, the stacked real vector [re; im] as complex in real mode
+    (its imaginary part stays exactly zero through the chains)."""
+    if cfg.param_mode == MODE_COMPLEX:
+        return re + 1j * im
+    return np.concatenate([re, im]).astype(np.complex128)
 
-    complex_mode = cfg.param_mode == MODE_COMPLEX
-    size = cfg.chain_size
-    if complex_mode:
-        x_c = x[:n] + 1j * x[n:]
-        in_dim = n
+
+def _unpack(cfg: NetworkConfig, c):
+    """Chain carrier back to its real-split halves (re, im); inverse of _pack."""
+    if cfg.param_mode == MODE_COMPLEX:
+        return c.real, c.imag
+    k = c.shape[0] // 2
+    return c.real[:k], c.real[k:]
+
+
+def _run_chain(chain, x, traces):
+    """chain applied to x; a traces list (None when not tracing) keeps the
+    chain's trace for the reverse pass."""
+    if traces is None:
+        return chain.apply(x)
+    y, tr = chain.apply_trace(x)
+    traces.append(tr)
+    return y
+
+
+def _block_forward(cfg: NetworkConfig, blk, delay, x, want_trace):
+    """One block: the input layer (W1, or p chirp-scaled DFT chains into the
+    hidden slots), the middle both kinds share (bias, leaky activation,
+    frozen delay, skip), then the output layer (W4, or p conjugate chains
+    summed back to the input width)."""
+    n, m, half = cfg.n, cfg.m, cfg.hidden // 2
+    dense = cfg.kind == KIND_DENSE
+    chain_traces, fstar_traces = ([], []) if want_trace else (None, None)
+    x_c, chain_out, t_trunc = None, [], []
+    if dense:
+        pre1 = blk.w1 @ x
     else:
-        x_c = x.astype(np.complex128)  # imag stays exactly zero throughout
-        in_dim = 2 * n
-    chain_traces, chain_out = [], []
-    re_parts, im_parts = [], []
-    for i in range(p):
-        u = blk.d_hat[i][:, None] * x_c
-        pad = np.zeros((size, u.shape[1]), dtype=np.complex128)
-        pad[:in_dim] = u
-        if want_trace:
-            c, tr = blk.f_chains[i].apply_trace(pad)
-            chain_traces.append(tr)
-        else:
-            c = blk.f_chains[i].apply(pad)
-        z = blk.d_breve[i][:, None] * c
-        chain_out.append(c if want_trace else None)
-        if complex_mode:
-            re_parts.append(z.real)
-            im_parts.append(z.imag)
-        else:
-            re_parts.append(z.real[:m])
-            im_parts.append(z.real[m:])
-    pre1 = np.concatenate(re_parts + im_parts) + blk.bias1[:, None]
+        x_c = _pack(cfg, x[:n], x[n:])
+        re_parts, im_parts = [], []
+        for i in range(cfg.p):
+            pad = np.zeros((cfg.chain_size, x.shape[1]), dtype=np.complex128)
+            pad[: x_c.shape[0]] = blk.d_hat[i][:, None] * x_c
+            c = _run_chain(blk.f_chains[i], pad, chain_traces)
+            chain_out.append(c if want_trace else None)  # only a trace keeps c alive
+            re, im = _unpack(cfg, blk.d_breve[i][:, None] * c)
+            re_parts.append(re)
+            im_parts.append(im)
+        pre1 = np.concatenate(re_parts + im_parts)
+
+    pre1 += blk.bias1[:, None]
     y1 = leaky_relu(pre1, cfg.activation_slope)
-    half = hidden // 2
     y1_c = y1[:half] + 1j * y1[half:]
     y2_c = delay[:, None] * y1_c
     y2 = np.concatenate([y2_c.real, y2_c.imag])
     y3 = y2 + blk.skip[:, None] * y1
-    y3_c = y3[:half] + 1j * y3[half:]
-    v = None
-    fstar_traces, t_trunc = [], []
-    d_out = blk.d_hat_out if blk.d_hat_out is not None else blk.d_hat
-    for i in range(p):
-        slot = y3_c[i * m : (i + 1) * m]
-        if complex_mode:
-            chain_in = slot
-        else:
-            chain_in = np.concatenate([slot.real, slot.imag]).astype(np.complex128)
-        if want_trace:
-            fs, tr = blk.fstar_chains[i].apply_trace(chain_in)
-            fstar_traces.append(tr)
-        else:
-            fs = blk.fstar_chains[i].apply(chain_in)
-        t = fs[:in_dim]
-        t_trunc.append(t if want_trace else None)
-        vi = d_out[i][:, None] * t
-        v = vi if v is None else v + vi
-    if complex_mode:
-        y_out = np.concatenate([v.real, v.imag]) + blk.bias_out[:, None]
+
+    if dense:
+        y_out = blk.w4 @ y3
     else:
-        y_out = v.real + blk.bias_out[:, None]
+        d_out = blk.d_hat if blk.d_hat_out is None else blk.d_hat_out
+        v = None
+        for i in range(cfg.p):
+            slot = slice(i * m, (i + 1) * m)
+            chain_in = _pack(cfg, y3[:half][slot], y3[half:][slot])
+            t = _run_chain(blk.fstar_chains[i], chain_in, fstar_traces)[: x_c.shape[0]]
+            t_trunc.append(t if want_trace else None)
+            vi = d_out[i][:, None] * t
+            v = vi if v is None else v + vi
+        y_out = np.concatenate(_unpack(cfg, v))
+    y_out += blk.bias_out[:, None]
+
     trace = None
     if want_trace:
         trace = BlockTrace(
@@ -448,6 +451,98 @@ def forward(net: Network, x, want_trace: bool = False):
             block_traces.append(tr)
     trace = ForwardTrace(x=x2, block_traces=block_traces, y=y) if want_trace else None
     return (y[:, 0] if flat else y), trace
+
+
+# ---------------------------------------------------------------------------
+# reverse pass
+#
+# Complex intermediates use the real-pair convention: the carrier for a
+# complex z is g = dL/dRe(z) + j dL/dIm(z), which gives the familiar rules
+#     y = d * x      ->  g_d += g_y * conj(x),  g_x = g_y * conj(d)
+#     y = A  x       ->  g_A += g_y x^H,        g_x = A^H g_y
+# and lets one pass serve both parameter modes: real-mode parameters take
+# the real part of their carrier product, which is the gradient restricted
+# to the real axis.
+
+
+def _accumulate(grads, key, g):
+    """Add a complex carrier product into a gradient slot; a real parameter
+    takes its real part, the gradient restricted to the real axis."""
+    dst = grads[key]
+    dst += g if dst.dtype.kind == "c" else g.real
+
+
+def _accumulate_chain(grads, prefix, tw_grads, leaf_grad):
+    for lvl, tg in enumerate(tw_grads):
+        _accumulate(grads, f"{prefix}.twiddle{lvl}", tg)
+    _accumulate(grads, f"{prefix}.leaf", leaf_grad)
+
+
+def _leaky_grad(pre, slope):
+    return np.where(pre >= 0, 1.0, slope)
+
+
+def _block_backward(cfg: NetworkConfig, blk, delay, tr, g_out, grads, prefix):
+    """Reverse one block: add its parameter gradients into grads (path ->
+    view) and return the gradient wrt the block input."""
+    n, m, half = cfg.n, cfg.m, cfg.hidden // 2
+    dense = cfg.kind == KIND_DENSE
+    grads[f"{prefix}.bias_out"] += g_out.sum(axis=1)
+    # output layer, back to the hidden carrier g_y3c = g_y3[:half] + j g_y3[half:]
+    if dense:
+        grads[f"{prefix}.w4"] += g_out @ tr.y3.T
+        g_y3 = blk.w4.T @ g_out
+        g_y3c = g_y3[:half] + 1j * g_y3[half:]
+    else:
+        g_v = _pack(cfg, g_out[:n], g_out[n:])
+        g_y3c = np.empty((half, g_out.shape[1]), dtype=np.complex128)
+        for i in range(cfg.p):
+            if blk.d_hat_out is None:  # tied: the output side's share joins d_hat's
+                d_out, d_key = blk.d_hat[i], f"{prefix}.w1.sub{i}.d_hat"
+            else:
+                d_out, d_key = blk.d_hat_out[i], f"{prefix}.w4.sub{i}.d_hat_out"
+            _accumulate(grads, d_key, (g_v * np.conj(tr.t_trunc[i])).sum(axis=1))
+            g_fs = np.zeros((cfg.chain_size, g_v.shape[1]), dtype=np.complex128)
+            g_fs[: g_v.shape[0]] = np.conj(d_out)[:, None] * g_v
+            g_ci, tw_g, leaf_g = blk.fstar_chains[i].backward(tr.fstar_traces[i], g_fs)
+            _accumulate_chain(grads, f"{prefix}.w4.sub{i}.fstar", tw_g, leaf_g)
+            slot = slice(i * m, (i + 1) * m)
+            g_y3c.real[slot], g_y3c.imag[slot] = _unpack(cfg, g_ci)
+
+    g_y3 = np.concatenate([g_y3c.real, g_y3c.imag])
+    grads[f"{prefix}.skip"] += (g_y3 * tr.y1).sum(axis=1)
+    # y3 = y2 + skip*y1 hands g_y3 to y2 unchanged, so g_y3c is y2's carrier too
+    g_y1c = np.conj(delay)[:, None] * g_y3c
+    g_y1 = np.concatenate([g_y1c.real, g_y1c.imag]) + g_y3 * blk.skip[:, None]
+    g_pre1 = g_y1 * _leaky_grad(tr.pre1, cfg.activation_slope)
+    grads[f"{prefix}.bias1"] += g_pre1.sum(axis=1)
+
+    if dense:
+        grads[f"{prefix}.w1"] += g_pre1 @ tr.x.T
+        return blk.w1.T @ g_pre1
+    g_x_c = np.zeros_like(tr.x_c)
+    for i in range(cfg.p):
+        slot = slice(i * m, (i + 1) * m)
+        g_z = _pack(cfg, g_pre1[:half][slot], g_pre1[half:][slot])
+        _accumulate(grads, f"{prefix}.w1.sub{i}.d_breve",
+                    (g_z * np.conj(tr.chain_out[i])).sum(axis=1))
+        g_c = np.conj(blk.d_breve[i])[:, None] * g_z
+        g_pad, tw_g, leaf_g = blk.f_chains[i].backward(tr.chain_traces[i], g_c)
+        _accumulate_chain(grads, f"{prefix}.w1.sub{i}.f", tw_g, leaf_g)
+        g_u = g_pad[: g_x_c.shape[0]]
+        _accumulate(grads, f"{prefix}.w1.sub{i}.d_hat", (g_u * np.conj(tr.x_c)).sum(axis=1))
+        g_x_c += np.conj(blk.d_hat[i])[:, None] * g_u
+    return np.concatenate(_unpack(cfg, g_x_c))
+
+
+def _backward(net: Network, trace: ForwardTrace, g_out, grads):
+    """Reverse of forward(): add every parameter gradient into grads (path
+    -> view, see Network.param_views) and return the gradient wrt the input."""
+    for b in range(len(net.blocks) - 1, -1, -1):
+        g_out = _block_backward(
+            net.config, net.blocks[b], net.delay, trace.block_traces[b], g_out, grads, f"block{b}"
+        )
+    return g_out
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +641,7 @@ def init_from_dvm(net: Network, alpha: complex) -> Network:
         raise ValueError("exact initialization applies to the structured kind")
     if cfg.param_mode != MODE_COMPLEX:
         raise ValueError("exact DVM initialization requires complex parameter mode")
-    if abs(abs(alpha) - 1.0) > 1e-12:
+    if not abs(abs(alpha) - 1.0) <= UNIT_TOL:
         raise ValueError("alpha must be unit modulus")
     chirp = build_bluestein_chain(DvmSpec(cfg.n, alpha)).factors
     d_hat, d_breve = chirp[0].values, chirp[3].values
@@ -610,6 +705,10 @@ def count_parameters(net: Network) -> dict:
 
 _MAGIC = b"STNN"
 _FORMAT_VERSION = 1
+# byte offsets: magic 0, version 4, n 8, p 12, depth 16, l_layers 20; the kind,
+# mode, tie-scaling and share-siblings codes 24-27; slope 28, delay alpha re 36
+# and im 44, reserved 52, seed 60, parameter count 68; the payload starts at 76
+_HEAD_FMT = "<4sIIIIIBBBBddddqQ"
 _KIND_CODE = {KIND_STRUCTURED: 0, KIND_DENSE: 1}
 _MODE_CODE = {MODE_COMPLEX: 0, MODE_REAL: 1}
 
@@ -620,7 +719,7 @@ def save_network(net: Network, path: str) -> None:
     cfg = net.config
     flat = net.get_flat()
     head = struct.pack(
-        "<4sIIIIIBBBBddddq Q".replace(" ", ""),
+        _HEAD_FMT,
         _MAGIC,
         _FORMAT_VERSION,
         cfg.n,
@@ -646,13 +745,12 @@ def save_network(net: Network, path: str) -> None:
 def load_network(path: str) -> Network:
     with open(path, "rb") as fh:
         data = fh.read()
-    head_fmt = "<4sIIIIIBBBBddddqQ"
-    head_size = struct.calcsize(head_fmt)
+    head_size = struct.calcsize(_HEAD_FMT)
     if len(data) < head_size:
         raise ValueError(f"{path}: truncated network file")
     (magic, version, n, p, depth, l_layers, kind_c, mode_c, tie, share,
      slope, da_re, da_im, _reserved, seed, n_params) = struct.unpack(
-        head_fmt, data[:head_size]
+        _HEAD_FMT, data[:head_size]
     )
     if magic != _MAGIC:
         raise ValueError(f"{path}: bad magic {magic!r}, not a network file")

@@ -200,15 +200,10 @@ _VERSION = 1
 _HEAD_FMT = "<4sIIQdddddq"
 
 
-def save_dataset(ds: Dataset, path: str, format: str = "binary") -> None:
+def save_dataset(ds: Dataset, path: str) -> None:
     """Binary layout: magic, version, n, sample count, freq, sample_rate,
     spacing, noise_std, reserved, seed, then angle/time/x/y arrays as
-    little-endian float64.  format="csv" writes the tabular twin instead."""
-    if format == "csv":
-        save_dataset_csv(ds, path)
-        return
-    if format != "binary":
-        raise ValueError(f"unknown dataset format {format!r}")
+    little-endian float64.  save_dataset_csv writes the tabular twin."""
     head = struct.pack(
         _HEAD_FMT, _MAGIC, _VERSION, ds.n, ds.n_samples, ds.freq,
         ds.sample_rate, ds.spacing, ds.noise_std, 0.0, ds.seed,
@@ -219,15 +214,10 @@ def save_dataset(ds: Dataset, path: str, format: str = "binary") -> None:
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def load_dataset(path: str, verify: bool = True, format: str = "binary",
-                 **csv_meta) -> Dataset:
-    """Read a saved dataset; unless disabled, recompute every target from
-    its input and fail loudly on drift beyond 1e-9.  format="csv" reads the
-    tabular twin (pass freq=... to enable verification there)."""
-    if format == "csv":
-        return load_dataset_csv(path, verify=verify, **csv_meta)
-    if format != "binary":
-        raise ValueError(f"unknown dataset format {format!r}")
+def load_dataset(path: str, verify: bool = True) -> Dataset:
+    """Read a saved binary dataset; unless disabled, recompute every target
+    from its input and fail loudly on drift beyond 1e-9 (see
+    _check_targets).  load_dataset_csv reads the tabular twin."""
     with open(path, "rb") as fh:
         data = fh.read()
     head_size = struct.calcsize(_HEAD_FMT)
@@ -264,13 +254,19 @@ def load_dataset(path: str, verify: bool = True, format: str = "binary",
         spacing=spacing, noise_std=noise_std, seed=seed,
     )
     if verify:
-        err = verify_targets(ds)
-        if err > 1e-9:
-            raise ValueError(
-                f"{path}: stored targets deviate from recomputed transform "
-                f"by {err:.3e} (limit 1e-9); file is stale or corrupt"
-            )
+        _check_targets(path, ds)
     return ds
+
+
+def _check_targets(path: str, ds: Dataset) -> None:
+    """Raise ValueError unless every stored target is within 1e-9 of the
+    transform of its stored input; a NaN in x or y fails, as it must."""
+    err = verify_targets(ds)
+    if not err <= 1e-9:
+        raise ValueError(
+            f"{path}: stored targets deviate from recomputed transform "
+            f"by {err:.3e} (limit 1e-9); file is stale or corrupt"
+        )
 
 
 def verify_targets(ds: Dataset) -> float:
@@ -346,12 +342,7 @@ def load_dataset_csv(path: str, freq: float | None = None,
         noise_std=noise_std, seed=seed,
     )
     if verify and freq is not None:
-        err = verify_targets(ds)
-        if err > 1e-9:
-            raise ValueError(
-                f"{path}: stored targets deviate from recomputed transform "
-                f"by {err:.3e} (limit 1e-9); file is stale or corrupt"
-            )
+        _check_targets(path, ds)
     return ds
 
 

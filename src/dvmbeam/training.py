@@ -1,14 +1,8 @@
 """Loss, analytic gradients, optimizers, and the training loop.
 
-Gradients are computed by a hand-written reverse pass over the factored
-layers.  Complex trainables use the real-pair convention: the carrier for a
-complex intermediate z is g = dL/dRe(z) + j dL/dIm(z), which gives the
-familiar rules
-    y = d * x      ->  g_d += g_y * conj(x),  g_x = g_y * conj(d)
-    y = A  x       ->  g_A += g_y x^H,        g_x = A^H g_y
-and lets one pass serve both parameter modes: real-mode parameters take the
-real part of their carrier product, which is the gradient restricted to the
-real axis.
+backward() seeds the loss gradient and runs the hand-written reverse pass
+over the factored layers that network.py keeps beside the forward pass; the
+gradients land in one vector laid out like the network's flat parameters.
 
 Batch reductions are chunked at a fixed column width and summed in fixed
 order, so the worker count changes wall time but never a single bit of the
@@ -18,7 +12,7 @@ result.
 from __future__ import annotations
 
 import concurrent.futures
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import hashlib
 import json
 import math
@@ -27,13 +21,9 @@ import time
 import numpy as np
 
 from .network import (
-    KIND_DENSE,
-    KIND_STRUCTURED,
-    MODE_COMPLEX,
     Network,
-    NetworkConfig,
     _as_columns,
-    _block_forward,
+    _backward,
     forward,
 )
 
@@ -71,101 +61,6 @@ class GradientPack:
         return self.flat
 
 
-def _accumulate(grads, key, g):
-    """Add a complex carrier product into a gradient slot; a real parameter
-    takes its real part, the gradient restricted to the real axis."""
-    dst = grads[key]
-    dst += g if dst.dtype.kind == "c" else g.real
-
-
-def _leaky_grad(pre, slope):
-    return np.where(pre >= 0, 1.0, slope)
-
-
-def _block_backward(cfg: NetworkConfig, blk, delay, tr, g_out, grads, prefix):
-    """Reverse one block; returns the gradient wrt the block input."""
-    n, p, m = cfg.n, cfg.p, cfg.m
-    half = cfg.hidden // 2
-    slope = cfg.activation_slope
-
-    if cfg.kind == KIND_DENSE:
-        grads[f"{prefix}.bias_out"] += g_out.sum(axis=1)
-        g_y3 = blk.w4.T @ g_out
-        grads[f"{prefix}.w4"] += g_out @ tr.y3.T
-        grads[f"{prefix}.skip"] += (g_y3 * tr.y1).sum(axis=1)
-        g_y2c = g_y3[:half] + 1j * g_y3[half:]
-        g_y1c = np.conj(delay)[:, None] * g_y2c
-        g_y1 = np.concatenate([g_y1c.real, g_y1c.imag]) + g_y3 * blk.skip[:, None]
-        g_pre1 = g_y1 * _leaky_grad(tr.pre1, slope)
-        grads[f"{prefix}.bias1"] += g_pre1.sum(axis=1)
-        grads[f"{prefix}.w1"] += g_pre1 @ tr.x.T
-        return blk.w1.T @ g_pre1
-
-    complex_mode = cfg.param_mode == MODE_COMPLEX
-    in_dim = n if complex_mode else 2 * n
-    size = cfg.chain_size
-    cols = g_out.shape[1]
-
-    grads[f"{prefix}.bias_out"] += g_out.sum(axis=1)
-    if complex_mode:
-        g_v = g_out[:n] + 1j * g_out[n:]
-    else:
-        g_v = g_out.astype(np.complex128)
-    d_out = blk.d_hat_out if blk.d_hat_out is not None else blk.d_hat
-    d_out_name = "d_hat_out" if blk.d_hat_out is not None else None
-    g_y3c = np.zeros((half, cols), dtype=np.complex128)
-    for i in range(p):
-        t_i = tr.t_trunc[i]
-        gd = (g_v * np.conj(t_i)).sum(axis=1)
-        if d_out_name is not None:
-            key = f"{prefix}.w4.sub{i}.{d_out_name}"
-        else:
-            key = f"{prefix}.w1.sub{i}.d_hat"  # tied scaling accumulates here
-        _accumulate(grads, key, gd)
-        g_t = np.conj(d_out[i])[:, None] * g_v
-        g_fs = np.zeros((size, cols), dtype=np.complex128)
-        g_fs[:in_dim] = g_t
-        g_ci, tw_g, leaf_g = blk.fstar_chains[i].backward(tr.fstar_traces[i], g_fs)
-        for lvl, tg in enumerate(tw_g):
-            _accumulate(grads, f"{prefix}.w4.sub{i}.fstar.twiddle{lvl}", tg)
-        _accumulate(grads, f"{prefix}.w4.sub{i}.fstar.leaf", leaf_g)
-        if complex_mode:
-            g_y3c[i * m : (i + 1) * m] += g_ci
-        else:
-            g_y3c[i * m : (i + 1) * m] += g_ci.real[:m] + 1j * g_ci.real[m:]
-
-    g_y3 = np.concatenate([g_y3c.real, g_y3c.imag])
-    grads[f"{prefix}.skip"] += (g_y3 * tr.y1).sum(axis=1)
-    g_y2c = g_y3c  # same carrier: y3 = y2 + skip*y1 is the identity on y2
-    g_y1c = np.conj(delay)[:, None] * g_y2c
-    g_y1 = np.concatenate([g_y1c.real, g_y1c.imag]) + g_y3 * blk.skip[:, None]
-    g_pre1 = g_y1 * _leaky_grad(tr.pre1, slope)
-    grads[f"{prefix}.bias1"] += g_pre1.sum(axis=1)
-
-    g_u_stack = g_pre1[:half] + 1j * g_pre1[half:]
-    g_x_c = np.zeros((in_dim, cols), dtype=np.complex128)
-    for i in range(p):
-        g_z = g_u_stack[i * m : (i + 1) * m]
-        if not complex_mode:
-            g_z = np.concatenate([g_z.real, g_z.imag]).astype(np.complex128)
-        c_i = tr.chain_out[i]
-        gdb = (g_z * np.conj(c_i)).sum(axis=1)
-        _accumulate(grads, f"{prefix}.w1.sub{i}.d_breve", gdb)
-        g_c = np.conj(blk.d_breve[i])[:, None] * g_z
-        g_pad, tw_g, leaf_g = blk.f_chains[i].backward(tr.chain_traces[i], g_c)
-        for lvl, tg in enumerate(tw_g):
-            _accumulate(grads, f"{prefix}.w1.sub{i}.f.twiddle{lvl}", tg)
-        _accumulate(grads, f"{prefix}.w1.sub{i}.f.leaf", leaf_g)
-        g_u = g_pad[:in_dim]
-        gdh = (g_u * np.conj(tr.x_c)).sum(axis=1)
-        _accumulate(grads, f"{prefix}.w1.sub{i}.d_hat", gdh)
-        g_x_c += np.conj(blk.d_hat[i])[:, None] * g_u
-
-    if complex_mode:
-        return np.concatenate([g_x_c.real, g_x_c.imag])
-    return g_x_c.real
-
-
 def backward(net: Network, trace, target, norm: float | None = None) -> GradientPack:
     """Gradient of the MSE between trace output and target, for every
     trainable parameter.  norm overrides the n*batch denominator so batch
@@ -180,10 +75,7 @@ def backward(net: Network, trace, target, norm: float | None = None) -> Gradient
     g = (2.0 / norm) * (y - target)
     flat = np.zeros(net.param_count())
     grads = net.param_views(flat)
-    for b in range(len(net.blocks) - 1, -1, -1):
-        g = _block_backward(
-            cfg, net.blocks[b], net.delay, trace.block_traces[b], g, grads, f"block{b}"
-        )
+    _backward(net, trace, g, grads)
     return GradientPack(grads, flat)
 
 

@@ -90,6 +90,16 @@ def test_gen_data_negative_noise(work):
                  "--noise-std", "-1", "--out", str(work / "z.bin")]) == EXIT_USAGE
 
 
+def test_gen_data_nan_frequency(work, capsys):
+    # a NaN frequency gives a NaN generator, which the DVM spec now rejects
+    # (it used to write an all-NaN dataset and exit 1)
+    out = work / "nan_freq.bin"
+    code = main(["gen-data", "--n", "4", "--freq-ghz", "nan", "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert "unit modulus" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_data_deterministic(work):
     a, b = work / "det_a.bin", work / "det_b.bin"
     flags = ["gen-data", "--n", "4", "--freq-ghz", "27",
@@ -273,6 +283,21 @@ def test_eval_corrupt_model_flag_byte(exact_model, data4_clean, work, capsys, of
     assert code == EXIT_IO
     err = capsys.readouterr().err
     assert f"{what} flag 7" in err and f"byte {offset}" in err
+
+
+def test_eval_nan_delay_alpha_in_model(exact_model, data4_clean, work, capsys):
+    # byte 36 is the real part of the delay generator; NaN there used to load
+    # and print "overall MSE: nan" with exit 0
+    import struct
+
+    data = bytearray(exact_model.read_bytes())
+    struct.pack_into("<d", data, 36, float("nan"))
+    bad = work / "nan_alpha.net"
+    bad.write_bytes(bytes(data))
+    code = main(["eval", "--model", str(bad), "--data", str(data4_clean)])
+    assert code == EXIT_IO
+    captured = capsys.readouterr()
+    assert "delay_alpha" in captured.err and "MSE" not in captured.out
 
 
 @pytest.mark.parametrize("offset,value", [(8, 1024), (20, 4 * 10**9 + 1)],

@@ -1,6 +1,8 @@
 """Network-layer tests: real/complex splitting, forward semantics, exact
 transform initialization, parameter counting, and serialization."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -559,6 +561,34 @@ def test_load_rejects_flag_bytes_other_than_0_or_1(tmp_path, offset, name):
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match=f"{name} flag 7 \\(byte {offset}\\)"):
         load_network(str(path))
+
+
+@pytest.mark.parametrize("offset,value,field", [
+    (36, math.nan, "delay_alpha"), (44, math.nan, "delay_alpha"), (36, math.inf, "delay_alpha"),
+    (28, math.nan, "activation_slope"), (28, math.inf, "activation_slope"),
+    (28, -math.inf, "activation_slope"),
+], ids=["alpha_re_nan", "alpha_im_nan", "alpha_re_inf", "slope_nan", "slope_inf",
+        "slope_neg_inf"])
+def test_load_rejects_non_finite_header_floats(tmp_path, offset, value, field):
+    # NaN fails every comparison, so a check written as "reject if x > limit"
+    # let these through and eval printed an MSE of nan
+    net = build_network(NetworkConfig(n=4, seed=19))
+    good = tmp_path / "good.stnn"
+    save_network(net, str(good))
+    bad = tmp_path / "bad.stnn"
+    bad.write_bytes(_rewrite_header(good.read_bytes(), offset, "<d", value))
+    with pytest.raises(ValueError, match=field):
+        load_network(str(bad))
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(delay_alpha=complex(math.nan, 0.0)), dict(delay_alpha=complex(0.0, math.nan)),
+    dict(delay_alpha=complex(math.inf, 0.0)), dict(activation_slope=math.nan),
+    dict(activation_slope=math.inf), dict(activation_slope=-0.1),
+], ids=["alpha_re_nan", "alpha_im_nan", "alpha_re_inf", "slope_nan", "slope_inf", "slope_neg"])
+def test_config_rejects_non_finite_or_bad_floats(kwargs):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        NetworkConfig(n=4, **kwargs)
 
 
 def test_json_export(tmp_path):

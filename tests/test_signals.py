@@ -1,6 +1,7 @@
 """Signal simulator and dataset tests."""
 
 import csv
+import functools
 import math
 import struct
 
@@ -343,6 +344,27 @@ def test_load_rejects_corruption(tmp_path):
     assert back.n_samples == ds.n_samples
 
 
+@pytest.mark.parametrize("fmt", ["binary", "csv"])
+@pytest.mark.parametrize("array, edit", [
+    ("y", lambda v: math.nan), ("x", lambda v: math.nan), ("y", lambda v: v + 1e-6),
+], ids=["nan_target", "nan_input", "finite_drift"])
+def test_load_rejects_nan_and_drifted_entries(tmp_path, fmt, array, edit):
+    # verify_targets returns NaN for a NaN anywhere in x or y, and NaN fails
+    # every comparison: the check must reject unless the error is <= 1e-9
+    ds = small_ds()
+    arr = getattr(ds, array)
+    arr[1, 2] = edit(arr[1, 2])
+    p = tmp_path / f"d.{fmt}"
+    if fmt == "binary":
+        save_dataset(ds, str(p))
+        load = load_dataset
+    else:
+        save_dataset_csv(ds, str(p))
+        load = functools.partial(load_dataset_csv, freq=ds.freq)
+    with pytest.raises(ValueError, match="deviate"):
+        load(str(p))
+
+
 @pytest.mark.parametrize("field, value", [
     ("n", 0), ("n", 1), ("sample_rate", 0.0), ("sample_rate", -32e9),
     ("sample_rate", float("nan")),
@@ -365,11 +387,11 @@ def test_load_rejects_bad_header_values(tmp_path, field, value):
 def test_csv_roundtrip(tmp_path):
     ds = small_ds()
     p = tmp_path / "d.csv"
-    save_dataset(ds, str(p), format="csv")
+    save_dataset_csv(ds, str(p))
     lines = p.read_text().strip().split("\n")
     assert len(lines) == ds.n_samples + 1
     assert lines[0].startswith("sample_id,t,angle_deg,x_re_0")
-    back = load_dataset(str(p), format="csv", freq=ds.freq)
+    back = load_dataset_csv(str(p), freq=ds.freq)
     assert np.max(np.abs(back.x - ds.x)) <= 1e-12
     assert np.max(np.abs(back.y - ds.y)) <= 1e-12
     assert np.max(np.abs(back.time - ds.time)) <= 1e-12
@@ -564,11 +586,3 @@ def test_csv_load_rejects_bad_header(tmp_path):
     empty.write_bytes(b"")
     with pytest.raises(ValueError, match="missing header"):
         load_dataset_csv(str(empty))
-
-
-def test_unknown_format_rejected(tmp_path):
-    ds = small_ds()
-    with pytest.raises(ValueError):
-        save_dataset(ds, str(tmp_path / "x"), format="parquet")
-    with pytest.raises(ValueError):
-        load_dataset(str(tmp_path / "x"), format="parquet")

@@ -18,10 +18,8 @@ from dvmbeam.network import (
 )
 from dvmbeam.signals import make_dataset
 from dvmbeam.training import (
-    GradientPack,
     OptimizerConfig,
     TrainingDiverged,
-    TrainReport,
     backward,
     evaluate_mse,
     gauss_newton_lm_step,
@@ -196,6 +194,29 @@ def test_grad_check_random_net():
     res = grad_check(net, x, t)
     assert res["max_rel_err"] <= 1e-5
     assert res["n_checked"] == net.get_flat().size
+
+
+# a delay generator away from 1, so that the delay layer's reverse is checked too
+DELAY = complex(np.exp(-0.7j))
+
+
+@pytest.mark.parametrize("cfg", [
+    NetworkConfig(n=4, param_mode="real", delay_alpha=DELAY, seed=21),
+    NetworkConfig(n=4, p=2, param_mode="real", tie_scaling=False, share_siblings=False,
+                  delay_alpha=DELAY, seed=22),
+    NetworkConfig(n=4, p=2, tie_scaling=False, share_siblings=False, l_layers=9,
+                  delay_alpha=DELAY, seed=23),
+    NetworkConfig(n=4, p=2, l_layers=9, kind=KIND_DENSE, delay_alpha=DELAY, seed=24),
+], ids=["real", "real-p2-untied-unshared", "complex-p2-untied-unshared-L9", "dense-p2-L9"])
+def test_grad_check_block_variants(cfg):
+    # every branch of the block pass: both parameter modes, p > 1, untied
+    # output scaling, unshared siblings, repeated blocks, and the dense kind
+    rng = np.random.default_rng(cfg.seed)
+    net = build_network(cfg)
+    x = clear_of_kinks(net, rng, cols=3)
+    res = grad_check(net, x, rng.normal(size=(8, 3)))
+    assert res["max_rel_err"] <= 1e-5, res
+    assert res["n_checked"] == net.param_count()
 
 
 def test_grad_check_flags_corrupted_component():
