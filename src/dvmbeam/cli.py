@@ -174,7 +174,6 @@ def cmd_train(args):
         opt_cfg = OptimizerConfig(
             name=args.optimizer, lr=args.lr, batch_size=args.batch_size,
             epochs=args.epochs, seed=args.seed, target_mse=args.target_mse,
-            workers=args.workers,
         )
     except ValueError as e:
         return _fail(EXIT_USAGE, str(e))
@@ -196,7 +195,7 @@ def cmd_train(args):
     payload = report.to_dict()
     payload["resolved_config"] = _resolved(args, (
         "data", "model", "p", "epochs", "optimizer", "lr", "batch_size",
-        "target_mse", "seed", "workers",
+        "target_mse", "seed",
     ))
     payload["resolved_config"]["lambda"] = net_cfg.resolved_depth
     try:
@@ -321,10 +320,16 @@ def _verify_checks(args):
 
 
 def cmd_verify(args):
+    from .dvm import check_seed
+
     if args.trials < 1:
         return _fail(EXIT_USAGE, "--trials must be >= 1")
     if args.n_max < 2 or args.n_max & (args.n_max - 1):
         return _fail(EXIT_USAGE, "--n-max must be a power of two >= 2")
+    try:
+        check_seed(args.seed)
+    except ValueError as e:
+        return _fail(EXIT_USAGE, str(e))
     failures = []
     for name, err, bound in _verify_checks(args):
         ok = err <= bound
@@ -403,7 +408,6 @@ def _build_parser():
     t.add_argument("--batch-size", type=int, default=32)
     t.add_argument("--target-mse", type=float, default=None)
     t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--workers", type=int, default=1)
     t.add_argument("--out-model", default=None)
     t.add_argument("--out-report", default=None)
     t.set_defaults(func=cmd_train)

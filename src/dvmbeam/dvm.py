@@ -40,6 +40,15 @@ _CIS_EXACT_LIMIT = float(1 << 21)
 UNIT_TOL = 1e-12
 
 
+def check_seed(seed) -> None:
+    """Raise ValueError unless seed is an integer in 0..2**63-1, the range
+    of the signed 64-bit seed field in both file headers (datasets and
+    models); make_dataset, NetworkConfig and OptimizerConfig all check here."""
+    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+            or not 0 <= seed < 1 << 63):
+        raise ValueError(f"seed must be an integer in 0..2**63-1, got {seed!r}")
+
+
 def cis(phi: float, x) -> np.ndarray:
     """exp(1j * phi * x) with compensated argument reduction.
 

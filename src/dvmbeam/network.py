@@ -33,6 +33,7 @@ from .dvm import (
     DvmSpec,
     build_bluestein_chain,
     build_recursive_dft_chain,
+    check_seed,
     cis,
 )
 
@@ -112,6 +113,7 @@ class NetworkConfig:
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.param_mode not in (MODE_COMPLEX, MODE_REAL):
             raise ValueError(f"unknown param_mode {self.param_mode!r}")
+        check_seed(self.seed)
         # written so that NaN fails too: a corrupt model header must not load
         if not abs(abs(self.delay_alpha) - 1.0) <= UNIT_TOL:
             raise ValueError(f"delay_alpha must be unit modulus, got {self.delay_alpha!r}")
@@ -563,8 +565,25 @@ def build_network(config: NetworkConfig) -> Network:
     blocks); dense baseline weights are uniform +-1/sqrt(fan_in); biases and
     the skip diagonal start at zero.
     """
-    cfg = config
-    rng = np.random.default_rng(cfg.seed)
+    return _build(config, np.random.default_rng(config.seed))
+
+
+class _ZeroDraws:
+    """Generator stand-in that draws nothing: every call returns zeros of
+    the requested shape.  load_network builds its layout with it, since the
+    payload replaces every value."""
+
+    def random(self, shape):
+        return np.zeros(shape)
+
+    standard_normal = random
+
+    def uniform(self, low, high, shape):
+        return np.zeros(shape)
+
+
+def _build(cfg: NetworkConfig, rng) -> Network:
+    """The network of cfg with every random draw taken from rng."""
     n, p, m = cfg.n, cfg.p, cfg.m
     blocks = []
     for _ in range(cfg.blocks_count):
@@ -765,6 +784,8 @@ def load_network(path: str) -> Network:
     for name, value, offset in (("tie-scaling", tie, 26), ("share-siblings", share, 27)):
         if value not in (0, 1):
             raise ValueError(f"{path}: {name} flag {value} (byte {offset}) must be 0 or 1")
+    if seed < 0:
+        raise ValueError(f"{path}: seed {seed} (byte 60) must be in 0..2**63-1")
     cfg = NetworkConfig(
         n=n, p=p, depth=depth, l_layers=l_layers, kind=kind,
         activation_slope=slope, delay_alpha=complex(da_re, da_im), seed=seed,
@@ -778,7 +799,7 @@ def load_network(path: str) -> Network:
             f"{path}: parameter payload of {payload} bytes does not match header "
             f"{n_params} / config {want} parameters of 8 bytes"
         )
-    net = build_network(cfg)
+    net = _build(cfg, _ZeroDraws())
     net.set_flat(np.frombuffer(data, dtype="<f8", offset=head_size))
     return net
 

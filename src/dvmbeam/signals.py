@@ -9,8 +9,8 @@ generator alpha = exp(-2 pi j f tau) tied to the sampling interval
 tau = 1 / (sample_rate * n).  The regression target is therefore an exact
 linear function of the input, noise included.
 
-Noise draws use a per-sample child generator seeded by (seed, sample index),
-so any single sample can be regenerated without replaying the whole stream.
+Noise draws use a per-sample stream keyed by (seed, sample index), so any
+single sample can be regenerated without replaying the whole stream.
 """
 
 from __future__ import annotations
@@ -21,12 +21,22 @@ import struct
 
 import numpy as np
 
-from .dvm import DvmSpec, build_bluestein_chain, cis, fast_dvm_apply
+from .dvm import DvmSpec, build_bluestein_chain, check_seed, cis, fast_dvm_apply
 
 SPEED_OF_LIGHT = 299792458.0
 DEFAULT_SAMPLE_RATE = 32e9
 # rows formatted per write in save_dataset_csv
 _CSV_BLOCK_ROWS = 256
+
+# numpy.random.SeedSequence's hash constants (pool of four 32-bit words) and
+# the 128-bit LCG multiplier of PCG64, as numpy defines them
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
+_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
+_SS_POOL = 4
+_MASK32 = 0xFFFFFFFF
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
 
 @dataclass(frozen=True)
@@ -110,6 +120,64 @@ class Dataset:
         return self.x.shape[0]
 
 
+def _hashmix(word, const: int, mult: int):
+    """One SeedSequence hash round on a uint32 array; returns the hashed
+    words and the next hash constant, which never depends on the data."""
+    word = word ^ const
+    const = (const * mult) & _MASK32
+    word = word * const
+    return word ^ (word >> 16), const
+
+
+def _row_normals(seed: int, rows: int, width: int) -> np.ndarray:
+    """(rows, width) matrix whose row r is, bit for bit,
+    np.random.default_rng([seed, r]).standard_normal(width).
+
+    default_rng hashes the 32-bit entropy words of [seed, r] with
+    SeedSequence into four 64-bit words, which seed PCG64.  Here that hash
+    runs once for all rows on uint32 arrays, and each row's 128-bit PCG64
+    state is then set on one reused generator.  seed must pass check_seed,
+    so it has at most two words; r must fit in one.
+    """
+    if rows >= 1 << 32:
+        raise ValueError(f"{rows} rows: per-sample noise streams stop at 2**32 rows")
+    seed_words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
+    entropy = [np.full(rows, w, dtype=np.uint32) for w in seed_words]
+    entropy.append(np.arange(rows, dtype=np.uint32))
+    entropy += [np.zeros(rows, dtype=np.uint32)] * (_SS_POOL - len(entropy))
+    # SeedSequence.mix_entropy: hash each word into the pool, then mix every
+    # pool word into every other one
+    const, pool = _SS_INIT_A, []
+    for w in entropy:
+        w, const = _hashmix(w, const, _SS_MULT_A)
+        pool.append(w)
+    for src in range(_SS_POOL):
+        for dst in range(_SS_POOL):
+            if src != dst:
+                h, const = _hashmix(pool[src], const, _SS_MULT_A)
+                mixed = _SS_MIX_L * pool[dst] - _SS_MIX_R * h
+                pool[dst] = mixed ^ (mixed >> 16)
+    # SeedSequence.generate_state(4, uint64): eight words cycling the pool,
+    # paired little-endian into (initstate hi, lo, initseq hi, lo)
+    const, out = _SS_INIT_B, []
+    for i in range(8):
+        w, const = _hashmix(pool[i % _SS_POOL], const, _SS_MULT_B)
+        out.append(w.astype(np.uint64))
+    seeds = [(out[k] | (out[k + 1] << 32)).tolist() for k in range(0, 8, 2)]
+
+    bitgen = np.random.PCG64(0)  # its state is replaced before every draw
+    gen = np.random.Generator(bitgen)
+    z = np.empty((rows, width))
+    for row, (s_hi, s_lo, q_hi, q_lo) in enumerate(zip(*seeds)):
+        # PCG64's seeding: inc = 2 initseq + 1, step, add initstate, step
+        inc = ((((q_hi << 64) | q_lo) << 1) | 1) & _MASK128
+        state = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
+        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0}
+        gen.standard_normal(out=z[row])
+    return z
+
+
 def make_dataset(
     n: int,
     freq: float,
@@ -125,9 +193,14 @@ def make_dataset(
     Each angle contributes samples_per_angle snapshots on the time grid
     [0, 1) with step 1/samples_per_angle.  Sample s (counted across the
     whole set) draws its noise from default_rng([seed, s]): 2n standard
-    normals, the real parts first.  All targets come from one batched
-    transform of the (n, samples) snapshot matrix.
+    normals, the real parts first.  The streams are bit for bit those
+    generators' but are not built one default_rng at a time: the seed
+    hashing for all samples runs as one vectorized pass, and a single
+    PCG64 generator is reseeded per sample (_row_normals).  All targets
+    come from one batched transform of the (n, samples) snapshot matrix.
+    seed must be an integer in 0..2**63-1 (check_seed).
     """
+    check_seed(seed)
     if samples_per_angle < 1:
         raise ValueError("samples_per_angle must be >= 1")
     angles_deg = np.atleast_1d(np.asarray(angles_deg, dtype=np.float64))
@@ -145,9 +218,7 @@ def make_dataset(
         angle_col[rows] = theta
         time_col[rows] = t_grid
     if noise_std:
-        z = np.empty((total, 2 * n))
-        for row in range(total):
-            z[row] = np.random.default_rng([seed, row]).standard_normal(2 * n)
+        z = _row_normals(seed, total, 2 * n)
         s = noise_std / math.sqrt(2.0)
         u += s * (z[:, :n] + 1j * z[:, n:]).T
     v = fast_dvm_apply(build_bluestein_chain(spec), u)
@@ -233,6 +304,8 @@ def load_dataset(path: str, verify: bool = True) -> Dataset:
     if n < 2 or not (rate > 0 and math.isfinite(rate)):
         raise ValueError(f"{path}: header gives n={n} and sample rate {rate!r}; "
                          "want n >= 2 and a positive finite rate")
+    if seed < 0:
+        raise ValueError(f"{path}: seed {seed} (byte 60) must be in 0..2**63-1")
     need = head_size + 8 * (count * 2 + count * 4 * n)
     if len(data) != need:
         raise ValueError(f"{path}: expected {need} bytes, found {len(data)}")

@@ -4,14 +4,12 @@ backward() seeds the loss gradient and runs the hand-written reverse pass
 over the factored layers that network.py keeps beside the forward pass; the
 gradients land in one vector laid out like the network's flat parameters.
 
-Batch reductions are chunked at a fixed column width and summed in fixed
-order, so the worker count changes wall time but never a single bit of the
-result.
+Batch gradients are reduced over fixed-width column chunks summed in a
+fixed order; that order is part of the result, so it never varies.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
 import hashlib
 import json
@@ -20,6 +18,7 @@ import time
 
 import numpy as np
 
+from .dvm import check_seed
 from .network import (
     Network,
     _as_columns,
@@ -27,7 +26,7 @@ from .network import (
     forward,
 )
 
-# fixed reduction chunk: keeps gradient sums independent of the worker count
+# fixed reduction chunk: pins the summation order of batch gradients
 _CHUNK_COLS = 32
 
 
@@ -178,7 +177,6 @@ class OptimizerConfig:
     lm_mu: float = 1e-3
     lm_factor: float = 10.0
     lm_retries: int = 8
-    workers: int = 1
 
     def __post_init__(self):
         if self.name == "lm":
@@ -187,8 +185,7 @@ class OptimizerConfig:
             raise ValueError(f"unknown optimizer {self.name!r}")
         if self.lr <= 0 or self.batch_size < 1 or self.epochs < 0:
             raise ValueError("lr must be > 0, batch_size >= 1, epochs >= 0")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        check_seed(self.seed)
         if self.lm_factor <= 1:
             raise ValueError("lm_factor must be > 1")
 
@@ -198,7 +195,7 @@ class OptimizerConfig:
             "epochs": self.epochs, "seed": self.seed, "shuffle": self.shuffle,
             "target_mse": self.target_mse, "patience": self.patience,
             "lm_mu": self.lm_mu, "lm_factor": self.lm_factor,
-            "lm_retries": self.lm_retries, "workers": self.workers,
+            "lm_retries": self.lm_retries,
         }
 
     @staticmethod
@@ -379,34 +376,18 @@ class TrainReport:
             fh.write("\n")
 
 
-def _chunk_spans(cols: int):
-    return [(a, min(a + _CHUNK_COLS, cols)) for a in range(0, cols, _CHUNK_COLS)]
-
-
-def _batch_grads(net: Network, xb, tb, pool):
+def _batch_grads(net: Network, xb, tb):
     """Flat gradient and squared-error sum for one batch, reduced over
-    fixed-width chunks in fixed order.  Chunks run on pool (a thread pool,
-    or None to run them in this thread)."""
+    fixed-width chunks in fixed order."""
     cols = xb.shape[1]
     norm = net.config.n * cols
-    spans = _chunk_spans(cols)
-
-    def one(span):
-        a, b = span
+    flat, sq_total = None, 0.0
+    for a in range(0, cols, _CHUNK_COLS):
+        b = min(a + _CHUNK_COLS, cols)
         y, trace = forward(net, xb[:, a:b], want_trace=True)
-        sq = float(np.sum((y - tb[:, a:b]) ** 2))
-        pack = backward(net, trace, tb[:, a:b], norm=norm)
-        return pack.to_flat(net), sq
-
-    if pool is not None and len(spans) > 1:
-        results = list(pool.map(one, spans))
-    else:
-        results = [one(s) for s in spans]
-    flat = results[0][0]
-    sq_total = results[0][1]
-    for f, s in results[1:]:
-        flat = flat + f
-        sq_total += s
+        sq_total += float(np.sum((y - tb[:, a:b]) ** 2))
+        g = backward(net, trace, tb[:, a:b], norm=norm).to_flat(net)
+        flat = g if flat is None else flat + g
     return flat, sq_total
 
 
@@ -457,52 +438,46 @@ def train(
     epochs_run = 0
     steps_run = 0
 
-    pool = (concurrent.futures.ThreadPoolExecutor(max_workers=opt.workers)
-            if opt.workers > 1 else None)
-    try:
-        for epoch in range(opt.epochs):
-            order = rng.permutation(n_samples) if opt.shuffle else np.arange(n_samples)
-            sq_sum = 0.0
-            seen = 0
-            for a in range(0, n_samples, opt.batch_size):
-                idx = order[a : a + opt.batch_size]
-                xb, tb = xT[:, idx], tT[:, idx]
-                if opt.name == "gauss_newton_lm":
-                    loss_b, mu = gauss_newton_lm_step(net, xb, tb, mu, opt)
-                    sq_sum += loss_b * cfg.n * xb.shape[1]
-                else:
-                    flat_g, sq = _batch_grads(net, xb, tb, pool)
-                    loss_b = sq / (cfg.n * xb.shape[1])
-                    if opt.name == "sgd":
-                        theta -= opt.lr * flat_g
-                    else:
-                        theta -= adam.update(flat_g, opt.lr)
-                    sq_sum += sq
-                steps_run += 1
-                seen += xb.shape[1]
-                if not np.isfinite(loss_b):
-                    raise TrainingDiverged(
-                        f"non-finite loss at epoch {epoch}, batch start {a}"
-                    )
-            train_hist.append(sq_sum / (cfg.n * seen))
-            val_hist.append(evaluate_mse(net, val_x, val_t))
-            epochs_run = epoch + 1
-            if not np.isfinite(val_hist[-1]):
-                raise TrainingDiverged(f"non-finite validation loss at epoch {epoch}")
-            if opt.target_mse is not None and val_hist[-1] <= opt.target_mse:
-                stop_reason = "target_reached"
-                break
-            if val_hist[-1] < best_val:
-                best_val = val_hist[-1]
-                since_best = 0
+    for epoch in range(opt.epochs):
+        order = rng.permutation(n_samples) if opt.shuffle else np.arange(n_samples)
+        sq_sum = 0.0
+        seen = 0
+        for a in range(0, n_samples, opt.batch_size):
+            idx = order[a : a + opt.batch_size]
+            xb, tb = xT[:, idx], tT[:, idx]
+            if opt.name == "gauss_newton_lm":
+                loss_b, mu = gauss_newton_lm_step(net, xb, tb, mu, opt)
+                sq_sum += loss_b * cfg.n * xb.shape[1]
             else:
-                since_best += 1
-                if opt.patience is not None and since_best >= opt.patience:
-                    stop_reason = "patience"
-                    break
-    finally:
-        if pool is not None:
-            pool.shutdown()
+                flat_g, sq = _batch_grads(net, xb, tb)
+                loss_b = sq / (cfg.n * xb.shape[1])
+                if opt.name == "sgd":
+                    theta -= opt.lr * flat_g
+                else:
+                    theta -= adam.update(flat_g, opt.lr)
+                sq_sum += sq
+            steps_run += 1
+            seen += xb.shape[1]
+            if not np.isfinite(loss_b):
+                raise TrainingDiverged(
+                    f"non-finite loss at epoch {epoch}, batch start {a}"
+                )
+        train_hist.append(sq_sum / (cfg.n * seen))
+        val_hist.append(evaluate_mse(net, val_x, val_t))
+        epochs_run = epoch + 1
+        if not np.isfinite(val_hist[-1]):
+            raise TrainingDiverged(f"non-finite validation loss at epoch {epoch}")
+        if opt.target_mse is not None and val_hist[-1] <= opt.target_mse:
+            stop_reason = "target_reached"
+            break
+        if val_hist[-1] < best_val:
+            best_val = val_hist[-1]
+            since_best = 0
+        else:
+            since_best += 1
+            if opt.patience is not None and since_best >= opt.patience:
+                stop_reason = "patience"
+                break
 
     return TrainReport(
         network=cfg.to_dict(),

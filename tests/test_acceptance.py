@@ -224,7 +224,7 @@ def test_criterion_9_determinism(tmp_path):
         ds_paths.append(path.read_bytes())
     assert ds_paths[0] == ds_paths[1]
 
-    # training report digest and model bytes (workers=1 single-threaded)
+    # training report digest and model bytes
     ds = make_dataset(8, 24e9, [30.0, 40.0], 25, 0.1, seed=11)
     tr, va = split_dataset(ds, seed=11)
     digests, models = [], []
@@ -232,7 +232,7 @@ def test_criterion_9_determinism(tmp_path):
         cfg = NetworkConfig(n=8, depth=4, delay_alpha=ds.alpha, seed=3)
         net = build_network(cfg)
         opt = OptimizerConfig(name="adam", lr=1e-2, batch_size=16, epochs=10,
-                              seed=3, workers=1)
+                              seed=3)
         rep = train(net, tr.x, tr.y, va.x, va.y, opt)
         digests.append(rep.digest())
         path = tmp_path / f"model_{tag}.net"

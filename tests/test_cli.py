@@ -109,6 +109,28 @@ def test_gen_data_deterministic(work):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("seed,noise", [(str(2**63), "0.1"), ("-1", "0"), ("-1", "0.1")],
+                         ids=["2**63-noisy", "minus1-clean", "minus1-noisy"])
+def test_gen_data_rejects_seed_outside_header_range(work, capsys, seed, noise):
+    # the seed fills a signed 64-bit header field: 2**63 used to build the
+    # whole set and then die in struct.pack, and -1 wrote a file when the
+    # set had no noise
+    path = work / f"seed_{seed}_{noise}.bin"
+    code = main(["gen-data", "--n", "4", "--freq-ghz", "24", "--samples-per-angle", "2",
+                 "--noise-std", noise, "--seed", seed, "--out", str(path)])
+    assert code == EXIT_USAGE
+    assert "seed must be an integer in 0..2**63-1" in capsys.readouterr().err
+    assert not path.exists()
+
+
+def test_gen_data_largest_seed_round_trips(work):
+    path = work / "seed_max.bin"
+    code = main(["gen-data", "--n", "4", "--freq-ghz", "24", "--samples-per-angle", "2",
+                 "--seed", str(2**63 - 1), "--out", str(path)])
+    assert code == EXIT_OK
+    assert load_dataset(str(path)).seed == 2**63 - 1
+
+
 def test_gen_data_csv_format(work):
     path = work / "tiny.csv"
     code = main(["gen-data", "--n", "4", "--freq-ghz", "24",
@@ -198,6 +220,22 @@ def test_train_missing_data_flag(capsys):
 
 def test_train_unreadable_dataset(work, capsys):
     assert main(["train", "--data", str(work / "missing.bin")]) == EXIT_IO
+
+
+@pytest.mark.parametrize("seed", ["-2", str(2**63)])
+def test_train_rejects_seed_outside_header_range(data8, work, capsys, seed):
+    # -2 used to fail in split_dataset with a traceback, 2**63 after
+    # training, in struct.pack
+    model, report = work / f"seed{seed}.stnn", work / f"seed{seed}.json"
+    code = main(["train", "--data", str(data8), "--epochs", "1", "--seed", seed,
+                 "--out-model", str(model), "--out-report", str(report)])
+    assert code == EXIT_USAGE
+    assert "seed must be an integer in 0..2**63-1" in capsys.readouterr().err
+    assert not model.exists() and not report.exists()
+
+
+def test_train_has_no_workers_flag(data8):
+    assert main(["train", "--data", str(data8), "--workers", "2"]) == EXIT_USAGE
 
 
 def test_train_writes_model(data8, work):
@@ -300,6 +338,21 @@ def test_eval_nan_delay_alpha_in_model(exact_model, data4_clean, work, capsys):
     assert "delay_alpha" in captured.err and "MSE" not in captured.out
 
 
+def test_eval_negative_seed_in_model(exact_model, data4_clean, work, capsys):
+    # bytes 60-67 hold the seed, signed; a negative one used to fail inside
+    # numpy with a message naming neither the file nor the byte
+    import struct
+
+    data = bytearray(exact_model.read_bytes())
+    struct.pack_into("<q", data, 60, -3)
+    bad = work / "negative_seed.net"
+    bad.write_bytes(bytes(data))
+    code = main(["eval", "--model", str(bad), "--data", str(data4_clean)])
+    assert code == EXIT_IO
+    err = capsys.readouterr().err
+    assert str(bad) in err and "seed -3 (byte 60)" in err
+
+
 @pytest.mark.parametrize("offset,value", [(8, 1024), (20, 4 * 10**9 + 1)],
                          ids=["n1024", "huge_l_layers"])
 def test_eval_oversized_header(exact_model, data4_clean, work, capsys, offset, value):
@@ -342,6 +395,7 @@ def test_verify_negative_control(capsys):
 def test_verify_flag_validation():
     assert main(["verify", "--trials", "0"]) == EXIT_USAGE
     assert main(["verify", "--n-max", "3"]) == EXIT_USAGE
+    assert main(["verify", "--seed", "-1"]) == EXIT_USAGE
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,13 @@ def test_config_validation():
         NetworkConfig(n=8, param_mode="quaternion")
 
 
+@pytest.mark.parametrize("seed", [-1, 2**63, 2.0, None])
+def test_config_seed_must_fit_the_header_field(seed):
+    with pytest.raises(ValueError, match="seed must be an integer in 0..2\\*\\*63-1"):
+        NetworkConfig(n=4, seed=seed)
+    assert NetworkConfig(n=4, seed=2**63 - 1).seed == 2**63 - 1
+
+
 def test_config_real_mode_allows_deeper_chains():
     # real-split chains run at twice the complex size, one extra level
     NetworkConfig(n=8, depth=5, param_mode=MODE_REAL)
@@ -494,6 +501,36 @@ def test_binary_roundtrip(tmp_path):
         assert np.array_equal(back.get_flat(), net.get_flat())
 
 
+@pytest.mark.parametrize("cfg", BUFFER_CONFIGS + [NetworkConfig(n=8, seed=2**63 - 1)],
+                         ids=lambda c: f"{c.kind}-{c.param_mode}-p{c.p}-s{c.seed}")
+def test_load_builds_the_layout_without_drawing(tmp_path, monkeypatch, cfg):
+    net = build_network(cfg)
+    net.set_flat(net.get_flat() + np.random.default_rng(48).normal(size=net.param_count()))
+    path, again = tmp_path / "net.stnn", tmp_path / "again.stnn"
+    save_network(net, str(path))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_network drew a random initialization")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    back = load_network(str(path))
+    assert back.layout == net.layout
+    assert back.get_flat().tobytes() == net.get_flat().tobytes()
+    save_network(back, str(again))
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_load_rejects_negative_seed_naming_file_and_byte(tmp_path):
+    net = build_network(NetworkConfig(n=4, seed=18))
+    good = tmp_path / "good.stnn"
+    save_network(net, str(good))
+    bad = tmp_path / "bad.stnn"
+    bad.write_bytes(_rewrite_header(good.read_bytes(), 60, "<q", -3))
+    with pytest.raises(ValueError) as err:
+        load_network(str(bad))
+    assert str(bad) in str(err.value) and "seed -3 (byte 60)" in str(err.value)
+
+
 def test_binary_save_is_deterministic(tmp_path):
     net = build_network(NetworkConfig(n=4, seed=12))
     a, b = tmp_path / "a.stnn", tmp_path / "b.stnn"
@@ -543,10 +580,10 @@ def test_load_checks_header_before_building(tmp_path, monkeypatch, offset, value
     bad = tmp_path / "bad.stnn"
     bad.write_bytes(_rewrite_header(good.read_bytes(), offset, "<I", value))
 
-    def refuse(cfg):
+    def refuse(cfg, rng):
         raise AssertionError(f"built a network from an unchecked header: {cfg}")
 
-    monkeypatch.setattr(network, "build_network", refuse)
+    monkeypatch.setattr(network, "_build", refuse)
     with pytest.raises(ValueError, match="does not match"):
         load_network(str(bad))
 

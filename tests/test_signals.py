@@ -256,6 +256,63 @@ def test_make_dataset_validation():
         make_dataset(4, 24e9, [30.0], 0, 0.1, seed=1)
 
 
+@pytest.mark.parametrize("noise_std", [0.0, 0.1])
+@pytest.mark.parametrize("seed", [-1, 2**63, 2**100, 1.0, True, None])
+def test_make_dataset_rejects_seeds_outside_header_range(monkeypatch, seed, noise_std):
+    import dvmbeam.signals as signals
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("worked on a set whose seed is out of range")
+
+    # rejected before any work, whether or not the set draws noise
+    monkeypatch.setattr(signals, "synth_received", refuse)
+    with pytest.raises(ValueError, match="seed must be an integer in 0..2\\*\\*63-1"):
+        make_dataset(4, 24e9, [30.0], 2, noise_std, seed=seed)
+
+
+ROW_SEEDS = [0, 1, 100, 2**32 - 1, 2**32, 2**63 - 1]
+
+
+@pytest.mark.parametrize("width", [4, 32, 128])
+@pytest.mark.parametrize("seed", ROW_SEEDS)
+def test_row_normals_equal_per_sample_generators(seed, width):
+    from dvmbeam.signals import _row_normals
+
+    rows = 3000
+    want = np.stack([np.random.default_rng([seed, r]).standard_normal(width)
+                     for r in range(rows)])
+    got = _row_normals(seed, rows, width)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def test_row_normals_row_limits():
+    from dvmbeam.signals import _row_normals
+
+    assert _row_normals(3, 0, 8).shape == (0, 8)
+    # a row index past one 32-bit word would change the stream's entropy
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        _row_normals(3, 1 << 32, 8)
+
+
+def test_make_dataset_seeds_a_constant_number_of_generators(monkeypatch):
+    # the per-sample streams come from one reseeded generator, not from one
+    # default_rng (each with its own SeedSequence) per sample
+    made = []
+    for name in ("default_rng", "Generator", "PCG64", "SeedSequence"):
+        def counting(*args, _real=getattr(np.random, name), _name=name, **kwargs):
+            made.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, name, counting)
+    counts = []
+    for spa in (2, 300):
+        made.clear()
+        make_dataset(4, 24e9, [30.0, 40.0], spa, 0.1, seed=3)
+        counts.append(sorted(made))
+    assert counts[0] == counts[1] == ["Generator", "PCG64"]
+
+
 # ---------------------------------------------------------------------------
 # splitting
 
@@ -382,6 +439,18 @@ def test_load_rejects_bad_header_values(tmp_path, field, value):
     p.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="header gives"):
         load_dataset(str(p), verify=False)
+
+
+def test_load_rejects_negative_seed_naming_file_and_byte(tmp_path):
+    ds = small_ds()
+    p = tmp_path / "d.dvmb"
+    save_dataset(ds, str(p))
+    raw = bytearray(p.read_bytes())
+    raw[60:68] = struct.pack("<q", -3)
+    p.write_bytes(bytes(raw))
+    with pytest.raises(ValueError) as err:
+        load_dataset(str(p), verify=False)
+    assert str(p) in str(err.value) and "seed -3 (byte 60)" in str(err.value)
 
 
 def test_csv_roundtrip(tmp_path):

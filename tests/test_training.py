@@ -2,7 +2,6 @@
 differences, the three optimizer kinds, and the training-loop contract
 (determinism, early stopping, divergence handling, report schema)."""
 
-import concurrent.futures
 import hashlib
 import json
 
@@ -398,9 +397,20 @@ def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(epochs=-1)
     with pytest.raises(ValueError):
-        OptimizerConfig(workers=0)
-    with pytest.raises(ValueError):
         OptimizerConfig(lm_factor=1.0)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**63, 1.5, None])
+def test_optimizer_config_seed_must_fit_the_header_field(seed):
+    with pytest.raises(ValueError, match="seed must be an integer in 0..2\\*\\*63-1"):
+        OptimizerConfig(seed=seed)
+    assert OptimizerConfig(seed=2**63 - 1).seed == 2**63 - 1
+
+
+def test_optimizer_config_has_no_workers():
+    assert "workers" not in OptimizerConfig().to_dict()
+    with pytest.raises(TypeError):
+        OptimizerConfig(workers=1)
 
 
 def test_optimizer_config_roundtrip():
@@ -435,49 +445,23 @@ def test_train_same_seed_identical_histories():
     assert reps[0].digest() == reps[1].digest()
 
 
-def test_train_worker_count_never_changes_results():
-    # gradient reduction is chunked at a fixed width in a fixed order, so
-    # the thread count must be bitwise invisible
-    outs = []
-    for w in (1, 2, 3):
-        net = random_net(4)
-        opt = OptimizerConfig(name="adam", lr=1e-2, batch_size=64, epochs=5,
-                              seed=4, workers=w)
-        rep = train(net, DS.x, DS.y, DS.x, DS.y, opt)
-        outs.append((rep.train_mse, rep.val_mse, net.get_flat().tobytes()))
-    assert outs[0] == outs[1] == outs[2]
+def test_batch_gradient_is_the_ordered_sum_of_32_column_chunks():
+    # the summation order is part of the result: a 70-column batch is the
+    # in-order sum of its 32-, 32- and 6-column chunks, each normalized by
+    # the whole batch
+    from dvmbeam.training import _batch_grads
 
-
-def test_train_builds_one_thread_pool_per_call(monkeypatch):
-    made, closed = [], []
-
-    class CountingPool(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            made.append(self)
-
-        def shutdown(self, *args, **kwargs):
-            closed.append(self)
-            super().shutdown(*args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
-    for workers, pools in ((1, 0), (2, 1)):
-        made.clear()
-        closed.clear()
-        # 5 epochs of one 64-column batch: 5 steps of two chunks each
-        opt = OptimizerConfig(name="adam", lr=1e-2, batch_size=64, epochs=5,
-                              seed=4, workers=workers)
-        rep = train(random_net(4), DS.x, DS.y, DS.x, DS.y, opt)
-        assert rep.steps_run == 5
-        assert len(made) == pools and closed == made
-    # a diverging run still shuts its pool down
-    made.clear()
-    closed.clear()
-    opt = OptimizerConfig(name="sgd", lr=1e6, batch_size=64, epochs=50, seed=0,
-                          workers=2)
-    with np.errstate(all="ignore"), pytest.raises(TrainingDiverged):
-        train(random_net(0), DS.x, DS.y, DS.x, DS.y, opt)
-    assert len(made) == 1 and closed == made
+    net = random_net(4)
+    x = np.concatenate([DS.x, DS.x[:6]]).T
+    t = np.concatenate([DS.y, DS.y[:6]]).T
+    want, want_sq = None, 0.0
+    for a, b in ((0, 32), (32, 64), (64, 70)):
+        y, trace = forward(net, x[:, a:b], want_trace=True)
+        want_sq += float(np.sum((y - t[:, a:b]) ** 2))
+        g = backward(net, trace, t[:, a:b], norm=4 * 70).to_flat(net)
+        want = g if want is None else want + g
+    flat, sq = _batch_grads(net, x, t)
+    assert flat.tobytes() == want.tobytes() and sq == want_sq
 
 
 def test_train_loss_descends_for_every_seed():
