@@ -161,7 +161,8 @@ def circulant_first_column(spec: DvmSpec) -> np.ndarray:
 # fixed DFTs on numpy.fft, batched over columns
 
 
-def _pow2_dft(x, inverse: bool, norm: str, counter: OpCounter | None) -> np.ndarray:
+def _pow2_dft(x, inverse: bool, norm: str, counter: OpCounter | None,
+              out: np.ndarray | None = None) -> np.ndarray:
     x = np.asarray(x, dtype=np.complex128)
     size = x.shape[0]
     if size == 0 or size & (size - 1):
@@ -169,7 +170,7 @@ def _pow2_dft(x, inverse: bool, norm: str, counter: OpCounter | None) -> np.ndar
     if counter is not None:
         stages = size.bit_length() - 1
         counter.tally(muls=(size >> 1) * stages, adds=size * stages)
-    return (np.fft.ifft if inverse else np.fft.fft)(x, axis=0, norm=norm)
+    return (np.fft.ifft if inverse else np.fft.fft)(x, axis=0, norm=norm, out=out)
 
 
 def fft(x, inverse: bool = False, counter: OpCounter | None = None) -> np.ndarray:
@@ -207,7 +208,9 @@ def even_odd_permute(x) -> np.ndarray:
 
 
 class Diagonal:
-    """Elementwise multiply by a fixed complex vector."""
+    """Elementwise multiply by a fixed complex vector; out=x runs in place."""
+
+    in_place = True
 
     def __init__(self, values: np.ndarray):
         self.values = np.asarray(values, dtype=np.complex128)
@@ -220,11 +223,11 @@ class Diagonal:
         k = len(self.values)
         return (k, k)
 
-    def apply(self, x, counter=None):
+    def apply(self, x, counter=None, out=None):
         if counter is not None:
             counter.tally(muls=len(self.values))
         v = self.values
-        return x * (v[:, None] if np.ndim(x) == 2 else v)
+        return np.multiply(x, v[:, None] if np.ndim(x) == 2 else v, out=out)
 
     def dense(self):
         return np.diag(self.values)
@@ -232,7 +235,9 @@ class Diagonal:
 
 class Dft:
     """Normalized (unitary) DFT factor, conjugated when conj is set; fft()
-    is the raw transform."""
+    is the raw transform.  out=x runs in place."""
+
+    in_place = True
 
     def __init__(self, size: int, conj: bool = False):
         self.size = size
@@ -245,8 +250,8 @@ class Dft:
     def shape(self):
         return (self.size, self.size)
 
-    def apply(self, x, counter=None):
-        y = _pow2_dft(x, self.conj, "ortho", counter)
+    def apply(self, x, counter=None, out=None):
+        y = _pow2_dft(x, self.conj, "ortho", counter, out)
         if counter is not None:
             counter.tally(muls=self.size)  # the 1/sqrt(size) scaling
         return y
@@ -257,7 +262,10 @@ class Dft:
 
 
 class ZeroPad:
-    """Append zero rows: J x = [x; 0]."""
+    """Append zero rows: J x = [x; 0].  The result is a new array in Fortran
+    order, so each column (the axis the DFTs run along) is contiguous."""
+
+    in_place = False
 
     def __init__(self, out_dim: int, in_dim: int):
         if out_dim < in_dim:
@@ -274,7 +282,7 @@ class ZeroPad:
 
     def apply(self, x, counter=None):
         x = np.asarray(x)
-        out = np.zeros((self.out_dim,) + x.shape[1:], x.dtype)
+        out = np.zeros((self.out_dim,) + x.shape[1:], x.dtype, order="F")
         out[: self.in_dim] = x
         return out
 
@@ -285,7 +293,9 @@ class ZeroPad:
 
 
 class Truncate:
-    """Keep the leading rows: J^T x = x[:out_dim]."""
+    """Keep the leading rows: J^T x = x[:out_dim], a view of x."""
+
+    in_place = False
 
     def __init__(self, out_dim: int, in_dim: int):
         if out_dim > in_dim:
@@ -322,9 +332,25 @@ class FactorChain:
     factors: list = field(default_factory=list)
 
     def apply(self, x, counter: OpCounter | None = None) -> np.ndarray:
+        """Run the factors on x, a vector or a column batch.
+
+        x is never written.  A factor whose in_place flag is set overwrites
+        its input when that input is an array this call allocated and owns
+        (ZeroPad's buffer or an earlier factor's result); otherwise it
+        returns a new array.  For the Bluestein chain
+        that means ZeroPad's (2N, B) buffer is the only 2N-row allocation:
+        both DFTs and the middle diagonal run in it, and the last diagonal
+        reads the Truncate view and returns a new, compact (N, B) array in
+        Fortran order (axis 0 contiguous).
+        """
         y = np.asarray(x, dtype=np.complex128)
+        owned = False
         for f in self.factors:
-            y = f.apply(y, counter)
+            if owned and f.in_place:
+                y = f.apply(y, counter, out=y)
+            else:
+                y = f.apply(y, counter)
+                owned = y.flags.owndata
         return y
 
     def dense(self) -> np.ndarray:
@@ -359,8 +385,15 @@ def build_bluestein_chain(spec: DvmSpec) -> FactorChain:
 
 
 def fast_dvm_apply(chain: FactorChain, x, counter: OpCounter | None = None) -> np.ndarray:
-    """Apply the factored scaled DVM to a vector or column batch."""
+    """Apply the factored scaled DVM to a vector (N,) or column batch (N, B).
+
+    x is never written.  The result is a new array; a 2-D one is in Fortran
+    order (axis 0 contiguous).  FactorChain.apply says which factors run in
+    place.
+    """
     x = np.asarray(x)
+    if x.ndim not in (1, 2):
+        raise ValueError(f"expected a vector (N,) or a column batch (N, B), got shape {x.shape}")
     if x.shape[0] != chain.spec.n:
         raise ValueError(f"expected leading dimension {chain.spec.n}, got {x.shape[0]}")
     return chain.apply(x, counter)

@@ -11,6 +11,7 @@ fixed order; that order is part of the result, so it never varies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import copy
 import hashlib
 import json
 import math
@@ -341,9 +342,11 @@ class TrainReport:
     wall_time_s: float
 
     def to_dict(self) -> dict:
+        """A deep copy: editing the result never changes the report or a
+        later digest()."""
         # epochs and optimizer steps are both reported: the two countings
         # are easy to confuse and cheap to disambiguate
-        return {
+        return copy.deepcopy({
             "config": {"network": self.network, "optimizer": self.optimizer},
             "seed": self.seed,
             "param_count": self.param_count,
@@ -355,7 +358,7 @@ class TrainReport:
             "final_train_mse": self.final_train_mse,
             "final_val_mse": self.final_val_mse,
             "wall_time_s": self.wall_time_s,
-        }
+        })
 
     def canonical_dict(self) -> dict:
         """Everything that must reproduce bit-for-bit across reruns; wall

@@ -6,6 +6,8 @@ against itself.
 """
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -268,6 +270,81 @@ def test_fast_apply_dimension_mismatch():
     chain = build_bluestein_chain(DvmSpec(4, 1j))
     with pytest.raises(ValueError):
         fast_dvm_apply(chain, np.ones(5, dtype=complex))
+
+
+@pytest.mark.parametrize("x", [np.array(1.0 + 0.0j), np.ones((4, 2, 4), dtype=complex)],
+                         ids=["0d", "n_a_n"])
+def test_fast_apply_rejects_other_ranks(x):
+    # an (N, a, N) input used to pass the first diagonal by broadcasting
+    chain = build_bluestein_chain(DvmSpec(4, 1j))
+    with pytest.raises(ValueError, match=re.escape(f"got shape {x.shape}")):
+        fast_dvm_apply(chain, x)
+
+
+def composed_apply(chain, x, counter=None):
+    """The chain as plain factor-by-factor composition, each result a new
+    C-ordered array: the layout-independent reference for FactorChain.apply."""
+    y = np.asarray(x, dtype=np.complex128)
+    for f in chain.factors:
+        y = np.ascontiguousarray(f.apply(y, counter))
+    return y
+
+
+@pytest.mark.parametrize("n", [2, 4, 16, 64, 1024, 4096])
+def test_chain_apply_equals_factor_composition_bitwise(n):
+    rng = np.random.default_rng(n)
+    chain = build_bluestein_chain(DvmSpec(n, random_unit(rng)))
+    inputs = []
+    for shape in ((n,), (n, 1), (n, 3), (n, 64)):
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        inputs += [np.ascontiguousarray(x), np.asfortranarray(x)]
+    inputs += [rng.normal(size=(n, 3)), rng.integers(-5, 5, size=(n, 3))]
+    for x in inputs:
+        counted, composed = OpCounter(), OpCounter()
+        got = fast_dvm_apply(chain, x, counted)
+        assert got.shape == x.shape and got.dtype == np.complex128
+        assert np.array_equal(got, composed_apply(chain, x, composed))
+        assert (counted.muls, counted.adds) == (composed.muls, composed.adds)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_chain_apply_never_writes_its_input(order):
+    rng = np.random.default_rng(24)
+    chain = build_bluestein_chain(DvmSpec(64, random_unit(rng)))
+    for shape in ((64,), (64, 5)):
+        x = np.array(rng.normal(size=shape) + 1j * rng.normal(size=shape), order=order)
+        keep = x.copy()
+        x.flags.writeable = False
+        got = fast_dvm_apply(chain, x)
+        assert np.array_equal(x, keep)
+        assert np.array_equal(got, composed_apply(chain, keep))
+
+
+def test_chain_apply_returns_a_compact_array():
+    # the last diagonal reads the Truncate view but must not return a view
+    # of the 2N-row work buffer
+    rng = np.random.default_rng(25)
+    chain = build_bluestein_chain(DvmSpec(32, random_unit(rng)))
+    for shape in ((32,), (32, 1), (32, 6)):
+        y = fast_dvm_apply(chain, rng.normal(size=shape) + 0j)
+        assert y.base is None and y.shape == shape and y.flags.f_contiguous
+
+
+def test_chain_apply_memory_budget():
+    # only ZeroPad's (2N, B) buffer has 2N rows: the DFTs and the middle
+    # diagonal run in it
+    n, b = 1024, 64
+    rng = np.random.default_rng(26)
+    chain = build_bluestein_chain(DvmSpec(n, random_unit(rng)))
+    x = rng.normal(size=(n, b)) + 1j * rng.normal(size=(n, b))
+    fast_dvm_apply(chain, x)  # numpy.fft plans are cached on first use
+    tracemalloc.start()
+    try:
+        fast_dvm_apply(chain, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * n * b * 16, peak / (n * b * 16)
 
 
 def test_scaled_dvm_apply_wrapper():

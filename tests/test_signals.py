@@ -427,18 +427,22 @@ def test_load_rejects_nan_and_drifted_entries(tmp_path, fmt, array, edit):
     ("sample_rate", float("nan")),
 ])
 def test_load_rejects_bad_header_values(tmp_path, field, value):
-    # n = 0 or a zero rate used to reach transform_alpha and divide by zero
+    # n = 0 or a zero rate used to reach transform_alpha and divide by zero;
+    # n is bytes 8-11 and the sample rate bytes 28-35 of the header
     ds = small_ds()
     p = tmp_path / "d.dvmb"
     save_dataset(ds, str(p))
     raw = bytearray(p.read_bytes())
     if field == "n":
         raw[8:12] = struct.pack("<I", value)
+        named = f"n={value} "
     else:
-        raw[32:40] = struct.pack("<d", value)
+        raw[28:36] = struct.pack("<d", value)
+        named = f"sample rate {value!r};"
     p.write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match="header gives"):
+    with pytest.raises(ValueError, match="header gives") as err:
         load_dataset(str(p), verify=False)
+    assert named in str(err.value)
 
 
 def test_load_rejects_negative_seed_naming_file_and_byte(tmp_path):

@@ -608,6 +608,20 @@ def test_report_digest_is_sha256_of_canonical_json():
     assert rep.digest() == expect
 
 
+@pytest.mark.parametrize("view", ["to_dict", "canonical_dict"])
+def test_report_dicts_are_copies(view):
+    # editing a returned dict used to edit the report and change digest()
+    rep = short_report()
+    before = rep.digest()
+    d = getattr(rep, view)()
+    d["config"]["optimizer"].pop("seed")
+    d["config"]["network"]["delay_alpha"][0] = 0.5
+    d["train_mse"].append(1.0)
+    d["val_mse"].clear()
+    assert rep.digest() == before
+    assert len(rep.train_mse) == len(rep.val_mse) == rep.epochs_run
+
+
 def test_report_save_roundtrips_as_json(tmp_path):
     rep = short_report()
     path = tmp_path / "report.json"
