@@ -8,8 +8,6 @@
 
 import csv
 
-import numpy as np
-
 from dvmbeam.network import NetworkConfig, build_network
 from dvmbeam.signals import make_dataset, split_dataset
 from dvmbeam.training import OptimizerConfig, train

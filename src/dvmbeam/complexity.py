@@ -28,12 +28,7 @@ import csv
 import json
 import math
 
-from .network import (
-    KIND_DENSE,
-    NetworkConfig,
-    build_network,
-    count_parameters,
-)
+from .network import KIND_DENSE, NetworkConfig, expected_param_count
 
 CONVENTIONS = {
     "complex_rotation": "4 muls + 2 adds per complex element",
@@ -153,8 +148,9 @@ def reduction_report(
 ) -> dict:
     """Side-by-side audit of both kinds at the given channel counts.
 
-    Per row: trainable parameter counts (from real constructed networks, so
-    they cannot drift from the implementation), formula and counted FLOPs,
+    Per row: trainable parameter counts (network.expected_param_count, the
+    closed form that tests pin to built networks, so no network is built and
+    a dense row costs no weight memory), formula and counted FLOPs,
     and the two reduction percentages.  The FLOP reduction uses the counted
     dense cost against the formula structured cost, which is how the two
     accountings were designed to be compared; the counted structured cost is
@@ -167,8 +163,8 @@ def reduction_report(
             n=n, p=p, depth=depth, l_layers=l_layers, tie_scaling=tie_scaling
         )
         cfg_d = NetworkConfig(n=n, p=p, l_layers=l_layers, kind=KIND_DENSE)
-        params_s = count_parameters(build_network(cfg_s))["total"]
-        params_d = count_parameters(build_network(cfg_d))["total"]
+        params_s = expected_param_count(cfg_s)
+        params_d = expected_param_count(cfg_d)
         lam = cfg_s.resolved_depth
         formula_s = flops_truncated(n, lam, l_layers, p)
         formula_full = flops_full(n, l_layers, p)

@@ -244,7 +244,7 @@ class Network:
         k = np.arange(2 * config.p * config.n, dtype=np.float64)
         phi = math.atan2(config.delay_alpha.imag, config.delay_alpha.real)
         self.delay = cis(phi, k)  # frozen diag(alpha**k), k = 0..2pn-1
-        self.delay_exponents = k.astype(np.intp)
+        self._grads = None  # gradient twin, built by the first _backward
 
         layout, places, pos = [], [], 0
         for path, owner, key in self._walk():
@@ -293,11 +293,6 @@ class Network:
         for slot, arr in zip(self.layout, self._arrays):
             yield slot.path, arr, slot.kind
 
-    def param_views(self, buf: np.ndarray) -> dict:
-        """path -> view into buf for a vector laid out like self.flat (the
-        gradient accumulators of backward())."""
-        return {slot.path: slot.view(buf) for slot in self.layout}
-
     def param_count(self) -> int:
         return self.flat.size
 
@@ -309,9 +304,6 @@ class Network:
         if flat.shape != self.flat.shape:
             raise ValueError(f"flat vector has {flat.shape}, expected {self.flat.shape}")
         self.flat[...] = flat
-
-    def forward(self, x, want_trace: bool = False):
-        return forward(self, x, want_trace)
 
 
 def _chain_walk(prefix, chain):
@@ -467,84 +459,88 @@ def forward(net: Network, x, want_trace: bool = False):
 # to the real axis.
 
 
-def _accumulate(grads, key, g):
-    """Add a complex carrier product into a gradient slot; a real parameter
+def _accumulate(dst, g):
+    """Add a complex carrier product into a gradient array; a real parameter
     takes its real part, the gradient restricted to the real axis."""
-    dst = grads[key]
     dst += g if dst.dtype.kind == "c" else g.real
 
 
-def _accumulate_chain(grads, prefix, tw_grads, leaf_grad):
-    for lvl, tg in enumerate(tw_grads):
-        _accumulate(grads, f"{prefix}.twiddle{lvl}", tg)
-    _accumulate(grads, f"{prefix}.leaf", leaf_grad)
+def _accumulate_chain(gchain, tw_grads, leaf_grad):
+    for dst, g in zip(gchain.param_arrays(), tw_grads + [leaf_grad]):
+        _accumulate(dst, g)
 
 
 def _leaky_grad(pre, slope):
     return np.where(pre >= 0, 1.0, slope)
 
 
-def _block_backward(cfg: NetworkConfig, blk, delay, tr, g_out, grads, prefix):
-    """Reverse one block: add its parameter gradients into grads (path ->
-    view) and return the gradient wrt the block input."""
+def _block_backward(cfg: NetworkConfig, blk, gblk, delay, tr, g_out):
+    """Reverse one block: add its parameter gradients into gblk, the same
+    block of the gradient twin, and return the gradient wrt the block input."""
     n, m, half = cfg.n, cfg.m, cfg.hidden // 2
     dense = cfg.kind == KIND_DENSE
-    grads[f"{prefix}.bias_out"] += g_out.sum(axis=1)
+    gblk.bias_out += g_out.sum(axis=1)
     # output layer, back to the hidden carrier g_y3c = g_y3[:half] + j g_y3[half:]
     if dense:
-        grads[f"{prefix}.w4"] += g_out @ tr.y3.T
+        gblk.w4 += g_out @ tr.y3.T
         g_y3 = blk.w4.T @ g_out
         g_y3c = g_y3[:half] + 1j * g_y3[half:]
     else:
         g_v = _pack(cfg, g_out[:n], g_out[n:])
         g_y3c = np.empty((half, g_out.shape[1]), dtype=np.complex128)
+        # tied: the output side's share joins d_hat's
+        d_out = blk.d_hat if blk.d_hat_out is None else blk.d_hat_out
+        gd_out = gblk.d_hat if blk.d_hat_out is None else gblk.d_hat_out
         for i in range(cfg.p):
-            if blk.d_hat_out is None:  # tied: the output side's share joins d_hat's
-                d_out, d_key = blk.d_hat[i], f"{prefix}.w1.sub{i}.d_hat"
-            else:
-                d_out, d_key = blk.d_hat_out[i], f"{prefix}.w4.sub{i}.d_hat_out"
-            _accumulate(grads, d_key, (g_v * np.conj(tr.t_trunc[i])).sum(axis=1))
+            _accumulate(gd_out[i], (g_v * np.conj(tr.t_trunc[i])).sum(axis=1))
             g_fs = np.zeros((cfg.chain_size, g_v.shape[1]), dtype=np.complex128)
-            g_fs[: g_v.shape[0]] = np.conj(d_out)[:, None] * g_v
+            g_fs[: g_v.shape[0]] = np.conj(d_out[i])[:, None] * g_v
             g_ci, tw_g, leaf_g = blk.fstar_chains[i].backward(tr.fstar_traces[i], g_fs)
-            _accumulate_chain(grads, f"{prefix}.w4.sub{i}.fstar", tw_g, leaf_g)
+            _accumulate_chain(gblk.fstar_chains[i], tw_g, leaf_g)
             slot = slice(i * m, (i + 1) * m)
             g_y3c.real[slot], g_y3c.imag[slot] = _unpack(cfg, g_ci)
 
     g_y3 = np.concatenate([g_y3c.real, g_y3c.imag])
-    grads[f"{prefix}.skip"] += (g_y3 * tr.y1).sum(axis=1)
+    gblk.skip += (g_y3 * tr.y1).sum(axis=1)
     # y3 = y2 + skip*y1 hands g_y3 to y2 unchanged, so g_y3c is y2's carrier too
     g_y1c = np.conj(delay)[:, None] * g_y3c
     g_y1 = np.concatenate([g_y1c.real, g_y1c.imag]) + g_y3 * blk.skip[:, None]
     g_pre1 = g_y1 * _leaky_grad(tr.pre1, cfg.activation_slope)
-    grads[f"{prefix}.bias1"] += g_pre1.sum(axis=1)
+    gblk.bias1 += g_pre1.sum(axis=1)
 
     if dense:
-        grads[f"{prefix}.w1"] += g_pre1 @ tr.x.T
+        gblk.w1 += g_pre1 @ tr.x.T
         return blk.w1.T @ g_pre1
     g_x_c = np.zeros_like(tr.x_c)
     for i in range(cfg.p):
         slot = slice(i * m, (i + 1) * m)
         g_z = _pack(cfg, g_pre1[:half][slot], g_pre1[half:][slot])
-        _accumulate(grads, f"{prefix}.w1.sub{i}.d_breve",
-                    (g_z * np.conj(tr.chain_out[i])).sum(axis=1))
+        _accumulate(gblk.d_breve[i], (g_z * np.conj(tr.chain_out[i])).sum(axis=1))
         g_c = np.conj(blk.d_breve[i])[:, None] * g_z
         g_pad, tw_g, leaf_g = blk.f_chains[i].backward(tr.chain_traces[i], g_c)
-        _accumulate_chain(grads, f"{prefix}.w1.sub{i}.f", tw_g, leaf_g)
+        _accumulate_chain(gblk.f_chains[i], tw_g, leaf_g)
         g_u = g_pad[: g_x_c.shape[0]]
-        _accumulate(grads, f"{prefix}.w1.sub{i}.d_hat", (g_u * np.conj(tr.x_c)).sum(axis=1))
+        _accumulate(gblk.d_hat[i], (g_u * np.conj(tr.x_c)).sum(axis=1))
         g_x_c += np.conj(blk.d_hat[i])[:, None] * g_u
     return np.concatenate(_unpack(cfg, g_x_c))
 
 
-def _backward(net: Network, trace: ForwardTrace, g_out, grads):
-    """Reverse of forward(): add every parameter gradient into grads (path
-    -> view, see Network.param_views) and return the gradient wrt the input."""
+def _backward(net: Network, trace: ForwardTrace, g_out) -> np.ndarray:
+    """Reverse of forward(): every parameter gradient, laid out like net.flat.
+
+    The gradients accumulate in net's gradient twin, a zero-drawn network of
+    the same config built on the first call, whose arrays sit where net's
+    do; the result is a copy of its flat vector, so results never alias.
+    """
+    twin = net._grads
+    if twin is None:
+        twin = net._grads = _build(net.config, _ZeroDraws())
+    twin.flat[...] = 0.0
     for b in range(len(net.blocks) - 1, -1, -1):
         g_out = _block_backward(
-            net.config, net.blocks[b], net.delay, trace.block_traces[b], g_out, grads, f"block{b}"
+            net.config, net.blocks[b], twin.blocks[b], net.delay, trace.block_traces[b], g_out
         )
-    return g_out
+    return twin.flat.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -570,8 +566,8 @@ def build_network(config: NetworkConfig) -> Network:
 
 class _ZeroDraws:
     """Generator stand-in that draws nothing: every call returns zeros of
-    the requested shape.  load_network builds its layout with it, since the
-    payload replaces every value."""
+    the requested shape.  load_network and the gradient twin of _backward
+    build their layouts with it, since every value is overwritten."""
 
     def random(self, shape):
         return np.zeros(shape)

@@ -387,7 +387,9 @@ def load_dataset_csv(path: str, freq: float | None = None,
     """Read the tabular format back (CRLF or LF line ends).  The table
     carries no generator metadata, so freq (and friends) must be supplied to
     re-verify targets; without freq the data loads unverified.  The
-    sample_id column is not parsed."""
+    sample_id column is not parsed.  seed must pass check_seed, so that
+    save_dataset can write the result."""
+    check_seed(seed)
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n")
     if lines[-1] == "":

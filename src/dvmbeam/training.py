@@ -1,8 +1,9 @@
 """Loss, analytic gradients, optimizers, and the training loop.
 
 backward() seeds the loss gradient and runs the hand-written reverse pass
-over the factored layers that network.py keeps beside the forward pass; the
-gradients land in one vector laid out like the network's flat parameters.
+over the factored layers that network.py keeps beside the forward pass; it
+adds into a gradient twin of the network and returns a copy of the twin's
+flat vector, laid out like the network's flat parameters.
 
 Batch gradients are reduced over fixed-width column chunks summed in a
 fixed order; that order is part of the result, so it never varies.
@@ -48,14 +49,16 @@ def mse_loss(pred, target, n: int) -> float:
 
 @dataclass
 class GradientPack:
-    """Gradients keyed by the parameter paths of Network.param_entries.
+    """The gradient of every trainable parameter: flat, laid out like the
+    network's flat parameters and owned by this pack; data maps each path of
+    Network.param_entries to its view of flat."""
 
-    Each array in data is a view into flat, which is laid out like the
-    network's flat parameter vector.
-    """
-
-    data: dict
     flat: np.ndarray
+    layout: tuple
+
+    @property
+    def data(self) -> dict:
+        return {slot.path: slot.view(self.flat) for slot in self.layout}
 
     def to_flat(self, net: Network) -> np.ndarray:
         return self.flat
@@ -73,10 +76,7 @@ def backward(net: Network, trace, target, norm: float | None = None) -> Gradient
     if norm is None:
         norm = cfg.n * y.shape[1]
     g = (2.0 / norm) * (y - target)
-    flat = np.zeros(net.param_count())
-    grads = net.param_views(flat)
-    _backward(net, trace, g, grads)
-    return GradientPack(grads, flat)
+    return GradientPack(_backward(net, trace, g), net.layout)
 
 
 def loss_and_grads(net: Network, x, target, norm: float | None = None):
@@ -294,17 +294,13 @@ def optimizer_step(theta, grad, state, opt: OptimizerConfig):
     state must then be a dict with keys "net", "x", "t" (and it gains a
     "mu" entry), while grad is ignored.
     """
-    if opt.name == "sgd":
+    if opt.name in ("sgd", "adam"):
         theta = np.asarray(theta, dtype=np.float64)
         grad = np.asarray(grad, dtype=np.float64)
         if theta.shape != grad.shape:
             raise ValueError("theta and grad shapes differ")
-        return theta - opt.lr * grad, state
-    if opt.name == "adam":
-        theta = np.asarray(theta, dtype=np.float64)
-        grad = np.asarray(grad, dtype=np.float64)
-        if theta.shape != grad.shape:
-            raise ValueError("theta and grad shapes differ")
+        if opt.name == "sgd":
+            return theta - opt.lr * grad, state
         if state is None:
             state = _AdamState(theta.size)
         return theta - state.update(grad, opt.lr), state

@@ -418,6 +418,16 @@ def test_bench_default_table(work, capsys):
     assert csv_lines[0].startswith("n,model,params")
 
 
+def test_bench_counts_a_dense_net_too_large_to_build(work):
+    # each dense weight matrix at n=65536 is (4n, 2n): 256 GiB, never allocated
+    n = 65536
+    code = main(["bench", "--n-list", str(n), "--out", str(work / "big")])
+    assert code == EXIT_OK
+    rows = json.loads((work / "big.json").read_text())["rows"]
+    assert rows[0]["params_dense"] == 2 * (4 * n * 2 * n) + 2 * (4 * n) + 2 * n
+    assert len((work / "big.csv").read_text().strip().split("\n")) == 1 + 2
+
+
 def test_bench_rejects_bad_n():
     assert main(["bench", "--n-list", "6"]) == EXIT_USAGE
 

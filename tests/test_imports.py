@@ -1,14 +1,20 @@
-"""Every package module uses each name it imports.  There is no linter in
-the toolchain, so this stdlib-ast check stands in for one; __init__.py is
-left out because its imports are the package's re-exports."""
+"""Every package module, test file and demo uses each name it imports.
+There is no linter in the toolchain, so this stdlib-ast check stands in for
+one; the package's __init__.py is left out because its imports are the
+package's re-exports."""
 
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "dvmbeam"
-MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "dvmbeam"
+MODULES = sorted(
+    [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
+    + list((ROOT / "tests").glob("*.py"))
+    + list((ROOT / "demos").glob("*.py"))
+)
 
 
 def unused_imports(source: str) -> list:
@@ -32,9 +38,10 @@ def unused_imports(source: str) -> list:
     return sorted(f"{name} (line {line})" for name, line in bound.items() if name not in used)
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: str(p.relative_to(
+    SRC if p.parent == SRC else ROOT)))
 def test_module_uses_every_import(module):
-    assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+    assert unused_imports(module.read_text(encoding="utf-8")) == []
 
 
 def test_check_sees_unused_names():

@@ -480,6 +480,14 @@ def test_csv_load_without_metadata_skips_verification(tmp_path):
     assert math.isnan(back.freq)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**63, 1.5])
+def test_csv_load_rejects_seed_a_dataset_file_cannot_hold(tmp_path, seed):
+    p = tmp_path / "d.csv"
+    save_dataset_csv(small_ds(), str(p))
+    with pytest.raises(ValueError, match="seed"):
+        load_dataset_csv(str(p), seed=seed)
+
+
 def test_csv_load_rejects_malformed(tmp_path):
     p = tmp_path / "junk.csv"
     p.write_text("a,b,c\n1,2,3\n")

@@ -11,6 +11,7 @@ import pytest
 from dvmbeam.network import (
     KIND_DENSE,
     NetworkConfig,
+    ParamSlot,
     build_network,
     forward,
     init_from_dvm,
@@ -120,6 +121,33 @@ def test_backward_covers_exactly_the_trainables():
     assert sorted(pack.data) == sorted(paths)
     # the delay diagonal is frozen: no gradient slot may exist for it
     assert not any("delay" in p for p in pack.data)
+
+
+def test_second_backward_leaves_the_first_pack_unchanged():
+    net = random_net(6)
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(8, 3))
+    _, trace = forward(net, x, want_trace=True)
+    first = backward(net, trace, rng.normal(size=(8, 3)))
+    flat = first.flat.copy()
+    data = {path: g.copy() for path, g in first.data.items()}
+    second = backward(net, trace, rng.normal(size=(8, 3)))
+    assert not np.array_equal(second.flat, flat)
+    assert np.array_equal(first.flat, flat)
+    assert all(np.array_equal(first.data[path], g) for path, g in data.items())
+
+
+def test_backward_builds_no_views_after_the_first_call(monkeypatch):
+    net = build_network(NetworkConfig(n=16, depth=5, seed=1))
+    rng = np.random.default_rng(5)
+    x, t = rng.normal(size=(32, 4)), rng.normal(size=(32, 4))
+    _, trace = forward(net, x, want_trace=True)
+    backward(net, trace, t)
+    views = []
+    view = ParamSlot.view
+    monkeypatch.setattr(ParamSlot, "view", lambda slot, buf: views.append(slot.path) or view(slot, buf))
+    backward(net, trace, t)
+    assert views == []
 
 
 def test_backward_target_shape_mismatch():
