@@ -230,6 +230,8 @@ def cmd_eval(args):
         return _fail(EXIT_IO, f"cannot read input: {e}")
     except ValueError as e:
         return _fail(EXIT_IO, str(e))
+    if ds.n_samples == 0:
+        return _fail(EXIT_IO, f"{args.data}: dataset has no samples to evaluate")
     if net.config.n != ds.n:
         return _fail(
             EXIT_SHAPE,

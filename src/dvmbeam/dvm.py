@@ -451,6 +451,13 @@ class RecursiveDftChain:
     twiddles[l] has shape (2**l, half_l) or (1, half_l) when siblings share
     one diagonal; leaf has shape (n_leaves, s, s) or (1, s, s).  scale is a
     frozen real normalization.
+
+    An input of half height, size/2 rows, stands for [u; 0]: the chain
+    returns the transform of the zero-padded vector without building the
+    pad.  Level 0 of [u; 0] is top = u, bottom = tw0 * u (FFT input pruning,
+    Sorensen & Burrus 1993), and backward() returns the gradient of u alone,
+    g_top + conj(tw0) * g_bot.  Both equal a run on the padded input bit for
+    bit.
     """
 
     def __init__(self, size, depth, twiddles, leaf, scale=1.0, shared=True):
@@ -495,75 +502,117 @@ class RecursiveDftChain:
     def _run(self, x, counter, want_trace):
         x = np.asarray(x, dtype=np.complex128)
         flat = x.ndim == 1
-        y = x[:, None].copy() if flat else x.copy()
+        if flat:
+            x = x[:, None]
         size = self.size
-        if y.shape[0] != size:
-            raise ValueError(f"expected leading dimension {size}, got {y.shape[0]}")
+        rows, cols = x.shape
+        pruned = 2 * rows == size  # x stands for [x; 0]
+        if rows != size and not pruned:
+            raise ValueError(
+                f"expected leading dimension {size} (or {size >> 1} for a "
+                f"zero-padded input), got {rows}"
+            )
         diffs = [] if want_trace else None
-        for lvl in range(self.depth):
+        # Every level reads one buffer and writes the other, so level 0 reads
+        # the input where it lies (no copy) and u - v needs no scratch array.
+        bufs = [np.empty((size, cols), dtype=np.complex128) for _ in range(2)]
+        y, first = x, 0
+        if pruned:
+            y = bufs[0]
+            if self.depth == 0:
+                y[:rows] = x
+                y[rows:] = 0.0
+            else:
+                # level 0 of [x; 0]: top x + 0, bottom (x - 0) * tw0; adding
+                # the zero rather than copying turns -0.0 into +0.0 as the
+                # pad does
+                np.add(x, 0.0, out=y[:rows])
+                np.multiply(x, self.twiddles[0][0][:, None], out=y[rows:])
+                if want_trace:
+                    diffs.append(x.copy()[None])
+                if counter is not None:
+                    counter.tally(muls=rows)
+                first = 1
+        for lvl in range(first, self.depth):
             block = size >> lvl
             half = block >> 1
-            v = y.reshape(1 << lvl, block, -1)
-            d = v[:, :half] - v[:, half:]
+            dst = bufs[1] if y is bufs[0] else bufs[0]
+            v = y.reshape(1 << lvl, block, cols)
+            w = dst.reshape(1 << lvl, block, cols)
+            top, bot = v[:, :half], v[:, half:]
+            d = np.subtract(top, bot, out=None if want_trace else w[:, half:])
             if want_trace:
                 diffs.append(d)
-            v[:, :half] = v[:, :half] + v[:, half:]
-            v[:, half:] = d * self.twiddles[lvl][:, :, None]
+            np.add(top, bot, out=w[:, :half])
+            np.multiply(d, self.twiddles[lvl][:, :, None], out=w[:, half:])
+            y = dst
             if counter is not None:
                 counter.tally(muls=half << lvl, adds=size)
+        if y is x:  # no level ran: the leaf reads, and a trace keeps, a copy
+            y = bufs[0]
+            y[...] = x
         s = self.leaf_size
-        segs = y.reshape(-1, s, y.shape[-1])  # kept by the trace: y is not written again
+        segs = y.reshape(size // s, s, cols)  # kept by the trace: y is not written again
         if counter is not None:
             counter.tally(muls=(size // s) * s * s, adds=(size // s) * s * (s - 1))
-        y = np.matmul(self.leaf, segs).reshape(size, -1)[self._perm]
+        if want_trace:
+            y = np.matmul(self.leaf, segs).reshape(size, cols)[self._perm]
+        else:
+            # the leaf product goes to the other buffer, its permutation back
+            # to y (mode "clip": take would copy through a temporary under
+            # the default "raise", and perm holds valid indices only)
+            other = bufs[1] if y is bufs[0] else bufs[0]
+            prod = np.matmul(self.leaf, segs, out=other.reshape(size // s, s, cols))
+            np.take(prod.reshape(size, cols), self._perm, axis=0, out=y, mode="clip")
         if self.scale != 1.0:
             y *= self.scale
             if counter is not None:
                 counter.tally(muls=size)
         trace = None
         if want_trace:
-            trace = {"diffs": diffs, "leaf_in": segs, "flat": flat}
+            trace = {"diffs": diffs, "leaf_in": segs, "pruned": pruned}
         return (y[:, 0] if flat else y), trace
 
     def backward(self, trace, grad_out):
         """Adjoint pass.
 
         grad_out carries dL/dRe + j dL/dIm of the output.  Returns the same
-        carrier for the input plus gradients for each twiddle level and the
-        leaf, summed over batch (and over sibling blocks when shared).
+        carrier for the input (its size/2 rows when the traced input had
+        half height) plus gradients for each twiddle level and the leaf,
+        summed over batch (and over sibling blocks when shared).
         """
         size = self.size
         g = np.asarray(grad_out, dtype=np.complex128)
         flat = g.ndim == 1
         if flat:
             g = g[:, None]
+        cols = g.shape[1]
         g = g[self._inv_perm]
         if self.scale != 1.0:
             g *= self.scale
         s = self.leaf_size
-        g_segs = g.reshape(-1, s, g.shape[-1])
+        g_segs = g.reshape(size // s, s, cols)
         leaf_grad = np.matmul(g_segs, np.conj(trace["leaf_in"]).transpose(0, 2, 1))
         if self.shared:
             leaf_grad = leaf_grad.sum(axis=0, keepdims=True)
-        g = np.matmul(np.conj(self.leaf).transpose(0, 2, 1), g_segs).reshape(size, -1)
+        g = np.matmul(np.conj(self.leaf).transpose(0, 2, 1), g_segs).reshape(size, cols)
         tw_grads = [None] * self.depth
+        pruned = trace["pruned"]
         for lvl in range(self.depth - 1, -1, -1):
             block = size >> lvl
             half = block >> 1
-            v = g.reshape(1 << lvl, block, -1)
-            g_top = v[:, :half]
-            g_bot = v[:, half:]
-            tw = self.twiddles[lvl][:, :, None]
+            v = g.reshape(1 << lvl, block, cols)
+            g_top, g_bot = v[:, :half], v[:, half:]
             tg = (g_bot * np.conj(trace["diffs"][lvl])).sum(axis=-1)
             if self.shared:
                 tg = tg.sum(axis=0, keepdims=True)
             tw_grads[lvl] = tg
-            rot = np.conj(tw) * g_bot
-            new_top = g_top + rot  # g_top aliases v; build both halves first
-            new_bot = g_top - rot
-            v[:, :half] = new_top
-            v[:, half:] = new_bot
-            g = v.reshape(size, -1)
+            rot = np.conj(self.twiddles[lvl][:, :, None]) * g_bot
+            if not (pruned and lvl == 0):  # the zero half's gradient is dropped
+                np.subtract(g_top, rot, out=g_bot)
+            np.add(g_top, rot, out=g_top)
+        if pruned:
+            g = g[: size >> 1]
         return (g[:, 0] if flat else g), tw_grads, leaf_grad
 
     def dense(self) -> np.ndarray:

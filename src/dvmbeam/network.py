@@ -11,11 +11,15 @@ layer widths.  Between them sit the same three fixed-width layers: a frozen
 elementwise delay rotation diag(alpha**k), a trainable real diagonal skip
 connection added around it, and biases.
 
-Hidden vectors of width 4pN are laid out as [real section | imaginary
-section], each section split into p slots of width 2N; the delay layer
-rebuilds complex values from the two halves, which is what pins this layout.
-The forward pass and its hand-written reverse live here side by side, so
-that layout and the parameter path names are known to this module only.
+Blocks take and return real-split (2N, B) batches.  Inside a block the
+hidden vector of width 4pN is one complex carrier, a (2pN, B) array split
+into p slots of 2N rows, one per submatrix, which the chains and the delay
+read directly.  The real-split hidden parameters (bias, skip diagonal) keep
+their [real section | imaginary section] layout and act on the carrier's
+real and imaginary parts through its float64 view, so no hidden layer
+splits or rebuilds complex values.  The forward pass and its hand-written
+reverse live here side by side, so that layout and the parameter path names
+are known to this module only.
 """
 
 from __future__ import annotations
@@ -59,15 +63,25 @@ def real_split(z) -> np.ndarray:
 
 
 def real_join(x) -> np.ndarray:
-    """Inverse of real_split."""
+    """Inverse of real_split: the complex vector whose real and imaginary
+    parts are copies of the two halves of x (so signed zeros survive)."""
     x = np.asarray(x)
     k = x.shape[0] // 2
-    return x[:k] + 1j * x[k:]
+    z = np.empty((k,) + x.shape[1:], dtype=np.complex128)
+    z.real, z.imag = x[:k], x[k:]
+    return z
 
 
-def leaky_relu(x, slope: float) -> np.ndarray:
+def leaky_relu(x, slope: float, out=None) -> np.ndarray:
+    """np.where(x >= 0, x, slope * x), bit for bit, written to out if given.
+
+    For slope <= 1 that is max(x, slope*x), for slope > 1 min(x, slope*x),
+    signed zeros and infinities included, except that 0 * inf is NaN: at
+    slope 0 the activation is x * (x >= 0) instead."""
     x = np.asarray(x)
-    return np.where(x >= 0, x, slope * x)
+    if slope == 0:
+        return np.multiply(x, x >= 0, out=out)
+    return (np.maximum if slope <= 1 else np.minimum)(x, slope * x, out=out)
 
 
 @dataclass(frozen=True)
@@ -314,15 +328,18 @@ def _chain_walk(prefix, chain):
 
 @dataclass
 class BlockTrace:
-    x: np.ndarray              # block input, real (2n, B)
-    x_c: np.ndarray | None     # complex view of input (complex mode)
+    """One block's intermediates.  The block input x and output y_out are
+    real-split (2n, B); the hidden-width fields are complex carriers
+    (2pn, B)."""
+
+    x: np.ndarray
+    x_c: np.ndarray | None     # input chains' carrier (structured kind)
     chain_traces: list         # per submatrix, w1 chain trace
     chain_out: list            # per submatrix, chain output before d_breve
-    pre1: np.ndarray
-    y1: np.ndarray
-    y1_c: np.ndarray
-    y2: np.ndarray
-    y3: np.ndarray
+    pre1: np.ndarray           # pre-activation
+    y1: np.ndarray             # activation
+    y2: np.ndarray             # delayed activation
+    y3: np.ndarray             # y2 plus the skip term
     fstar_traces: list
     t_trunc: list              # per submatrix, truncated conj-chain output
     y_out: np.ndarray
@@ -347,21 +364,38 @@ def _as_columns(x, width):
     return x, flat
 
 
-def _pack(cfg: NetworkConfig, re, im) -> np.ndarray:
-    """Real-split halves to the carrier a DFT chain runs on: re + j im in
-    complex mode, the stacked real vector [re; im] as complex in real mode
-    (its imaginary part stays exactly zero through the chains)."""
-    if cfg.param_mode == MODE_COMPLEX:
-        return re + 1j * im
-    return np.concatenate([re, im]).astype(np.complex128)
+def _planes(c) -> np.ndarray:
+    """The (2, rows, B) float64 view of a carrier whose last axis is
+    contiguous: plane 0 holds the real parts, plane 1 the imaginary parts,
+    so a real-split (2k,) vector reshaped to (2, k, 1) acts on it row by
+    row."""
+    return c.view(np.float64).reshape(c.shape + (2,)).transpose(2, 0, 1)
 
 
-def _unpack(cfg: NetworkConfig, c):
-    """Chain carrier back to its real-split halves (re, im); inverse of _pack."""
+def _add_column_sums(dst, f) -> None:
+    """dst, a real-split (2k,) gradient, += the column sums of f, the
+    float64 view (k, 2B) of a carrier.  The real and imaginary parts are
+    reduced apart, each row along B with numpy's pairwise sum, as the
+    contiguous real-split rows they stand for are."""
+    d = dst.reshape(2, -1)
+    d[0] += f[:, 0::2].sum(axis=1)
+    d[1] += f[:, 1::2].sum(axis=1)
+
+
+def _pack(cfg: NetworkConfig, c) -> np.ndarray:
+    """Carrier to the vector a DFT chain runs on: c itself in complex mode;
+    in real mode the stacked real vector [Re c; Im c] as complex (its
+    imaginary part stays exactly zero through the chains)."""
     if cfg.param_mode == MODE_COMPLEX:
-        return c.real, c.imag
-    k = c.shape[0] // 2
-    return c.real[:k], c.real[k:]
+        return c
+    return real_split(c).astype(np.complex128)
+
+
+def _unpack(cfg: NetworkConfig, z) -> np.ndarray:
+    """Chain vector back to a carrier; inverse of _pack."""
+    if cfg.param_mode == MODE_COMPLEX:
+        return z
+    return real_join(z.real)
 
 
 def _run_chain(chain, x, traces):
@@ -374,58 +408,71 @@ def _run_chain(chain, x, traces):
     return y
 
 
+def _stack(parts):
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _middle_forward(cfg: NetworkConfig, blk, delay, h, want_trace):
+    """The layers both kinds share, on the hidden carrier h: bias, leaky
+    activation, frozen delay and skip.  Returns (pre1, y1, y2, y3).
+    Untraced, all four are h, overwritten in place; traced, each stage gets
+    its own array."""
+    stage = np.empty_like if want_trace else (lambda a: a)
+    # the real-split bias is added as the complex vector b_re + j b_im:
+    # complex addition is the two real additions, and numpy runs it on h
+    # directly, not on the strided plane views
+    np.add(h, real_join(blk.bias1)[:, None], out=h)
+    y1 = stage(h)
+    leaky_relu(h.view(np.float64), cfg.activation_slope, out=y1.view(np.float64))
+    skip_term = blk.skip.reshape(2, -1, 1) * _planes(y1)
+    y2 = np.multiply(delay[:, None], y1, out=stage(y1))
+    y3 = stage(y2)
+    np.add(_planes(y2), skip_term, out=_planes(y3))
+    return h, y1, y2, y3
+
+
 def _block_forward(cfg: NetworkConfig, blk, delay, x, want_trace):
-    """One block: the input layer (W1, or p chirp-scaled DFT chains into the
-    hidden slots), the middle both kinds share (bias, leaky activation,
-    frozen delay, skip), then the output layer (W4, or p conjugate chains
-    summed back to the input width)."""
-    n, m, half = cfg.n, cfg.m, cfg.hidden // 2
+    """One block on the real-split batch x (2n, B): the input layer (W1, or
+    p chirp-scaled DFT chains into the hidden slots), the middle both kinds
+    share (bias, leaky activation, frozen delay, skip), then the output layer
+    (W4, or p conjugate chains summed back to the input width)."""
+    m = cfg.m
     dense = cfg.kind == KIND_DENSE
     chain_traces, fstar_traces = ([], []) if want_trace else (None, None)
     x_c, chain_out, t_trunc = None, [], []
     if dense:
-        pre1 = blk.w1 @ x
+        h = real_join(blk.w1 @ x)
     else:
-        x_c = _pack(cfg, x[:n], x[n:])
-        re_parts, im_parts = [], []
+        x_c = _pack(cfg, real_join(x))
+        parts = []
         for i in range(cfg.p):
-            pad = np.zeros((cfg.chain_size, x.shape[1]), dtype=np.complex128)
-            pad[: x_c.shape[0]] = blk.d_hat[i][:, None] * x_c
-            c = _run_chain(blk.f_chains[i], pad, chain_traces)
+            c = _run_chain(blk.f_chains[i], blk.d_hat[i][:, None] * x_c, chain_traces)
             chain_out.append(c if want_trace else None)  # only a trace keeps c alive
-            re, im = _unpack(cfg, blk.d_breve[i][:, None] * c)
-            re_parts.append(re)
-            im_parts.append(im)
-        pre1 = np.concatenate(re_parts + im_parts)
+            z = np.multiply(blk.d_breve[i][:, None], c, out=None if want_trace else c)
+            parts.append(_unpack(cfg, z))
+        h = _stack(parts)
 
-    pre1 += blk.bias1[:, None]
-    y1 = leaky_relu(pre1, cfg.activation_slope)
-    y1_c = y1[:half] + 1j * y1[half:]
-    y2_c = delay[:, None] * y1_c
-    y2 = np.concatenate([y2_c.real, y2_c.imag])
-    y3 = y2 + blk.skip[:, None] * y1
+    pre1, y1, y2, y3 = _middle_forward(cfg, blk, delay, h, want_trace)
 
     if dense:
-        y_out = blk.w4 @ y3
+        y_out = blk.w4 @ real_split(y3)
     else:
         d_out = blk.d_hat if blk.d_hat_out is None else blk.d_hat_out
         v = None
         for i in range(cfg.p):
-            slot = slice(i * m, (i + 1) * m)
-            chain_in = _pack(cfg, y3[:half][slot], y3[half:][slot])
-            t = _run_chain(blk.fstar_chains[i], chain_in, fstar_traces)[: x_c.shape[0]]
+            t = _run_chain(blk.fstar_chains[i], _pack(cfg, y3[i * m:(i + 1) * m]),
+                           fstar_traces)[: x_c.shape[0]]
             t_trunc.append(t if want_trace else None)
-            vi = d_out[i][:, None] * t
+            vi = np.multiply(d_out[i][:, None], t, out=None if want_trace else t)
             v = vi if v is None else v + vi
-        y_out = np.concatenate(_unpack(cfg, v))
+        y_out = real_split(_unpack(cfg, v))
     y_out += blk.bias_out[:, None]
 
     trace = None
     if want_trace:
         trace = BlockTrace(
-            x=x, x_c=x_c, chain_traces=chain_traces, chain_out=chain_out,
-            pre1=pre1, y1=y1, y1_c=y1_c, y2=y2, y3=y3,
-            fstar_traces=fstar_traces, t_trunc=t_trunc, y_out=y_out,
+            x=x, x_c=x_c, chain_traces=chain_traces, chain_out=chain_out, pre1=pre1,
+            y1=y1, y2=y2, y3=y3, fstar_traces=fstar_traces, t_trunc=t_trunc, y_out=y_out,
         )
     return y_out, trace
 
@@ -456,7 +503,8 @@ def forward(net: Network, x, want_trace: bool = False):
 #     y = A  x       ->  g_A += g_y x^H,        g_x = A^H g_y
 # and lets one pass serve both parameter modes: real-mode parameters take
 # the real part of their carrier product, which is the gradient restricted
-# to the real axis.
+# to the real axis.  The real-split hidden parameters (bias1, skip) see the
+# carrier's real and imaginary parts as their two sections.
 
 
 def _accumulate(dst, g):
@@ -470,59 +518,63 @@ def _accumulate_chain(gchain, tw_grads, leaf_grad):
         _accumulate(dst, g)
 
 
-def _leaky_grad(pre, slope):
-    return np.where(pre >= 0, 1.0, slope)
+def _middle_backward(cfg: NetworkConfig, blk, gblk, delay, tr, g_h):
+    """Reverse of _middle_forward: add the bias1 and skip gradients into
+    gblk and return the carrier of the pre-activation gradient, given g_h,
+    the carrier of y3's."""
+    # y3 = delay*y1 + skip*y1 hands g_h to y2 unchanged
+    _add_column_sums(gblk.skip, g_h.view(np.float64) * tr.y1.view(np.float64))
+    g = np.conj(delay)[:, None] * g_h
+    np.add(_planes(g), _planes(g_h) * blk.skip.reshape(2, -1, 1), out=_planes(g))
+    # the activation's derivative: g where pre >= 0, slope * g elsewhere
+    # (g * 1.0 is g exactly)
+    gf = g.view(np.float64)
+    np.multiply(gf, np.where(tr.pre1.view(np.float64) >= 0, 1.0, cfg.activation_slope), out=gf)
+    _add_column_sums(gblk.bias1, gf)
+    return g
 
 
 def _block_backward(cfg: NetworkConfig, blk, gblk, delay, tr, g_out):
     """Reverse one block: add its parameter gradients into gblk, the same
     block of the gradient twin, and return the gradient wrt the block input."""
-    n, m, half = cfg.n, cfg.m, cfg.hidden // 2
+    m = cfg.m
     dense = cfg.kind == KIND_DENSE
     gblk.bias_out += g_out.sum(axis=1)
-    # output layer, back to the hidden carrier g_y3c = g_y3[:half] + j g_y3[half:]
+    # output layer, back to the hidden carrier g_h of y3
     if dense:
-        gblk.w4 += g_out @ tr.y3.T
-        g_y3 = blk.w4.T @ g_out
-        g_y3c = g_y3[:half] + 1j * g_y3[half:]
+        gblk.w4 += g_out @ real_split(tr.y3).T
+        g_h = real_join(blk.w4.T @ g_out)
     else:
-        g_v = _pack(cfg, g_out[:n], g_out[n:])
-        g_y3c = np.empty((half, g_out.shape[1]), dtype=np.complex128)
+        g_v = _pack(cfg, real_join(g_out))
         # tied: the output side's share joins d_hat's
         d_out = blk.d_hat if blk.d_hat_out is None else blk.d_hat_out
         gd_out = gblk.d_hat if blk.d_hat_out is None else gblk.d_hat_out
+        parts = []
         for i in range(cfg.p):
             _accumulate(gd_out[i], (g_v * np.conj(tr.t_trunc[i])).sum(axis=1))
             g_fs = np.zeros((cfg.chain_size, g_v.shape[1]), dtype=np.complex128)
             g_fs[: g_v.shape[0]] = np.conj(d_out[i])[:, None] * g_v
             g_ci, tw_g, leaf_g = blk.fstar_chains[i].backward(tr.fstar_traces[i], g_fs)
             _accumulate_chain(gblk.fstar_chains[i], tw_g, leaf_g)
-            slot = slice(i * m, (i + 1) * m)
-            g_y3c.real[slot], g_y3c.imag[slot] = _unpack(cfg, g_ci)
+            parts.append(_unpack(cfg, g_ci))
+        g_h = _stack(parts)
 
-    g_y3 = np.concatenate([g_y3c.real, g_y3c.imag])
-    gblk.skip += (g_y3 * tr.y1).sum(axis=1)
-    # y3 = y2 + skip*y1 hands g_y3 to y2 unchanged, so g_y3c is y2's carrier too
-    g_y1c = np.conj(delay)[:, None] * g_y3c
-    g_y1 = np.concatenate([g_y1c.real, g_y1c.imag]) + g_y3 * blk.skip[:, None]
-    g_pre1 = g_y1 * _leaky_grad(tr.pre1, cfg.activation_slope)
-    gblk.bias1 += g_pre1.sum(axis=1)
+    g_pre1 = _middle_backward(cfg, blk, gblk, delay, tr, g_h)
 
     if dense:
-        gblk.w1 += g_pre1 @ tr.x.T
-        return blk.w1.T @ g_pre1
+        g_r = real_split(g_pre1)
+        gblk.w1 += g_r @ tr.x.T
+        return blk.w1.T @ g_r
     g_x_c = np.zeros_like(tr.x_c)
     for i in range(cfg.p):
-        slot = slice(i * m, (i + 1) * m)
-        g_z = _pack(cfg, g_pre1[:half][slot], g_pre1[half:][slot])
+        g_z = _pack(cfg, g_pre1[i * m:(i + 1) * m])
         _accumulate(gblk.d_breve[i], (g_z * np.conj(tr.chain_out[i])).sum(axis=1))
         g_c = np.conj(blk.d_breve[i])[:, None] * g_z
-        g_pad, tw_g, leaf_g = blk.f_chains[i].backward(tr.chain_traces[i], g_c)
+        g_u, tw_g, leaf_g = blk.f_chains[i].backward(tr.chain_traces[i], g_c)
         _accumulate_chain(gblk.f_chains[i], tw_g, leaf_g)
-        g_u = g_pad[: g_x_c.shape[0]]
         _accumulate(gblk.d_hat[i], (g_u * np.conj(tr.x_c)).sum(axis=1))
         g_x_c += np.conj(blk.d_hat[i])[:, None] * g_u
-    return np.concatenate(_unpack(cfg, g_x_c))
+    return real_split(_unpack(cfg, g_x_c))
 
 
 def _backward(net: Network, trace: ForwardTrace, g_out) -> np.ndarray:

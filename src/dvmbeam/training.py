@@ -95,7 +95,8 @@ def min_preactivation_gap(net: Network, x) -> float:
     """Smallest |pre-activation| across all blocks for the given input;
     finite-difference checks need this clear of the activation kink."""
     _, trace = forward(net, x, want_trace=True)
-    return min(float(np.min(np.abs(tr.pre1))) for tr in trace.block_traces)
+    # pre1 is a complex carrier: its float64 view holds every real component
+    return min(float(np.min(np.abs(tr.pre1.view(np.float64)))) for tr in trace.block_traces)
 
 
 def grad_check(
@@ -214,15 +215,23 @@ class _AdamState:
 
     def update(self, g, lr, b1=0.9, b2=0.999, eps=1e-8):
         """Advance the moments by gradient g; returns the step to subtract
-        from the parameters."""
+        from the parameters, lr * mh / (sqrt(vh) + eps).  Two scratch arrays
+        take every intermediate, in the order of that formula."""
         self.t += 1
+        a = np.multiply(g, 1 - b1)
         self.m *= b1
-        self.m += (1 - b1) * g
+        self.m += a
+        np.multiply(g, 1 - b2, out=a)
+        a *= g
         self.v *= b2
-        self.v += (1 - b2) * g * g
-        mh = self.m / (1 - b1 ** self.t)
-        vh = self.v / (1 - b2 ** self.t)
-        return lr * mh / (np.sqrt(vh) + eps)
+        self.v += a
+        np.divide(self.v, 1 - b2 ** self.t, out=a)
+        np.sqrt(a, out=a)
+        a += eps
+        step = np.divide(self.m, 1 - b1 ** self.t)
+        step *= lr
+        step /= a
+        return step
 
 
 _LM_PARAM_LIMIT = 5000

@@ -20,7 +20,7 @@ from dvmbeam.cli import (
     main,
 )
 from dvmbeam.network import NetworkConfig, build_network, init_from_dvm, save_network
-from dvmbeam.signals import load_dataset, transform_alpha
+from dvmbeam.signals import load_dataset, make_dataset, save_dataset, transform_alpha
 
 
 @pytest.fixture(scope="module")
@@ -295,6 +295,19 @@ def test_eval_shape_mismatch(exact_model, data8, capsys):
     assert "n=4" in capsys.readouterr().err
 
 
+def test_eval_rejects_a_dataset_without_samples(exact_model, work, capsys):
+    # a 0-sample file loads, but has no MSE to report: eval names the file
+    # and exits 3 where it used to die in the forward pass
+    path = work / "empty4.bin"
+    save_dataset(make_dataset(4, 24e9, [], 10, 0.1, seed=0), str(path))
+    assert load_dataset(str(path)).n_samples == 0
+    code = main(["eval", "--model", str(exact_model), "--data", str(path)])
+    assert code == EXIT_IO
+    captured = capsys.readouterr()
+    assert str(path) in captured.err and "no samples" in captured.err
+    assert captured.out == ""
+
+
 def test_eval_missing_flags():
     assert main(["eval", "--model", "x"]) == EXIT_USAGE
 
@@ -544,4 +557,15 @@ def test_installed_entry_point(work):
         capture_output=True, text=True,
     )
     assert res.returncode == 0
+    assert "Pr(weights)" in res.stdout
+
+
+def test_python_dash_m_runs_the_cli(work):
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    res = subprocess.run(
+        [sys.executable, "-m", "dvmbeam", "bench", "--n-list", "8", "--out", str(work / "dash_m")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert res.returncode == 0, res.stderr
     assert "Pr(weights)" in res.stdout

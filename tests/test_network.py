@@ -61,6 +61,30 @@ def test_leaky_relu_examples():
     assert np.array_equal(out, [-1.0, 0.0, 5.0])
 
 
+def test_real_join_keeps_signed_zeros():
+    x = np.array([-0.0, 0.0, 1.5, -0.0, -0.0, np.inf])
+    z = real_join(x)
+    assert real_split(z).tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize("slope", [0.0, 0.2, 0.999, 1.0, 2.5])
+def test_leaky_relu_equals_where_bitwise(slope):
+    # the max/min form must not differ from np.where anywhere, signed zeros,
+    # infinities and subnormals included
+    edge = np.array([0.0, -0.0, np.inf, -np.inf, 1.5, -1.5, 5e-324, -5e-324,
+                     2.2e-308, -2.2e-308, 1e308, -1e308, np.nan])
+    x = np.concatenate([edge, np.random.default_rng(44).standard_normal(1000)])
+    with np.errstate(over="ignore", invalid="ignore"):  # 2.5 * 1e308, 0 * inf
+        want = np.where(x >= 0, x, slope * x)
+        assert leaky_relu(x, slope).tobytes() == want.tobytes()
+        out = np.full_like(x, 7.0)
+        leaky_relu(x, slope, out=out)
+        assert out.tobytes() == want.tobytes()
+        x2 = x.copy()
+        leaky_relu(x2, slope, out=x2)
+        assert x2.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -120,8 +144,9 @@ def test_forward_shape_contract():
             y, trace = forward(net, rng.normal(size=2 * n), want_trace=True)
             assert y.shape == (2 * n,)
             blk = trace.block_traces[0]
-            assert blk.y1.shape[0] == 4 * p * n
-            assert blk.y3.shape[0] == 4 * p * n
+            # hidden carriers: 2pn complex rows, the 4pn real-split values
+            assert blk.y1.shape == (2 * p * n, 1) and blk.y1.dtype == np.complex128
+            assert blk.y3.shape == (2 * p * n, 1) and blk.y3.dtype == np.complex128
 
 
 def test_forward_zero_input_zero_output():
@@ -154,8 +179,32 @@ def test_delay_layer_is_isometry():
     net = build_network(NetworkConfig(n=8, delay_alpha=alpha, seed=4))
     _, trace = forward(net, rng.normal(size=16), want_trace=True)
     blk = trace.block_traces[0]
-    y2_c = blk.y2[:16] + 1j * blk.y2[16:]
-    assert abs(np.linalg.norm(y2_c) - np.linalg.norm(blk.y1_c)) <= 1e-12
+    assert abs(np.linalg.norm(blk.y2) - np.linalg.norm(blk.y1)) <= 1e-12
+
+
+@pytest.mark.parametrize("cfg", [
+    NetworkConfig(n=8, p=2, tie_scaling=False, delay_alpha=complex(np.exp(0.4j)), seed=6),
+    NetworkConfig(n=4, param_mode=MODE_REAL, l_layers=9, seed=7),
+    NetworkConfig(n=4, kind=KIND_DENSE, l_layers=9, seed=8),
+], ids=["complex-p2", "real-L9", "dense-L9"])
+def test_traces_own_their_arrays(cfg):
+    # two traced forwards, then both backwards, give the packs of two
+    # interleaved forward/backward pairs: no trace shares an array that a
+    # later pass or a backward writes
+    net = build_network(cfg)
+    rng = np.random.default_rng(45)
+    net.set_flat(net.get_flat() + 0.1 * rng.standard_normal(net.param_count()))
+    xa, xb, ta, tb = (rng.standard_normal((2 * cfg.n, 5)) for _ in range(4))
+    packs = []
+    for x, t in ((xa, ta), (xb, tb)):
+        _, trace = forward(net, x, want_trace=True)
+        packs.append(backward(net, trace, t).to_flat(net))
+    _, trace_a = forward(net, xa, want_trace=True)
+    _, trace_b = forward(net, xb, want_trace=True)
+    assert backward(net, trace_a, ta).to_flat(net).tobytes() == packs[0].tobytes()
+    assert backward(net, trace_b, tb).to_flat(net).tobytes() == packs[1].tobytes()
+    # a trace survives its own backward
+    assert backward(net, trace_a, ta).to_flat(net).tobytes() == packs[0].tobytes()
 
 
 def test_delay_exponents_run_zero_to_2pn_minus_1():

@@ -4,6 +4,7 @@ differences, the three optimizer kinds, and the training-loop contract
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from dvmbeam.network import (
 from dvmbeam.signals import make_dataset
 from dvmbeam.training import (
     OptimizerConfig,
+    _AdamState,
     TrainingDiverged,
     backward,
     evaluate_mse,
@@ -328,6 +330,50 @@ def test_adam_descends_on_quadratic():
     for _ in range(60):
         theta, state = optimizer_step(theta, 2.0 * theta, state, opt)
     assert abs(theta[0]) < 0.2
+
+
+def _reference_adam_step(m, v, t, g, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """The update as one expression per moment, with its temporaries: the
+    in-place update must reproduce it bit for bit."""
+    m *= b1
+    m += (1 - b1) * g
+    v *= b2
+    v += (1 - b2) * g * g
+    mh = m / (1 - b1 ** t)
+    vh = v / (1 - b2 ** t)
+    return lr * mh / (np.sqrt(vh) + eps)
+
+
+@pytest.mark.parametrize("size,lr,seed", [
+    (1, 1e-3, 0), (7, 0.5, 1), (64, 3e-2, 2), (384, 3e-2, 3), (1000, 0.1, 4), (4097, 1e-2, 5),
+])
+def test_adam_update_matches_reference_bytes(size, lr, seed):
+    rng = np.random.default_rng(seed)
+    state = _AdamState(size)
+    m, v = np.zeros(size), np.zeros(size)
+    for t in range(1, 21):
+        g = rng.standard_normal(size) * 10.0 ** rng.integers(-6, 3)
+        g[:: 3] = 0.0
+        want = _reference_adam_step(m, v, t, g, lr)
+        got = state.update(g, lr)
+        assert got.tobytes() == want.tobytes()
+        assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
+
+
+def test_adam_update_allocates_two_vectors():
+    # every intermediate lives in two scratch arrays, one of them the step
+    size = 100_000
+    state = _AdamState(size)
+    g = np.random.default_rng(6).standard_normal(size)
+    state.update(g, 1e-3)
+    tracemalloc.start()
+    try:
+        step = state.update(g, 1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert step.shape == (size,)
+    assert peak <= 2 * 8 * size + 4096
 
 
 def test_step_shape_mismatch():
