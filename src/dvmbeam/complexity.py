@@ -86,8 +86,8 @@ def _chain_counted(m: int, depth: int) -> dict:
 def flops_counted_structured(
     n: int, depth: int | None = None, l_layers: int = 5, p: int = 1
 ) -> dict:
-    """Layer-walked operation count for the structured kind (complex
-    parameter mode) under the module convention."""
+    """Layer-walked operation count for the structured kind under the
+    module convention."""
     _check_n(n)
     cfg = NetworkConfig(n=n, p=p, depth=depth, l_layers=l_layers)
     m, h = cfg.m, cfg.hidden

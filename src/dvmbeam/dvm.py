@@ -431,13 +431,6 @@ def _interleave_index(size: int, depth: int):
     return hit
 
 
-def _param_array(a) -> np.ndarray:
-    """A real float64 array stays real (and stays the same array, so a view
-    into a parameter buffer remains one); anything else becomes complex128."""
-    a = np.asarray(a)
-    return a if a.dtype == np.float64 else a.astype(np.complex128, copy=False)
-
-
 class RecursiveDftChain:
     """DFT of a power-of-two size as depth butterfly levels plus leaf blocks.
 
@@ -469,8 +462,10 @@ class RecursiveDftChain:
             )
         self.size = size
         self.depth = depth
-        self.twiddles = [_param_array(t) for t in twiddles]
-        self.leaf = _param_array(leaf)
+        # a complex128 array is kept as is, so a view into a parameter buffer
+        # stays one
+        self.twiddles = [np.asarray(t, dtype=np.complex128) for t in twiddles]
+        self.leaf = np.asarray(leaf, dtype=np.complex128)
         self.scale = float(scale)
         self.shared = bool(shared)
         for lvl, t in enumerate(self.twiddles):

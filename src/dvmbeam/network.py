@@ -25,7 +25,6 @@ are known to this module only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import json
 import math
 import struct
 from typing import NamedTuple
@@ -43,9 +42,6 @@ from .dvm import (
 
 KIND_STRUCTURED = "structured"
 KIND_DENSE = "fully_connected"
-
-MODE_COMPLEX = "complex"
-MODE_REAL = "real"
 
 # Recursion depths used by the reference configurations; other sizes default
 # to log2(N), one level short of full depth.
@@ -89,15 +85,11 @@ class NetworkConfig:
     """Shape and behavior of one network.
 
     n: channel count (power of two >= 2); hidden width is 4*p*n.
-    depth: butterfly levels in each trainable DFT chain (the lambda knob).
-        Complex mode runs chains of complex size 2n, so depth <= log2(2n);
-        real mode runs them at real size 4n, so depth <= log2(4n).
+    depth: butterfly levels in each trainable DFT chain (the lambda knob);
+        the chains have complex size 2n, so depth <= log2(2n).
     l_layers: total layer count; 5, or 4k+1 to repeat the block structure.
     delay_alpha: unit-modulus generator of the frozen delay diagonal
         (1 makes the delay the identity).
-    param_mode: "complex" (default; the only mode that can represent the
-        exact transform) or "real", one real scalar per real-split
-        coordinate as in the operation-count reading.
     tie_scaling: share each submatrix's chirp scaling diagonal between the
         input and output layers, as the factorization itself does.
     """
@@ -110,7 +102,6 @@ class NetworkConfig:
     activation_slope: float = 0.2
     delay_alpha: complex = 1.0 + 0.0j
     seed: int = 0
-    param_mode: str = MODE_COMPLEX
     tie_scaling: bool = True
     share_siblings: bool = True
 
@@ -125,8 +116,6 @@ class NetworkConfig:
             )
         if self.kind not in (KIND_STRUCTURED, KIND_DENSE):
             raise ValueError(f"unknown kind {self.kind!r}")
-        if self.param_mode not in (MODE_COMPLEX, MODE_REAL):
-            raise ValueError(f"unknown param_mode {self.param_mode!r}")
         check_seed(self.seed)
         # written so that NaN fails too: a corrupt model header must not load
         if not abs(abs(self.delay_alpha) - 1.0) <= UNIT_TOL:
@@ -136,21 +125,16 @@ class NetworkConfig:
                 f"activation_slope must be finite and >= 0, got {self.activation_slope!r}"
             )
         if self.kind == KIND_STRUCTURED:
-            lim = self.chain_size.bit_length() - 1
+            lim = self.m.bit_length() - 1
             if not 0 <= self.resolved_depth <= lim:
                 raise ValueError(
                     f"depth {self.resolved_depth} out of range 0..{lim} "
-                    f"for chain size {self.chain_size}"
+                    f"for chain size {self.m}"
                 )
 
     @property
     def m(self) -> int:
         return 2 * self.n
-
-    @property
-    def chain_size(self) -> int:
-        # complex chains act on C^(2n); real mode runs the real-split width
-        return self.m if self.param_mode == MODE_COMPLEX else 2 * self.m
 
     @property
     def resolved_depth(self) -> int:
@@ -174,13 +158,16 @@ class NetworkConfig:
             "activation_slope": self.activation_slope,
             "delay_alpha": [self.delay_alpha.real, self.delay_alpha.imag],
             "seed": self.seed,
-            "param_mode": self.param_mode,
+            # parameters are always complex; report digests hash this key
+            "param_mode": "complex",
             "tie_scaling": self.tie_scaling,
             "share_siblings": self.share_siblings,
         }
 
     @staticmethod
     def from_dict(d: dict) -> "NetworkConfig":
+        if d.get("param_mode", "complex") != "complex":
+            raise ValueError(f"unsupported param_mode {d['param_mode']!r}: parameters are complex")
         da = d.get("delay_alpha", [1.0, 0.0])
         return NetworkConfig(
             n=int(d["n"]),
@@ -191,7 +178,6 @@ class NetworkConfig:
             activation_slope=float(d.get("activation_slope", 0.2)),
             delay_alpha=complex(da[0], da[1]),
             seed=int(d.get("seed", 0)),
-            param_mode=d.get("param_mode", MODE_COMPLEX),
             tie_scaling=bool(d.get("tie_scaling", True)),
             share_siblings=bool(d.get("share_siblings", True)),
         )
@@ -199,9 +185,9 @@ class NetworkConfig:
 
 @dataclass
 class StructuredBlock:
-    d_hat: list          # p arrays: complex (n,) or real (2n,)
+    d_hat: list          # p arrays: complex (n,)
     f_chains: list       # p RecursiveDftChain
-    d_breve: list        # p arrays: complex (m,) or real (2m,)
+    d_breve: list        # p arrays: complex (m,)
     fstar_chains: list   # p RecursiveDftChain
     d_hat_out: list | None  # None when tied to d_hat
     bias1: np.ndarray
@@ -382,22 +368,6 @@ def _add_column_sums(dst, f) -> None:
     d[1] += f[:, 1::2].sum(axis=1)
 
 
-def _pack(cfg: NetworkConfig, c) -> np.ndarray:
-    """Carrier to the vector a DFT chain runs on: c itself in complex mode;
-    in real mode the stacked real vector [Re c; Im c] as complex (its
-    imaginary part stays exactly zero through the chains)."""
-    if cfg.param_mode == MODE_COMPLEX:
-        return c
-    return real_split(c).astype(np.complex128)
-
-
-def _unpack(cfg: NetworkConfig, z) -> np.ndarray:
-    """Chain vector back to a carrier; inverse of _pack."""
-    if cfg.param_mode == MODE_COMPLEX:
-        return z
-    return real_join(z.real)
-
-
 def _run_chain(chain, x, traces):
     """chain applied to x; a traces list (None when not tracing) keeps the
     chain's trace for the reverse pass."""
@@ -443,13 +413,13 @@ def _block_forward(cfg: NetworkConfig, blk, delay, x, want_trace):
     if dense:
         h = real_join(blk.w1 @ x)
     else:
-        x_c = _pack(cfg, real_join(x))
+        x_c = real_join(x)
         parts = []
         for i in range(cfg.p):
             c = _run_chain(blk.f_chains[i], blk.d_hat[i][:, None] * x_c, chain_traces)
             chain_out.append(c if want_trace else None)  # only a trace keeps c alive
             z = np.multiply(blk.d_breve[i][:, None], c, out=None if want_trace else c)
-            parts.append(_unpack(cfg, z))
+            parts.append(z)
         h = _stack(parts)
 
     pre1, y1, y2, y3 = _middle_forward(cfg, blk, delay, h, want_trace)
@@ -460,12 +430,12 @@ def _block_forward(cfg: NetworkConfig, blk, delay, x, want_trace):
         d_out = blk.d_hat if blk.d_hat_out is None else blk.d_hat_out
         v = None
         for i in range(cfg.p):
-            t = _run_chain(blk.fstar_chains[i], _pack(cfg, y3[i * m:(i + 1) * m]),
+            t = _run_chain(blk.fstar_chains[i], y3[i * m:(i + 1) * m],
                            fstar_traces)[: x_c.shape[0]]
             t_trunc.append(t if want_trace else None)
             vi = np.multiply(d_out[i][:, None], t, out=None if want_trace else t)
             v = vi if v is None else v + vi
-        y_out = real_split(_unpack(cfg, v))
+        y_out = real_split(v)
     y_out += blk.bias_out[:, None]
 
     trace = None
@@ -501,21 +471,13 @@ def forward(net: Network, x, want_trace: bool = False):
 # complex z is g = dL/dRe(z) + j dL/dIm(z), which gives the familiar rules
 #     y = d * x      ->  g_d += g_y * conj(x),  g_x = g_y * conj(d)
 #     y = A  x       ->  g_A += g_y x^H,        g_x = A^H g_y
-# and lets one pass serve both parameter modes: real-mode parameters take
-# the real part of their carrier product, which is the gradient restricted
-# to the real axis.  The real-split hidden parameters (bias1, skip) see the
-# carrier's real and imaginary parts as their two sections.
-
-
-def _accumulate(dst, g):
-    """Add a complex carrier product into a gradient array; a real parameter
-    takes its real part, the gradient restricted to the real axis."""
-    dst += g if dst.dtype.kind == "c" else g.real
+# The real-split hidden parameters (bias1, skip) see the carrier's real and
+# imaginary parts as their two sections.
 
 
 def _accumulate_chain(gchain, tw_grads, leaf_grad):
     for dst, g in zip(gchain.param_arrays(), tw_grads + [leaf_grad]):
-        _accumulate(dst, g)
+        dst += g
 
 
 def _middle_backward(cfg: NetworkConfig, blk, gblk, delay, tr, g_h):
@@ -545,18 +507,18 @@ def _block_backward(cfg: NetworkConfig, blk, gblk, delay, tr, g_out):
         gblk.w4 += g_out @ real_split(tr.y3).T
         g_h = real_join(blk.w4.T @ g_out)
     else:
-        g_v = _pack(cfg, real_join(g_out))
+        g_v = real_join(g_out)
         # tied: the output side's share joins d_hat's
         d_out = blk.d_hat if blk.d_hat_out is None else blk.d_hat_out
         gd_out = gblk.d_hat if blk.d_hat_out is None else gblk.d_hat_out
         parts = []
         for i in range(cfg.p):
-            _accumulate(gd_out[i], (g_v * np.conj(tr.t_trunc[i])).sum(axis=1))
-            g_fs = np.zeros((cfg.chain_size, g_v.shape[1]), dtype=np.complex128)
+            gd_out[i] += (g_v * np.conj(tr.t_trunc[i])).sum(axis=1)
+            g_fs = np.zeros((m, g_v.shape[1]), dtype=np.complex128)
             g_fs[: g_v.shape[0]] = np.conj(d_out[i])[:, None] * g_v
             g_ci, tw_g, leaf_g = blk.fstar_chains[i].backward(tr.fstar_traces[i], g_fs)
             _accumulate_chain(gblk.fstar_chains[i], tw_g, leaf_g)
-            parts.append(_unpack(cfg, g_ci))
+            parts.append(g_ci)
         g_h = _stack(parts)
 
     g_pre1 = _middle_backward(cfg, blk, gblk, delay, tr, g_h)
@@ -567,14 +529,14 @@ def _block_backward(cfg: NetworkConfig, blk, gblk, delay, tr, g_out):
         return blk.w1.T @ g_r
     g_x_c = np.zeros_like(tr.x_c)
     for i in range(cfg.p):
-        g_z = _pack(cfg, g_pre1[i * m:(i + 1) * m])
-        _accumulate(gblk.d_breve[i], (g_z * np.conj(tr.chain_out[i])).sum(axis=1))
+        g_z = g_pre1[i * m:(i + 1) * m]
+        gblk.d_breve[i] += (g_z * np.conj(tr.chain_out[i])).sum(axis=1)
         g_c = np.conj(blk.d_breve[i])[:, None] * g_z
         g_u, tw_g, leaf_g = blk.f_chains[i].backward(tr.chain_traces[i], g_c)
         _accumulate_chain(gblk.f_chains[i], tw_g, leaf_g)
-        _accumulate(gblk.d_hat[i], (g_u * np.conj(tr.x_c)).sum(axis=1))
+        gblk.d_hat[i] += (g_u * np.conj(tr.x_c)).sum(axis=1)
         g_x_c += np.conj(blk.d_hat[i])[:, None] * g_u
-    return real_split(_unpack(cfg, g_x_c))
+    return real_split(g_x_c)
 
 
 def _backward(net: Network, trace: ForwardTrace, g_out) -> np.ndarray:
@@ -599,10 +561,8 @@ def _backward(net: Network, trace: ForwardTrace, g_out) -> np.ndarray:
 # construction
 
 
-def _random_unit(rng, shape, mode):
-    if mode == MODE_COMPLEX:
-        return np.exp(2j * np.pi * rng.random(shape))
-    return rng.standard_normal(shape)
+def _random_unit(rng, shape):
+    return np.exp(2j * np.pi * rng.random(shape))
 
 
 def build_network(config: NetworkConfig) -> Network:
@@ -623,8 +583,6 @@ class _ZeroDraws:
 
     def random(self, shape):
         return np.zeros(shape)
-
-    standard_normal = random
 
     def uniform(self, low, high, shape):
         return np.zeros(shape)
@@ -648,20 +606,15 @@ def _build(cfg: NetworkConfig, rng) -> Network:
                 )
             )
             continue
-        complex_mode = cfg.param_mode == MODE_COMPLEX
-        diag_n = n if complex_mode else 2 * n
-        diag_m = m if complex_mode else 2 * m
         d_hat, d_breve, f_chains, fstar_chains, d_hat_out = [], [], [], [], []
         for _ in range(p):
-            d_hat.append(_random_unit(rng, diag_n, cfg.param_mode))
-            f_chains.append(
-                _chain_init(cfg, rng, exact=False)
-            )
-            d_breve.append(_random_unit(rng, diag_m, cfg.param_mode))
+            d_hat.append(_random_unit(rng, n))
+            f_chains.append(_chain_init(cfg, rng, exact=False))
+            d_breve.append(_random_unit(rng, m))
         for _ in range(p):
             fstar_chains.append(_chain_init(cfg, rng, exact=False))
             if not cfg.tie_scaling:
-                d_hat_out.append(_random_unit(rng, diag_n, cfg.param_mode))
+                d_hat_out.append(_random_unit(rng, n))
         blocks.append(
             StructuredBlock(
                 d_hat=d_hat,
@@ -678,8 +631,8 @@ def _build(cfg: NetworkConfig, rng) -> Network:
 
 
 def _chain_init(cfg, rng, exact, inverse=False):
-    chain = build_recursive_dft_chain(
-        cfg.chain_size,
+    return build_recursive_dft_chain(
+        cfg.m,
         cfg.resolved_depth,
         exact=exact,
         inverse=inverse,
@@ -687,11 +640,6 @@ def _chain_init(cfg, rng, exact, inverse=False):
         shared=cfg.share_siblings,
         rng=None if exact else rng,
     )
-    if cfg.param_mode == MODE_REAL and not exact:
-        # real mode keeps the real parts of the same random draw
-        chain.twiddles = [tw.real for tw in chain.twiddles]
-        chain.leaf = chain.leaf.real
-    return chain
 
 
 def init_from_dvm(net: Network, alpha: complex) -> Network:
@@ -701,13 +649,11 @@ def init_from_dvm(net: Network, alpha: complex) -> Network:
     values become exact (conjugated on the output side), the middle diagonal
     becomes the raw DFT of the chirp circulant column, and biases and skip
     go to zero.  With slope 1 and delay_alpha 1 the p=1 network then applies
-    the scaled DVM exactly.  Complex parameter mode only.
+    the scaled DVM exactly.
     """
     cfg = net.config
     if cfg.kind != KIND_STRUCTURED:
         raise ValueError("exact initialization applies to the structured kind")
-    if cfg.param_mode != MODE_COMPLEX:
-        raise ValueError("exact DVM initialization requires complex parameter mode")
     if not abs(abs(alpha) - 1.0) <= UNIT_TOL:
         raise ValueError("alpha must be unit modulus")
     chirp = build_bluestein_chain(DvmSpec(cfg.n, alpha)).factors
@@ -742,7 +688,7 @@ def expected_param_count(cfg: NetworkConfig) -> int:
     if cfg.kind == KIND_DENSE:
         per_block = 2 * hidden * 2 * n + 2 * hidden + 2 * n
     else:
-        size, depth = cfg.chain_size, cfg.resolved_depth
+        size, depth = cfg.m, cfg.resolved_depth
         leaf = size >> depth
         if cfg.share_siblings:
             # one diagonal per level: size/2 + size/4 + ... + leaf
@@ -750,10 +696,8 @@ def expected_param_count(cfg: NetworkConfig) -> int:
         else:
             # 2**l diagonals of size/2**(l+1) per level; 2**depth leaves
             chain = depth * size // 2 + size * leaf
-        diag_n, diag_m = (n, cfg.m) if cfg.param_mode == MODE_COMPLEX else (2 * n, 2 * cfg.m)
-        entries = diag_n + diag_m + 2 * chain + (0 if cfg.tie_scaling else diag_n)
-        scalars = 2 * entries if cfg.param_mode == MODE_COMPLEX else entries
-        per_block = p * scalars + 2 * hidden + 2 * n
+        entries = n + cfg.m + 2 * chain + (0 if cfg.tie_scaling else n)
+        per_block = p * 2 * entries + 2 * hidden + 2 * n
     return per_block * cfg.blocks_count
 
 
@@ -773,11 +717,11 @@ def count_parameters(net: Network) -> dict:
 _MAGIC = b"STNN"
 _FORMAT_VERSION = 1
 # byte offsets: magic 0, version 4, n 8, p 12, depth 16, l_layers 20; the kind,
-# mode, tie-scaling and share-siblings codes 24-27; slope 28, delay alpha re 36
-# and im 44, reserved 52, seed 60, parameter count 68; the payload starts at 76
+# parameter-mode, tie-scaling and share-siblings codes 24-27; slope 28, delay
+# alpha re 36 and im 44, reserved 52, seed 60, parameter count 68; the payload
+# starts at 76.  Byte 25 is always 0: parameters are complex.
 _HEAD_FMT = "<4sIIIIIBBBBddddqQ"
 _KIND_CODE = {KIND_STRUCTURED: 0, KIND_DENSE: 1}
-_MODE_CODE = {MODE_COMPLEX: 0, MODE_REAL: 1}
 
 
 def save_network(net: Network, path: str) -> None:
@@ -794,7 +738,7 @@ def save_network(net: Network, path: str) -> None:
         cfg.resolved_depth,
         cfg.l_layers,
         _KIND_CODE[cfg.kind],
-        _MODE_CODE[cfg.param_mode],
+        0,  # parameter mode: complex
         int(cfg.tie_scaling),
         int(cfg.share_siblings),
         cfg.activation_slope,
@@ -826,9 +770,8 @@ def load_network(path: str) -> Network:
     kind = {v: k for k, v in _KIND_CODE.items()}.get(kind_c)
     if kind is None:
         raise ValueError(f"{path}: unknown network kind code {kind_c} (byte 24)")
-    mode = {v: k for k, v in _MODE_CODE.items()}.get(mode_c)
-    if mode is None:
-        raise ValueError(f"{path}: unknown parameter mode code {mode_c} (byte 25)")
+    if mode_c != 0:
+        raise ValueError(f"{path}: parameter mode code {mode_c} (byte 25) must be 0, complex")
     for name, value, offset in (("tie-scaling", tie, 26), ("share-siblings", share, 27)):
         if value not in (0, 1):
             raise ValueError(f"{path}: {name} flag {value} (byte {offset}) must be 0 or 1")
@@ -837,7 +780,7 @@ def load_network(path: str) -> Network:
     cfg = NetworkConfig(
         n=n, p=p, depth=depth, l_layers=l_layers, kind=kind,
         activation_slope=slope, delay_alpha=complex(da_re, da_im), seed=seed,
-        param_mode=mode, tie_scaling=bool(tie), share_siblings=bool(share),
+        tie_scaling=bool(tie), share_siblings=bool(share),
     )
     # the header is untrusted: check its sizes before allocating a network
     want = expected_param_count(cfg)
@@ -851,34 +794,3 @@ def load_network(path: str) -> Network:
     net.set_flat(np.frombuffer(data, dtype="<f8", offset=head_size))
     return net
 
-
-def network_to_json(net: Network) -> dict:
-    """JSON-friendly mirror of the binary format, for inspection."""
-    params = {}
-    for path, arr, kind in net.param_entries():
-        if kind == "complex":
-            params[path] = {
-                "kind": kind,
-                "shape": list(arr.shape),
-                "re": arr.real.ravel().tolist(),
-                "im": arr.imag.ravel().tolist(),
-            }
-        else:
-            params[path] = {
-                "kind": kind,
-                "shape": list(arr.shape),
-                "values": arr.ravel().tolist(),
-            }
-    return {
-        "format": "dvmbeam-network",
-        "version": _FORMAT_VERSION,
-        "config": net.config.to_dict(),
-        "param_count": net.param_count(),
-        "params": params,
-    }
-
-
-def save_network_json(net: Network, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(network_to_json(net), fh, indent=1, sort_keys=True)
-        fh.write("\n")

@@ -44,6 +44,8 @@ def mse_loss(pred, target, n: int) -> float:
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch {pred.shape} vs {target.shape}")
     cols = 1 if pred.ndim == 1 else pred.shape[1]
+    if cols == 0:
+        raise ValueError("empty batch: the MSE of zero columns is undefined")
     return float(np.sum((pred - target) ** 2) / (n * cols))
 
 
@@ -74,6 +76,8 @@ def backward(net: Network, trace, target, norm: float | None = None) -> Gradient
     if y.shape != target.shape:
         raise ValueError(f"target shape {target.shape} does not match {y.shape}")
     if norm is None:
+        if y.shape[1] == 0:
+            raise ValueError("empty batch: pass norm to take the gradient of zero columns")
         norm = cfg.n * y.shape[1]
     g = (2.0 / norm) * (y - target)
     return GradientPack(_backward(net, trace, g), net.layout)

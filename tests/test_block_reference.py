@@ -15,7 +15,6 @@ import pytest
 from dvmbeam.dvm import build_recursive_dft_chain
 from dvmbeam.network import (
     KIND_DENSE,
-    MODE_COMPLEX,
     NetworkConfig,
     _build,
     _ZeroDraws,
@@ -83,17 +82,12 @@ def _ref_chain_backward(chain, trace, grad_out):
     return g, tw_grads, leaf_grad
 
 
-def _ref_pack(cfg, re, im):
-    if cfg.param_mode == MODE_COMPLEX:
-        return re + 1j * im
-    return np.concatenate([re, im]).astype(np.complex128)
+def _ref_pack(re, im):
+    return re + 1j * im
 
 
-def _ref_unpack(cfg, c):
-    if cfg.param_mode == MODE_COMPLEX:
-        return c.real, c.imag
-    k = c.shape[0] // 2
-    return c.real[:k], c.real[k:]
+def _ref_unpack(c):
+    return c.real, c.imag
 
 
 def _ref_chain(chain, x, traces):
@@ -111,14 +105,14 @@ def _ref_block_forward(cfg, blk, delay, x, want_trace):
     if dense:
         pre1 = blk.w1 @ x
     else:
-        x_c = _ref_pack(cfg, x[:n], x[n:])
+        x_c = _ref_pack(x[:n], x[n:])
         re_parts, im_parts = [], []
         for i in range(cfg.p):
-            pad = np.zeros((cfg.chain_size, x.shape[1]), dtype=np.complex128)
+            pad = np.zeros((m, x.shape[1]), dtype=np.complex128)
             pad[: x_c.shape[0]] = blk.d_hat[i][:, None] * x_c
             c = _ref_chain(blk.f_chains[i], pad, chain_traces)
             chain_out.append(c)
-            re, im = _ref_unpack(cfg, blk.d_breve[i][:, None] * c)
+            re, im = _ref_unpack(blk.d_breve[i][:, None] * c)
             re_parts.append(re)
             im_parts.append(im)
         pre1 = np.concatenate(re_parts + im_parts)
@@ -135,12 +129,12 @@ def _ref_block_forward(cfg, blk, delay, x, want_trace):
         v = None
         for i in range(cfg.p):
             slot = slice(i * m, (i + 1) * m)
-            chain_in = _ref_pack(cfg, y3[:half][slot], y3[half:][slot])
+            chain_in = _ref_pack(y3[:half][slot], y3[half:][slot])
             t = _ref_chain(blk.fstar_chains[i], chain_in, fstar_traces)[: x_c.shape[0]]
             t_trunc.append(t)
             vi = d_out[i][:, None] * t
             v = vi if v is None else v + vi
-        y_out = np.concatenate(_ref_unpack(cfg, v))
+        y_out = np.concatenate(_ref_unpack(v))
     y_out += blk.bias_out[:, None]
     trace = dict(x=x, x_c=x_c, chain_traces=chain_traces, chain_out=chain_out, pre1=pre1,
                  y1=y1, y3=y3, fstar_traces=fstar_traces, t_trunc=t_trunc)
@@ -159,13 +153,9 @@ def ref_forward(net, x, want_trace=False):
     return (y[:, 0] if flat else y), traces
 
 
-def _ref_accumulate(dst, g):
-    dst += g if dst.dtype.kind == "c" else g.real
-
-
 def _ref_accumulate_chain(gchain, tw_grads, leaf_grad):
     for dst, g in zip(gchain.param_arrays(), tw_grads + [leaf_grad]):
-        _ref_accumulate(dst, g)
+        dst += g
 
 
 def _ref_block_backward(cfg, blk, gblk, delay, tr, g_out):
@@ -177,19 +167,19 @@ def _ref_block_backward(cfg, blk, gblk, delay, tr, g_out):
         g_y3 = blk.w4.T @ g_out
         g_y3c = g_y3[:half] + 1j * g_y3[half:]
     else:
-        g_v = _ref_pack(cfg, g_out[:n], g_out[n:])
+        g_v = _ref_pack(g_out[:n], g_out[n:])
         g_y3c = np.empty((half, g_out.shape[1]), dtype=np.complex128)
         d_out = blk.d_hat if blk.d_hat_out is None else blk.d_hat_out
         gd_out = gblk.d_hat if blk.d_hat_out is None else gblk.d_hat_out
         for i in range(cfg.p):
-            _ref_accumulate(gd_out[i], (g_v * np.conj(tr["t_trunc"][i])).sum(axis=1))
-            g_fs = np.zeros((cfg.chain_size, g_v.shape[1]), dtype=np.complex128)
+            gd_out[i] += (g_v * np.conj(tr["t_trunc"][i])).sum(axis=1)
+            g_fs = np.zeros((m, g_v.shape[1]), dtype=np.complex128)
             g_fs[: g_v.shape[0]] = np.conj(d_out[i])[:, None] * g_v
             g_ci, tw_g, leaf_g = _ref_chain_backward(blk.fstar_chains[i],
                                                      tr["fstar_traces"][i], g_fs)
             _ref_accumulate_chain(gblk.fstar_chains[i], tw_g, leaf_g)
             slot = slice(i * m, (i + 1) * m)
-            g_y3c.real[slot], g_y3c.imag[slot] = _ref_unpack(cfg, g_ci)
+            g_y3c.real[slot], g_y3c.imag[slot] = _ref_unpack(g_ci)
     g_y3 = np.concatenate([g_y3c.real, g_y3c.imag])
     gblk.skip += (g_y3 * tr["y1"]).sum(axis=1)
     g_y1c = np.conj(delay)[:, None] * g_y3c
@@ -202,15 +192,15 @@ def _ref_block_backward(cfg, blk, gblk, delay, tr, g_out):
     g_x_c = np.zeros_like(tr["x_c"])
     for i in range(cfg.p):
         slot = slice(i * m, (i + 1) * m)
-        g_z = _ref_pack(cfg, g_pre1[:half][slot], g_pre1[half:][slot])
-        _ref_accumulate(gblk.d_breve[i], (g_z * np.conj(tr["chain_out"][i])).sum(axis=1))
+        g_z = _ref_pack(g_pre1[:half][slot], g_pre1[half:][slot])
+        gblk.d_breve[i] += (g_z * np.conj(tr["chain_out"][i])).sum(axis=1)
         g_c = np.conj(blk.d_breve[i])[:, None] * g_z
         g_pad, tw_g, leaf_g = _ref_chain_backward(blk.f_chains[i], tr["chain_traces"][i], g_c)
         _ref_accumulate_chain(gblk.f_chains[i], tw_g, leaf_g)
         g_u = g_pad[: g_x_c.shape[0]]
-        _ref_accumulate(gblk.d_hat[i], (g_u * np.conj(tr["x_c"])).sum(axis=1))
+        gblk.d_hat[i] += (g_u * np.conj(tr["x_c"])).sum(axis=1)
         g_x_c += np.conj(blk.d_hat[i])[:, None] * g_u
-    return np.concatenate(_ref_unpack(cfg, g_x_c))
+    return np.concatenate(_ref_unpack(g_x_c))
 
 
 def ref_grads(net, x, target, norm=None):
@@ -254,14 +244,11 @@ CONFIGS = [
     NetworkConfig(n=8, depth=4, activation_slope=2.5, delay_alpha=DELAY, seed=5),
     NetworkConfig(n=4, p=2, depth=1, tie_scaling=False, l_layers=9, seed=6),
     NetworkConfig(n=16, share_siblings=False, activation_slope=0.0, seed=7),
-    NetworkConfig(n=8, param_mode="real", delay_alpha=DELAY, seed=8),
-    NetworkConfig(n=4, p=2, param_mode="real", tie_scaling=False, share_siblings=False,
-                  l_layers=9, activation_slope=0.0, seed=9),
     NetworkConfig(n=8, p=2, kind=KIND_DENSE, l_layers=9, delay_alpha=DELAY, seed=10),
     NetworkConfig(n=8, kind=KIND_DENSE, activation_slope=0.0, seed=11),
 ]
 IDS = ["default", "p2-relu", "untied-unshared-L9", "depth0", "fulldepth-slope2.5",
-       "p2-depth1-L9", "unshared-relu", "real", "real-p2-L9", "dense-p2-L9", "dense-relu"]
+       "p2-depth1-L9", "unshared-relu", "dense-p2-L9", "dense-relu"]
 
 
 def _perturbed(cfg):
@@ -309,8 +296,7 @@ def test_exact_net_equals_reference_bytes():
     assert _same(forward(net, x)[0], ref_forward(net, x)[0])
 
 
-@pytest.mark.parametrize("cfg", [CONFIGS[0], CONFIGS[7], CONFIGS[9]],
-                         ids=["default", "real", "dense-p2-L9"])
+@pytest.mark.parametrize("cfg", [CONFIGS[0], CONFIGS[7]], ids=["default", "dense-p2-L9"])
 def test_signed_zeros_and_extremes_equal_reference_bytes(cfg):
     net, _ = _perturbed(cfg)
     col = np.array([0.0, -0.0, 1e300, -1e-310, 3.0, -2.5, 5e-324, -1e200] * 4)[: 2 * cfg.n]
@@ -343,8 +329,8 @@ def test_chain_equals_reference_bytes(size, depth, shared):
             assert _same(a, b)
 
 
-@pytest.mark.parametrize("cfg", [CONFIGS[0], CONFIGS[2], CONFIGS[7], CONFIGS[9]],
-                         ids=["default", "untied-unshared-L9", "real", "dense-p2-L9"])
+@pytest.mark.parametrize("cfg", [CONFIGS[0], CONFIGS[2], CONFIGS[7]],
+                         ids=["default", "untied-unshared-L9", "dense-p2-L9"])
 def test_zero_column_batch(cfg):
     net = build_network(cfg)
     y, trace = forward(net, np.zeros((2 * cfg.n, 0)), want_trace=True)

@@ -324,6 +324,23 @@ def test_eval_corrupt_model_code_byte(exact_model, data4_clean, work, capsys, of
     assert f"{what} code 7" in err and f"byte {offset}" in err
 
 
+def test_eval_rejects_a_real_parameter_mode_model(exact_model, data4_clean, work):
+    # a model file with real parameters (mode code 1) does not load
+    data = bytearray(exact_model.read_bytes())
+    data[25] = 1
+    bad = work / "real_mode.net"
+    bad.write_bytes(bytes(data))
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    res = subprocess.run(
+        [sys.executable, "-m", "dvmbeam", "eval", "--model", str(bad), "--data", str(data4_clean)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert res.returncode == EXIT_IO
+    assert "mode code 1 (byte 25)" in res.stderr and "Traceback" not in res.stderr
+    assert res.stdout == ""
+
+
 @pytest.mark.parametrize("offset,what", [(26, "tie-scaling"), (27, "share-siblings")])
 def test_eval_corrupt_model_flag_byte(exact_model, data4_clean, work, capsys, offset, what):
     data = bytearray(exact_model.read_bytes())

@@ -10,7 +10,6 @@ from dvmbeam.dvm import DvmSpec, scaled_dvm_dense
 from dvmbeam.network import (
     KIND_DENSE,
     KIND_STRUCTURED,
-    MODE_REAL,
     NetworkConfig,
     build_network,
     count_parameters,
@@ -19,11 +18,9 @@ from dvmbeam.network import (
     init_from_dvm,
     leaky_relu,
     load_network,
-    network_to_json,
     real_join,
     real_split,
     save_network,
-    save_network_json,
 )
 from dvmbeam.training import backward
 
@@ -102,8 +99,6 @@ def test_config_validation():
         NetworkConfig(n=8, delay_alpha=2.0 + 0.0j)
     with pytest.raises(ValueError):
         NetworkConfig(n=8, kind="perceptron")
-    with pytest.raises(ValueError):
-        NetworkConfig(n=8, param_mode="quaternion")
 
 
 @pytest.mark.parametrize("seed", [-1, 2**63, 2.0, None])
@@ -113,16 +108,20 @@ def test_config_seed_must_fit_the_header_field(seed):
     assert NetworkConfig(n=4, seed=2**63 - 1).seed == 2**63 - 1
 
 
-def test_config_real_mode_allows_deeper_chains():
-    # real-split chains run at twice the complex size, one extra level
-    NetworkConfig(n=8, depth=5, param_mode=MODE_REAL)
-    with pytest.raises(ValueError):
-        NetworkConfig(n=8, depth=6, param_mode=MODE_REAL)
-
-
 def test_config_roundtrip():
     cfg = NetworkConfig(n=16, p=2, depth=3, kind=KIND_DENSE, seed=9)
     assert NetworkConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def test_config_dict_names_complex_parameters_and_rejects_others():
+    cfg = NetworkConfig(n=8, depth=2, delay_alpha=complex(np.exp(0.3j)), tie_scaling=False,
+                        share_siblings=False, seed=4)
+    d = cfg.to_dict()
+    assert d["param_mode"] == "complex"
+    assert NetworkConfig.from_dict(d) == cfg
+    for mode in ("real", "quaternion"):
+        with pytest.raises(ValueError, match=f"param_mode '{mode}'"):
+            NetworkConfig.from_dict({**d, "param_mode": mode})
 
 
 def test_default_depth_schedule():
@@ -184,9 +183,8 @@ def test_delay_layer_is_isometry():
 
 @pytest.mark.parametrize("cfg", [
     NetworkConfig(n=8, p=2, tie_scaling=False, delay_alpha=complex(np.exp(0.4j)), seed=6),
-    NetworkConfig(n=4, param_mode=MODE_REAL, l_layers=9, seed=7),
     NetworkConfig(n=4, kind=KIND_DENSE, l_layers=9, seed=8),
-], ids=["complex-p2", "real-L9", "dense-L9"])
+], ids=["complex-p2", "dense-L9"])
 def test_traces_own_their_arrays(cfg):
     # two traced forwards, then both backwards, give the packs of two
     # interleaved forward/backward pairs: no trace shares an array that a
@@ -219,7 +217,7 @@ def densified_forward(net, x):
     matrix and run the block arithmetic with plain numpy."""
     cfg = net.config
     n, p, m = cfg.n, cfg.p, cfg.m
-    pad = np.zeros((cfg.chain_size, n), dtype=complex)
+    pad = np.zeros((m, n), dtype=complex)
     pad[:n] = np.eye(n)
     y = np.asarray(x, dtype=float)
     for blk in net.blocks:
@@ -313,10 +311,9 @@ def test_exact_init_is_deterministic():
 def test_exact_init_rejects_dense_and_real_mode():
     with pytest.raises(ValueError):
         init_from_dvm(build_network(NetworkConfig(n=8, kind=KIND_DENSE)), 1j)
-    with pytest.raises(ValueError):
-        init_from_dvm(
-            build_network(NetworkConfig(n=8, param_mode=MODE_REAL)), 1j
-        )
+    # nor can a real-mode network be configured
+    with pytest.raises(ValueError, match="param_mode"):
+        NetworkConfig.from_dict({"n": 8, "param_mode": "real"})
 
 
 def test_exact_init_leaves_frozen_structure_alone():
@@ -355,12 +352,6 @@ def test_structured_counts_frozen_and_banded():
 def test_structured_counts_untied():
     for n, want in ((8, 208), (16, 416), (32, 832)):
         net = build_network(NetworkConfig(n=n, tie_scaling=False))
-        assert net.param_count() == want
-
-
-def test_structured_counts_real_mode():
-    for n, want in ((8, 196), (16, 388)):
-        net = build_network(NetworkConfig(n=n, param_mode=MODE_REAL))
         assert net.param_count() == want
 
 
@@ -409,33 +400,19 @@ def test_flat_roundtrip():
             net.set_flat(flat[:-1])
 
 
-def test_real_mode_flat_stays_real():
-    # real mode stores chain twiddles and leaves as plain float64 views of the
-    # flat vector, so there is no imaginary part to drift
-    net = build_network(NetworkConfig(n=8, param_mode=MODE_REAL, seed=10))
-    flat = net.get_flat()
-    net.set_flat(flat * 1.5)
-    blk = net.blocks[0]
-    chains = blk.f_chains + blk.fstar_chains
-    arrays = [a for c in chains for a in c.param_arrays()] + blk.d_hat + blk.d_breve
-    for arr in arrays:
-        assert arr.dtype == np.float64
-        assert arr.base is net.flat
-    assert {kind for _, _, kind in net.param_entries()} == {"real"}
-    assert np.array_equal(net.get_flat(), flat * 1.5)
-
-
-# configurations covering both kinds, both parameter modes, untied scaling,
-# unshared siblings, p > 1 and repeated blocks
+# configurations covering both kinds, untied scaling, unshared siblings, p > 1
+# and repeated blocks
 BUFFER_CONFIGS = [
     NetworkConfig(n=8, seed=1),
-    NetworkConfig(n=8, param_mode=MODE_REAL, seed=2),
     NetworkConfig(n=4, p=2, tie_scaling=False, share_siblings=False, l_layers=9, seed=3),
-    NetworkConfig(n=4, p=2, param_mode=MODE_REAL, tie_scaling=False,
-                  share_siblings=False, seed=4),
     NetworkConfig(n=4, depth=0, seed=5),
     NetworkConfig(n=8, kind=KIND_DENSE, l_layers=9, seed=6),
 ]
+
+
+def _cfg_id(cfg):
+    """Test id of a config: kind, parameter type (always complex) and p."""
+    return f"{cfg.kind}-complex-p{cfg.p}"
 
 
 def _block_arrays(net):
@@ -474,7 +451,7 @@ def _unpack(flat, net):
     return out
 
 
-@pytest.mark.parametrize("cfg", BUFFER_CONFIGS, ids=lambda c: f"{c.kind}-{c.param_mode}-p{c.p}")
+@pytest.mark.parametrize("cfg", BUFFER_CONFIGS, ids=_cfg_id)
 def test_set_flat_shows_in_every_parameter_array(cfg):
     net = build_network(cfg)
     theta = np.random.default_rng(50).normal(size=net.param_count())
@@ -489,7 +466,7 @@ def test_set_flat_shows_in_every_parameter_array(cfg):
         assert np.shares_memory(reached[path], net.flat), path
 
 
-@pytest.mark.parametrize("cfg", BUFFER_CONFIGS, ids=lambda c: f"{c.kind}-{c.param_mode}-p{c.p}")
+@pytest.mark.parametrize("cfg", BUFFER_CONFIGS, ids=_cfg_id)
 def test_parameter_array_write_shows_in_get_flat(cfg):
     net = build_network(cfg)
     for path, arr in _block_arrays(net).items():
@@ -502,7 +479,7 @@ def test_parameter_array_write_shows_in_get_flat(cfg):
         assert all(np.array_equal(v, ref[p]) for p, v in others.items()), path
 
 
-@pytest.mark.parametrize("cfg", BUFFER_CONFIGS, ids=lambda c: f"{c.kind}-{c.param_mode}-p{c.p}")
+@pytest.mark.parametrize("cfg", BUFFER_CONFIGS, ids=_cfg_id)
 def test_complex_parameter_views_are_aligned(cfg):
     net = build_network(cfg)
     for path, arr, kind in net.param_entries():
@@ -511,7 +488,7 @@ def test_complex_parameter_views_are_aligned(cfg):
             assert arr.ctypes.data % 16 == 0 and arr.flags.aligned, path
 
 
-@pytest.mark.parametrize("cfg", BUFFER_CONFIGS, ids=lambda c: f"{c.kind}-{c.param_mode}-p{c.p}")
+@pytest.mark.parametrize("cfg", BUFFER_CONFIGS, ids=_cfg_id)
 def test_gradient_twin_arrays_match_their_parameters(cfg):
     # the reverse pass reaches the twin's arrays by the attributes the
     # forward pass reads, so each must be its parameter's shape and dtype
@@ -539,9 +516,8 @@ def test_get_flat_is_a_copy():
 @pytest.mark.parametrize("cfg", BUFFER_CONFIGS + [
     NetworkConfig(n=16, depth=3, share_siblings=False, seed=7),
     NetworkConfig(n=2, depth=2, seed=8),
-    NetworkConfig(n=8, depth=5, param_mode=MODE_REAL, share_siblings=False, seed=9),
     NetworkConfig(n=4, p=3, kind=KIND_DENSE, seed=10),
-], ids=lambda c: f"{c.kind}-{c.param_mode}-p{c.p}-d{c.depth}")
+], ids=lambda c: f"{_cfg_id(c)}-d{c.depth}")
 def test_expected_param_count_matches_built_network(cfg):
     assert expected_param_count(cfg) == build_network(cfg).param_count()
 
@@ -568,7 +544,7 @@ def test_binary_roundtrip(tmp_path):
 
 
 @pytest.mark.parametrize("cfg", BUFFER_CONFIGS + [NetworkConfig(n=8, seed=2**63 - 1)],
-                         ids=lambda c: f"{c.kind}-{c.param_mode}-p{c.p}-s{c.seed}")
+                         ids=lambda c: f"{_cfg_id(c)}-s{c.seed}")
 def test_load_builds_the_layout_without_drawing(tmp_path, monkeypatch, cfg):
     net = build_network(cfg)
     net.set_flat(net.get_flat() + np.random.default_rng(48).normal(size=net.param_count()))
@@ -666,6 +642,19 @@ def test_load_rejects_flag_bytes_other_than_0_or_1(tmp_path, offset, name):
         load_network(str(path))
 
 
+def test_load_rejects_a_real_parameter_mode_file(tmp_path):
+    # byte 25 is always 0, complex; a file with real parameters carries 1
+    net = build_network(NetworkConfig(n=4, seed=20))
+    path = tmp_path / "net.stnn"
+    save_network(net, str(path))
+    raw = bytearray(path.read_bytes())
+    assert raw[25] == 0
+    raw[25] = 1
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="parameter mode code 1 \\(byte 25\\)"):
+        load_network(str(path))
+
+
 @pytest.mark.parametrize("offset,value,field", [
     (36, math.nan, "delay_alpha"), (44, math.nan, "delay_alpha"), (36, math.inf, "delay_alpha"),
     (28, math.nan, "activation_slope"), (28, math.inf, "activation_slope"),
@@ -693,24 +682,3 @@ def test_config_rejects_non_finite_or_bad_floats(kwargs):
     with pytest.raises(ValueError, match=next(iter(kwargs))):
         NetworkConfig(n=4, **kwargs)
 
-
-def test_json_export(tmp_path):
-    import json
-
-    net = build_network(NetworkConfig(n=4, seed=14))
-    path = tmp_path / "net.json"
-    save_network_json(net, str(path))
-    doc = json.loads(path.read_text())
-    assert doc["format"] == "dvmbeam-network"
-    assert doc["param_count"] == net.param_count()
-    mirror = network_to_json(net)
-    assert set(doc["params"]) == {p for p, _, _ in net.param_entries()}
-    assert doc["config"] == mirror["config"]
-
-
-def test_json_export_real_mode_entries_are_real():
-    net = build_network(NetworkConfig(n=4, param_mode=MODE_REAL, seed=18))
-    params = network_to_json(net)["params"]
-    leaf = params["block0.w1.sub0.f.leaf"]
-    assert leaf["kind"] == "real"
-    assert leaf["values"] == net.blocks[0].f_chains[0].leaf.ravel().tolist()

@@ -152,6 +152,20 @@ def test_backward_builds_no_views_after_the_first_call(monkeypatch):
     assert views == []
 
 
+def test_empty_batch_names_itself_in_a_value_error():
+    net = random_net(4)
+    x = np.zeros((8, 0))
+    _, trace = forward(net, x, want_trace=True)
+    with pytest.raises(ValueError, match="empty batch"):
+        backward(net, trace, x)
+    with pytest.raises(ValueError, match="empty batch"):
+        mse_loss(x, x, 4)
+    with pytest.raises(ValueError, match="empty batch"):
+        loss_and_grads(net, x, x)
+    # a caller that names the normalization still gets the (zero) gradient
+    assert not backward(net, trace, x, norm=1.0).flat.any()
+
+
 def test_backward_target_shape_mismatch():
     net = random_net(4)
     x = np.zeros((8, 3))
@@ -187,10 +201,9 @@ def _interleaved_reference(pack, net):
 
 @pytest.mark.parametrize("cfg", [
     NetworkConfig(n=4, seed=11),
-    NetworkConfig(n=4, param_mode="real", seed=12),
     NetworkConfig(n=4, p=2, tie_scaling=False, share_siblings=False, l_layers=9, seed=13),
     NetworkConfig(n=4, kind=KIND_DENSE, seed=14),
-], ids=["complex", "real", "untied-unshared", "dense"])
+], ids=["complex", "untied-unshared", "dense"])
 def test_gradient_flat_equals_interleaved_pack(cfg):
     net = build_network(cfg)
     rng = np.random.default_rng(15)
@@ -230,16 +243,13 @@ DELAY = complex(np.exp(-0.7j))
 
 
 @pytest.mark.parametrize("cfg", [
-    NetworkConfig(n=4, param_mode="real", delay_alpha=DELAY, seed=21),
-    NetworkConfig(n=4, p=2, param_mode="real", tie_scaling=False, share_siblings=False,
-                  delay_alpha=DELAY, seed=22),
     NetworkConfig(n=4, p=2, tie_scaling=False, share_siblings=False, l_layers=9,
                   delay_alpha=DELAY, seed=23),
     NetworkConfig(n=4, p=2, l_layers=9, kind=KIND_DENSE, delay_alpha=DELAY, seed=24),
-], ids=["real", "real-p2-untied-unshared", "complex-p2-untied-unshared-L9", "dense-p2-L9"])
+], ids=["complex-p2-untied-unshared-L9", "dense-p2-L9"])
 def test_grad_check_block_variants(cfg):
-    # every branch of the block pass: both parameter modes, p > 1, untied
-    # output scaling, unshared siblings, repeated blocks, and the dense kind
+    # every branch of the block pass: p > 1, untied output scaling,
+    # unshared siblings, repeated blocks, and the dense kind
     rng = np.random.default_rng(cfg.seed)
     net = build_network(cfg)
     x = clear_of_kinks(net, rng, cols=3)
