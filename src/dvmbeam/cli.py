@@ -122,10 +122,12 @@ def cmd_gen_data(args):
             return _fail(EXIT_USAGE, f"--{flag.replace('_', '-')} is required")
     if args.samples_per_angle < 1:
         return _fail(EXIT_USAGE, "--samples-per-angle must be >= 1")
-    if args.noise_std < 0:
-        return _fail(EXIT_USAGE, "--noise-std must be >= 0")
+    if args.n < 2 or args.n & (args.n - 1):
+        return _fail(EXIT_USAGE, f"--n must be a power of two >= 2, got {args.n}")
     freq = args.freq_ghz * 1e9
-    sample_rate = 1.0 / (args.tau_s * args.n) if args.tau_s else 32e9
+    if args.tau_s is not None and not 0 < args.tau_s < math.inf:
+        return _fail(EXIT_USAGE, f"--tau-s must be positive and finite, got {args.tau_s}")
+    sample_rate = 32e9 if args.tau_s is None else 1.0 / (args.tau_s * args.n)
     try:
         ds = make_dataset(
             n=args.n, freq=freq, angles_deg=args.angles,
@@ -353,6 +355,8 @@ def cmd_bench(args):
     for n in args.n_list:
         if n < 2 or n & (n - 1):
             return _fail(EXIT_USAGE, f"n values must be powers of two >= 2, got {n}")
+    if args.p < 1:
+        return _fail(EXIT_USAGE, f"--p must be >= 1, got {args.p}")
     depths = [default_depth(n) for n in args.n_list]
     report = reduction_report(ns=args.n_list, depths=depths, p=args.p)
     extra = {"resolved_config": _resolved(args, ("n_list", "p", "out"))}

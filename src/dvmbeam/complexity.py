@@ -144,7 +144,6 @@ def reduction_report(
     depths=None,
     l_layers: int = 5,
     p: int = 1,
-    tie_scaling: bool = True,
 ) -> dict:
     """Side-by-side audit of both kinds at the given channel counts.
 
@@ -159,9 +158,7 @@ def reduction_report(
     rows = []
     for i, n in enumerate(ns):
         depth = None if depths is None else depths[i]
-        cfg_s = NetworkConfig(
-            n=n, p=p, depth=depth, l_layers=l_layers, tie_scaling=tie_scaling
-        )
+        cfg_s = NetworkConfig(n=n, p=p, depth=depth, l_layers=l_layers)
         cfg_d = NetworkConfig(n=n, p=p, l_layers=l_layers, kind=KIND_DENSE)
         params_s = expected_param_count(cfg_s)
         params_d = expected_param_count(cfg_d)
@@ -197,7 +194,8 @@ def reduction_report(
         "rows": rows,
         "conventions": dict(CONVENTIONS),
         "settings": {
-            "l_layers": l_layers, "p": p, "tie_scaling": tie_scaling,
+            # the scaling diagonal is always tied; the key keeps reports stable
+            "l_layers": l_layers, "p": p, "tie_scaling": True,
             "note": (
                 "formula and counted accountings intentionally differ by a "
                 "few percent; both are reported, neither is adjusted"

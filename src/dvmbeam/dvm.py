@@ -441,9 +441,9 @@ class RecursiveDftChain:
     twiddles and an exact DFT leaf the chain reproduces the DFT; with free
     values the same wiring is what the network trains.
 
-    twiddles[l] has shape (2**l, half_l) or (1, half_l) when siblings share
-    one diagonal; leaf has shape (n_leaves, s, s) or (1, s, s).  scale is a
-    frozen real normalization.
+    Sibling blocks share their level's diagonal, as the FFT's do:
+    twiddles[l] has shape (1, half_l) and leaf (1, s, s), one leaf matrix for
+    every segment.  scale is a frozen real normalization.
 
     An input of half height, size/2 rows, stands for [u; 0]: the chain
     returns the transform of the zero-padded vector without building the
@@ -453,7 +453,7 @@ class RecursiveDftChain:
     bit.
     """
 
-    def __init__(self, size, depth, twiddles, leaf, scale=1.0, shared=True):
+    def __init__(self, size, depth, twiddles, leaf, scale=1.0):
         if size < 1 or size & (size - 1):
             raise ValueError(f"chain size must be a power of two, got {size}")
         if not 0 <= depth <= size.bit_length() - 1:
@@ -467,15 +467,12 @@ class RecursiveDftChain:
         self.twiddles = [np.asarray(t, dtype=np.complex128) for t in twiddles]
         self.leaf = np.asarray(leaf, dtype=np.complex128)
         self.scale = float(scale)
-        self.shared = bool(shared)
         for lvl, t in enumerate(self.twiddles):
-            blocks = 1 if shared else (1 << lvl)
-            if t.shape != (blocks, (size >> lvl) >> 1):
+            if t.shape != (1, (size >> lvl) >> 1):
                 raise ValueError(f"twiddle level {lvl} has shape {t.shape}")
         s = size >> depth
-        n_leaves = 1 if shared else (1 << depth)
-        if self.leaf.shape != (n_leaves, s, s):
-            raise ValueError(f"leaf has shape {self.leaf.shape}, wanted ({n_leaves},{s},{s})")
+        if self.leaf.shape != (1, s, s):
+            raise ValueError(f"leaf has shape {self.leaf.shape}, wanted (1,{s},{s})")
         self._perm, self._inv_perm = _interleave_index(size, depth)
 
     @property
@@ -574,7 +571,7 @@ class RecursiveDftChain:
         grad_out carries dL/dRe + j dL/dIm of the output.  Returns the same
         carrier for the input (its size/2 rows when the traced input had
         half height) plus gradients for each twiddle level and the leaf,
-        summed over batch (and over sibling blocks when shared).
+        summed over batch and over sibling blocks.
         """
         size = self.size
         g = np.asarray(grad_out, dtype=np.complex128)
@@ -588,8 +585,7 @@ class RecursiveDftChain:
         s = self.leaf_size
         g_segs = g.reshape(size // s, s, cols)
         leaf_grad = np.matmul(g_segs, np.conj(trace["leaf_in"]).transpose(0, 2, 1))
-        if self.shared:
-            leaf_grad = leaf_grad.sum(axis=0, keepdims=True)
+        leaf_grad = leaf_grad.sum(axis=0, keepdims=True)
         g = np.matmul(np.conj(self.leaf).transpose(0, 2, 1), g_segs).reshape(size, cols)
         tw_grads = [None] * self.depth
         pruned = trace["pruned"]
@@ -599,9 +595,7 @@ class RecursiveDftChain:
             v = g.reshape(1 << lvl, block, cols)
             g_top, g_bot = v[:, :half], v[:, half:]
             tg = (g_bot * np.conj(trace["diffs"][lvl])).sum(axis=-1)
-            if self.shared:
-                tg = tg.sum(axis=0, keepdims=True)
-            tw_grads[lvl] = tg
+            tw_grads[lvl] = tg.sum(axis=0, keepdims=True)
             rot = np.conj(self.twiddles[lvl][:, :, None]) * g_bot
             if not (pruned and lvl == 0):  # the zero half's gradient is dropped
                 np.subtract(g_top, rot, out=g_bot)
@@ -620,7 +614,6 @@ def build_recursive_dft_chain(
     exact: bool = True,
     inverse: bool = False,
     normalized: bool = False,
-    shared: bool = True,
     rng: np.random.Generator | None = None,
 ) -> RecursiveDftChain:
     """Construct the recursive factorization of the size-point DFT.
@@ -643,21 +636,18 @@ def build_recursive_dft_chain(
     for lvl in range(depth):
         block = size >> lvl
         half = block >> 1
-        blocks = 1 if shared else (1 << lvl)
         if exact:
-            row = np.exp(sign * 2j * np.pi * np.arange(half) / block)
-            tw = np.tile(row, (blocks, 1))
+            tw = np.exp(sign * 2j * np.pi * np.arange(half)[None] / block)
         else:
-            tw = np.exp(2j * np.pi * rng.random((blocks, half)))
+            tw = np.exp(2j * np.pi * rng.random((1, half)))
         twiddles.append(tw)
-    n_leaves = 1 if shared else (1 << depth)
     if exact:
         kk = np.arange(s)
         leaf_mat = np.exp(sign * 2j * np.pi * np.outer(kk, kk) / s) if s > 1 else np.ones((1, 1))
         if normalized:
             leaf_mat = leaf_mat / math.sqrt(s)
-        leaf = np.tile(leaf_mat[None], (n_leaves, 1, 1))
+        leaf = leaf_mat[None]
     else:
-        leaf = np.exp(2j * np.pi * rng.random((n_leaves, s, s))) / math.sqrt(s)
+        leaf = np.exp(2j * np.pi * rng.random((1, s, s))) / math.sqrt(s)
     scale = (2.0 ** (-depth / 2.0)) if normalized else 1.0
-    return RecursiveDftChain(size, depth, twiddles, leaf, scale=scale, shared=shared)
+    return RecursiveDftChain(size, depth, twiddles, leaf, scale=scale)

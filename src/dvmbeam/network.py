@@ -80,6 +80,10 @@ def leaky_relu(x, slope: float, out=None) -> np.ndarray:
     return (np.maximum if slope <= 1 else np.minimum)(x, slope * x, out=out)
 
 
+# to_dict keys with one possible value: complex parameters, the built structure
+_FIXED_KEYS = {"param_mode": "complex", "tie_scaling": True, "share_siblings": True}
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """Shape and behavior of one network.
@@ -90,8 +94,8 @@ class NetworkConfig:
     l_layers: total layer count; 5, or 4k+1 to repeat the block structure.
     delay_alpha: unit-modulus generator of the frozen delay diagonal
         (1 makes the delay the identity).
-    tie_scaling: share each submatrix's chirp scaling diagonal between the
-        input and output layers, as the factorization itself does.
+    As in the factorization, one chirp diagonal scales a submatrix's input and
+    output layers, and each chain level has one twiddle diagonal.
     """
 
     n: int
@@ -102,8 +106,6 @@ class NetworkConfig:
     activation_slope: float = 0.2
     delay_alpha: complex = 1.0 + 0.0j
     seed: int = 0
-    tie_scaling: bool = True
-    share_siblings: bool = True
 
     def __post_init__(self):
         if self.n < 2 or self.n & (self.n - 1):
@@ -158,16 +160,16 @@ class NetworkConfig:
             "activation_slope": self.activation_slope,
             "delay_alpha": [self.delay_alpha.real, self.delay_alpha.imag],
             "seed": self.seed,
-            # parameters are always complex; report digests hash this key
-            "param_mode": "complex",
-            "tie_scaling": self.tie_scaling,
-            "share_siblings": self.share_siblings,
+            # fixed values, kept because report digests hash these keys
+            **_FIXED_KEYS,
         }
 
     @staticmethod
     def from_dict(d: dict) -> "NetworkConfig":
-        if d.get("param_mode", "complex") != "complex":
-            raise ValueError(f"unsupported param_mode {d['param_mode']!r}: parameters are complex")
+        for key, fixed in _FIXED_KEYS.items():
+            value = d.get(key, fixed)
+            if type(value) is not type(fixed) or value != fixed:
+                raise ValueError(f"unsupported {key} {value!r}: only {fixed!r} is built")
         da = d.get("delay_alpha", [1.0, 0.0])
         return NetworkConfig(
             n=int(d["n"]),
@@ -178,8 +180,6 @@ class NetworkConfig:
             activation_slope=float(d.get("activation_slope", 0.2)),
             delay_alpha=complex(da[0], da[1]),
             seed=int(d.get("seed", 0)),
-            tie_scaling=bool(d.get("tie_scaling", True)),
-            share_siblings=bool(d.get("share_siblings", True)),
         )
 
 
@@ -189,7 +189,6 @@ class StructuredBlock:
     f_chains: list       # p RecursiveDftChain
     d_breve: list        # p arrays: complex (m,)
     fstar_chains: list   # p RecursiveDftChain
-    d_hat_out: list | None  # None when tied to d_hat
     bias1: np.ndarray
     skip: np.ndarray
     bias_out: np.ndarray
@@ -280,8 +279,6 @@ class Network:
             yield f"block{b}.skip", attrs, "skip"
             for i in range(cfg.p):
                 yield from _chain_walk(f"block{b}.w4.sub{i}.fstar", blk.fstar_chains[i])
-                if blk.d_hat_out is not None:
-                    yield f"block{b}.w4.sub{i}.d_hat_out", blk.d_hat_out, i
             yield f"block{b}.bias_out", attrs, "bias_out"
 
     # -- parameter plumbing ------------------------------------------------
@@ -427,13 +424,12 @@ def _block_forward(cfg: NetworkConfig, blk, delay, x, want_trace):
     if dense:
         y_out = blk.w4 @ real_split(y3)
     else:
-        d_out = blk.d_hat if blk.d_hat_out is None else blk.d_hat_out
         v = None
         for i in range(cfg.p):
             t = _run_chain(blk.fstar_chains[i], y3[i * m:(i + 1) * m],
                            fstar_traces)[: x_c.shape[0]]
             t_trunc.append(t if want_trace else None)
-            vi = np.multiply(d_out[i][:, None], t, out=None if want_trace else t)
+            vi = np.multiply(blk.d_hat[i][:, None], t, out=None if want_trace else t)
             v = vi if v is None else v + vi
         y_out = real_split(v)
     y_out += blk.bias_out[:, None]
@@ -508,14 +504,12 @@ def _block_backward(cfg: NetworkConfig, blk, gblk, delay, tr, g_out):
         g_h = real_join(blk.w4.T @ g_out)
     else:
         g_v = real_join(g_out)
-        # tied: the output side's share joins d_hat's
-        d_out = blk.d_hat if blk.d_hat_out is None else blk.d_hat_out
-        gd_out = gblk.d_hat if blk.d_hat_out is None else gblk.d_hat_out
         parts = []
         for i in range(cfg.p):
-            gd_out[i] += (g_v * np.conj(tr.t_trunc[i])).sum(axis=1)
+            # d_hat scales the output side too: its share joins the input side's
+            gblk.d_hat[i] += (g_v * np.conj(tr.t_trunc[i])).sum(axis=1)
             g_fs = np.zeros((m, g_v.shape[1]), dtype=np.complex128)
-            g_fs[: g_v.shape[0]] = np.conj(d_out[i])[:, None] * g_v
+            g_fs[: g_v.shape[0]] = np.conj(blk.d_hat[i])[:, None] * g_v
             g_ci, tw_g, leaf_g = blk.fstar_chains[i].backward(tr.fstar_traces[i], g_fs)
             _accumulate_chain(gblk.fstar_chains[i], tw_g, leaf_g)
             parts.append(g_ci)
@@ -606,22 +600,18 @@ def _build(cfg: NetworkConfig, rng) -> Network:
                 )
             )
             continue
-        d_hat, d_breve, f_chains, fstar_chains, d_hat_out = [], [], [], [], []
+        d_hat, d_breve, f_chains = [], [], []
         for _ in range(p):
             d_hat.append(_random_unit(rng, n))
             f_chains.append(_chain_init(cfg, rng, exact=False))
             d_breve.append(_random_unit(rng, m))
-        for _ in range(p):
-            fstar_chains.append(_chain_init(cfg, rng, exact=False))
-            if not cfg.tie_scaling:
-                d_hat_out.append(_random_unit(rng, n))
+        fstar_chains = [_chain_init(cfg, rng, exact=False) for _ in range(p)]
         blocks.append(
             StructuredBlock(
                 d_hat=d_hat,
                 f_chains=f_chains,
                 d_breve=d_breve,
                 fstar_chains=fstar_chains,
-                d_hat_out=d_hat_out if not cfg.tie_scaling else None,
                 bias1=np.zeros(cfg.hidden),
                 skip=np.zeros(cfg.hidden),
                 bias_out=np.zeros(2 * n),
@@ -637,7 +627,6 @@ def _chain_init(cfg, rng, exact, inverse=False):
         exact=exact,
         inverse=inverse,
         normalized=True,
-        shared=cfg.share_siblings,
         rng=None if exact else rng,
     )
 
@@ -658,22 +647,15 @@ def init_from_dvm(net: Network, alpha: complex) -> Network:
         raise ValueError("alpha must be unit modulus")
     chirp = build_bluestein_chain(DvmSpec(cfg.n, alpha)).factors
     d_hat, d_breve = chirp[0].values, chirp[3].values
+    exact_f = _chain_init(cfg, None, exact=True)
+    exact_fs = _chain_init(cfg, None, exact=True, inverse=True)
     for blk in net.blocks:
         for i in range(cfg.p):
             blk.d_hat[i][...] = d_hat
             blk.d_breve[i][...] = d_breve
-            exact_f = _chain_init(cfg, None, exact=True)
-            exact_fs = _chain_init(cfg, None, exact=True, inverse=True)
-            for tw, src in zip(blk.f_chains[i].twiddles, exact_f.twiddles):
-                tw[...] = np.broadcast_to(src, tw.shape)
-            blk.f_chains[i].leaf[...] = np.broadcast_to(exact_f.leaf, blk.f_chains[i].leaf.shape)
-            for tw, src in zip(blk.fstar_chains[i].twiddles, exact_fs.twiddles):
-                tw[...] = np.broadcast_to(src, tw.shape)
-            blk.fstar_chains[i].leaf[...] = np.broadcast_to(
-                exact_fs.leaf, blk.fstar_chains[i].leaf.shape
-            )
-            if blk.d_hat_out is not None:
-                blk.d_hat_out[i][...] = d_hat
+            for chain, exact in ((blk.f_chains[i], exact_f), (blk.fstar_chains[i], exact_fs)):
+                for dst, src in zip(chain.param_arrays(), exact.param_arrays()):
+                    dst[...] = src
         blk.bias1[...] = 0.0
         blk.skip[...] = 0.0
         blk.bias_out[...] = 0.0
@@ -690,13 +672,9 @@ def expected_param_count(cfg: NetworkConfig) -> int:
     else:
         size, depth = cfg.m, cfg.resolved_depth
         leaf = size >> depth
-        if cfg.share_siblings:
-            # one diagonal per level: size/2 + size/4 + ... + leaf
-            chain = (size - leaf) + leaf * leaf
-        else:
-            # 2**l diagonals of size/2**(l+1) per level; 2**depth leaves
-            chain = depth * size // 2 + size * leaf
-        entries = n + cfg.m + 2 * chain + (0 if cfg.tie_scaling else n)
+        # one diagonal per level: size/2 + size/4 + ... + leaf
+        chain = (size - leaf) + leaf * leaf
+        entries = n + cfg.m + 2 * chain
         per_block = p * 2 * entries + 2 * hidden + 2 * n
     return per_block * cfg.blocks_count
 
@@ -719,7 +697,8 @@ _FORMAT_VERSION = 1
 # byte offsets: magic 0, version 4, n 8, p 12, depth 16, l_layers 20; the kind,
 # parameter-mode, tie-scaling and share-siblings codes 24-27; slope 28, delay
 # alpha re 36 and im 44, reserved 52, seed 60, parameter count 68; the payload
-# starts at 76.  Byte 25 is always 0: parameters are complex.
+# starts at 76.  Byte 25 is always 0: parameters are complex.  Bytes 26 and
+# 27 are always 1: the scaling diagonal is tied and siblings share theirs.
 _HEAD_FMT = "<4sIIIIIBBBBddddqQ"
 _KIND_CODE = {KIND_STRUCTURED: 0, KIND_DENSE: 1}
 
@@ -739,8 +718,8 @@ def save_network(net: Network, path: str) -> None:
         cfg.l_layers,
         _KIND_CODE[cfg.kind],
         0,  # parameter mode: complex
-        int(cfg.tie_scaling),
-        int(cfg.share_siblings),
+        1,  # tie-scaling
+        1,  # share-siblings
         cfg.activation_slope,
         cfg.delay_alpha.real,
         cfg.delay_alpha.imag,
@@ -773,14 +752,13 @@ def load_network(path: str) -> Network:
     if mode_c != 0:
         raise ValueError(f"{path}: parameter mode code {mode_c} (byte 25) must be 0, complex")
     for name, value, offset in (("tie-scaling", tie, 26), ("share-siblings", share, 27)):
-        if value not in (0, 1):
-            raise ValueError(f"{path}: {name} flag {value} (byte {offset}) must be 0 or 1")
+        if value != 1:
+            raise ValueError(f"{path}: {name} flag {value} (byte {offset}) must be 1")
     if seed < 0:
         raise ValueError(f"{path}: seed {seed} (byte 60) must be in 0..2**63-1")
     cfg = NetworkConfig(
         n=n, p=p, depth=depth, l_layers=l_layers, kind=kind,
         activation_slope=slope, delay_alpha=complex(da_re, da_im), seed=seed,
-        tie_scaling=bool(tie), share_siblings=bool(share),
     )
     # the header is untrusted: check its sizes before allocating a network
     want = expected_param_count(cfg)

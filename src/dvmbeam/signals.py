@@ -64,31 +64,13 @@ def steering_delay(geom: ArrayGeometry, theta: float) -> np.ndarray:
     return k * geom.spacing * math.sin(theta) / SPEED_OF_LIGHT
 
 
-def synth_received(
-    geom: ArrayGeometry,
-    freq: float,
-    theta: float,
-    t,
-    noise_std: float = 0.0,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Noisy baseband snapshots, shape (n_elements, len(t)).
-
-    noise_std is the total complex noise standard deviation; each real
-    component gets noise_std / sqrt(2).
-    """
+def synth_received(geom: ArrayGeometry, freq: float, theta: float, t) -> np.ndarray:
+    """Noiseless baseband snapshots, shape (n_elements, len(t)); make_dataset
+    adds the noise."""
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
     delays = steering_delay(geom, theta)
     phase_arg = freq * (t[None, :] - delays[:, None])
-    u = np.exp(-2j * np.pi * phase_arg)
-    if noise_std:
-        if rng is None:
-            raise ValueError("noise_std > 0 requires an rng")
-        s = noise_std / math.sqrt(2.0)
-        u = u + s * (
-            rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape)
-        )
-    return u
+    return np.exp(-2j * np.pi * phase_arg)
 
 
 def transform_alpha(freq: float, n: int, sample_rate: float = DEFAULT_SAMPLE_RATE) -> complex:
@@ -198,12 +180,19 @@ def make_dataset(
     hashing for all samples runs as one vectorized pass, and a single
     PCG64 generator is reseeded per sample (_row_normals).  All targets
     come from one batched transform of the (n, samples) snapshot matrix.
-    seed must be an integer in 0..2**63-1 (check_seed).
+    seed must be an integer in 0..2**63-1 (check_seed), and sample_rate
+    must pass load_dataset's header check, so that the set loads back.
     """
     check_seed(seed)
     if samples_per_angle < 1:
         raise ValueError("samples_per_angle must be >= 1")
+    if not (sample_rate > 0 and math.isfinite(sample_rate)):
+        raise ValueError(f"sample rate must be positive and finite, got {sample_rate!r}")
+    if not 0 <= noise_std < math.inf:
+        raise ValueError(f"noise_std must be finite and >= 0, got {noise_std!r}")
     angles_deg = np.atleast_1d(np.asarray(angles_deg, dtype=np.float64))
+    if not np.all(np.isfinite(angles_deg)):
+        raise ValueError(f"angles must be finite, got {angles_deg.tolist()}")
     geom = ArrayGeometry(n, half_wavelength_spacing() if spacing is None else spacing)
     spec = DvmSpec(n, transform_alpha(freq, n, sample_rate))
     t_grid = np.arange(samples_per_angle, dtype=np.float64) / samples_per_angle

@@ -136,23 +136,9 @@ def grad_check(
         else:
             raise ValueError(f"unknown parameter path {path!r}")
 
-    theta0 = net.get_flat()
-    fd = np.empty_like(analytic)
-    try:
-        for j in range(theta0.size):
-            h = h_scale * max(1.0, abs(theta0[j]))
-            for sign, slot in ((1.0, 0), (-1.0, 1)):
-                theta = theta0.copy()
-                theta[j] += sign * h
-                net.set_flat(theta)
-                y, _ = forward(net, x2)
-                if slot == 0:
-                    lp = mse_loss(y, t2, cfg.n)
-                else:
-                    lm = mse_loss(y, t2, cfg.n)
-            fd[j] = (lp - lm) / (2 * h)
-    finally:
-        net.set_flat(theta0)
+    fd = _central_differences(
+        net, lambda: mse_loss(forward(net, x2)[0], t2, cfg.n), np.empty_like(analytic), h_scale
+    )
 
     rel = np.abs(fd - analytic) / np.maximum(1.0, np.abs(analytic))
     worst = int(np.argmax(rel))
@@ -162,8 +148,29 @@ def grad_check(
         "max_rel_err": float(rel[worst]),
         "worst_path": worst_path,
         "worst_index": int(worst_off),
-        "n_checked": int(theta0.size),
+        "n_checked": int(fd.size),
     }
+
+
+def _central_differences(model, f, out, h_scale):
+    """Fill out[..., j] with (f(theta0 + h e_j) - f(theta0 - h e_j)) / 2h
+    for every coordinate j of model's flat parameters theta0, where
+    h = h_scale * max(1, |theta0_j|); f reads the model as set.  theta0 is
+    set back afterwards, also when f raises.  Returns out."""
+    theta0 = model.get_flat()
+    try:
+        for j in range(theta0.size):
+            h = h_scale * max(1.0, abs(theta0[j]))
+            theta = theta0.copy()
+            theta[j] += h
+            model.set_flat(theta)
+            f_plus = f()
+            theta[j] = theta0[j] - h
+            model.set_flat(theta)
+            out[..., j] = (f_plus - f()) / (2 * h)
+    finally:
+        model.set_flat(theta0)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +184,6 @@ class OptimizerConfig:
     batch_size: int = 32
     epochs: int = 100
     seed: int = 0
-    shuffle: bool = True
     target_mse: float | None = None
     patience: int | None = None
     lm_mu: float = 1e-3
@@ -189,16 +195,27 @@ class OptimizerConfig:
             object.__setattr__(self, "name", "gauss_newton_lm")
         if self.name not in ("sgd", "adam", "gauss_newton_lm"):
             raise ValueError(f"unknown optimizer {self.name!r}")
-        if self.lr <= 0 or self.batch_size < 1 or self.epochs < 0:
-            raise ValueError("lr must be > 0, batch_size >= 1, epochs >= 0")
         check_seed(self.seed)
-        if self.lm_factor <= 1:
-            raise ValueError("lm_factor must be > 1")
+        # each range is written so that NaN fails it too
+        for name, ok, want in (
+            ("lr", 0 < self.lr < math.inf, "finite and > 0"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("epochs", self.epochs >= 0, ">= 0"),
+            ("target_mse", self.target_mse is None or 0 <= self.target_mse < math.inf,
+             "finite and >= 0"),
+            ("patience", self.patience is None or self.patience >= 1, ">= 1"),
+            ("lm_mu", 0 <= self.lm_mu < math.inf, "finite and >= 0"),
+            ("lm_factor", 1 < self.lm_factor < math.inf, "finite and > 1"),
+            ("lm_retries", self.lm_retries >= 0, ">= 0"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {want}, got {getattr(self, name)!r}")
 
     def to_dict(self) -> dict:
         return {
             "name": self.name, "lr": self.lr, "batch_size": self.batch_size,
-            "epochs": self.epochs, "seed": self.seed, "shuffle": self.shuffle,
+            # batches are always shuffled; report digests hash the key
+            "epochs": self.epochs, "seed": self.seed, "shuffle": True,
             "target_mse": self.target_mse, "patience": self.patience,
             "lm_mu": self.lm_mu, "lm_factor": self.lm_factor,
             "lm_retries": self.lm_retries,
@@ -206,6 +223,8 @@ class OptimizerConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "OptimizerConfig":
+        if d.get("shuffle", True) is not True:
+            raise ValueError(f"unsupported shuffle {d['shuffle']!r}: batches are always shuffled")
         return OptimizerConfig(**{
             k: d[k] for k in OptimizerConfig.__dataclass_fields__ if k in d
         })
@@ -267,18 +286,9 @@ def gauss_newton_lm_step(net, xb, tb, mu, cfg: OptimizerConfig, h_scale=1e-6):
     cfg_obj = getattr(net, "config", None)
     norm = cfg_obj.n * xb.shape[1] if cfg_obj is not None else r0.size
     loss0 = float(r0 @ r0) / norm
-    jac = np.empty((r0.size, n_par))
-    for j in range(n_par):
-        h = h_scale * max(1.0, abs(theta0[j]))
-        theta = theta0.copy()
-        theta[j] += h
-        net.set_flat(theta)
-        rp = _lm_residual(net, xb, tb)
-        theta[j] = theta0[j] - h
-        net.set_flat(theta)
-        rm = _lm_residual(net, xb, tb)
-        jac[:, j] = (rp - rm) / (2 * h)
-    net.set_flat(theta0)
+    jac = _central_differences(
+        net, lambda: _lm_residual(net, xb, tb), np.empty((r0.size, n_par)), h_scale
+    )
     g = jac.T @ r0
     h_mat = jac.T @ jac
     eye = np.eye(n_par)
@@ -451,7 +461,7 @@ def train(
     steps_run = 0
 
     for epoch in range(opt.epochs):
-        order = rng.permutation(n_samples) if opt.shuffle else np.arange(n_samples)
+        order = rng.permutation(n_samples)
         sq_sum = 0.0
         seen = 0
         for a in range(0, n_samples, opt.batch_size):

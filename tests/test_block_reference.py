@@ -58,8 +58,7 @@ def _ref_chain_backward(chain, trace, grad_out):
     s = chain.leaf_size
     g_segs = g.reshape(-1, s, g.shape[-1])
     leaf_grad = np.matmul(g_segs, np.conj(trace["leaf_in"]).transpose(0, 2, 1))
-    if chain.shared:
-        leaf_grad = leaf_grad.sum(axis=0, keepdims=True)
+    leaf_grad = leaf_grad.sum(axis=0, keepdims=True)
     g = np.matmul(np.conj(chain.leaf).transpose(0, 2, 1), g_segs).reshape(size, -1)
     tw_grads = [None] * chain.depth
     for lvl in range(chain.depth - 1, -1, -1):
@@ -70,9 +69,7 @@ def _ref_chain_backward(chain, trace, grad_out):
         g_bot = v[:, half:]
         tw = chain.twiddles[lvl][:, :, None]
         tg = (g_bot * np.conj(trace["diffs"][lvl])).sum(axis=-1)
-        if chain.shared:
-            tg = tg.sum(axis=0, keepdims=True)
-        tw_grads[lvl] = tg
+        tw_grads[lvl] = tg.sum(axis=0, keepdims=True)
         rot = np.conj(tw) * g_bot
         new_top = g_top + rot
         new_bot = g_top - rot
@@ -125,14 +122,13 @@ def _ref_block_forward(cfg, blk, delay, x, want_trace):
     if dense:
         y_out = blk.w4 @ y3
     else:
-        d_out = blk.d_hat if blk.d_hat_out is None else blk.d_hat_out
         v = None
         for i in range(cfg.p):
             slot = slice(i * m, (i + 1) * m)
             chain_in = _ref_pack(y3[:half][slot], y3[half:][slot])
             t = _ref_chain(blk.fstar_chains[i], chain_in, fstar_traces)[: x_c.shape[0]]
             t_trunc.append(t)
-            vi = d_out[i][:, None] * t
+            vi = blk.d_hat[i][:, None] * t
             v = vi if v is None else v + vi
         y_out = np.concatenate(_ref_unpack(v))
     y_out += blk.bias_out[:, None]
@@ -169,12 +165,10 @@ def _ref_block_backward(cfg, blk, gblk, delay, tr, g_out):
     else:
         g_v = _ref_pack(g_out[:n], g_out[n:])
         g_y3c = np.empty((half, g_out.shape[1]), dtype=np.complex128)
-        d_out = blk.d_hat if blk.d_hat_out is None else blk.d_hat_out
-        gd_out = gblk.d_hat if blk.d_hat_out is None else gblk.d_hat_out
         for i in range(cfg.p):
-            gd_out[i] += (g_v * np.conj(tr["t_trunc"][i])).sum(axis=1)
+            gblk.d_hat[i] += (g_v * np.conj(tr["t_trunc"][i])).sum(axis=1)
             g_fs = np.zeros((m, g_v.shape[1]), dtype=np.complex128)
-            g_fs[: g_v.shape[0]] = np.conj(d_out[i])[:, None] * g_v
+            g_fs[: g_v.shape[0]] = np.conj(blk.d_hat[i])[:, None] * g_v
             g_ci, tw_g, leaf_g = _ref_chain_backward(blk.fstar_chains[i],
                                                      tr["fstar_traces"][i], g_fs)
             _ref_accumulate_chain(gblk.fstar_chains[i], tw_g, leaf_g)
@@ -238,17 +232,16 @@ DELAY = complex(np.exp(-0.7j))
 CONFIGS = [
     NetworkConfig(n=16, seed=1),
     NetworkConfig(n=16, p=2, depth=3, activation_slope=0.0, delay_alpha=DELAY, seed=2),
-    NetworkConfig(n=8, p=2, tie_scaling=False, share_siblings=False, activation_slope=0.999,
-                  l_layers=9, delay_alpha=DELAY, seed=3),
+    NetworkConfig(n=8, p=2, activation_slope=0.999, l_layers=9, delay_alpha=DELAY, seed=3),
     NetworkConfig(n=8, depth=0, activation_slope=1.0, seed=4),
     NetworkConfig(n=8, depth=4, activation_slope=2.5, delay_alpha=DELAY, seed=5),
-    NetworkConfig(n=4, p=2, depth=1, tie_scaling=False, l_layers=9, seed=6),
-    NetworkConfig(n=16, share_siblings=False, activation_slope=0.0, seed=7),
+    NetworkConfig(n=4, p=2, depth=1, l_layers=9, seed=6),
+    NetworkConfig(n=16, activation_slope=0.0, seed=7),
     NetworkConfig(n=8, p=2, kind=KIND_DENSE, l_layers=9, delay_alpha=DELAY, seed=10),
     NetworkConfig(n=8, kind=KIND_DENSE, activation_slope=0.0, seed=11),
 ]
-IDS = ["default", "p2-relu", "untied-unshared-L9", "depth0", "fulldepth-slope2.5",
-       "p2-depth1-L9", "unshared-relu", "dense-p2-L9", "dense-relu"]
+IDS = ["default", "p2-relu", "p2-L9", "depth0", "fulldepth-slope2.5",
+       "p2-depth1-L9", "relu", "dense-p2-L9", "dense-relu"]
 
 
 def _perturbed(cfg):
@@ -304,13 +297,10 @@ def test_signed_zeros_and_extremes_equal_reference_bytes(cfg):
     assert _same(forward(net, x)[0], ref_forward(net, x)[0])
 
 
-@pytest.mark.parametrize("size,depth,shared", [
-    (2, 1, True), (8, 0, True), (8, 2, False), (16, 4, True), (32, 5, False), (64, 3, True),
-])
-def test_chain_equals_reference_bytes(size, depth, shared):
+@pytest.mark.parametrize("size,depth", [(2, 1), (8, 0), (8, 2), (16, 4), (32, 5), (64, 3)])
+def test_chain_equals_reference_bytes(size, depth):
     rng = np.random.default_rng(size + depth)
-    chain = build_recursive_dft_chain(size, depth, exact=False, normalized=True,
-                                      shared=shared, rng=rng)
+    chain = build_recursive_dft_chain(size, depth, exact=False, normalized=True, rng=rng)
     x = rng.standard_normal((size, 5)) + 1j * rng.standard_normal((size, 5))
     x[: size // 2, 0] = -0.0  # signed zeros pass through the pruned level as through the pad
     g = rng.standard_normal((size, 5)) + 1j * rng.standard_normal((size, 5))
@@ -330,7 +320,7 @@ def test_chain_equals_reference_bytes(size, depth, shared):
 
 
 @pytest.mark.parametrize("cfg", [CONFIGS[0], CONFIGS[2], CONFIGS[7]],
-                         ids=["default", "untied-unshared-L9", "dense-p2-L9"])
+                         ids=["default", "p2-L9", "dense-p2-L9"])
 def test_zero_column_batch(cfg):
     net = build_network(cfg)
     y, trace = forward(net, np.zeros((2 * cfg.n, 0)), want_trace=True)

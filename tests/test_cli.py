@@ -154,6 +154,24 @@ def test_gen_data_tau_override(work):
     assert ds.sample_rate == pytest.approx(16e9, rel=1e-12)
 
 
+@pytest.mark.parametrize("flags,match", [
+    ("--tau-s=inf", "--tau-s"), ("--tau-s=-1e-12", "--tau-s"), ("--tau-s=0", "--tau-s"),
+    ("--tau-s=nan", "--tau-s"), ("--tau-s=1e-320", "sample rate"),
+    ("--noise-std=nan", "noise_std"), ("--noise-std=inf", "noise_std"),
+    ("--angles=30,nan", "angles"), ("--n=0 --tau-s=1e-12", "--n"),
+], ids=["tau_inf", "tau_neg", "tau_0", "tau_nan", "tau_tiny", "noise_nan", "noise_inf",
+        "angle_nan", "n0_with_tau"])
+def test_gen_data_rejects_values_that_make_a_bad_set(work, capsys, flags, match):
+    # each of these used to end in a traceback, a NaN set (exit 1), a set
+    # that load_dataset rejects, or (tau 0) a silent fall back to 32 GHz
+    out = work / "rejected.bin"
+    code = main(["gen-data", "--n", "4", "--freq-ghz", "24", "--samples-per-angle", "2",
+                 *flags.split(), "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert match in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -201,6 +219,13 @@ def test_train_divergence_exit_code(data8, capsys):
                      "--lr", "1e6", "--epochs", "50", "--seed", "0"])
     assert code == EXIT_DIVERGED
     assert "diverged" in capsys.readouterr().err
+
+
+def test_train_rejects_nan_learning_rate(data8, capsys):
+    # a NaN rate used to pass the config check and end as a divergence (exit 4)
+    code = main(["train", "--data", str(data8), "--lr", "nan", "--epochs", "1"])
+    assert code == EXIT_USAGE
+    assert "lr must be finite" in capsys.readouterr().err
 
 
 def test_train_empty_validation_split(work, capsys):
@@ -353,6 +378,20 @@ def test_eval_corrupt_model_flag_byte(exact_model, data4_clean, work, capsys, of
     assert f"{what} flag 7" in err and f"byte {offset}" in err
 
 
+@pytest.mark.parametrize("offset,what", [(26, "tie-scaling"), (27, "share-siblings")])
+def test_eval_rejects_flag_byte_zero(exact_model, data4_clean, work, capsys, offset, what):
+    # bytes 26 and 27 are always 1; a 0 there used to load
+    data = bytearray(exact_model.read_bytes())
+    data[offset] = 0
+    bad = work / f"zero_{what}.net"
+    bad.write_bytes(bytes(data))
+    code = main(["eval", "--model", str(bad), "--data", str(data4_clean)])
+    assert code == EXIT_IO
+    captured = capsys.readouterr()
+    assert f"{what} flag 0 (byte {offset}) must be 1" in captured.err
+    assert captured.out == ""
+
+
 def test_eval_nan_delay_alpha_in_model(exact_model, data4_clean, work, capsys):
     # byte 36 is the real part of the delay generator; NaN there used to load
     # and print "overall MSE: nan" with exit 0
@@ -460,6 +499,15 @@ def test_bench_counts_a_dense_net_too_large_to_build(work):
 
 def test_bench_rejects_bad_n():
     assert main(["bench", "--n-list", "6"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("p", ["0", "-1"])
+def test_bench_rejects_p_below_one(work, capsys, p):
+    # used to end in a ValueError traceback
+    base = work / f"bench_p{p}"
+    assert main(["bench", "--n-list", "8", "--p", p, "--out", str(base)]) == EXIT_USAGE
+    assert "--p must be >= 1" in capsys.readouterr().err
+    assert not os.path.exists(f"{base}.csv") and not os.path.exists(f"{base}.json")
 
 
 # ---------------------------------------------------------------------------

@@ -546,12 +546,6 @@ def test_recursive_chain_inverse_and_normalized():
     assert np.max(np.abs(f @ f.conj().T - np.eye(size))) <= 1e-12
 
 
-def test_recursive_chain_unshared_matches_shared_when_exact():
-    a = build_recursive_dft_chain(16, 2, exact=True, shared=True)
-    b = build_recursive_dft_chain(16, 2, exact=True, shared=False)
-    assert np.max(np.abs(a.dense() - b.dense())) <= 1e-12
-
-
 def test_recursive_chain_depth_out_of_range():
     with pytest.raises(ValueError):
         build_recursive_dft_chain(8, 4, exact=True)
@@ -606,7 +600,7 @@ def test_recursive_chain_backward_against_finite_differences():
     """Carrier-convention adjoint: dL/dRe + j dL/dIm for every twiddle level
     and the leaf, checked by central differences through a real loss."""
     rng = np.random.default_rng(29)
-    chain = build_recursive_dft_chain(8, 2, exact=False, shared=False, rng=rng)
+    chain = build_recursive_dft_chain(8, 2, exact=False, rng=rng)
     x = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
     w = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
 
@@ -641,15 +635,14 @@ def test_recursive_chain_backward_is_adjoint_at_every_depth():
     rng = np.random.default_rng(30)
     for size in (2, 4, 8, 16, 32, 64):
         for depth in range(0, size.bit_length()):
-            for shared in (True, False):
-                chain = build_recursive_dft_chain(size, depth, exact=False, normalized=True,
-                                                  shared=shared, rng=rng)
-                x = rng.normal(size=(size, 3)) + 1j * rng.normal(size=(size, 3))
-                g = rng.normal(size=(size, 3)) + 1j * rng.normal(size=(size, 3))
-                y, trace = chain.apply_trace(x)
-                gx, _, _ = chain.backward(trace, g)
-                lhs, rhs = np.vdot(g, y), np.vdot(gx, x)
-                assert abs(lhs - rhs) <= 1e-12 * abs(lhs), (size, depth, shared)
+            chain = build_recursive_dft_chain(size, depth, exact=False, normalized=True,
+                                              rng=rng)
+            x = rng.normal(size=(size, 3)) + 1j * rng.normal(size=(size, 3))
+            g = rng.normal(size=(size, 3)) + 1j * rng.normal(size=(size, 3))
+            y, trace = chain.apply_trace(x)
+            gx, _, _ = chain.backward(trace, g)
+            lhs, rhs = np.vdot(g, y), np.vdot(gx, x)
+            assert abs(lhs - rhs) <= 1e-12 * abs(lhs), (size, depth)
 
 
 def test_recursive_chain_interleave_index_is_shared():

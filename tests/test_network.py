@@ -114,14 +114,29 @@ def test_config_roundtrip():
 
 
 def test_config_dict_names_complex_parameters_and_rejects_others():
-    cfg = NetworkConfig(n=8, depth=2, delay_alpha=complex(np.exp(0.3j)), tie_scaling=False,
-                        share_siblings=False, seed=4)
+    cfg = NetworkConfig(n=8, depth=2, delay_alpha=complex(np.exp(0.3j)), seed=4)
     d = cfg.to_dict()
     assert d["param_mode"] == "complex"
     assert NetworkConfig.from_dict(d) == cfg
     for mode in ("real", "quaternion"):
         with pytest.raises(ValueError, match=f"param_mode '{mode}'"):
             NetworkConfig.from_dict({**d, "param_mode": mode})
+
+
+def test_config_dict_names_the_fixed_block_structure():
+    # one structure is built: tied scaling and shared siblings; the keys stay
+    # in the dict because report digests hash them
+    cfg = NetworkConfig(n=8, depth=3)
+    d = cfg.to_dict()
+    assert d["tie_scaling"] is True and d["share_siblings"] is True
+    assert NetworkConfig.from_dict(d) == cfg
+
+
+@pytest.mark.parametrize("key", ["tie_scaling", "share_siblings"])
+@pytest.mark.parametrize("value", [False, 0, 1, "true", None])
+def test_config_from_dict_rejects_other_block_structures(key, value):
+    with pytest.raises(ValueError, match=f"unsupported {key} {value!r}"):
+        NetworkConfig.from_dict({**NetworkConfig(n=8).to_dict(), key: value})
 
 
 def test_default_depth_schedule():
@@ -182,7 +197,7 @@ def test_delay_layer_is_isometry():
 
 
 @pytest.mark.parametrize("cfg", [
-    NetworkConfig(n=8, p=2, tie_scaling=False, delay_alpha=complex(np.exp(0.4j)), seed=6),
+    NetworkConfig(n=8, p=2, delay_alpha=complex(np.exp(0.4j)), seed=6),
     NetworkConfig(n=4, kind=KIND_DENSE, l_layers=9, seed=8),
 ], ids=["complex-p2", "dense-L9"])
 def test_traces_own_their_arrays(cfg):
@@ -236,10 +251,9 @@ def densified_forward(net, x):
         y2 = np.concatenate([y2_c.real, y2_c.imag])
         y3 = y2 + blk.skip * y1
         y3_c = y3[:half] + 1j * y3[half:]
-        d_out = blk.d_hat_out if blk.d_hat_out is not None else blk.d_hat
         v = np.zeros(n, dtype=complex)
         for i in range(p):
-            w4_sub = (np.diag(d_out[i])
+            w4_sub = (np.diag(blk.d_hat[i])
                       @ blk.fstar_chains[i].dense()[:n])
             v = v + w4_sub @ y3_c[i * m:(i + 1) * m]
         y = np.concatenate([v.real, v.imag]) + blk.bias_out
@@ -290,18 +304,6 @@ def test_exact_init_multi_block_composes():
     assert np.max(np.abs(y - want)) <= 1e-8
 
 
-def test_exact_init_unshared_siblings():
-    n = 8
-    alpha = complex(np.exp(-0.9j))
-    cfg = NetworkConfig(n=n, kind=KIND_STRUCTURED, activation_slope=1.0,
-                        delay_alpha=1.0 + 0.0j, share_siblings=False, seed=7)
-    net = init_from_dvm(build_network(cfg), alpha)
-    dense = scaled_dvm_dense(DvmSpec(n, alpha))
-    x = np.random.default_rng(47).normal(size=2 * n)
-    y, _ = forward(net, x)
-    assert np.max(np.abs(y - real_split(dense @ (x[:n] + 1j * x[n:])))) <= 1e-9
-
-
 def test_exact_init_is_deterministic():
     a, _ = exact_net(8)
     b, _ = exact_net(8)
@@ -349,12 +351,6 @@ def test_structured_counts_frozen_and_banded():
         assert abs(got - target) / target <= 0.15
 
 
-def test_structured_counts_untied():
-    for n, want in ((8, 208), (16, 416), (32, 832)):
-        net = build_network(NetworkConfig(n=n, tie_scaling=False))
-        assert net.param_count() == want
-
-
 def test_complex_diagonal_counts_two_reals_each():
     net = build_network(NetworkConfig(n=16))
     entries = {p: (a, k) for p, a, k in net.param_entries()}
@@ -400,11 +396,10 @@ def test_flat_roundtrip():
             net.set_flat(flat[:-1])
 
 
-# configurations covering both kinds, untied scaling, unshared siblings, p > 1
-# and repeated blocks
+# configurations covering both kinds, p > 1, depth 0 and repeated blocks
 BUFFER_CONFIGS = [
     NetworkConfig(n=8, seed=1),
-    NetworkConfig(n=4, p=2, tie_scaling=False, share_siblings=False, l_layers=9, seed=3),
+    NetworkConfig(n=4, p=2, l_layers=9, seed=3),
     NetworkConfig(n=4, depth=0, seed=5),
     NetworkConfig(n=8, kind=KIND_DENSE, l_layers=9, seed=6),
 ]
@@ -427,8 +422,6 @@ def _block_arrays(net):
         for i in range(net.config.p):
             out[f"block{b}.w1.sub{i}.d_hat"] = blk.d_hat[i]
             out[f"block{b}.w1.sub{i}.d_breve"] = blk.d_breve[i]
-            if blk.d_hat_out is not None:
-                out[f"block{b}.w4.sub{i}.d_hat_out"] = blk.d_hat_out[i]
             for side, chain in (("w1", blk.f_chains[i]), ("w4", blk.fstar_chains[i])):
                 tag = "f" if side == "w1" else "fstar"
                 for lvl, tw in enumerate(chain.twiddles):
@@ -514,7 +507,7 @@ def test_get_flat_is_a_copy():
 
 
 @pytest.mark.parametrize("cfg", BUFFER_CONFIGS + [
-    NetworkConfig(n=16, depth=3, share_siblings=False, seed=7),
+    NetworkConfig(n=16, depth=3, seed=7),
     NetworkConfig(n=2, depth=2, seed=8),
     NetworkConfig(n=4, p=3, kind=KIND_DENSE, seed=10),
 ], ids=lambda c: f"{_cfg_id(c)}-d{c.depth}")
@@ -628,6 +621,21 @@ def test_load_checks_header_before_building(tmp_path, monkeypatch, offset, value
     monkeypatch.setattr(network, "_build", refuse)
     with pytest.raises(ValueError, match="does not match"):
         load_network(str(bad))
+
+
+@pytest.mark.parametrize("offset,name", [(26, "tie-scaling"), (27, "share-siblings")])
+def test_load_rejects_flag_byte_zero(tmp_path, offset, name):
+    # bytes 26 and 27 are always 1; a 0 there asked for a structure that is
+    # no longer built
+    net = build_network(NetworkConfig(n=4, seed=17))
+    path = tmp_path / "net.stnn"
+    save_network(net, str(path))
+    raw = bytearray(path.read_bytes())
+    assert raw[offset] == 1
+    raw[offset] = 0
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=f"{name} flag 0 \\(byte {offset}\\) must be 1"):
+        load_network(str(path))
 
 
 @pytest.mark.parametrize("offset,name", [(26, "tie-scaling"), (27, "share-siblings")])

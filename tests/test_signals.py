@@ -107,19 +107,13 @@ def test_snapshot_element_phase_progression_at_carrier():
 
 
 def test_noise_component_std():
-    rng = np.random.default_rng(50)
-    u = synth_received(GEOM, 24e9, 0.2, np.zeros(100_000 // GEOM.n_elements),
-                       noise_std=0.1, rng=rng)
-    clean = synth_received(GEOM, 24e9, 0.2, np.zeros(u.shape[1]))
-    noise = (u - clean).ravel()
-    assert noise.size >= 100_000 - GEOM.n_elements
-    assert 0.068 <= np.std(noise.real) <= 0.073
-    assert 0.068 <= np.std(noise.imag) <= 0.073
-
-
-def test_noise_requires_rng():
-    with pytest.raises(ValueError):
-        synth_received(GEOM, 24e9, 0.0, [0.0], noise_std=0.1)
+    # the noise make_dataset adds: the same set at noise 0.1 and at noise 0
+    n = GEOM.n_elements
+    args = (n, 24e9, [11.5], 100_000 // n)
+    noise = make_dataset(*args, 0.1, seed=50).x - make_dataset(*args, 0.0, seed=50).x
+    assert noise.size >= 2 * (100_000 - n)
+    assert 0.068 <= np.std(noise[:, :n]) <= 0.073
+    assert 0.068 <= np.std(noise[:, n:]) <= 0.073
 
 
 def test_transform_alpha_unit_modulus_and_value():
@@ -268,6 +262,28 @@ def test_make_dataset_rejects_seeds_outside_header_range(monkeypatch, seed, nois
     monkeypatch.setattr(signals, "synth_received", refuse)
     with pytest.raises(ValueError, match="seed must be an integer in 0..2\\*\\*63-1"):
         make_dataset(4, 24e9, [30.0], 2, noise_std, seed=seed)
+
+
+@pytest.mark.parametrize("kwargs,match", [
+    (dict(sample_rate=0.0), "sample rate"), (dict(sample_rate=-2.5e11), "sample rate"),
+    (dict(sample_rate=math.inf), "sample rate"), (dict(sample_rate=math.nan), "sample rate"),
+    (dict(noise_std=math.nan), "noise_std"), (dict(noise_std=math.inf), "noise_std"),
+    (dict(noise_std=-0.1), "noise_std"), (dict(angles_deg=[30.0, math.nan]), "angles"),
+    (dict(angles_deg=[-math.inf]), "angles"),
+], ids=["rate_0", "rate_neg", "rate_inf", "rate_nan", "noise_nan", "noise_inf", "noise_neg",
+        "angle_nan", "angle_inf"])
+def test_make_dataset_rejects_what_load_dataset_would(monkeypatch, kwargs, match):
+    import dvmbeam.signals as signals
+
+    def refuse(*args, **kw):
+        raise AssertionError("worked on a set that is rejected")
+
+    # rejected before any work; each of these used to give a NaN set, or one
+    # whose header load_dataset refuses
+    monkeypatch.setattr(signals, "synth_received", refuse)
+    args = dict(n=4, freq=24e9, angles_deg=[30.0], samples_per_angle=2, noise_std=0.1, seed=1)
+    with pytest.raises(ValueError, match=match):
+        make_dataset(**{**args, **kwargs})
 
 
 ROW_SEEDS = [0, 1, 100, 2**32 - 1, 2**32, 2**63 - 1]

@@ -201,9 +201,9 @@ def _interleaved_reference(pack, net):
 
 @pytest.mark.parametrize("cfg", [
     NetworkConfig(n=4, seed=11),
-    NetworkConfig(n=4, p=2, tie_scaling=False, share_siblings=False, l_layers=9, seed=13),
+    NetworkConfig(n=4, p=2, l_layers=9, seed=13),
     NetworkConfig(n=4, kind=KIND_DENSE, seed=14),
-], ids=["complex", "untied-unshared", "dense"])
+], ids=["complex", "p2-L9", "dense"])
 def test_gradient_flat_equals_interleaved_pack(cfg):
     net = build_network(cfg)
     rng = np.random.default_rng(15)
@@ -243,13 +243,11 @@ DELAY = complex(np.exp(-0.7j))
 
 
 @pytest.mark.parametrize("cfg", [
-    NetworkConfig(n=4, p=2, tie_scaling=False, share_siblings=False, l_layers=9,
-                  delay_alpha=DELAY, seed=23),
+    NetworkConfig(n=4, p=2, l_layers=9, delay_alpha=DELAY, seed=23),
     NetworkConfig(n=4, p=2, l_layers=9, kind=KIND_DENSE, delay_alpha=DELAY, seed=24),
-], ids=["complex-p2-untied-unshared-L9", "dense-p2-L9"])
+], ids=["complex-p2-L9", "dense-p2-L9"])
 def test_grad_check_block_variants(cfg):
-    # every branch of the block pass: p > 1, untied output scaling,
-    # unshared siblings, repeated blocks, and the dense kind
+    # every branch of the block pass: p > 1, repeated blocks, and the dense kind
     rng = np.random.default_rng(cfg.seed)
     net = build_network(cfg)
     x = clear_of_kinks(net, rng, cols=3)
@@ -457,6 +455,22 @@ def test_lm_parameter_limit_suggests_adam():
                              1e-3, OptimizerConfig(name="lm"))
 
 
+def test_lm_restores_parameters_when_a_residual_raises():
+    class Failing(LeastSquaresToy):
+        calls = 0
+
+        def residuals(self, a_mat, b_vec):
+            self.calls += 1
+            if self.calls == 3:  # the first minus step of the Jacobian
+                raise FloatingPointError("residual failed")
+            return super().residuals(a_mat, b_vec)
+
+    toy = Failing(np.array([0.5, -2.0]))
+    with pytest.raises(FloatingPointError):
+        gauss_newton_lm_step(toy, np.eye(2), np.zeros(2), 1e-3, OptimizerConfig(name="lm"))
+    assert toy.theta.tobytes() == np.array([0.5, -2.0]).tobytes()
+
+
 def test_lm_rejection_raises_mu():
     # start at the optimum of a 1-parameter problem: every trial step is a
     # rejection and mu must grow by the configured factor per retry
@@ -482,6 +496,34 @@ def test_optimizer_config_validation():
         OptimizerConfig(epochs=-1)
     with pytest.raises(ValueError):
         OptimizerConfig(lm_factor=1.0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(lr=float("nan")), dict(lr=float("inf")), dict(target_mse=float("nan")),
+    dict(target_mse=-1e-3), dict(lm_mu=float("nan")), dict(lm_mu=-1.0),
+    dict(lm_factor=float("nan")), dict(lm_factor=float("inf")), dict(lm_retries=-1),
+    dict(patience=0),
+], ids=["lr_nan", "lr_inf", "target_nan", "target_neg", "mu_nan", "mu_neg",
+        "factor_nan", "factor_inf", "retries_neg", "patience_0"])
+def test_optimizer_config_rejects_nan_and_out_of_range(kwargs):
+    # NaN fails every comparison, so each check is written to fail on it
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        OptimizerConfig(**kwargs)
+
+
+def test_optimizer_config_keeps_the_valid_edges():
+    opt = OptimizerConfig(target_mse=0.0, patience=1, lm_mu=0.0, lm_retries=0)
+    assert (opt.target_mse, opt.patience, opt.lm_mu, opt.lm_retries) == (0.0, 1, 0.0, 0)
+
+
+def test_optimizer_config_dict_keeps_the_shuffle_literal():
+    # batches are always shuffled; the key stays because report digests hash it
+    d = OptimizerConfig().to_dict()
+    assert d["shuffle"] is True
+    assert OptimizerConfig.from_dict(d) == OptimizerConfig()
+    for value in (False, 0, 1, "true", None):
+        with pytest.raises(ValueError, match=f"unsupported shuffle {value!r}"):
+            OptimizerConfig.from_dict({**d, "shuffle": value})
 
 
 @pytest.mark.parametrize("seed", [-1, 2**63, 1.5, None])
