@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -119,7 +121,8 @@ class OpCounter:
     muls counts complex multiplications (unit twiddles included; real-scalar
     normalization of a complex vector counts one mul per element), adds
     counts complex additions.  Instances are created by the caller and passed
-    down, never shared globally.
+    down, never shared globally.  They are not thread-safe, so a counted
+    FactorChain.apply runs on the calling thread alone.
     """
 
     muls: int = 0
@@ -342,20 +345,103 @@ class FactorChain:
         both DFTs and the middle diagonal run in it, and the last diagonal
         reads the Truncate view and returns a new, compact (N, B) array in
         Fortran order (axis 0 contiguous).
+
+        A run of in-place factors on an owned buffer goes through
+        _split_in_place: every column is its own transform, so a large
+        batch is cut into column blocks that run on short-lived threads
+        (numpy.fft and np.multiply release the interpreter lock), with
+        bit-identical output and no extra buffer.  The split needs no
+        counter, a 2-D buffer and at least 2 * _SPLIT_MIN_ENTRIES entries;
+        it uses at most one block per usable CPU and per column.
         """
         y = np.asarray(x, dtype=np.complex128)
         owned = False
+        run = []  # in-place factors waiting for the owned buffer y
         for f in self.factors:
             if owned and f.in_place:
-                y = f.apply(y, counter, out=y)
-            else:
-                y = f.apply(y, counter)
-                owned = y.flags.owndata
+                run.append(f)
+                continue
+            if run:
+                _split_in_place(run, y, counter)
+                run = []
+            y = f.apply(y, counter)
+            owned = y.flags.owndata
+        if run:
+            _split_in_place(run, y, counter)
         return y
 
     def dense(self) -> np.ndarray:
         in_dim = self.factors[0].shape[1]
         return self.apply(np.eye(in_dim, dtype=np.complex128))
+
+
+# Fewest buffer entries (complex values) per column block when a run of
+# in-place factors is split across threads: k = min(usable CPUs, B,
+# entries // _SPLIT_MIN_ENTRIES), so a (2N, B) buffer splits from 2**17
+# entries on.  Below that, starting and joining a thread (170-250 us) costs
+# more than the second CPU saves.  Split (k=2) over serial time, medians of
+# 10 alternating best-of runs in one process, 2-CPU x86 VM with other load:
+#
+#    entries   shape              split / serial
+#      2,048   N=16,   B=64       5.3
+#      8,192   N=64,   B=64       3.5
+#     28,800   N=16,   B=900      1.6-2.0  (make_dataset 1.05, verify_targets 1.32)
+#     32,768   N=256,  B=64       1.55-1.7
+#     65,536   N=512,  B=64       0.90-1.6 (N=16..2048 at this size: 0.92-1.55)
+#     96,000   N=16,   B=3000     0.90-1.08 (make_dataset 1.18, verify_targets 1.10)
+#    131,072   N=1024, B=64       0.83-0.91 (N=16..4096 at this size: 0.79-1.38)
+#    524,288   N=4096, B=64       0.72
+_SPLIT_MIN_ENTRIES = 1 << 16
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity set, where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _apply_in_place(factors, y, counter) -> None:
+    for f in factors:
+        f.apply(y, counter, out=y)
+
+
+def _split_in_place(factors, y, counter) -> None:
+    """Run in-place factors over y, as k column blocks on k threads.
+
+    The calling thread takes the first block and k - 1 threads the others;
+    every thread has joined before this returns or raises, and an exception
+    from a worker is re-raised here.  k is 1, and no thread starts, for a
+    counted call (OpCounter is not thread-safe), a vector, or a buffer below
+    2 * _SPLIT_MIN_ENTRIES entries.
+    """
+    k = 1
+    if counter is None and y.ndim == 2 and y.size >= 2 * _SPLIT_MIN_ENTRIES:
+        k = min(_usable_cpus(), y.shape[1], y.size // _SPLIT_MIN_ENTRIES)
+    if k <= 1:
+        _apply_in_place(factors, y, counter)
+        return
+    blocks = np.array_split(y, k, axis=1)  # views into y
+    errors = []
+
+    def work(block):
+        try:
+            _apply_in_place(factors, block, None)
+        except Exception as e:  # re-raised by the caller after the join
+            errors.append(e)
+
+    threads = []
+    try:
+        for block in blocks[1:]:
+            t = threading.Thread(target=work, args=(block,))
+            t.start()
+            threads.append(t)
+        _apply_in_place(factors, blocks[0], None)
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
 
 
 def build_bluestein_chain(spec: DvmSpec) -> FactorChain:
@@ -389,7 +475,11 @@ def fast_dvm_apply(chain: FactorChain, x, counter: OpCounter | None = None) -> n
 
     x is never written.  The result is a new array; a 2-D one is in Fortran
     order (axis 0 contiguous).  FactorChain.apply says which factors run in
-    place.
+    place.  An uncounted batch of at least 2 columns whose (2N, B) buffer
+    holds 2 * _SPLIT_MIN_ENTRIES (2**17) entries or more, N=1024 at B=64
+    for one, runs its DFTs and middle diagonal as column blocks on up to
+    min(usable CPUs, B) threads; the output is bit-identical to the serial
+    apply, and no thread outlives the call.
     """
     x = np.asarray(x)
     if x.ndim not in (1, 2):

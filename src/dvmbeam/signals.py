@@ -184,6 +184,8 @@ def make_dataset(
     must pass load_dataset's header check, so that the set loads back.
     """
     check_seed(seed)
+    if not math.isfinite(freq):
+        raise ValueError(f"freq must be finite, got {freq!r}")
     if samples_per_angle < 1:
         raise ValueError("samples_per_angle must be >= 1")
     if not (sample_rate > 0 and math.isfinite(sample_rate)):
@@ -263,7 +265,11 @@ _HEAD_FMT = "<4sIIQdddddq"
 def save_dataset(ds: Dataset, path: str) -> None:
     """Binary layout: magic, version, n, sample count, freq, sample_rate,
     spacing, noise_std, reserved, seed, then angle/time/x/y arrays as
-    little-endian float64.  save_dataset_csv writes the tabular twin."""
+    little-endian float64.  save_dataset_csv writes the tabular twin.
+    The frequency must be finite: load_dataset rejects any other."""
+    if not math.isfinite(ds.freq):
+        raise ValueError(f"freq must be finite to save a dataset, got {ds.freq!r}; "
+                         "pass freq= to load_dataset_csv when reading a table")
     head = struct.pack(
         _HEAD_FMT, _MAGIC, _VERSION, ds.n, ds.n_samples, ds.freq,
         ds.sample_rate, ds.spacing, ds.noise_std, 0.0, ds.seed,
@@ -293,6 +299,8 @@ def load_dataset(path: str, verify: bool = True) -> Dataset:
     if n < 2 or not (rate > 0 and math.isfinite(rate)):
         raise ValueError(f"{path}: header gives n={n} and sample rate {rate!r}; "
                          "want n >= 2 and a positive finite rate")
+    if not math.isfinite(freq):
+        raise ValueError(f"{path}: frequency {freq!r} (byte 20) must be finite")
     if seed < 0:
         raise ValueError(f"{path}: seed {seed} (byte 60) must be in 0..2**63-1")
     need = head_size + 8 * (count * 2 + count * 4 * n)
@@ -375,7 +383,8 @@ def load_dataset_csv(path: str, freq: float | None = None,
                      seed: int = 0, verify: bool = True) -> Dataset:
     """Read the tabular format back (CRLF or LF line ends).  The table
     carries no generator metadata, so freq (and friends) must be supplied to
-    re-verify targets; without freq the data loads unverified.  The
+    re-verify targets; without freq the data loads unverified, with a NaN
+    freq that save_dataset rejects.  The
     sample_id column is not parsed.  seed must pass check_seed, so that
     save_dataset can write the result."""
     check_seed(seed)

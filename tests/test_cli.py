@@ -91,12 +91,12 @@ def test_gen_data_negative_noise(work):
 
 
 def test_gen_data_nan_frequency(work, capsys):
-    # a NaN frequency gives a NaN generator, which the DVM spec now rejects
-    # (it used to write an all-NaN dataset and exit 1)
+    # make_dataset rejects a NaN frequency by name (it used to write an
+    # all-NaN dataset and exit 1, then to fail on the NaN generator)
     out = work / "nan_freq.bin"
     code = main(["gen-data", "--n", "4", "--freq-ghz", "nan", "--out", str(out)])
     assert code == EXIT_USAGE
-    assert "unit modulus" in capsys.readouterr().err
+    assert "freq must be finite, got nan" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -420,6 +420,22 @@ def test_eval_negative_seed_in_model(exact_model, data4_clean, work, capsys):
     assert code == EXIT_IO
     err = capsys.readouterr().err
     assert str(bad) in err and "seed -3 (byte 60)" in err
+
+
+def test_eval_nan_freq_in_dataset(exact_model, data4_clean, work, capsys):
+    # bytes 20-27 of a dataset header hold the frequency; NaN there used to
+    # fail on the generator with a message naming neither file nor field
+    import struct
+
+    data = bytearray(data4_clean.read_bytes())
+    struct.pack_into("<d", data, 20, float("nan"))
+    bad = work / "nan_freq.bin"
+    bad.write_bytes(bytes(data))
+    code = main(["eval", "--model", str(exact_model), "--data", str(bad)])
+    assert code == EXIT_IO
+    captured = capsys.readouterr()
+    assert str(bad) in captured.err and "frequency nan (byte 20)" in captured.err
+    assert "Traceback" not in captured.err and "MSE" not in captured.out
 
 
 @pytest.mark.parametrize("offset,value", [(8, 1024), (20, 4 * 10**9 + 1)],

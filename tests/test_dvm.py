@@ -7,14 +7,17 @@ against itself.
 
 import math
 import re
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from dvmbeam import dvm
 from dvmbeam.dvm import (
     Dft,
     DvmSpec,
+    FactorChain,
     OpCounter,
     ZeroPad,
     build_bluestein_chain,
@@ -290,6 +293,23 @@ def composed_apply(chain, x, counter=None):
     return y
 
 
+def spy_threads(monkeypatch, cpus, min_entries=1):
+    """Make FactorChain.apply see cpus usable CPUs and split any 2-D buffer
+    of at least 2 * min_entries entries; returns the list of threads it
+    starts."""
+    started = []
+
+    class Spy(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(dvm.threading, "Thread", Spy)
+    monkeypatch.setattr(dvm, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(dvm, "_SPLIT_MIN_ENTRIES", min_entries)
+    return started
+
+
 @pytest.mark.parametrize("n", [2, 4, 16, 64, 1024, 4096])
 def test_chain_apply_equals_factor_composition_bitwise(n):
     rng = np.random.default_rng(n)
@@ -320,31 +340,116 @@ def test_chain_apply_never_writes_its_input(order):
         assert np.array_equal(got, composed_apply(chain, keep))
 
 
-def test_chain_apply_returns_a_compact_array():
+def test_chain_apply_returns_a_compact_array(monkeypatch):
     # the last diagonal reads the Truncate view but must not return a view
-    # of the 2N-row work buffer
+    # of the 2N-row work buffer, also when that buffer was split
     rng = np.random.default_rng(25)
     chain = build_bluestein_chain(DvmSpec(32, random_unit(rng)))
-    for shape in ((32,), (32, 1), (32, 6)):
-        y = fast_dvm_apply(chain, rng.normal(size=shape) + 0j)
-        assert y.base is None and y.shape == shape and y.flags.f_contiguous
+    for cpus in (1, 3):
+        spy_threads(monkeypatch, cpus)
+        for shape in ((32,), (32, 1), (32, 6)):
+            y = fast_dvm_apply(chain, rng.normal(size=shape) + 0j)
+            assert y.base is None and y.shape == shape and y.flags.f_contiguous
 
 
-def test_chain_apply_memory_budget():
+def test_chain_apply_memory_budget(monkeypatch):
     # only ZeroPad's (2N, B) buffer has 2N rows: the DFTs and the middle
-    # diagonal run in it
-    n, b = 1024, 64
+    # diagonal run in it, also when its column blocks run on two threads
+    b = 64
     rng = np.random.default_rng(26)
+    for n in (1024, 4096):
+        chain = build_bluestein_chain(DvmSpec(n, random_unit(rng)))
+        x = rng.normal(size=(n, b)) + 1j * rng.normal(size=(n, b))
+        for cpus in (1, 2):
+            started = spy_threads(monkeypatch, cpus, dvm._SPLIT_MIN_ENTRIES)
+            fast_dvm_apply(chain, x)  # numpy.fft plans are cached on first use
+            tracemalloc.start()
+            try:
+                fast_dvm_apply(chain, x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3.5 * n * b * 16, (n, cpus, peak / (n * b * 16))
+            assert len(started) == 2 * (cpus - 1)  # one worker per apply when split
+
+
+# ---------------------------------------------------------------------------
+# the in-place stage split over column blocks on threads
+
+
+# every N with every width but N=4096, B=1001, whose buffers take about 400 MB
+@pytest.mark.parametrize("n, b", [(n, b) for n in (16, 256, 1024, 4096)
+                                  for b in (2, 3, 63, 64, 1001) if n * b <= 1 << 20])
+def test_split_apply_equals_serial_bytes(monkeypatch, n, b):
+    rng = np.random.default_rng(n + b)
     chain = build_bluestein_chain(DvmSpec(n, random_unit(rng)))
     x = rng.normal(size=(n, b)) + 1j * rng.normal(size=(n, b))
-    fast_dvm_apply(chain, x)  # numpy.fft plans are cached on first use
-    tracemalloc.start()
-    try:
-        fast_dvm_apply(chain, x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3.5 * n * b * 16, peak / (n * b * 16)
+    serial = fast_dvm_apply(chain, x)
+    for k in (2, 3):
+        started = spy_threads(monkeypatch, k)
+        for order_x in (np.ascontiguousarray(x), np.asfortranarray(x)):
+            got = fast_dvm_apply(chain, order_x)
+            assert got.tobytes(order="A") == serial.tobytes(order="A")
+            assert got.flags.f_contiguous and got.base is None
+        assert len(started) == 2 * (min(k, b) - 1)
+
+
+def test_split_apply_leaves_no_thread_and_keeps_its_input(monkeypatch):
+    started = spy_threads(monkeypatch, 3)
+    rng = np.random.default_rng(27)
+    chain = build_bluestein_chain(DvmSpec(64, random_unit(rng)))
+    x = rng.normal(size=(64, 10)) + 1j * rng.normal(size=(64, 10))
+    keep = x.copy()
+    x.flags.writeable = False
+    before = threading.active_count()
+    y = fast_dvm_apply(chain, x)
+    assert len(started) == 2 and not any(t.is_alive() for t in started)
+    assert threading.active_count() == before
+    assert np.array_equal(x, keep)
+    assert np.array_equal(y, composed_apply(chain, keep))
+
+
+def test_counted_or_single_column_apply_starts_no_thread(monkeypatch):
+    # OpCounter is not thread-safe, and a counted apply must tally what
+    # the composed apply does
+    started = spy_threads(monkeypatch, 3)
+    rng = np.random.default_rng(28)
+    chain = build_bluestein_chain(DvmSpec(256, random_unit(rng)))
+    for shape in ((256, 64), (256,), (256, 1)):
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        counted, composed = OpCounter(), OpCounter()
+        got = fast_dvm_apply(chain, x, counted)
+        assert np.array_equal(got, composed_apply(chain, x, composed))
+        assert (counted.muls, counted.adds) == (composed.muls, composed.adds)
+    for shape in ((256,), (256, 1)):
+        fast_dvm_apply(chain, rng.normal(size=shape) + 0j)
+    assert started == []
+
+
+class _FailingFactor:
+    """In-place factor that raises on one column block."""
+
+    in_place = True
+
+    def __init__(self, in_worker):
+        self.in_worker = in_worker
+
+    def apply(self, x, counter=None, out=None):
+        if (threading.current_thread() is not threading.main_thread()) == self.in_worker:
+            raise FloatingPointError("block failed")
+        return x
+
+
+@pytest.mark.parametrize("in_worker", [True, False])
+def test_split_apply_reraises_a_block_error_after_the_join(monkeypatch, in_worker):
+    started = spy_threads(monkeypatch, 3)
+    spec = DvmSpec(16, 1.0 + 0j)
+    chain = FactorChain(spec, [ZeroPad(32, 16), Dft(32), _FailingFactor(in_worker), Dft(32, conj=True)])
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="block failed"):
+        chain.apply(np.ones((16, 9), dtype=complex))
+    assert len(started) == 2 and not any(t.is_alive() for t in started)
+    assert threading.active_count() == before
 
 
 def test_scaled_dvm_apply_wrapper():

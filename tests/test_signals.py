@@ -496,6 +496,45 @@ def test_csv_load_without_metadata_skips_verification(tmp_path):
     assert math.isnan(back.freq)
 
 
+def test_table_loaded_without_freq_does_not_save_as_binary(tmp_path):
+    # its NaN frequency used to be written to byte 20, and load_dataset then
+    # failed on the NaN generator, naming neither the file nor the field
+    p = tmp_path / "d.csv"
+    save_dataset_csv(small_ds(), str(p))
+    back = load_dataset_csv(str(p))
+    with pytest.raises(ValueError, match=r"freq must be finite.*freq= to load_dataset_csv"):
+        save_dataset(back, str(tmp_path / "d.dvmb"))
+    assert not (tmp_path / "d.dvmb").exists()
+
+
+@pytest.mark.parametrize("freq", [math.nan, math.inf, -math.inf])
+def test_make_dataset_rejects_non_finite_freq(freq):
+    with pytest.raises(ValueError, match="freq must be finite"):
+        make_dataset(4, freq, [30.0], 2, 0.0, seed=0)
+
+
+@pytest.mark.parametrize("verify", [True, False])
+@pytest.mark.parametrize("freq", [math.nan, math.inf])
+def test_load_rejects_non_finite_freq_naming_file_and_byte(tmp_path, freq, verify):
+    p = tmp_path / "d.dvmb"
+    save_dataset(small_ds(), str(p))
+    raw = bytearray(p.read_bytes())
+    raw[20:28] = struct.pack("<d", freq)
+    p.write_bytes(bytes(raw))
+    with pytest.raises(ValueError) as err:
+        load_dataset(str(p), verify=verify)
+    assert str(p) in str(err.value) and f"frequency {freq!r} (byte 20)" in str(err.value)
+
+
+@pytest.mark.parametrize("freq", [0.0, -24e9])
+def test_zero_and_negative_freq_save_and_load(tmp_path, freq):
+    ds = make_dataset(4, freq, [30.0, 40.0], 5, 0.1, seed=3)
+    p = tmp_path / "d.dvmb"
+    save_dataset(ds, str(p))
+    back = load_dataset(str(p))
+    assert back.freq == freq and np.array_equal(back.y, ds.y)
+
+
 @pytest.mark.parametrize("seed", [-1, 2**63, 1.5])
 def test_csv_load_rejects_seed_a_dataset_file_cannot_hold(tmp_path, seed):
     p = tmp_path / "d.csv"
