@@ -411,14 +411,12 @@ def _split_in_place(factors, y, counter) -> None:
 
     The calling thread takes the first block and k - 1 threads the others;
     every thread has joined before this returns or raises, and an exception
-    from a worker is re-raised here.  k is 1, and no thread starts, for a
-    counted call (OpCounter is not thread-safe), a vector, or a buffer below
-    2 * _SPLIT_MIN_ENTRIES entries.
+    from a worker is re-raised here.
     """
-    k = 1
+    k = 1  # also for a counted call: OpCounter is not thread-safe
     if counter is None and y.ndim == 2 and y.size >= 2 * _SPLIT_MIN_ENTRIES:
         k = min(_usable_cpus(), y.shape[1], y.size // _SPLIT_MIN_ENTRIES)
-    if k <= 1:
+    if k == 1:
         _apply_in_place(factors, y, counter)
         return
     blocks = np.array_split(y, k, axis=1)  # views into y
