@@ -351,8 +351,9 @@ class FactorChain:
         batch is cut into column blocks that run on short-lived threads
         (numpy.fft and np.multiply release the interpreter lock), with
         bit-identical output and no extra buffer.  The split needs no
-        counter, a 2-D buffer and at least 2 * _SPLIT_MIN_ENTRIES entries;
-        it uses at most one block per usable CPU and per column.
+        counter and a 2-D buffer of at least _SPLIT_MIN_ROWS rows and
+        _SPLIT_MIN_ENTRIES entries; it uses at most one block per usable
+        CPU and per column, and at most _SPLIT_MAX_BLOCKS blocks.
         """
         y = np.asarray(x, dtype=np.complex128)
         owned = False
@@ -375,23 +376,35 @@ class FactorChain:
         return self.apply(np.eye(in_dim, dtype=np.complex128))
 
 
-# Fewest buffer entries (complex values) per column block when a run of
-# in-place factors is split across threads: k = min(usable CPUs, B,
-# entries // _SPLIT_MIN_ENTRIES), so a (2N, B) buffer splits from 2**17
-# entries on.  Below that, starting and joining a thread (170-250 us) costs
-# more than the second CPU saves.  Split (k=2) over serial time, medians of
-# 10 alternating best-of runs in one process, 2-CPU x86 VM with other load:
+# When a run of in-place factors is split across threads: a (2N, B) buffer
+# splits when it has at least _SPLIT_MIN_ROWS rows (N >= 1024) and
+# _SPLIT_MIN_ENTRIES entries, into min(usable CPUs, _SPLIT_MAX_BLOCKS, B)
+# column blocks.  A thread start plus join costs 170-250 us.  Split (k=2)
+# over serial time, medians of 6-10 alternating best-of runs in one process,
+# 2-CPU x86 VM (affinity {0, 1}) with other load:
 #
-#    entries   shape              split / serial
-#      2,048   N=16,   B=64       5.3
-#      8,192   N=64,   B=64       3.5
-#     28,800   N=16,   B=900      1.6-2.0  (make_dataset 1.05, verify_targets 1.32)
-#     32,768   N=256,  B=64       1.55-1.7
-#     65,536   N=512,  B=64       0.90-1.6 (N=16..2048 at this size: 0.92-1.55)
-#     96,000   N=16,   B=3000     0.90-1.08 (make_dataset 1.18, verify_targets 1.10)
-#    131,072   N=1024, B=64       0.83-0.91 (N=16..4096 at this size: 0.79-1.38)
-#    524,288   N=4096, B=64       0.72
-_SPLIT_MIN_ENTRIES = 1 << 16
+#    shape             entries    split / serial
+#    N=16,   B=900      28,800    1.6-2.0 (make_dataset 1.05, verify_targets 1.32)
+#    N=256,  B=64       32,768    1.55-1.7
+#    N=16,   B=3000     96,000    0.90-1.08 (make_dataset 1.02-1.18, verify_targets 1.05-1.10)
+#    N=32,   B=3000    192,000    0.80 (make_dataset 0.95, verify_targets 0.87)
+#    N=64,   B=3000    384,000    0.93 (make_dataset 0.91, verify_targets 0.96)
+#    N=256,  B=3000  1,536,000    make_dataset 0.94, verify_targets 0.75
+#    N=1024, B=64      131,072    0.79-0.91; benchmarks/run.py mid_op_ms level
+#    N=1024, B=128     262,144    0.67
+#    N=2048, B=32/64   131,072 / 262,144    0.74 / 0.70
+#    N=4096, B=4/8/16  32,768 / 65,536 / 131,072    1.01 / 0.86 / 0.75
+#    N=4096, B=32      262,144    0.70
+#    N=4096, B=63/64   516,096 / 524,288    0.65 / 0.67
+#    N=8192, B=64    1,048,576    0.79
+#
+# Buffer size alone does not decide it (131,072 entries read 0.79-1.38 over
+# N=16..4096), and below 2048 rows a gain was small, unsteady or lost in the
+# rest of a dataset build, so those stay serial.  k above 2 has not been
+# measured (the machine above has two CPUs), so no apply uses more blocks.
+_SPLIT_MIN_ROWS = 2048
+_SPLIT_MIN_ENTRIES = 1 << 18
+_SPLIT_MAX_BLOCKS = 2
 
 
 def _usable_cpus() -> int:
@@ -414,8 +427,9 @@ def _split_in_place(factors, y, counter) -> None:
     from a worker is re-raised here.
     """
     k = 1  # also for a counted call: OpCounter is not thread-safe
-    if counter is None and y.ndim == 2 and y.size >= 2 * _SPLIT_MIN_ENTRIES:
-        k = min(_usable_cpus(), y.shape[1], y.size // _SPLIT_MIN_ENTRIES)
+    if (counter is None and y.ndim == 2 and y.shape[0] >= _SPLIT_MIN_ROWS
+            and y.size >= _SPLIT_MIN_ENTRIES):
+        k = min(_usable_cpus(), _SPLIT_MAX_BLOCKS, y.shape[1])
     if k == 1:
         _apply_in_place(factors, y, counter)
         return
@@ -473,11 +487,11 @@ def fast_dvm_apply(chain: FactorChain, x, counter: OpCounter | None = None) -> n
 
     x is never written.  The result is a new array; a 2-D one is in Fortran
     order (axis 0 contiguous).  FactorChain.apply says which factors run in
-    place.  An uncounted batch of at least 2 columns whose (2N, B) buffer
-    holds 2 * _SPLIT_MIN_ENTRIES (2**17) entries or more, N=1024 at B=64
-    for one, runs its DFTs and middle diagonal as column blocks on up to
-    min(usable CPUs, B) threads; the output is bit-identical to the serial
-    apply, and no thread outlives the call.
+    place.  An uncounted batch of at least 2 columns with N >= 1024 whose
+    (2N, B) buffer holds 2**18 entries or more (N=2048 at B=64, N=4096 at
+    B=32) runs its DFTs and middle diagonal as column blocks on two threads
+    when the process may use two CPUs; the output is bit-identical to the
+    serial apply, and no thread outlives the call.
     """
     x = np.asarray(x)
     if x.ndim not in (1, 2):

@@ -293,10 +293,10 @@ def composed_apply(chain, x, counter=None):
     return y
 
 
-def spy_threads(monkeypatch, cpus, min_entries=1):
-    """Make FactorChain.apply see cpus usable CPUs and split any 2-D buffer
-    of at least 2 * min_entries entries; returns the list of threads it
-    starts."""
+def spy_threads(monkeypatch, cpus, force=True):
+    """Make FactorChain.apply see cpus usable CPUs; with force, also let it
+    split any 2-D buffer into up to cpus blocks.  Returns the list of
+    threads it starts."""
     started = []
 
     class Spy(threading.Thread):
@@ -306,7 +306,10 @@ def spy_threads(monkeypatch, cpus, min_entries=1):
 
     monkeypatch.setattr(dvm.threading, "Thread", Spy)
     monkeypatch.setattr(dvm, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(dvm, "_SPLIT_MIN_ENTRIES", min_entries)
+    if force:
+        monkeypatch.setattr(dvm, "_SPLIT_MIN_ROWS", 1)
+        monkeypatch.setattr(dvm, "_SPLIT_MIN_ENTRIES", 1)
+        monkeypatch.setattr(dvm, "_SPLIT_MAX_BLOCKS", cpus)
     return started
 
 
@@ -355,13 +358,14 @@ def test_chain_apply_returns_a_compact_array(monkeypatch):
 def test_chain_apply_memory_budget(monkeypatch):
     # only ZeroPad's (2N, B) buffer has 2N rows: the DFTs and the middle
     # diagonal run in it, also when its column blocks run on two threads
+    # (N=4096 splits at batch 64, N=1024 does not)
     b = 64
     rng = np.random.default_rng(26)
     for n in (1024, 4096):
         chain = build_bluestein_chain(DvmSpec(n, random_unit(rng)))
         x = rng.normal(size=(n, b)) + 1j * rng.normal(size=(n, b))
         for cpus in (1, 2):
-            started = spy_threads(monkeypatch, cpus, dvm._SPLIT_MIN_ENTRIES)
+            started = spy_threads(monkeypatch, cpus, force=False)
             fast_dvm_apply(chain, x)  # numpy.fft plans are cached on first use
             tracemalloc.start()
             try:
@@ -370,7 +374,7 @@ def test_chain_apply_memory_budget(monkeypatch):
             finally:
                 tracemalloc.stop()
             assert peak <= 3.5 * n * b * 16, (n, cpus, peak / (n * b * 16))
-            assert len(started) == 2 * (cpus - 1)  # one worker per apply when split
+            assert len(started) == (2 * (cpus - 1) if n == 4096 else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +388,9 @@ def test_split_apply_equals_serial_bytes(monkeypatch, n, b):
     rng = np.random.default_rng(n + b)
     chain = build_bluestein_chain(DvmSpec(n, random_unit(rng)))
     x = rng.normal(size=(n, b)) + 1j * rng.normal(size=(n, b))
+    on_one_cpu = spy_threads(monkeypatch, 1)  # the reference runs serial
     serial = fast_dvm_apply(chain, x)
+    assert on_one_cpu == []
     for k in (2, 3):
         started = spy_threads(monkeypatch, k)
         for order_x in (np.ascontiguousarray(x), np.asfortranarray(x)):
@@ -392,6 +398,19 @@ def test_split_apply_equals_serial_bytes(monkeypatch, n, b):
             assert got.tobytes(order="A") == serial.tobytes(order="A")
             assert got.flags.f_contiguous and got.base is None
         assert len(started) == 2 * (min(k, b) - 1)
+
+
+# (N, B, worker threads) on a machine with 8 usable CPUs
+@pytest.mark.parametrize("n, b, workers", [
+    (16, 3000, 0), (64, 3000, 0), (1024, 64, 0), (4096, 16, 0), (4096, 1, 0),
+    (1024, 128, 1), (2048, 64, 1), (4096, 32, 1), (4096, 64, 1),
+])
+def test_split_needs_long_columns_and_a_large_buffer(monkeypatch, n, b, workers):
+    # 2N >= 2048 rows and 2**18 entries; never more than two blocks
+    started = spy_threads(monkeypatch, 8, force=False)
+    x = np.ones((n, b), dtype=complex)
+    fast_dvm_apply(build_bluestein_chain(DvmSpec(n, 1j)), x)
+    assert len(started) == workers
 
 
 def test_split_apply_leaves_no_thread_and_keeps_its_input(monkeypatch):
