@@ -346,29 +346,34 @@ class FactorChain:
         reads the Truncate view and returns a new, compact (N, B) array in
         Fortran order (axis 0 contiguous).
 
-        A run of in-place factors on an owned buffer goes through
-        _split_in_place: every column is its own transform, so a large
+        Uncounted, a run of in-place factors on an owned column batch goes
+        through _split_in_place: every column is its own transform, so a large
         batch is cut into column blocks that run on short-lived threads
         (numpy.fft and np.multiply release the interpreter lock), with
-        bit-identical output and no extra buffer.  The split needs no
-        counter and a 2-D buffer of at least _SPLIT_MIN_ROWS rows and
-        _SPLIT_MIN_ENTRIES entries; it uses at most one block per usable
-        CPU and per column, and at most _SPLIT_MAX_BLOCKS blocks.
+        bit-identical output and no extra buffer.  The split needs a buffer
+        of at least _SPLIT_MIN_ROWS rows and _SPLIT_MIN_ENTRIES entries; it
+        uses at most one block per usable CPU and per column, and at most
+        _SPLIT_MAX_BLOCKS blocks.
         """
         y = np.asarray(x, dtype=np.complex128)
         owned = False
         run = []  # in-place factors waiting for the owned buffer y
         for f in self.factors:
             if owned and f.in_place:
-                run.append(f)
+                # OpCounter is not thread-safe, and a vector never splits:
+                # both run here, without the queue's per-call cost
+                if counter is not None or y.ndim == 1:
+                    f.apply(y, counter, out=y)
+                else:
+                    run.append(f)
                 continue
             if run:
-                _split_in_place(run, y, counter)
+                _split_in_place(run, y)
                 run = []
             y = f.apply(y, counter)
             owned = y.flags.owndata
         if run:
-            _split_in_place(run, y, counter)
+            _split_in_place(run, y)
         return y
 
     def dense(self) -> np.ndarray:
@@ -414,31 +419,31 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _apply_in_place(factors, y, counter) -> None:
+def _apply_in_place(factors, y) -> None:
     for f in factors:
-        f.apply(y, counter, out=y)
+        f.apply(y, out=y)
 
 
-def _split_in_place(factors, y, counter) -> None:
-    """Run in-place factors over y, as k column blocks on k threads.
+def _split_in_place(factors, y) -> None:
+    """Run in-place factors over the column batch y, as k column blocks on
+    k threads.
 
     The calling thread takes the first block and k - 1 threads the others;
     every thread has joined before this returns or raises, and an exception
     from a worker is re-raised here.
     """
-    k = 1  # also for a counted call: OpCounter is not thread-safe
-    if (counter is None and y.ndim == 2 and y.shape[0] >= _SPLIT_MIN_ROWS
-            and y.size >= _SPLIT_MIN_ENTRIES):
+    k = 1
+    if y.shape[0] >= _SPLIT_MIN_ROWS and y.size >= _SPLIT_MIN_ENTRIES:
         k = min(_usable_cpus(), _SPLIT_MAX_BLOCKS, y.shape[1])
     if k == 1:
-        _apply_in_place(factors, y, counter)
+        _apply_in_place(factors, y)
         return
     blocks = np.array_split(y, k, axis=1)  # views into y
     errors = []
 
     def work(block):
         try:
-            _apply_in_place(factors, block, None)
+            _apply_in_place(factors, block)
         except Exception as e:  # re-raised by the caller after the join
             errors.append(e)
 
@@ -448,7 +453,7 @@ def _split_in_place(factors, y, counter) -> None:
             t = threading.Thread(target=work, args=(block,))
             t.start()
             threads.append(t)
-        _apply_in_place(factors, blocks[0], None)
+        _apply_in_place(factors, blocks[0])
     finally:
         for t in threads:
             t.join()
