@@ -211,7 +211,11 @@ def even_odd_permute(x) -> np.ndarray:
 
 
 class Diagonal:
-    """Elementwise multiply by a fixed complex vector; out=x runs in place."""
+    """Elementwise multiply by a fixed complex vector; out=x runs in place.
+
+    A row-ordered column batch written into a column-ordered out (the
+    first diagonal into the pad buffer) goes through row tiles.
+    """
 
     in_place = True
 
@@ -229,8 +233,12 @@ class Diagonal:
     def apply(self, x, counter=None, out=None):
         if counter is not None:
             counter.tally(muls=len(self.values))
-        v = self.values
-        return np.multiply(x, v[:, None] if np.ndim(x) == 2 else v, out=out)
+        x, v = np.asarray(x), self.values  # x.ndim costs a third of np.ndim(x)
+        if x.ndim != 2:
+            return np.multiply(x, v, out=out)
+        if out is None or out is x or not _transposes(x, out):
+            return np.multiply(x, v[:, None], out=out)
+        return _multiply_by_row_tiles(x, v, out)
 
     def dense(self):
         return np.diag(self.values)
@@ -266,7 +274,8 @@ class Dft:
 
 class ZeroPad:
     """Append zero rows: J x = [x; 0].  The result is a new array in Fortran
-    order, so each column (the axis the DFTs run along) is contiguous."""
+    order, so each column (the axis the DFTs run along) is contiguous, or
+    out when given."""
 
     in_place = False
 
@@ -283,9 +292,12 @@ class ZeroPad:
     def shape(self):
         return (self.out_dim, self.in_dim)
 
-    def apply(self, x, counter=None):
+    def apply(self, x, counter=None, out=None):
         x = np.asarray(x)
-        out = np.zeros((self.out_dim,) + x.shape[1:], x.dtype, order="F")
+        if out is None:
+            out = np.zeros((self.out_dim,) + x.shape[1:], x.dtype, order="F")
+        else:
+            out[self.in_dim :] = 0
         out[: self.in_dim] = x
         return out
 
@@ -338,77 +350,170 @@ class FactorChain:
         """Run the factors on x, a vector or a column batch.
 
         x is never written.  A factor whose in_place flag is set overwrites
-        its input when that input is an array this call allocated and owns
-        (ZeroPad's buffer or an earlier factor's result); otherwise it
-        returns a new array.  For the Bluestein chain
-        that means ZeroPad's (2N, B) buffer is the only 2N-row allocation:
-        both DFTs and the middle diagonal run in it, and the last diagonal
-        reads the Truncate view and returns a new, compact (N, B) array in
-        Fortran order (axis 0 contiguous).
+        its input when that input is a buffer this call owns (the pad
+        buffer or an earlier factor's result); otherwise it returns a new
+        array.  An in-place factor followed by ZeroPad on a column batch
+        larger than one row tile (_tile_rows) writes its result straight
+        into the pad buffer's leading rows.  For the Bluestein chain that
+        means the (2N, B) pad buffer, in Fortran order, is the only 2N-row
+        allocation: the first diagonal's product goes into it through row
+        tiles (no (N, B) temporary), both DFTs and the middle diagonal run
+        in it, and the last diagonal reads the Truncate view and returns a
+        new, compact (N, B) array in Fortran order (axis 0 contiguous).
 
-        Uncounted, a run of in-place factors on an owned column batch goes
-        through _split_in_place: every column is its own transform, so a large
-        batch is cut into column blocks that run on short-lived threads
-        (numpy.fft and np.multiply release the interpreter lock), with
-        bit-identical output and no extra buffer.  The split needs a buffer
-        of at least _SPLIT_MIN_ROWS rows and _SPLIT_MIN_ENTRIES entries; it
-        uses at most one block per usable CPU and per column, and at most
-        _SPLIT_MAX_BLOCKS blocks.
+        Every column is its own transform, so an uncounted batch may run
+        the whole chain as k column blocks, one on the calling thread and
+        k - 1 on short-lived threads (numpy.fft and np.multiply release the
+        interpreter lock), with bit-identical output.  The calling thread
+        allocates the pad buffer and the output; each block runs every
+        factor on its columns of x, of the pad buffer and of the output.
+        The chain splits when it has a ZeroPad whose buffer has at least
+        _SPLIT_MIN_ROWS rows and _SPLIT_MIN_ENTRIES entries; k is at most
+        one block per usable CPU and per column, and at most
+        _SPLIT_MAX_BLOCKS.  A counted call (OpCounter is not thread-safe)
+        and a vector run as one block.
         """
         y = np.asarray(x, dtype=np.complex128)
-        owned = False
-        run = []  # in-place factors waiting for the owned buffer y
-        for f in self.factors:
-            if owned and f.in_place:
-                # OpCounter is not thread-safe, and a vector never splits:
-                # both run here, without the queue's per-call cost
-                if counter is not None or y.ndim == 1:
-                    f.apply(y, counter, out=y)
-                else:
-                    run.append(f)
-                continue
-            if run:
-                _split_in_place(run, y)
-                run = []
-            y = f.apply(y, counter)
-            owned = y.flags.owndata
-        if run:
-            _split_in_place(run, y)
-        return y
+        k = 1
+        if counter is None and y.ndim == 2:
+            k, pad_rows = _split_blocks(self.factors, y.shape[1])
+        if k == 1:
+            return _run_factors(self.factors, y, counter)
+        b = y.shape[1]
+        pad = np.empty((pad_rows, b), np.complex128, order="F")
+        out = np.empty((self.factors[-1].shape[0], b), np.complex128, order="F")
+        factors = self.factors
+
+        def run(y, pad, out):
+            y = _run_factors(factors, y, pad=pad, out=out)
+            if y is not out:  # the last factor did not write out
+                out[...] = y
+
+        _in_column_blocks(k, run, y, pad, out)
+        return out
 
     def dense(self) -> np.ndarray:
         in_dim = self.factors[0].shape[1]
         return self.apply(np.eye(in_dim, dtype=np.complex128))
 
 
-# When a run of in-place factors is split across threads: a (2N, B) buffer
-# splits when it has at least _SPLIT_MIN_ROWS rows (N >= 1024) and
-# _SPLIT_MIN_ENTRIES entries, into min(usable CPUs, _SPLIT_MAX_BLOCKS, B)
-# column blocks.  A thread start plus join costs 170-250 us.  Split (k=2)
-# over serial time, medians of 6-10 alternating best-of runs in one process,
-# 2-CPU x86 VM (affinity {0, 1}) with other load:
+def _run_factors(factors, y, counter=None, pad=None, out=None):
+    """Run factors on y, a vector, a column batch or one column block of a
+    batch, as FactorChain.apply describes, and return the result.
+
+    pad, when given, is the buffer the first ZeroPad fills, and out the
+    array the last factor writes when it does not run in place; a split
+    apply passes each block its columns of both, so the block allocates
+    nothing of their size.
+    """
+    owned = False  # y is a buffer this run may overwrite
+    lead = None
+    if y.ndim == 2 and y.shape[0] > _tile_rows(y.shape[1]):
+        lead = _pad_lead(factors)  # a product within one tile runs as two passes
+    tail = factors[-1] if out is not None else None
+    steps = iter(factors)
+    for f in steps:
+        if owned and f.in_place:
+            f.apply(y, counter, out=y)
+        elif f is lead:  # its product goes straight into the pad buffer
+            zp, lead = next(steps), None
+            if pad is None:
+                pad = np.empty((zp.out_dim, y.shape[1]), np.complex128, order="F")
+            f.apply(y, counter, out=pad[: zp.in_dim])
+            pad[zp.in_dim :] = 0
+            y, pad, owned = pad, None, True
+        elif isinstance(f, ZeroPad):
+            y, pad, owned = f.apply(y, counter, out=pad), None, True
+        elif f is tail and f.in_place:
+            y = f.apply(y, counter, out=out)
+        else:
+            y = f.apply(y, counter)
+            owned = y.flags.owndata
+    return y
+
+
+def _pad_lead(factors):
+    """The in-place factor right before the chain's first ZeroPad, if any."""
+    for f, g in zip(factors, factors[1:]):
+        if isinstance(g, ZeroPad):
+            return f if f.in_place else None
+    return None
+
+
+# Row tiles of a product that Diagonal.apply writes from a row-ordered batch
+# into a column-ordered out (the first diagonal into the pad buffer): each
+# tile is a contiguous np.multiply into a scratch of about _TILE_ENTRIES
+# entries and at least _TILE_MIN_ROWS rows, then one cache-resident
+# transposing copy.  In a chain, a product that fits in one tile runs as two
+# passes instead: the product, then ZeroPad's copy into a fresh buffer.
+# (Allocating the pad buffer before such a product moved the n=16 dataset
+# build's blocks on the heap and raised benchmarks/run.py train_recipe's
+# peak_rss_mb by 1.1 MB.)  Tiled over the two passes, the first diagonal
+# and pad alone, one thread, medians of 9 best-of runs, 2-CPU x86 VM
+# (affinity {0, 1}) with other load:
+#
+#    shape            two passes   2**14 entries, 64 rows   other tilings
+#    N=4096, B=64       4.3-4.6 ms   0.47-0.61   2**13 0.50-0.65, 2**15 0.49-0.58, 2**16 0.62
+#    N=4096, B=32       1.5 ms       0.48        2**13 0.52, 2**15 0.46, 2**16 0.59
+#    N=2048, B=64       1.2 ms       0.58        2**13 0.61, 2**15 0.62, 2**16 0.71
+#    N=1024, B=64       0.52-0.63 ms 0.55-0.73   2**13 0.60-0.80, 2**16 0.87
+#    N=1024, B=128      1.5 ms       0.65        2**13 0.78, 2**15 0.67
+#    N=1024, B=1001    14.8 ms       0.73        8-row minimum 0.92
+#    N=256,  B=3000    14.0 ms       0.85        8-row minimum 1.02
+#    N=64,   B=3000     1.6-1.7 ms   one tile    8-row tiles 1.27-1.33
+#
+# One transposing np.multiply straight from x into the pad buffer read
+# 1.14-1.94 against the two passes.
+_TILE_ENTRIES = 1 << 14
+_TILE_MIN_ROWS = 64
+
+
+def _transposes(x, out) -> bool:
+    """True when x is laid out by rows and out by columns."""
+    return x.strides[0] > x.strides[1] and out.strides[0] < out.strides[1]
+
+
+def _tile_rows(b: int) -> int:
+    """Rows of one tile of a b-column product."""
+    return max(_TILE_MIN_ROWS, _TILE_ENTRIES // max(b, 1))
+
+
+def _multiply_by_row_tiles(x, v, out):
+    n, b = x.shape
+    rows = min(n, _tile_rows(b))
+    scratch = np.empty((rows, b), out.dtype)
+    for r in range(0, n, rows):
+        tile = scratch[: n - r]
+        np.multiply(x[r : r + rows], v[r : r + rows, None], out=tile)
+        out[r : r + rows] = tile
+    return out
+
+
+# When a chain is split across threads: its (2N, B) pad buffer must have
+# at least _SPLIT_MIN_ROWS rows (N >= 1024) and _SPLIT_MIN_ENTRIES entries,
+# and it splits into min(usable CPUs, _SPLIT_MAX_BLOCKS, B) column blocks.
+# A thread start plus join costs 170-250 us.  Whole chain split (k=2) over
+# serial time, medians of 8 alternating best-of runs in one process, 2-CPU
+# x86 VM (affinity {0, 1}) with other load:
 #
 #    shape             entries    split / serial
-#    N=16,   B=900      28,800    1.6-2.0 (make_dataset 1.05, verify_targets 1.32)
-#    N=256,  B=64       32,768    1.55-1.7
-#    N=16,   B=3000     96,000    0.90-1.08 (make_dataset 1.02-1.18, verify_targets 1.05-1.10)
-#    N=32,   B=3000    192,000    0.80 (make_dataset 0.95, verify_targets 0.87)
-#    N=64,   B=3000    384,000    0.93 (make_dataset 0.91, verify_targets 0.96)
-#    N=256,  B=3000  1,536,000    make_dataset 0.94, verify_targets 0.75
-#    N=1024, B=64      131,072    0.79-0.91; benchmarks/run.py mid_op_ms level
-#    N=1024, B=128     262,144    0.67
-#    N=2048, B=32/64   131,072 / 262,144    0.74 / 0.70
-#    N=4096, B=4/8/16  32,768 / 65,536 / 131,072    1.01 / 0.86 / 0.75
-#    N=4096, B=32      262,144    0.70
-#    N=4096, B=63/64   516,096 / 524,288    0.65 / 0.67
-#    N=8192, B=64    1,048,576    0.79
+#    N=256,  B=64       32,768    1.36
+#    N=16,   B=3000     96,000    0.76
+#    N=64,   B=3000    384,000    0.66
+#    N=1024, B=64      131,072    0.76
+#    N=1024, B=128     262,144    0.74
+#    N=2048, B=32/64   131,072 / 262,144    0.75 / 0.67
+#    N=4096, B=8/16    65,536 / 131,072     0.89 / 0.70
+#    N=4096, B=32/64   262,144 / 524,288    0.79 / 0.55
 #
-# Buffer size alone does not decide it (131,072 entries read 0.79-1.38 over
-# N=16..4096), and below 2048 rows a gain was small, unsteady or lost in the
-# rest of a dataset build, so those stay serial.  k above 2 has not been
-# measured (the machine above has two CPUs), so no apply uses more blocks.
-# The affinity set does not show a CPU quota: two blocks forced onto one CPU
-# read 1.02 at N=4096, B=64 and 1.08-1.14 at 262,144 entries.
+# The rule was set when only the DFTs and the middle diagonal split: then
+# below 2048 rows a gain was small, unsteady or lost in the rest of a
+# dataset build (N=1024, B=64 left benchmarks/run.py mid_op_ms level, and
+# n=16 or 64 at B=3000 read 0.91-1.18 in make_dataset), so those stay
+# serial until measured end to end again.  k above 2 has not been measured
+# (the machine above has two CPUs), so no apply uses more blocks.  The
+# affinity set does not show a CPU quota: two blocks forced onto one CPU
+# read 1.14 at N=4096, B=64 and 1.16-1.24 at 262,144 entries.
 _SPLIT_MIN_ROWS = 2048
 _SPLIT_MIN_ENTRIES = 1 << 18
 _SPLIT_MAX_BLOCKS = 2
@@ -421,31 +526,31 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _apply_in_place(factors, y) -> None:
+def _split_blocks(factors, b: int):
+    """Column blocks for a b-column batch through factors, and the rows of
+    their pad buffer (0 when there is none)."""
     for f in factors:
-        f.apply(y, out=y)
+        if isinstance(f, ZeroPad):
+            rows = f.out_dim
+            if b < 2 or rows < _SPLIT_MIN_ROWS or rows * b < _SPLIT_MIN_ENTRIES:
+                return 1, rows
+            return min(_usable_cpus(), _SPLIT_MAX_BLOCKS, b), rows
+    return 1, 0
 
 
-def _split_in_place(factors, y) -> None:
-    """Run in-place factors over the column batch y, as k column blocks on
-    k threads.
+def _in_column_blocks(k, run, *arrays) -> None:
+    """Call run on k column blocks of arrays (views, all cut alike).
 
     The calling thread takes the first block and k - 1 threads the others;
     every thread has joined before this returns or raises, and an exception
     from a worker is re-raised here.
     """
-    k = 1
-    if y.shape[0] >= _SPLIT_MIN_ROWS and y.size >= _SPLIT_MIN_ENTRIES:
-        k = min(_usable_cpus(), _SPLIT_MAX_BLOCKS, y.shape[1])
-    if k == 1:
-        _apply_in_place(factors, y)
-        return
-    blocks = np.array_split(y, k, axis=1)  # views into y
+    blocks = list(zip(*(np.array_split(a, k, axis=1) for a in arrays)))
     errors = []
 
     def work(block):
         try:
-            _apply_in_place(factors, block)
+            run(*block)
         except Exception as e:  # re-raised by the caller after the join
             errors.append(e)
 
@@ -455,7 +560,7 @@ def _split_in_place(factors, y) -> None:
             t = threading.Thread(target=work, args=(block,))
             t.start()
             threads.append(t)
-        _apply_in_place(factors, blocks[0])
+        run(*blocks[0])
     finally:
         for t in threads:
             t.join()
@@ -494,11 +599,13 @@ def fast_dvm_apply(chain: FactorChain, x, counter: OpCounter | None = None) -> n
 
     x is never written.  The result is a new array; a 2-D one is in Fortran
     order (axis 0 contiguous).  FactorChain.apply says which factors run in
-    place.  An uncounted batch of at least 2 columns with N >= 1024 whose
-    (2N, B) buffer holds 2**18 entries or more (N=2048 at B=64, N=4096 at
-    B=32) runs its DFTs and middle diagonal as column blocks on two threads
-    when the process may use two CPUs; the output is bit-identical to the
-    serial apply, and no thread outlives the call.
+    place; the first diagonal of a batch larger than one row tile writes
+    its product into the pad buffer.
+    An uncounted batch of at least 2 columns with N >= 1024 whose (2N, B)
+    pad buffer holds 2**18 entries or more (N=2048 at B=64, N=4096 at B=32)
+    runs the whole chain as column blocks on two threads when the process
+    may use two CPUs; the output is bit-identical to the serial apply, and
+    no thread outlives the call.
     """
     x = np.asarray(x)
     if x.ndim not in (1, 2):

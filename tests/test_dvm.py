@@ -16,6 +16,7 @@ import pytest
 from dvmbeam import dvm
 from dvmbeam.dvm import (
     Dft,
+    Diagonal,
     DvmSpec,
     FactorChain,
     OpCounter,
@@ -356,9 +357,10 @@ def test_chain_apply_returns_a_compact_array(monkeypatch):
 
 
 def test_chain_apply_memory_budget(monkeypatch):
-    # only ZeroPad's (2N, B) buffer has 2N rows: the DFTs and the middle
-    # diagonal run in it, also when its column blocks run on two threads
-    # (N=4096 splits at batch 64, N=1024 does not)
+    # only the (2N, B) pad buffer has 2N rows: the first diagonal writes
+    # into it through row tiles, and the DFTs and the middle diagonal run in
+    # it, also when the chain's column blocks run on two threads (N=4096
+    # splits at batch 64, N=1024 does not)
     b = 64
     rng = np.random.default_rng(26)
     for n in (1024, 4096):
@@ -378,19 +380,35 @@ def test_chain_apply_memory_budget(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the in-place stage split over column blocks on threads
+# the whole chain split over column blocks on threads
 
 
-# every N with every width but N=4096, B=1001, whose buffers take about 400 MB
+def spy_diagonals(monkeypatch):
+    """Record (factor, thread, out given) for every Diagonal.apply call."""
+    calls = []
+    apply = Diagonal.apply
+
+    def spy(self, x, counter=None, out=None):
+        calls.append((self, threading.current_thread(), out is not None))
+        return apply(self, x, counter, out)
+
+    monkeypatch.setattr(Diagonal, "apply", spy)
+    return calls
+
+
+# every N with every width but N=4096, B=1001, whose buffers take about 400 MB;
+# B=63 and B=1001 leave a partial last row tile in the first diagonal
 @pytest.mark.parametrize("n, b", [(n, b) for n in (16, 256, 1024, 4096)
                                   for b in (2, 3, 63, 64, 1001) if n * b <= 1 << 20])
 def test_split_apply_equals_serial_bytes(monkeypatch, n, b):
     rng = np.random.default_rng(n + b)
     chain = build_bluestein_chain(DvmSpec(n, random_unit(rng)))
+    first, last = chain.factors[0], chain.factors[-1]
     x = rng.normal(size=(n, b)) + 1j * rng.normal(size=(n, b))
     on_one_cpu = spy_threads(monkeypatch, 1)  # the reference runs serial
     serial = fast_dvm_apply(chain, x)
     assert on_one_cpu == []
+    calls = spy_diagonals(monkeypatch)
     for k in (2, 3):
         started = spy_threads(monkeypatch, k)
         for order_x in (np.ascontiguousarray(x), np.asfortranarray(x)):
@@ -398,6 +416,33 @@ def test_split_apply_equals_serial_bytes(monkeypatch, n, b):
             assert got.tobytes(order="A") == serial.tobytes(order="A")
             assert got.flags.f_contiguous and got.base is None
         assert len(started) == 2 * (min(k, b) - 1)
+        # every block runs the whole chain: each worker also ran the first
+        # diagonal and the last one, which writes into the output
+        for t in started:
+            assert {(first, t), (last, t)} <= {(f, ct) for f, ct, _ in calls}
+            assert (last, t, True) in calls
+    # at N >= 1024 with 21 or more columns per block (tiles of at most 780
+    # rows) the first product spans several row tiles and goes straight
+    # into the pad buffer
+    if n >= 1024 and b >= 63:
+        assert {out for f, _, out in calls if f is first} == {True}
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("n", [16, 4096])
+@pytest.mark.parametrize("b", [0, 1])
+def test_zero_and_one_column_batches(monkeypatch, n, b, order):
+    # b = 0 is the batch of a dataset without angles; the row tile size
+    # depends on b, and neither width may start a thread
+    started = spy_threads(monkeypatch, 3)
+    rng = np.random.default_rng(n + b)
+    chain = build_bluestein_chain(DvmSpec(n, random_unit(rng)))
+    x = np.array(rng.normal(size=(n, b)) + 1j * rng.normal(size=(n, b)), order=order)
+    got = fast_dvm_apply(chain, x)
+    assert got.shape == (n, b) and got.dtype == np.complex128
+    assert got.flags.f_contiguous and got.base is None
+    assert np.array_equal(got, composed_apply(chain, x))
+    assert started == []
 
 
 # (N, B, worker threads) on a machine with 8 usable CPUs
@@ -428,6 +473,22 @@ def test_split_apply_leaves_no_thread_and_keeps_its_input(monkeypatch):
     assert np.array_equal(y, composed_apply(chain, keep))
 
 
+def test_split_apply_of_a_chain_without_the_bluestein_ends(monkeypatch):
+    # a ZeroPad with no factor before it fills the caller's pad buffer, and a
+    # last factor that runs in place leaves its block in that buffer, from
+    # which the block is copied to the output
+    rng = np.random.default_rng(29)
+    d = np.exp(2j * np.pi * rng.random(32))
+    chain = FactorChain(DvmSpec(16, 1j), [ZeroPad(32, 16), Dft(32), Diagonal(d), Dft(32, conj=True)])
+    x = rng.normal(size=(16, 9)) + 1j * rng.normal(size=(16, 9))
+    serial = chain.apply(x)
+    started = spy_threads(monkeypatch, 3)
+    got = chain.apply(x)
+    assert len(started) == 2
+    assert got.tobytes(order="A") == serial.tobytes(order="A")
+    assert np.array_equal(got, composed_apply(chain, x))
+
+
 def test_counted_or_single_column_apply_starts_no_thread(monkeypatch):
     # OpCounter is not thread-safe, and a counted apply must tally what
     # the composed apply does
@@ -445,30 +506,32 @@ def test_counted_or_single_column_apply_starts_no_thread(monkeypatch):
     assert started == []
 
 
-class _FailingFactor:
-    """In-place factor that raises on one column block."""
+class _FailingDiagonal(Diagonal):
+    """Diagonal that raises on the column block of one thread."""
 
-    in_place = True
-
-    def __init__(self, in_worker):
+    def __init__(self, values, in_worker):
+        super().__init__(values)
         self.in_worker = in_worker
 
     def apply(self, x, counter=None, out=None):
         if (threading.current_thread() is not threading.main_thread()) == self.in_worker:
             raise FloatingPointError("block failed")
-        return x
+        return super().apply(x, counter, out)
 
 
 @pytest.mark.parametrize("in_worker", [True, False])
 def test_split_apply_reraises_a_block_error_after_the_join(monkeypatch, in_worker):
-    started = spy_threads(monkeypatch, 3)
-    spec = DvmSpec(16, 1.0 + 0j)
-    chain = FactorChain(spec, [ZeroPad(32, 16), Dft(32), _FailingFactor(in_worker), Dft(32, conj=True)])
-    before = threading.active_count()
-    with pytest.raises(FloatingPointError, match="block failed"):
-        chain.apply(np.ones((16, 9), dtype=complex))
-    assert len(started) == 2 and not any(t.is_alive() for t in started)
-    assert threading.active_count() == before
+    # the first diagonal (written into the pad buffer) and the last one run
+    # on every block, so either can fail on a worker or on the caller
+    for position in (0, -1):
+        started = spy_threads(monkeypatch, 3)
+        chain = build_bluestein_chain(DvmSpec(16, 1.0 + 0j))
+        chain.factors[position] = _FailingDiagonal(chain.factors[position].values, in_worker)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="block failed"):
+            chain.apply(np.ones((16, 9), dtype=complex))
+        assert len(started) == 2 and not any(t.is_alive() for t in started)
+        assert threading.active_count() == before
 
 
 def test_scaled_dvm_apply_wrapper():
@@ -588,6 +651,30 @@ def test_zero_pad_returns_fresh_zero_filled_array(dtype, batch):
     assert not np.shares_memory(out, x)
     assert np.array_equal(out[:8], x)
     assert not out[8:].any()
+
+
+def test_zero_pad_fills_a_given_buffer():
+    x = np.arange(1, 1 + 8 * 3, dtype=complex).reshape(8, 3)
+    buf = np.full((16, 3), np.nan, dtype=complex, order="F")
+    assert ZeroPad(16, 8).apply(x, out=buf) is buf
+    assert np.array_equal(buf, ZeroPad(16, 8).apply(x))
+
+
+# (rows, columns): one tile, whole tiles, a partial last tile, the 64-row
+# minimum at wide batches, and no columns
+@pytest.mark.parametrize("n, b", [(16, 64), (1024, 64), (1024, 63), (100, 3000), (4096, 0)])
+def test_diagonal_into_a_fortran_buffer_equals_the_plain_product(n, b):
+    # a C-ordered batch written into a Fortran-order out goes through row
+    # tiles; the bytes are those of the plain product
+    rng = np.random.default_rng(n + b)
+    d = Diagonal(np.exp(2j * np.pi * rng.random(n)))
+    x = rng.normal(size=(n, b)) + 1j * rng.normal(size=(n, b))
+    buf = np.full((2 * n, b), np.nan, dtype=complex, order="F")
+    out = buf[:n]
+    got = d.apply(x, out=out)
+    assert got is out
+    assert got.tobytes(order="F") == d.apply(x).tobytes(order="F")
+    assert np.isnan(buf[n:]).all()
 
 
 def test_normalized_dft_unitarity():
