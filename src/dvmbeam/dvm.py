@@ -19,6 +19,7 @@ materialize an N x N matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import functools
 import math
 import os
 import threading
@@ -274,8 +275,7 @@ class Dft:
 
 class ZeroPad:
     """Append zero rows: J x = [x; 0].  The result is a new array in Fortran
-    order, so each column (the axis the DFTs run along) is contiguous, or
-    out when given."""
+    order, so each column (the axis the DFTs run along) is contiguous."""
 
     in_place = False
 
@@ -292,12 +292,9 @@ class ZeroPad:
     def shape(self):
         return (self.out_dim, self.in_dim)
 
-    def apply(self, x, counter=None, out=None):
+    def apply(self, x, counter=None):
         x = np.asarray(x)
-        if out is None:
-            out = np.zeros((self.out_dim,) + x.shape[1:], x.dtype, order="F")
-        else:
-            out[self.in_dim :] = 0
+        out = np.zeros((self.out_dim,) + x.shape[1:], x.dtype, order="F")
         out[: self.in_dim] = x
         return out
 
@@ -352,14 +349,15 @@ class FactorChain:
         x is never written.  A factor whose in_place flag is set overwrites
         its input when that input is a buffer this call owns (the pad
         buffer or an earlier factor's result); otherwise it returns a new
-        array.  An in-place factor followed by ZeroPad on a column batch
-        larger than one row tile (_tile_rows) writes its result straight
-        into the pad buffer's leading rows.  For the Bluestein chain that
-        means the (2N, B) pad buffer, in Fortran order, is the only 2N-row
-        allocation: the first diagonal's product goes into it through row
-        tiles (no (N, B) temporary), both DFTs and the middle diagonal run
-        in it, and the last diagonal reads the Truncate view and returns a
-        new, compact (N, B) array in Fortran order (axis 0 contiguous).
+        array.  On a column batch, an in-place factor followed by ZeroPad
+        writes its result straight into the leading rows of the pad buffer,
+        a Fortran-order array whose tail rows are zeroed.  For the Bluestein
+        chain that means the (2N, B) pad buffer is the only 2N-row
+        allocation: the first diagonal's product goes into it (through row
+        tiles from a row-ordered batch), both DFTs and the middle diagonal
+        run in it, and the last diagonal reads the Truncate view and
+        returns a new, compact (N, B) array in Fortran order (axis 0
+        contiguous).
 
         Every column is its own transform, so an uncounted batch may run
         the whole chain as k column blocks, one on the calling thread and
@@ -367,29 +365,23 @@ class FactorChain:
         interpreter lock), with bit-identical output.  The calling thread
         allocates the pad buffer and the output; each block runs every
         factor on its columns of x, of the pad buffer and of the output.
-        The chain splits when it has a ZeroPad whose buffer has at least
-        _SPLIT_MIN_ROWS rows and _SPLIT_MIN_ENTRIES entries; k is at most
-        one block per usable CPU and per column, and at most
-        _SPLIT_MAX_BLOCKS.  A counted call (OpCounter is not thread-safe)
-        and a vector run as one block.
+        A chain splits when its ZeroPad follows an in-place factor, its last
+        factor runs in place (so each block writes its columns of both
+        buffers), and the pad buffer has at least _SPLIT_MIN_ROWS rows and
+        _SPLIT_MIN_ENTRIES entries; k is at most one block per usable CPU
+        and per column, and at most _SPLIT_MAX_BLOCKS.  A counted call
+        (OpCounter is not thread-safe) and a vector run as one block.
         """
         y = np.asarray(x, dtype=np.complex128)
         k = 1
         if counter is None and y.ndim == 2:
             k, pad_rows = _split_blocks(self.factors, y.shape[1])
         if k == 1:
-            return _run_factors(self.factors, y, counter)
+            return _run_factors(self.factors, y, counter=counter)
         b = y.shape[1]
         pad = np.empty((pad_rows, b), np.complex128, order="F")
         out = np.empty((self.factors[-1].shape[0], b), np.complex128, order="F")
-        factors = self.factors
-
-        def run(y, pad, out):
-            y = _run_factors(factors, y, pad=pad, out=out)
-            if y is not out:  # the last factor did not write out
-                out[...] = y
-
-        _in_column_blocks(k, run, y, pad, out)
+        _in_column_blocks(k, functools.partial(_run_factors, self.factors), y, pad, out)
         return out
 
     def dense(self) -> np.ndarray:
@@ -397,60 +389,55 @@ class FactorChain:
         return self.apply(np.eye(in_dim, dtype=np.complex128))
 
 
-def _run_factors(factors, y, counter=None, pad=None, out=None):
+def _run_factors(factors, y, pad=None, out=None, counter=None):
     """Run factors on y, a vector, a column batch or one column block of a
     batch, as FactorChain.apply describes, and return the result.
 
-    pad, when given, is the buffer the first ZeroPad fills, and out the
-    array the last factor writes when it does not run in place; a split
-    apply passes each block its columns of both, so the block allocates
-    nothing of their size.
+    pad, when given, is the buffer the pad lead (_pad_front) writes, its
+    tail rows zeroed here, and out the array the last factor writes; a
+    split apply passes each block its columns of both, so the block
+    allocates nothing of their size.
     """
     owned = False  # y is a buffer this run may overwrite
-    lead = None
-    if y.ndim == 2 and y.shape[0] > _tile_rows(y.shape[1]):
-        lead = _pad_lead(factors)  # a product within one tile runs as two passes
+    lead = _pad_front(factors)[0] if y.ndim == 2 else None
     tail = factors[-1] if out is not None else None
     steps = iter(factors)
     for f in steps:
-        if owned and f.in_place:
-            f.apply(y, counter, out=y)
-        elif f is lead:  # its product goes straight into the pad buffer
-            zp, lead = next(steps), None
-            if pad is None:
-                pad = np.empty((zp.out_dim, y.shape[1]), np.complex128, order="F")
+        if f is lead:  # its product goes straight into the pad buffer
+            zp = next(steps)
+            if pad is None:  # calloc'd: the tail rows are already zero
+                pad = np.zeros((zp.out_dim, y.shape[1]), np.complex128, order="F")
+            else:
+                pad[zp.in_dim :] = 0
             f.apply(y, counter, out=pad[: zp.in_dim])
-            pad[zp.in_dim :] = 0
-            y, pad, owned = pad, None, True
-        elif isinstance(f, ZeroPad):
-            y, pad, owned = f.apply(y, counter, out=pad), None, True
-        elif f is tail and f.in_place:
+            y, owned, lead = pad, True, None
+        elif f is tail:
             y = f.apply(y, counter, out=out)
+        elif owned and f.in_place:
+            f.apply(y, counter, out=y)
         else:
             y = f.apply(y, counter)
             owned = y.flags.owndata
     return y
 
 
-def _pad_lead(factors):
-    """The in-place factor right before the chain's first ZeroPad, if any."""
+def _pad_front(factors):
+    """The in-place factor right before the chain's first ZeroPad and that
+    ZeroPad, or (None, None) when there is no such pair."""
     for f, g in zip(factors, factors[1:]):
         if isinstance(g, ZeroPad):
-            return f if f.in_place else None
-    return None
+            return (f, g) if f.in_place else (None, None)
+    return None, None
 
 
 # Row tiles of a product that Diagonal.apply writes from a row-ordered batch
 # into a column-ordered out (the first diagonal into the pad buffer): each
 # tile is a contiguous np.multiply into a scratch of about _TILE_ENTRIES
 # entries and at least _TILE_MIN_ROWS rows, then one cache-resident
-# transposing copy.  In a chain, a product that fits in one tile runs as two
-# passes instead: the product, then ZeroPad's copy into a fresh buffer.
-# (Allocating the pad buffer before such a product moved the n=16 dataset
-# build's blocks on the heap and raised benchmarks/run.py train_recipe's
-# peak_rss_mb by 1.1 MB.)  Tiled over the two passes, the first diagonal
-# and pad alone, one thread, medians of 9 best-of runs, 2-CPU x86 VM
-# (affinity {0, 1}) with other load:
+# transposing copy.  A product that fits in one tile makes the same two
+# passes as a product into a fresh array followed by ZeroPad's copy.  Tiled
+# over those two passes, the first diagonal and pad alone, one thread,
+# medians of 9 best-of runs, 2-CPU x86 VM (affinity {0, 1}) with other load:
 #
 #    shape            two passes   2**14 entries, 64 rows   other tilings
 #    N=4096, B=64       4.3-4.6 ms   0.47-0.61   2**13 0.50-0.65, 2**15 0.49-0.58, 2**16 0.62
@@ -473,14 +460,9 @@ def _transposes(x, out) -> bool:
     return x.strides[0] > x.strides[1] and out.strides[0] < out.strides[1]
 
 
-def _tile_rows(b: int) -> int:
-    """Rows of one tile of a b-column product."""
-    return max(_TILE_MIN_ROWS, _TILE_ENTRIES // max(b, 1))
-
-
 def _multiply_by_row_tiles(x, v, out):
     n, b = x.shape
-    rows = min(n, _tile_rows(b))
+    rows = min(n, max(_TILE_MIN_ROWS, _TILE_ENTRIES // max(b, 1)))
     scratch = np.empty((rows, b), out.dtype)
     for r in range(0, n, rows):
         tile = scratch[: n - r]
@@ -528,14 +510,14 @@ def _usable_cpus() -> int:
 
 def _split_blocks(factors, b: int):
     """Column blocks for a b-column batch through factors, and the rows of
-    their pad buffer (0 when there is none)."""
-    for f in factors:
-        if isinstance(f, ZeroPad):
-            rows = f.out_dim
-            if b < 2 or rows < _SPLIT_MIN_ROWS or rows * b < _SPLIT_MIN_ENTRIES:
-                return 1, rows
-            return min(_usable_cpus(), _SPLIT_MAX_BLOCKS, b), rows
-    return 1, 0
+    their pad buffer (0 when the chain cannot split)."""
+    lead, zp = _pad_front(factors)
+    if lead is None or not factors[-1].in_place:
+        return 1, 0
+    rows = zp.out_dim
+    if b < 2 or rows < _SPLIT_MIN_ROWS or rows * b < _SPLIT_MIN_ENTRIES:
+        return 1, rows
+    return min(_usable_cpus(), _SPLIT_MAX_BLOCKS, b), rows
 
 
 def _in_column_blocks(k, run, *arrays) -> None:
@@ -599,8 +581,8 @@ def fast_dvm_apply(chain: FactorChain, x, counter: OpCounter | None = None) -> n
 
     x is never written.  The result is a new array; a 2-D one is in Fortran
     order (axis 0 contiguous).  FactorChain.apply says which factors run in
-    place; the first diagonal of a batch larger than one row tile writes
-    its product into the pad buffer.
+    place; the first diagonal of a batch writes its product into the pad
+    buffer.
     An uncounted batch of at least 2 columns with N >= 1024 whose (2N, B)
     pad buffer holds 2**18 entries or more (N=2048 at B=64, N=4096 at B=32)
     runs the whole chain as column blocks on two threads when the process

@@ -20,6 +20,7 @@ from dvmbeam.dvm import (
     DvmSpec,
     FactorChain,
     OpCounter,
+    Truncate,
     ZeroPad,
     build_bluestein_chain,
     build_recursive_dft_chain,
@@ -296,7 +297,7 @@ def composed_apply(chain, x, counter=None):
 
 def spy_threads(monkeypatch, cpus, force=True):
     """Make FactorChain.apply see cpus usable CPUs; with force, also let it
-    split any 2-D buffer into up to cpus blocks.  Returns the list of
+    split any chain that can split into up to cpus blocks.  Returns the list of
     threads it starts."""
     started = []
 
@@ -421,11 +422,8 @@ def test_split_apply_equals_serial_bytes(monkeypatch, n, b):
         for t in started:
             assert {(first, t), (last, t)} <= {(f, ct) for f, ct, _ in calls}
             assert (last, t, True) in calls
-    # at N >= 1024 with 21 or more columns per block (tiles of at most 780
-    # rows) the first product spans several row tiles and goes straight
-    # into the pad buffer
-    if n >= 1024 and b >= 63:
-        assert {out for f, _, out in calls if f is first} == {True}
+    # the first product always goes straight into the pad buffer
+    assert {out for f, _, out in calls if f is first} == {True}
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
@@ -473,20 +471,19 @@ def test_split_apply_leaves_no_thread_and_keeps_its_input(monkeypatch):
     assert np.array_equal(y, composed_apply(chain, keep))
 
 
-def test_split_apply_of_a_chain_without_the_bluestein_ends(monkeypatch):
-    # a ZeroPad with no factor before it fills the caller's pad buffer, and a
-    # last factor that runs in place leaves its block in that buffer, from
-    # which the block is copied to the output
+def test_chain_without_a_pad_lead_or_an_in_place_end_runs_as_one_block(monkeypatch):
+    # a block can only write its columns of the caller's pad buffer and
+    # output when an in-place factor fills the pad and the last factor runs
+    # in place; other chains run whole on the calling thread
     rng = np.random.default_rng(29)
     d = np.exp(2j * np.pi * rng.random(32))
-    chain = FactorChain(DvmSpec(16, 1j), [ZeroPad(32, 16), Dft(32), Diagonal(d), Dft(32, conj=True)])
     x = rng.normal(size=(16, 9)) + 1j * rng.normal(size=(16, 9))
-    serial = chain.apply(x)
     started = spy_threads(monkeypatch, 3)
-    got = chain.apply(x)
-    assert len(started) == 2
-    assert got.tobytes(order="A") == serial.tobytes(order="A")
-    assert np.array_equal(got, composed_apply(chain, x))
+    for factors in ([ZeroPad(32, 16), Dft(32), Diagonal(d), Dft(32, conj=True)],
+                    [Diagonal(d[:16]), ZeroPad(32, 16), Dft(32), Truncate(16, 32)]):
+        chain = FactorChain(DvmSpec(16, 1j), factors)
+        assert np.array_equal(chain.apply(x), composed_apply(chain, x))
+    assert started == []
 
 
 def test_counted_or_single_column_apply_starts_no_thread(monkeypatch):
@@ -651,13 +648,6 @@ def test_zero_pad_returns_fresh_zero_filled_array(dtype, batch):
     assert not np.shares_memory(out, x)
     assert np.array_equal(out[:8], x)
     assert not out[8:].any()
-
-
-def test_zero_pad_fills_a_given_buffer():
-    x = np.arange(1, 1 + 8 * 3, dtype=complex).reshape(8, 3)
-    buf = np.full((16, 3), np.nan, dtype=complex, order="F")
-    assert ZeroPad(16, 8).apply(x, out=buf) is buf
-    assert np.array_equal(buf, ZeroPad(16, 8).apply(x))
 
 
 # (rows, columns): one tile, whole tiles, a partial last tile, the 64-row
