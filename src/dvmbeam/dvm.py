@@ -18,7 +18,7 @@ materialize an N x N matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import functools
 import math
 import os
@@ -122,8 +122,10 @@ class OpCounter:
     muls counts complex multiplications (unit twiddles included; real-scalar
     normalization of a complex vector counts one mul per element), adds
     counts complex additions.  Instances are created by the caller and passed
-    down, never shared globally.  They are not thread-safe, so a counted
-    FactorChain.apply runs on the calling thread alone.
+    down, never shared globally.  They are not thread-safe: a counted
+    FactorChain.apply tallies the factors' closed-form totals once, on the
+    calling thread, before any column block runs, so it may split like an
+    uncounted one.
     """
 
     muls: int = 0
@@ -165,16 +167,18 @@ def circulant_first_column(spec: DvmSpec) -> np.ndarray:
 # fixed DFTs on numpy.fft, batched over columns
 
 
-def _pow2_dft(x, inverse: bool, norm: str, counter: OpCounter | None,
-              out: np.ndarray | None = None) -> np.ndarray:
+def _fft_ops(size: int) -> tuple[int, int]:
+    """Closed-form (muls, adds) of one power-of-two FFT of length size."""
+    stages = size.bit_length() - 1
+    return (size >> 1) * stages, size * stages
+
+
+def _pow2_dft(x, inverse: bool, norm: str) -> np.ndarray:
     x = np.asarray(x, dtype=np.complex128)
     size = x.shape[0]
     if size == 0 or size & (size - 1):
         raise ValueError(f"FFT length must be a power of two, got {size}")
-    if counter is not None:
-        stages = size.bit_length() - 1
-        counter.tally(muls=(size >> 1) * stages, adds=size * stages)
-    return (np.fft.ifft if inverse else np.fft.fft)(x, axis=0, norm=norm, out=out)
+    return (np.fft.ifft if inverse else np.fft.fft)(x, axis=0, norm=norm)
 
 
 def fft(x, inverse: bool = False, counter: OpCounter | None = None) -> np.ndarray:
@@ -192,7 +196,11 @@ def fft(x, inverse: bool = False, counter: OpCounter | None = None) -> np.ndarra
         count of a power-of-two FFT, so op totals do not depend on the
         library that does the work.
     """
-    return _pow2_dft(x, inverse, "forward" if inverse else "backward", counter)
+    y = _pow2_dft(x, inverse, "forward" if inverse else "backward")
+    if counter is not None:
+        muls, adds = _fft_ops(y.shape[0])
+        counter.tally(muls=muls, adds=adds)
+    return y
 
 
 def even_odd_permute(x) -> np.ndarray:
@@ -212,13 +220,7 @@ def even_odd_permute(x) -> np.ndarray:
 
 
 class Diagonal:
-    """Elementwise multiply by a fixed complex vector; out=x runs in place.
-
-    A row-ordered column batch written into a column-ordered out (the
-    first diagonal into the pad buffer) goes through row tiles.
-    """
-
-    in_place = True
+    """Elementwise multiply by a fixed complex vector."""
 
     def __init__(self, values: np.ndarray):
         self.values = np.asarray(values, dtype=np.complex128)
@@ -231,15 +233,14 @@ class Diagonal:
         k = len(self.values)
         return (k, k)
 
-    def apply(self, x, counter=None, out=None):
+    def tally(self, counter: OpCounter) -> None:
+        counter.tally(muls=len(self.values))
+
+    def apply(self, x, counter=None):
         if counter is not None:
-            counter.tally(muls=len(self.values))
+            self.tally(counter)
         x, v = np.asarray(x), self.values  # x.ndim costs a third of np.ndim(x)
-        if x.ndim != 2:
-            return np.multiply(x, v, out=out)
-        if out is None or out is x or not _transposes(x, out):
-            return np.multiply(x, v[:, None], out=out)
-        return _multiply_by_row_tiles(x, v, out)
+        return np.multiply(x, v[:, None] if x.ndim == 2 else v)
 
     def dense(self):
         return np.diag(self.values)
@@ -247,9 +248,7 @@ class Diagonal:
 
 class Dft:
     """Normalized (unitary) DFT factor, conjugated when conj is set; fft()
-    is the raw transform.  out=x runs in place."""
-
-    in_place = True
+    is the raw transform."""
 
     def __init__(self, size: int, conj: bool = False):
         self.size = size
@@ -262,22 +261,23 @@ class Dft:
     def shape(self):
         return (self.size, self.size)
 
-    def apply(self, x, counter=None, out=None):
-        y = _pow2_dft(x, self.conj, "ortho", counter, out)
+    def tally(self, counter: OpCounter) -> None:
+        muls, adds = _fft_ops(self.size)
+        counter.tally(muls=muls + self.size, adds=adds)  # + the 1/sqrt(size) scaling
+
+    def apply(self, x, counter=None):
+        y = _pow2_dft(x, self.conj, "ortho")
         if counter is not None:
-            counter.tally(muls=self.size)  # the 1/sqrt(size) scaling
+            self.tally(counter)
         return y
 
     def dense(self):
-        eye = np.eye(self.size, dtype=np.complex128)
-        return self.apply(eye)
+        return self.apply(np.eye(self.size, dtype=np.complex128))
 
 
 class ZeroPad:
     """Append zero rows: J x = [x; 0].  The result is a new array in Fortran
     order, so each column (the axis the DFTs run along) is contiguous."""
-
-    in_place = False
 
     def __init__(self, out_dim: int, in_dim: int):
         if out_dim < in_dim:
@@ -291,6 +291,9 @@ class ZeroPad:
     @property
     def shape(self):
         return (self.out_dim, self.in_dim)
+
+    def tally(self, counter: OpCounter) -> None:
+        """No arithmetic: the pad only moves data."""
 
     def apply(self, x, counter=None):
         x = np.asarray(x)
@@ -307,8 +310,6 @@ class ZeroPad:
 class Truncate:
     """Keep the leading rows: J^T x = x[:out_dim], a view of x."""
 
-    in_place = False
-
     def __init__(self, out_dim: int, in_dim: int):
         if out_dim > in_dim:
             raise ValueError("truncation must shrink the vector")
@@ -322,6 +323,9 @@ class Truncate:
     def shape(self):
         return (self.out_dim, self.in_dim)
 
+    def tally(self, counter: OpCounter) -> None:
+        """No arithmetic: the truncation only drops rows."""
+
     def apply(self, x, counter=None):
         return np.asarray(x)[: self.out_dim]
 
@@ -331,113 +335,113 @@ class Truncate:
         return out
 
 
+_CHAIN_KINDS = (Diagonal, ZeroPad, Dft, Diagonal, Dft, Truncate, Diagonal)
+
+
 @dataclass
 class FactorChain:
-    """Ordered sparse factors, listed in application order.
+    """The seven-factor Bluestein chain of one scaled DVM (spec), factors in
+    application order: factors[0] touches the input first.
 
-    spec is the DVM description the chain realizes; factors[0] touches the
-    input first.  dense() exists for verification at small sizes and is the
-    only place the product is ever materialized.
+    The factors tuple is the chain's inspectable description: each factor
+    applies on its own, and dense() composes them (for verification at small
+    sizes; the only place the product is materialized).  It must hold
+    exactly the kinds and sizes that build_bluestein_chain makes.
     """
 
     spec: DvmSpec
-    factors: list = field(default_factory=list)
+    factors: tuple
+
+    def __post_init__(self):
+        self.factors = tuple(self.factors)
+        n, m = self.spec.n, self.spec.m
+        want = [f"Diagonal({n})", f"ZeroPad({n} -> {m})", f"Dft({m})", f"Diagonal({m})",
+                f"Dft({m}, conj)", f"Truncate({m} -> {n})", f"Diagonal({n})"]
+        got = [repr(f) for f in self.factors]
+        if tuple(map(type, self.factors)) != _CHAIN_KINDS or got != want:
+            raise ValueError(f"a FactorChain of size {n} is the factors {', '.join(want)} "
+                             f"in that order, got {got}")
 
     def apply(self, x, counter: OpCounter | None = None) -> np.ndarray:
-        """Run the factors on x, a vector or a column batch.
+        """The chain applied to x, a vector (N,) or a column batch (N, B).
 
-        x is never written.  A factor whose in_place flag is set overwrites
-        its input when that input is a buffer this call owns (the pad
-        buffer or an earlier factor's result); otherwise it returns a new
-        array.  On a column batch, an in-place factor followed by ZeroPad
-        writes its result straight into the leading rows of the pad buffer,
-        a Fortran-order array whose tail rows are zeroed.  For the Bluestein
-        chain that means the (2N, B) pad buffer is the only 2N-row
-        allocation: the first diagonal's product goes into it (through row
-        tiles from a row-ordered batch), both DFTs and the middle diagonal
-        run in it, and the last diagonal reads the Truncate view and
-        returns a new, compact (N, B) array in Fortran order (axis 0
-        contiguous).
+        x is never written.  One fixed kernel, _bluestein, writes the first
+        diagonal's product into the leading rows of a zeroed 2N-row pad
+        buffer (column-ordered for a batch; through row tiles from a
+        row-ordered one), runs both DFTs and the middle diagonal in place
+        there, and writes the last diagonal's product of its leading rows
+        into the result, a new array (Fortran order for a batch).  A counted
+        call tallies the factors' closed-form totals per column, once, on
+        the calling thread.
 
-        Every column is its own transform, so an uncounted batch may run
-        the whole chain as k column blocks, one on the calling thread and
-        k - 1 on short-lived threads (numpy.fft and np.multiply release the
-        interpreter lock), with bit-identical output.  The calling thread
-        allocates the pad buffer and the output; each block runs every
-        factor on its columns of x, of the pad buffer and of the output.
-        A chain splits when its ZeroPad follows an in-place factor, its last
-        factor runs in place (so each block writes its columns of both
-        buffers), and the pad buffer has at least _SPLIT_MIN_ROWS rows and
-        _SPLIT_MIN_ENTRIES entries; k is at most one block per usable CPU
-        and per column, and at most _SPLIT_MAX_BLOCKS.  A counted call
-        (OpCounter is not thread-safe) and a vector run as one block.
+        Every column is its own transform, so a batch whose pad buffer has
+        at least _SPLIT_MIN_ROWS rows and _SPLIT_MIN_ENTRIES entries runs as
+        k column blocks, counted or not: k is at most one per usable CPU and
+        per column, and at most _SPLIT_MAX_BLOCKS.  The calling thread
+        allocates the pad buffer and the result and runs one block; k - 1
+        short-lived threads run the others (numpy.fft and np.multiply
+        release the interpreter lock).  The output is bit-identical.
         """
-        y = np.asarray(x, dtype=np.complex128)
+        x = np.asarray(x, dtype=np.complex128)
+        n, m = self.spec.n, self.spec.m
+        if x.ndim not in (1, 2):
+            raise ValueError(f"expected a vector (N,) or a column batch (N, B), got shape {x.shape}")
+        if x.shape[0] != n:
+            raise ValueError(f"expected leading dimension {n}, got {x.shape[0]}")
+        if counter is not None:
+            for f in self.factors:
+                f.tally(counter)
+        fs = self.factors
+        diagonals = fs[0].values, fs[3].values, fs[6].values
+        if x.ndim == 1:
+            return _bluestein(*diagonals, x, np.zeros(m, np.complex128))
+        b = x.shape[1]
+        pad = np.empty((m, b), np.complex128, order="F")
         k = 1
-        if counter is None and y.ndim == 2:
-            k, pad_rows = _split_blocks(self.factors, y.shape[1])
+        if b >= 2 and m >= _SPLIT_MIN_ROWS and m * b >= _SPLIT_MIN_ENTRIES:
+            k = min(_usable_cpus(), _SPLIT_MAX_BLOCKS, b)
         if k == 1:
-            return _run_factors(self.factors, y, counter=counter)
-        b = y.shape[1]
-        pad = np.empty((pad_rows, b), np.complex128, order="F")
-        out = np.empty((self.factors[-1].shape[0], b), np.complex128, order="F")
-        _in_column_blocks(k, functools.partial(_run_factors, self.factors), y, pad, out)
+            # the last product allocates the result once the tile scratch is
+            # gone; allocated up front, applies at N=256, B=64 and N=64,
+            # B=3000 read 1.7-1.8x in process
+            return _bluestein(*diagonals, x, pad)
+        out = np.empty((n, b), np.complex128, order="F")
+        _in_column_blocks(k, functools.partial(_bluestein, *diagonals), x, pad, out)
         return out
 
     def dense(self) -> np.ndarray:
-        in_dim = self.factors[0].shape[1]
-        return self.apply(np.eye(in_dim, dtype=np.complex128))
+        return self.apply(np.eye(self.spec.n, dtype=np.complex128))
 
 
-def _run_factors(factors, y, pad=None, out=None, counter=None):
-    """Run factors on y, a vector, a column batch or one column block of a
-    batch, as FactorChain.apply describes, and return the result.
-
-    pad, when given, is the buffer the pad lead (_pad_front) writes, its
-    tail rows zeroed here, and out the array the last factor writes; a
-    split apply passes each block its columns of both, so the block
-    allocates nothing of their size.
-    """
-    owned = False  # y is a buffer this run may overwrite
-    lead = _pad_front(factors)[0] if y.ndim == 2 else None
-    tail = factors[-1] if out is not None else None
-    steps = iter(factors)
-    for f in steps:
-        if f is lead:  # its product goes straight into the pad buffer
-            zp = next(steps)
-            if pad is None:  # calloc'd: the tail rows are already zero
-                pad = np.zeros((zp.out_dim, y.shape[1]), np.complex128, order="F")
-            else:
-                pad[zp.in_dim :] = 0
-            f.apply(y, counter, out=pad[: zp.in_dim])
-            y, owned, lead = pad, True, None
-        elif f is tail:
-            y = f.apply(y, counter, out=out)
-        elif owned and f.in_place:
-            f.apply(y, counter, out=y)
+def _bluestein(d_in, d_mid, d_out, x, pad, out=None):
+    """The chain on x, a vector, a batch or one column block of a batch:
+    d_in . x into the leading rows of pad (a vector's pad comes zeroed, a
+    batch's tail rows are zeroed here), the normalized DFT, the d_mid product
+    and the conjugate normalized DFT in place in pad, and d_out times its
+    leading rows into out (a new array when out is None), which is returned."""
+    n = x.shape[0]
+    head = pad[:n]
+    if x.ndim == 1:
+        np.multiply(x, d_in, out=head)
+    else:
+        pad[n:] = 0
+        if x.strides[0] > x.strides[1]:  # row-ordered
+            _multiply_by_row_tiles(x, d_in, head)
         else:
-            y = f.apply(y, counter)
-            owned = y.flags.owndata
-    return y
+            np.multiply(x, d_in[:, None], out=head)
+        d_mid, d_out = d_mid[:, None], d_out[:, None]
+    np.fft.fft(pad, axis=0, norm="ortho", out=pad)
+    np.multiply(pad, d_mid, out=pad)
+    np.fft.ifft(pad, axis=0, norm="ortho", out=pad)
+    return np.multiply(head, d_out, out=out)
 
 
-def _pad_front(factors):
-    """The in-place factor right before the chain's first ZeroPad and that
-    ZeroPad, or (None, None) when there is no such pair."""
-    for f, g in zip(factors, factors[1:]):
-        if isinstance(g, ZeroPad):
-            return (f, g) if f.in_place else (None, None)
-    return None, None
-
-
-# Row tiles of a product that Diagonal.apply writes from a row-ordered batch
-# into a column-ordered out (the first diagonal into the pad buffer): each
-# tile is a contiguous np.multiply into a scratch of about _TILE_ENTRIES
-# entries and at least _TILE_MIN_ROWS rows, then one cache-resident
-# transposing copy.  A product that fits in one tile makes the same two
-# passes as a product into a fresh array followed by ZeroPad's copy.  Tiled
-# over those two passes, the first diagonal and pad alone, one thread,
-# medians of 9 best-of runs, 2-CPU x86 VM (affinity {0, 1}) with other load:
+# Row tiles of the first product from a row-ordered batch into the
+# column-ordered pad buffer: each tile is a contiguous np.multiply into a
+# scratch of about _TILE_ENTRIES entries and at least _TILE_MIN_ROWS rows,
+# then one cache-resident transposing copy.  Against a product into a fresh
+# array and a copy, the first diagonal and pad alone, one thread, medians of
+# 9 best-of runs, 2-CPU x86 VM (affinity {0, 1}) with other load:
 #
 #    shape            two passes   2**14 entries, 64 rows   other tilings
 #    N=4096, B=64       4.3-4.6 ms   0.47-0.61   2**13 0.50-0.65, 2**15 0.49-0.58, 2**16 0.62
@@ -447,17 +451,14 @@ def _pad_front(factors):
 #    N=1024, B=128      1.5 ms       0.65        2**13 0.78, 2**15 0.67
 #    N=1024, B=1001    14.8 ms       0.73        8-row minimum 0.92
 #    N=256,  B=3000    14.0 ms       0.85        8-row minimum 1.02
-#    N=64,   B=3000     1.6-1.7 ms   one tile    8-row tiles 1.27-1.33
 #
 # One transposing np.multiply straight from x into the pad buffer read
-# 1.14-1.94 against the two passes.
+# 1.14-1.94 against the two passes there.  A batch that fits in one tile
+# goes through the scratch too: whole applies read 0.88-0.94 of those with
+# a direct product at N=64..256 (B=64..3000) and 0.98-1.03 at N=16 (B=64 or
+# 900), medians of 60 alternating bursts, same machine.
 _TILE_ENTRIES = 1 << 14
 _TILE_MIN_ROWS = 64
-
-
-def _transposes(x, out) -> bool:
-    """True when x is laid out by rows and out by columns."""
-    return x.strides[0] > x.strides[1] and out.strides[0] < out.strides[1]
 
 
 def _multiply_by_row_tiles(x, v, out):
@@ -468,15 +469,14 @@ def _multiply_by_row_tiles(x, v, out):
         tile = scratch[: n - r]
         np.multiply(x[r : r + rows], v[r : r + rows, None], out=tile)
         out[r : r + rows] = tile
-    return out
 
 
-# When a chain is split across threads: its (2N, B) pad buffer must have
+# When a batch is split across threads: its (2N, B) pad buffer must have
 # at least _SPLIT_MIN_ROWS rows (N >= 1024) and _SPLIT_MIN_ENTRIES entries,
 # and it splits into min(usable CPUs, _SPLIT_MAX_BLOCKS, B) column blocks.
-# A thread start plus join costs 170-250 us.  Whole chain split (k=2) over
-# serial time, medians of 8 alternating best-of runs in one process, 2-CPU
-# x86 VM (affinity {0, 1}) with other load:
+# A thread start plus join costs 45-115 us (best of 300, six runs).  Whole
+# chain split (k=2) over serial time, medians of 8 alternating best-of runs
+# in one process, 2-CPU x86 VM (affinity {0, 1}) with other load:
 #
 #    shape             entries    split / serial
 #    N=256,  B=64       32,768    1.36
@@ -493,31 +493,37 @@ def _multiply_by_row_tiles(x, v, out):
 # dataset build (N=1024, B=64 left benchmarks/run.py mid_op_ms level, and
 # n=16 or 64 at B=3000 read 0.91-1.18 in make_dataset), so those stay
 # serial until measured end to end again.  k above 2 has not been measured
-# (the machine above has two CPUs), so no apply uses more blocks.  The
-# affinity set does not show a CPU quota: two blocks forced onto one CPU
-# read 1.14 at N=4096, B=64 and 1.16-1.24 at 262,144 entries.
+# (the machine above has two CPUs), so no apply uses more blocks.  Two
+# blocks forced onto one CPU read 1.14 at N=4096, B=64 and 1.16-1.24 at
+# 262,144 entries, so _usable_cpus also reads the process's CPU quota.
 _SPLIT_MIN_ROWS = 2048
 _SPLIT_MIN_ENTRIES = 1 << 18
 _SPLIT_MAX_BLOCKS = 2
 
+# The process's cgroup v2 path is the "0::" line of _PROC_CGROUP; its
+# cpu.max under _CGROUP_ROOT reads "quota period" (us) or "max period".
+_PROC_CGROUP = "/proc/self/cgroup"
+_CGROUP_ROOT = "/sys/fs/cgroup"
+
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity set, where the OS has one)."""
+    """CPUs this process may run on: its affinity set (where the OS has one)
+    cut to the whole CPUs of its cgroup v2 quota, at least one.  No quota
+    ("max"), no cgroup v2 or a cpu.max that cannot be read or parsed leaves
+    the affinity count."""
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _split_blocks(factors, b: int):
-    """Column blocks for a b-column batch through factors, and the rows of
-    their pad buffer (0 when the chain cannot split)."""
-    lead, zp = _pad_front(factors)
-    if lead is None or not factors[-1].in_place:
-        return 1, 0
-    rows = zp.out_dim
-    if b < 2 or rows < _SPLIT_MIN_ROWS or rows * b < _SPLIT_MIN_ENTRIES:
-        return 1, rows
-    return min(_usable_cpus(), _SPLIT_MAX_BLOCKS, b), rows
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    try:
+        with open(_PROC_CGROUP) as f:
+            path = next(line[3:].strip() for line in f if line.startswith("0::"))
+        with open(os.path.join(_CGROUP_ROOT, path.lstrip("/"), "cpu.max")) as f:
+            quota, period = f.read().split()
+        quota = int(quota) / int(period)  # "max" raises ValueError
+    except (OSError, StopIteration, ValueError, ZeroDivisionError):
+        return cpus
+    return max(1, min(cpus, int(quota))) if quota > 0 else cpus
 
 
 def _in_column_blocks(k, run, *arrays) -> None:
@@ -580,20 +586,12 @@ def fast_dvm_apply(chain: FactorChain, x, counter: OpCounter | None = None) -> n
     """Apply the factored scaled DVM to a vector (N,) or column batch (N, B).
 
     x is never written.  The result is a new array; a 2-D one is in Fortran
-    order (axis 0 contiguous).  FactorChain.apply says which factors run in
-    place; the first diagonal of a batch writes its product into the pad
-    buffer.
-    An uncounted batch of at least 2 columns with N >= 1024 whose (2N, B)
-    pad buffer holds 2**18 entries or more (N=2048 at B=64, N=4096 at B=32)
-    runs the whole chain as column blocks on two threads when the process
-    may use two CPUs; the output is bit-identical to the serial apply, and
-    no thread outlives the call.
+    order (axis 0 contiguous).  FactorChain.apply says how the one fixed
+    kernel runs and when a batch (N >= 1024 and 2**18 pad entries, counted
+    or not) runs as column blocks on two threads, bit-identical to the
+    serial apply with no thread outliving the call.  A counted call tallies
+    per column, whatever the batch.
     """
-    x = np.asarray(x)
-    if x.ndim not in (1, 2):
-        raise ValueError(f"expected a vector (N,) or a column batch (N, B), got shape {x.shape}")
-    if x.shape[0] != chain.spec.n:
-        raise ValueError(f"expected leading dimension {chain.spec.n}, got {x.shape[0]}")
     return chain.apply(x, counter)
 
 

@@ -381,19 +381,43 @@ def test_chain_apply_memory_budget(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the whole chain split over column blocks on threads
+# the kernel's bytes and tallies on the benchmark's shapes
 
 
-def spy_diagonals(monkeypatch):
-    """Record (factor, thread, out given) for every Diagonal.apply call."""
+# the ten benchmarks/run.py transform_sweep shapes (batch 1 is a vector
+# there), plus a partial last row tile (B=63) and a wide batch (B=1001)
+@pytest.mark.parametrize("n, b", [(n, b) for n in (16, 64, 256, 1024, 4096) for b in (1, 64)]
+                         + [(4096, 63), (1024, 1001)])
+def test_sweep_shapes_equal_factor_composition_bytes_and_tallies(n, b):
+    rng = np.random.default_rng(n * b)
+    chain = build_bluestein_chain(DvmSpec(n, random_unit(rng)))
+    shapes = ((n,), (n, 1)) if b == 1 else ((n, b),)
+    for shape in shapes:
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        want, composed = None, OpCounter()
+        for order_x in (np.ascontiguousarray(x), np.asfortranarray(x)):
+            counted = OpCounter()
+            got = fast_dvm_apply(chain, order_x, counted)
+            if want is None:
+                want = composed_apply(chain, x, composed)
+            assert got.tobytes(order="A") == np.asfortranarray(want).tobytes(order="A")
+            assert (counted.muls, counted.adds) == (composed.muls, composed.adds)
+
+
+# ---------------------------------------------------------------------------
+# the chain split over column blocks on threads
+
+
+def spy_kernel(monkeypatch):
+    """Record (thread, columns of its pad block) for every kernel call."""
     calls = []
-    apply = Diagonal.apply
+    kernel = dvm._bluestein
 
-    def spy(self, x, counter=None, out=None):
-        calls.append((self, threading.current_thread(), out is not None))
-        return apply(self, x, counter, out)
+    def spy(d_in, d_mid, d_out, x, pad, out=None):
+        calls.append((threading.current_thread(), pad.shape[1]))
+        return kernel(d_in, d_mid, d_out, x, pad, out)
 
-    monkeypatch.setattr(Diagonal, "apply", spy)
+    monkeypatch.setattr(dvm, "_bluestein", spy)
     return calls
 
 
@@ -404,26 +428,39 @@ def spy_diagonals(monkeypatch):
 def test_split_apply_equals_serial_bytes(monkeypatch, n, b):
     rng = np.random.default_rng(n + b)
     chain = build_bluestein_chain(DvmSpec(n, random_unit(rng)))
-    first, last = chain.factors[0], chain.factors[-1]
     x = rng.normal(size=(n, b)) + 1j * rng.normal(size=(n, b))
     on_one_cpu = spy_threads(monkeypatch, 1)  # the reference runs serial
     serial = fast_dvm_apply(chain, x)
     assert on_one_cpu == []
-    calls = spy_diagonals(monkeypatch)
+    calls = spy_kernel(monkeypatch)
     for k in (2, 3):
         started = spy_threads(monkeypatch, k)
         for order_x in (np.ascontiguousarray(x), np.asfortranarray(x)):
+            calls.clear()
             got = fast_dvm_apply(chain, order_x)
             assert got.tobytes(order="A") == serial.tobytes(order="A")
             assert got.flags.f_contiguous and got.base is None
+            # one kernel call per block, each on its own thread (the calling
+            # one and started workers), together covering every column
+            threads = [t for t, _ in calls]
+            assert len(set(threads)) == len(threads) == min(k, b)
+            assert set(threads) - set(started) == {threading.current_thread()}
+            assert sum(cols for _, cols in calls) == b
         assert len(started) == 2 * (min(k, b) - 1)
-        # every block runs the whole chain: each worker also ran the first
-        # diagonal and the last one, which writes into the output
-        for t in started:
-            assert {(first, t), (last, t)} <= {(f, ct) for f, ct, _ in calls}
-            assert (last, t, True) in calls
-    # the first product always goes straight into the pad buffer
-    assert {out for f, _, out in calls if f is first} == {True}
+
+
+def test_counted_apply_splits_and_tallies_once(monkeypatch):
+    # the tally is the factors' closed-form totals, taken on the calling
+    # thread, so a counted batch splits like an uncounted one
+    rng = np.random.default_rng(28)
+    chain = build_bluestein_chain(DvmSpec(256, random_unit(rng)))
+    x = rng.normal(size=(256, 64)) + 1j * rng.normal(size=(256, 64))
+    started = spy_threads(monkeypatch, 3)
+    counted, composed = OpCounter(), OpCounter()
+    got = fast_dvm_apply(chain, x, counted)
+    assert len(started) == 2
+    assert np.array_equal(got, composed_apply(chain, x, composed))
+    assert (counted.muls, counted.adds) == (composed.muls, composed.adds)
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
@@ -471,64 +508,120 @@ def test_split_apply_leaves_no_thread_and_keeps_its_input(monkeypatch):
     assert np.array_equal(y, composed_apply(chain, keep))
 
 
-def test_chain_without_a_pad_lead_or_an_in_place_end_runs_as_one_block(monkeypatch):
-    # a block can only write its columns of the caller's pad buffer and
-    # output when an in-place factor fills the pad and the last factor runs
-    # in place; other chains run whole on the calling thread
-    rng = np.random.default_rng(29)
-    d = np.exp(2j * np.pi * rng.random(32))
-    x = rng.normal(size=(16, 9)) + 1j * rng.normal(size=(16, 9))
-    started = spy_threads(monkeypatch, 3)
-    for factors in ([ZeroPad(32, 16), Dft(32), Diagonal(d), Dft(32, conj=True)],
-                    [Diagonal(d[:16]), ZeroPad(32, 16), Dft(32), Truncate(16, 32)]):
-        chain = FactorChain(DvmSpec(16, 1j), factors)
-        assert np.array_equal(chain.apply(x), composed_apply(chain, x))
-    assert started == []
+@pytest.mark.parametrize("factors", [
+    [ZeroPad(32, 16), Dft(32), Diagonal(np.ones(32)), Dft(32, conj=True)],
+    [Diagonal(np.ones(16)), ZeroPad(32, 16), Dft(32), Truncate(16, 32)],
+    # the Bluestein kinds with the conjugate DFT first, or the wrong sizes
+    [Diagonal(np.ones(16)), ZeroPad(32, 16), Dft(32, conj=True), Diagonal(np.ones(32)),
+     Dft(32), Truncate(16, 32), Diagonal(np.ones(16))],
+    [Diagonal(np.ones(8)), ZeroPad(16, 8), Dft(16), Diagonal(np.ones(16)),
+     Dft(16, conj=True), Truncate(8, 16), Diagonal(np.ones(8))],
+    [],
+], ids=["no_pad_lead", "no_in_place_end", "conj_first", "size_8", "empty"])
+def test_chain_of_another_shape_is_rejected(factors):
+    # FactorChain.apply runs one fixed kernel, so a chain it would not
+    # compute as written is refused when it is built
+    want = ("Diagonal(16), ZeroPad(16 -> 32), Dft(32), Diagonal(32), Dft(32, conj), "
+            "Truncate(32 -> 16), Diagonal(16) in that order")
+    with pytest.raises(ValueError, match=re.escape(want)):
+        FactorChain(DvmSpec(16, 1j), factors)
 
 
-def test_counted_or_single_column_apply_starts_no_thread(monkeypatch):
-    # OpCounter is not thread-safe, and a counted apply must tally what
-    # the composed apply does
+def test_chain_of_a_factor_subclass_is_rejected():
+    # a subclass's apply would never run inside the kernel
+    class Scaled(Diagonal):
+        def apply(self, x, counter=None):
+            return 2 * super().apply(x, counter)
+
+    factors = list(build_bluestein_chain(DvmSpec(16, 1j)).factors)
+    factors[0] = Scaled(factors[0].values)
+    with pytest.raises(ValueError, match="in that order"):
+        FactorChain(DvmSpec(16, 1j), factors)
+
+
+def test_chain_factors_cannot_be_replaced():
+    chain = build_bluestein_chain(DvmSpec(16, 1j))
+    with pytest.raises(TypeError):
+        chain.factors[0] = Diagonal(np.ones(16))
+
+
+def test_single_column_apply_starts_no_thread(monkeypatch):
     started = spy_threads(monkeypatch, 3)
     rng = np.random.default_rng(28)
     chain = build_bluestein_chain(DvmSpec(256, random_unit(rng)))
-    for shape in ((256, 64), (256,), (256, 1)):
-        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        counted, composed = OpCounter(), OpCounter()
-        got = fast_dvm_apply(chain, x, counted)
-        assert np.array_equal(got, composed_apply(chain, x, composed))
-        assert (counted.muls, counted.adds) == (composed.muls, composed.adds)
     for shape in ((256,), (256, 1)):
-        fast_dvm_apply(chain, rng.normal(size=shape) + 0j)
+        for counter in (None, OpCounter()):
+            fast_dvm_apply(chain, rng.normal(size=shape) + 0j, counter)
     assert started == []
-
-
-class _FailingDiagonal(Diagonal):
-    """Diagonal that raises on the column block of one thread."""
-
-    def __init__(self, values, in_worker):
-        super().__init__(values)
-        self.in_worker = in_worker
-
-    def apply(self, x, counter=None, out=None):
-        if (threading.current_thread() is not threading.main_thread()) == self.in_worker:
-            raise FloatingPointError("block failed")
-        return super().apply(x, counter, out)
 
 
 @pytest.mark.parametrize("in_worker", [True, False])
 def test_split_apply_reraises_a_block_error_after_the_join(monkeypatch, in_worker):
-    # the first diagonal (written into the pad buffer) and the last one run
-    # on every block, so either can fail on a worker or on the caller
-    for position in (0, -1):
-        started = spy_threads(monkeypatch, 3)
-        chain = build_bluestein_chain(DvmSpec(16, 1.0 + 0j))
-        chain.factors[position] = _FailingDiagonal(chain.factors[position].values, in_worker)
-        before = threading.active_count()
-        with pytest.raises(FloatingPointError, match="block failed"):
-            chain.apply(np.ones((16, 9), dtype=complex))
-        assert len(started) == 2 and not any(t.is_alive() for t in started)
-        assert threading.active_count() == before
+    # the kernel fails on the column block of one thread: a worker's or the
+    # caller's
+    kernel = dvm._bluestein
+
+    def failing(*args):
+        if (threading.current_thread() is not threading.main_thread()) == in_worker:
+            raise FloatingPointError("block failed")
+        return kernel(*args)
+
+    started = spy_threads(monkeypatch, 3)
+    monkeypatch.setattr(dvm, "_bluestein", failing)
+    chain = build_bluestein_chain(DvmSpec(16, 1.0 + 0j))
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="block failed"):
+        chain.apply(np.ones((16, 9), dtype=complex))
+    assert len(started) == 2 and not any(t.is_alive() for t in started)
+    assert threading.active_count() == before
+
+
+# ---------------------------------------------------------------------------
+# usable CPUs: the affinity set cut to the cgroup v2 CPU quota
+
+
+def fake_cgroup(monkeypatch, tmp_path, cpu_max, cgroup="0::/job/step\n", cpus=8):
+    """Point the quota reader at fake files: a /proc/self/cgroup holding
+    cgroup and, when cpu_max is not None, that cgroup's cpu.max."""
+    proc = tmp_path / "cgroup"
+    proc.write_text(cgroup)
+    root = tmp_path / "fs"
+    (root / "job" / "step").mkdir(parents=True)
+    if cpu_max is not None:
+        (root / "job" / "step" / "cpu.max").write_text(cpu_max)
+    monkeypatch.setattr(dvm, "_PROC_CGROUP", str(proc))
+    monkeypatch.setattr(dvm, "_CGROUP_ROOT", str(root))
+    monkeypatch.setattr(dvm.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+@pytest.mark.parametrize("cpu_max, cpus", [
+    ("50000 100000\n", 1), ("150000 100000\n", 1), ("199999 100000\n", 1),
+    ("200000 100000\n", 2), ("350000 100000\n", 3), ("max 100000\n", 8),
+    ("2000000 100000\n", 8),
+    (None, 8), ("", 8), ("garbage\n", 8), ("1 0\n", 8), ("-1 100000\n", 8),
+])
+def test_usable_cpus_reads_the_cgroup_quota(monkeypatch, tmp_path, cpu_max, cpus):
+    # a quota below 2 CPUs counts as one; no quota, a missing file or one
+    # that does not parse leaves the affinity count
+    fake_cgroup(monkeypatch, tmp_path, cpu_max)
+    assert dvm._usable_cpus() == cpus
+
+
+def test_usable_cpus_without_a_cgroup_v2_line(monkeypatch, tmp_path):
+    # a cgroup v1 process: no "0::" line, so no quota is read
+    fake_cgroup(monkeypatch, tmp_path, "50000 100000\n", cgroup="4:cpu:/job/step\n")
+    assert dvm._usable_cpus() == 8
+
+
+@pytest.mark.parametrize("cpu_max, workers", [("150000 100000\n", 0), ("max 100000\n", 1)])
+def test_quota_below_two_cpus_keeps_the_apply_on_one_thread(monkeypatch, tmp_path, cpu_max,
+                                                             workers):
+    usable_cpus = dvm._usable_cpus
+    started = spy_threads(monkeypatch, 8, force=False)
+    monkeypatch.setattr(dvm, "_usable_cpus", usable_cpus)  # 8 affinity CPUs, the quota read
+    fake_cgroup(monkeypatch, tmp_path, cpu_max)
+    fast_dvm_apply(build_bluestein_chain(DvmSpec(4096, 1j)), np.ones((4096, 64), dtype=complex))
+    assert len(started) == workers
 
 
 def test_scaled_dvm_apply_wrapper():
@@ -654,16 +747,16 @@ def test_zero_pad_returns_fresh_zero_filled_array(dtype, batch):
 # minimum at wide batches, and no columns
 @pytest.mark.parametrize("n, b", [(16, 64), (1024, 64), (1024, 63), (100, 3000), (4096, 0)])
 def test_diagonal_into_a_fortran_buffer_equals_the_plain_product(n, b):
-    # a C-ordered batch written into a Fortran-order out goes through row
-    # tiles; the bytes are those of the plain product
+    # the kernel writes the first diagonal's product of a C-ordered batch
+    # into the Fortran-order pad buffer through row tiles; the bytes are
+    # those of the factor's own product, and the tail rows are not touched
     rng = np.random.default_rng(n + b)
     d = Diagonal(np.exp(2j * np.pi * rng.random(n)))
     x = rng.normal(size=(n, b)) + 1j * rng.normal(size=(n, b))
     buf = np.full((2 * n, b), np.nan, dtype=complex, order="F")
     out = buf[:n]
-    got = d.apply(x, out=out)
-    assert got is out
-    assert got.tobytes(order="F") == d.apply(x).tobytes(order="F")
+    dvm._multiply_by_row_tiles(x, d.values, out)
+    assert out.tobytes(order="F") == d.apply(x).tobytes(order="F")
     assert np.isnan(buf[n:]).all()
 
 
