@@ -343,10 +343,11 @@ class FactorChain:
     """The seven-factor Bluestein chain of one scaled DVM (spec), factors in
     application order: factors[0] touches the input first.
 
-    The factors tuple is the chain's inspectable description: each factor
-    applies on its own, and dense() composes them (for verification at small
-    sizes; the only place the product is materialized).  It must hold
-    exactly the kinds and sizes that build_bluestein_chain makes.
+    The factors tuple is the chain's inspectable description (each factor
+    applies on its own and has a dense()); it must hold exactly the kinds
+    and sizes that build_bluestein_chain makes.  dense() applies the chain
+    to the identity, for verification at small sizes; it is the only place
+    the product is ever materialized.
     """
 
     spec: DvmSpec
@@ -388,10 +389,10 @@ class FactorChain:
             raise ValueError(f"expected a vector (N,) or a column batch (N, B), got shape {x.shape}")
         if x.shape[0] != n:
             raise ValueError(f"expected leading dimension {n}, got {x.shape[0]}")
-        if counter is not None:
-            for f in self.factors:
-                f.tally(counter)
         fs = self.factors
+        if counter is not None:
+            for f in fs:
+                f.tally(counter)
         diagonals = fs[0].values, fs[3].values, fs[6].values
         if x.ndim == 1:
             return _bluestein(*diagonals, x, np.zeros(m, np.complex128))
