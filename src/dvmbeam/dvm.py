@@ -638,9 +638,11 @@ class RecursiveDftChain:
     twiddles and an exact DFT leaf the chain reproduces the DFT; with free
     values the same wiring is what the network trains.
 
-    Sibling blocks share their level's diagonal, as the FFT's do:
-    twiddles[l] has shape (1, half_l) and leaf (1, s, s), one leaf matrix for
-    every segment.  scale is a frozen real normalization.
+    One object holds a stack of K chains of one wiring: twiddles[l] has shape
+    (K, half_l) and leaf (K, s, s), and chain k runs slice k of a (K, rows, B)
+    input; a 1-D or 2-D input is a K = 1 stack and keeps its shape.  Sibling
+    blocks share their level's diagonal, as the FFT's do, and every segment
+    meets the same leaf matrix.  scale is a frozen real normalization.
 
     An input of half height, size/2 rows, stands for [u; 0]: the chain
     returns the transform of the zero-padded vector without building the
@@ -664,12 +666,13 @@ class RecursiveDftChain:
         self.twiddles = [np.asarray(t, dtype=np.complex128) for t in twiddles]
         self.leaf = np.asarray(leaf, dtype=np.complex128)
         self.scale = float(scale)
-        for lvl, t in enumerate(self.twiddles):
-            if t.shape != (1, (size >> lvl) >> 1):
-                raise ValueError(f"twiddle level {lvl} has shape {t.shape}")
         s = size >> depth
-        if self.leaf.shape != (1, s, s):
-            raise ValueError(f"leaf has shape {self.leaf.shape}, wanted (1,{s},{s})")
+        if self.leaf.ndim != 3 or self.leaf.shape[1:] != (s, s):
+            raise ValueError(f"leaf has shape {self.leaf.shape}, wanted (K,{s},{s})")
+        for lvl, t in enumerate(self.twiddles):
+            if t.shape != (len(self.leaf), (size >> lvl) >> 1):
+                raise ValueError(f"twiddle level {lvl} has shape {t.shape} for a leaf "
+                                 f"stack of {len(self.leaf)}")
         self._perm, self._inv_perm = _interleave_index(size, depth)
 
     @property
@@ -688,13 +691,21 @@ class RecursiveDftChain:
         """Forward pass keeping the intermediates backward() needs."""
         return self._run(x, counter=None, want_trace=True)
 
-    def _run(self, x, counter, want_trace):
+    def _stacked(self, x):
+        """x as a (K, rows, B) stack, and the function that gives a result
+        the shape of x back."""
         x = np.asarray(x, dtype=np.complex128)
-        flat = x.ndim == 1
-        if flat:
-            x = x[:, None]
+        shape = x.shape
+        if x.ndim < 3:
+            x = x.reshape(1, shape[0], -1)
+        if x.ndim != 3 or len(x) != len(self.leaf):
+            raise ValueError(f"expected a stack of {len(self.leaf)} inputs, got shape {shape}")
+        return x, (lambda y: y.reshape(y.shape[1:2] + shape[1:]) if len(shape) < 3 else y)
+
+    def _run(self, x, counter, want_trace):
+        x, unstack = self._stacked(x)
         size = self.size
-        rows, cols = x.shape
+        k, rows, cols = x.shape
         pruned = 2 * rows == size  # x stands for [x; 0]
         if rows != size and not pruned:
             raise ValueError(
@@ -704,102 +715,101 @@ class RecursiveDftChain:
         diffs = [] if want_trace else None
         # Every level reads one buffer and writes the other, so level 0 reads
         # the input where it lies (no copy) and u - v needs no scratch array.
-        bufs = [np.empty((size, cols), dtype=np.complex128) for _ in range(2)]
+        bufs = [np.empty((k, size, cols), dtype=np.complex128) for _ in range(2)]
         y, first = x, 0
         if pruned:
             y = bufs[0]
             if self.depth == 0:
-                y[:rows] = x
-                y[rows:] = 0.0
+                y[:, :rows] = x
+                y[:, rows:] = 0.0
             else:
                 # level 0 of [x; 0]: top x + 0, bottom (x - 0) * tw0; adding
                 # the zero rather than copying turns -0.0 into +0.0 as the
                 # pad does
-                np.add(x, 0.0, out=y[:rows])
-                np.multiply(x, self.twiddles[0][0][:, None], out=y[rows:])
+                np.add(x, 0.0, out=y[:, :rows])
+                np.multiply(x, self.twiddles[0][:, :, None], out=y[:, rows:])
                 if want_trace:
-                    diffs.append(x.copy()[None])
+                    diffs.append(x.copy()[:, None])
                 if counter is not None:
-                    counter.tally(muls=rows)
+                    counter.tally(muls=k * rows)
                 first = 1
         for lvl in range(first, self.depth):
-            block = size >> lvl
-            half = block >> 1
+            half = size >> (lvl + 1)
             dst = bufs[1] if y is bufs[0] else bufs[0]
-            v = y.reshape(1 << lvl, block, cols)
-            w = dst.reshape(1 << lvl, block, cols)
-            top, bot = v[:, :half], v[:, half:]
-            d = np.subtract(top, bot, out=None if want_trace else w[:, half:])
+            # each block's halves as (K, blocks, half, B) views: indexing a
+            # split axis costs less than slicing
+            v = y.reshape(k, 1 << lvl, 2, half, cols)
+            w = dst.reshape(k, 1 << lvl, 2, half, cols)
+            top, bot = v[:, :, 0], v[:, :, 1]
+            w_top, w_bot = w[:, :, 0], w[:, :, 1]
+            d = np.subtract(top, bot, out=None if want_trace else w_bot)
             if want_trace:
                 diffs.append(d)
-            np.add(top, bot, out=w[:, :half])
-            np.multiply(d, self.twiddles[lvl][:, :, None], out=w[:, half:])
+            np.add(top, bot, out=w_top)
+            np.multiply(d, self.twiddles[lvl][:, None, :, None], out=w_bot)
             y = dst
             if counter is not None:
-                counter.tally(muls=half << lvl, adds=size)
+                counter.tally(muls=k * (half << lvl), adds=k * size)
         if y is x:  # no level ran: the leaf reads, and a trace keeps, a copy
             y = bufs[0]
             y[...] = x
         s = self.leaf_size
-        segs = y.reshape(size // s, s, cols)  # kept by the trace: y is not written again
+        segs = y.reshape(k, size // s, s, cols)  # kept by the trace: y is not written again
+        leaf = self.leaf[:, None]
         if counter is not None:
-            counter.tally(muls=(size // s) * s * s, adds=(size // s) * s * (s - 1))
+            counter.tally(muls=k * size * s, adds=k * size * (s - 1))
         if want_trace:
-            y = np.matmul(self.leaf, segs).reshape(size, cols)[self._perm]
+            y = np.matmul(leaf, segs).reshape(k, size, cols).take(self._perm, axis=1)
         else:
             # the leaf product goes to the other buffer, its permutation back
             # to y (mode "clip": take would copy through a temporary under
             # the default "raise", and perm holds valid indices only)
             other = bufs[1] if y is bufs[0] else bufs[0]
-            prod = np.matmul(self.leaf, segs, out=other.reshape(size // s, s, cols))
-            np.take(prod.reshape(size, cols), self._perm, axis=0, out=y, mode="clip")
+            prod = np.matmul(leaf, segs, out=other.reshape(k, size // s, s, cols))
+            prod.reshape(k, size, cols).take(self._perm, axis=1, out=y, mode="clip")
         if self.scale != 1.0:
             y *= self.scale
             if counter is not None:
-                counter.tally(muls=size)
+                counter.tally(muls=k * size)
         trace = None
         if want_trace:
             trace = {"diffs": diffs, "leaf_in": segs, "pruned": pruned}
-        return (y[:, 0] if flat else y), trace
+        return unstack(y), trace
 
     def backward(self, trace, grad_out):
         """Adjoint pass.
 
-        grad_out carries dL/dRe + j dL/dIm of the output.  Returns the same
-        carrier for the input (its size/2 rows when the traced input had
-        half height) plus gradients for each twiddle level and the leaf,
+        grad_out carries dL/dRe + j dL/dIm of the output, shaped as the
+        output was.  Returns the same carrier for the input (its size/2 rows
+        when the traced input had half height) plus gradients for each
+        twiddle level (K, half_l) and the leaf (K, s, s), each chain's
         summed over batch and over sibling blocks.
         """
         size = self.size
-        g = np.asarray(grad_out, dtype=np.complex128)
-        flat = g.ndim == 1
-        if flat:
-            g = g[:, None]
-        cols = g.shape[1]
-        g = g[self._inv_perm]
+        g, unstack = self._stacked(grad_out)
+        k, _, cols = g.shape
+        g = g.take(self._inv_perm, axis=1)
         if self.scale != 1.0:
             g *= self.scale
         s = self.leaf_size
-        g_segs = g.reshape(size // s, s, cols)
-        leaf_grad = np.matmul(g_segs, np.conj(trace["leaf_in"]).transpose(0, 2, 1))
-        leaf_grad = leaf_grad.sum(axis=0, keepdims=True)
-        g = np.matmul(np.conj(self.leaf).transpose(0, 2, 1), g_segs).reshape(size, cols)
+        g_segs = g.reshape(k, size // s, s, cols)
+        leaf_grad = np.matmul(g_segs, np.conj(trace["leaf_in"]).transpose(0, 1, 3, 2)).sum(1)
+        g = np.matmul(np.conj(self.leaf[:, None]).transpose(0, 1, 3, 2), g_segs)
+        g = g.reshape(k, size, cols)
         tw_grads = [None] * self.depth
         pruned = trace["pruned"]
         for lvl in range(self.depth - 1, -1, -1):
-            block = size >> lvl
-            half = block >> 1
-            v = g.reshape(1 << lvl, block, cols)
-            g_top, g_bot = v[:, :half], v[:, half:]
+            v = g.reshape(k, 1 << lvl, 2, size >> (lvl + 1), cols)
+            g_top, g_bot = v[:, :, 0], v[:, :, 1]
             tg = (g_bot * np.conj(trace["diffs"][lvl])).sum(axis=-1)
-            tw_grads[lvl] = tg.sum(axis=0, keepdims=True)
-            rot = np.conj(self.twiddles[lvl][:, :, None]) * g_bot
+            tw_grads[lvl] = tg.sum(axis=1)
+            rot = np.conj(self.twiddles[lvl][:, None, :, None]) * g_bot
             if not (pruned and lvl == 0):  # the zero half's gradient is dropped
                 np.subtract(g_top, rot, out=g_bot)
             np.add(g_top, rot, out=g_top)
         if pruned:
-            g = g[: size >> 1]
-        return (g[:, 0] if flat else g), tw_grads, leaf_grad
+            g = g[:, : size >> 1]
+        return unstack(g), tw_grads, leaf_grad
 
     def dense(self) -> np.ndarray:
         return self.apply(np.eye(self.size, dtype=np.complex128))
@@ -817,8 +827,8 @@ def build_recursive_dft_chain(
 
     exact=True fills in the true twiddles omega_b**m and a dense DFT leaf so
     the chain reproduces the transform; exact=False draws unit-modulus random
-    twiddles and 1/sqrt(s)-scaled random leaf entries as a training start.
-    normalized=True makes the chain equal the unitary DFT: leaves are
+    twiddles and 1/sqrt(s)-scaled random leaf entries from rng as a training
+    start.  normalized=True makes the chain equal the unitary DFT: leaves are
     normalized and the frozen scale field folds in the remaining
     1/sqrt(2**depth).  inverse=True conjugates the exact values, giving the
     factorization of the conjugate DFT.
@@ -828,23 +838,29 @@ def build_recursive_dft_chain(
     if depth > size.bit_length() - 1:
         raise ValueError(f"depth {depth} exceeds log2({size})")
     s = size >> depth
+    if not exact:
+        if rng is None:
+            raise ValueError("exact=False draws the chain's values: it needs rng")
+        return _random_chains(size, depth, rng.random((1, size - s + s * s)), normalized)
     sign = 1.0 if inverse else -1.0
-    twiddles = []
-    for lvl in range(depth):
-        block = size >> lvl
-        half = block >> 1
-        if exact:
-            tw = np.exp(sign * 2j * np.pi * np.arange(half)[None] / block)
-        else:
-            tw = np.exp(2j * np.pi * rng.random((1, half)))
-        twiddles.append(tw)
-    if exact:
-        kk = np.arange(s)
-        leaf_mat = np.exp(sign * 2j * np.pi * np.outer(kk, kk) / s) if s > 1 else np.ones((1, 1))
-        if normalized:
-            leaf_mat = leaf_mat / math.sqrt(s)
-        leaf = leaf_mat[None]
-    else:
-        leaf = np.exp(2j * np.pi * rng.random((1, s, s))) / math.sqrt(s)
+    twiddles = [np.exp(sign * 2j * np.pi * np.arange(size >> lvl >> 1)[None] / (size >> lvl))
+                for lvl in range(depth)]
+    kk = np.arange(s)
+    leaf_mat = np.exp(sign * 2j * np.pi * np.outer(kk, kk) / s) if s > 1 else np.ones((1, 1))
+    if normalized:
+        leaf_mat = leaf_mat / math.sqrt(s)
+    scale = (2.0 ** (-depth / 2.0)) if normalized else 1.0
+    return RecursiveDftChain(size, depth, twiddles, leaf_mat[None], scale=scale)
+
+
+def _random_chains(size, depth, phases, normalized=False) -> RecursiveDftChain:
+    """The random training start of a stack of K chains, from a (K, E) array
+    of uniform draws in [0, 1) with E = size - s + s*s: each row holds one
+    chain's values in declaration order (twiddle levels, then the leaf),
+    every value exp(2j*pi*u), the leaf's also divided by sqrt(s)."""
+    s = size >> depth
+    z = np.exp(2j * np.pi * phases)
+    twiddles = [z[:, size - (size >> lvl):size - (size >> (lvl + 1))] for lvl in range(depth)]
+    leaf = z[:, size - s:].reshape(-1, s, s) / math.sqrt(s)
     scale = (2.0 ** (-depth / 2.0)) if normalized else 1.0
     return RecursiveDftChain(size, depth, twiddles, leaf, scale=scale)

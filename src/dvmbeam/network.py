@@ -6,20 +6,24 @@ output.  The structured kind keeps its input and output layers in factored
 form: each of the p submatrices is a chirp-scaled recursive DFT chain whose
 twiddle diagonals, leaf blocks, and scaling diagonals are the only trainable
 values, so a layer is applied factor by factor and is never densified.  The
-fully connected baseline carries ordinary dense weight matrices of the same
-layer widths.  Between them sit the same three fixed-width layers: a frozen
-elementwise delay rotation diag(alpha**k), a trainable real diagonal skip
-connection added around it, and biases.
+p submatrices are the leading axis of every array of those layers, with one
+stack of K = p chains per side, so each layer is one call over all p and
+p = 1 runs the same code.  The fully connected baseline carries ordinary
+dense weight matrices of the same layer widths.  Between them sit the same
+three fixed-width layers: a frozen elementwise delay rotation
+diag(alpha**k), a trainable real diagonal skip connection added around it,
+and biases.
 
 Blocks take and return real-split (2N, B) batches.  Inside a block the
 hidden vector of width 4pN is one complex carrier, a (2pN, B) array split
-into p slots of 2N rows, one per submatrix, which the chains and the delay
-read directly.  The real-split hidden parameters (bias, skip diagonal) keep
-their [real section | imaginary section] layout and act on the carrier's
-real and imaginary parts through its float64 view, so no hidden layer
-splits or rebuilds complex values.  The forward pass and its hand-written
-reverse live here side by side, so that layout and the parameter path names
-are known to this module only.
+into p slots of 2N rows, one per submatrix: it is the input chains'
+(p, 2N, B) output, and the output chains read it as that stack.  The
+real-split hidden parameters (bias, skip diagonal) keep their [real section
+| imaginary section] layout and act on the carrier's real and imaginary
+parts through its float64 view, so no hidden layer splits or rebuilds
+complex values.  The forward pass and its hand-written reverse live here
+side by side, so that layout and the parameter path names are known to
+this module only.
 """
 
 from __future__ import annotations
@@ -34,6 +38,8 @@ import numpy as np
 from .dvm import (
     UNIT_TOL,
     DvmSpec,
+    RecursiveDftChain,
+    _random_chains,
     build_bluestein_chain,
     build_recursive_dft_chain,
     check_seed,
@@ -66,6 +72,16 @@ def real_join(x) -> np.ndarray:
     z = np.empty((k,) + x.shape[1:], dtype=np.complex128)
     z.real, z.imag = x[:k], x[k:]
     return z
+
+
+def _split_sum(v) -> np.ndarray:
+    """real_split(v.sum(axis=0)), the real and imaginary parts summed apart
+    (as complex addition adds them) straight into the real-split rows."""
+    k = v.shape[1]
+    out = np.empty((2 * k,) + v.shape[2:])
+    np.add.reduce(v.real, 0, out=out[:k])
+    np.add.reduce(v.imag, 0, out=out[k:])
+    return out
 
 
 def leaky_relu(x, slope: float, out=None) -> np.ndarray:
@@ -185,10 +201,11 @@ class NetworkConfig:
 
 @dataclass
 class StructuredBlock:
-    d_hat: list          # p arrays: complex (n,)
-    f_chains: list       # p RecursiveDftChain
-    d_breve: list        # p arrays: complex (m,)
-    fstar_chains: list   # p RecursiveDftChain
+    # submatrix i is row i of d_hat and d_breve and chain i of each stack
+    d_hat: np.ndarray                # complex (p, n): input and output scaling
+    f_chain: RecursiveDftChain       # K = p input chains
+    d_breve: np.ndarray              # complex (p, m): input chains' output scaling
+    fstar_chain: RecursiveDftChain   # K = p conjugate output chains
     bias1: np.ndarray
     skip: np.ndarray
     bias_out: np.ndarray
@@ -245,41 +262,45 @@ class Network:
         self.delay = cis(phi, k)  # frozen diag(alpha**k), k = 0..2pn-1
         self._grads = None  # gradient twin, built by the first _backward
 
-        layout, places, pos = [], [], 0
-        for path, owner, key in self._walk():
-            arr = owner[key]
-            is_complex = arr.dtype.kind == "c"
-            layout.append(ParamSlot(path, pos, "complex" if is_complex else "real", arr.shape))
-            places.append((owner, key, arr))
-            pos += 2 * arr.size if is_complex else arr.size
+        layout, stacks, pos = [], {}, 0
+        for path, owner, key, row in self._walk():
+            part = owner[key] if row is None else owner[key][row]
+            kind = "complex" if part.dtype.kind == "c" else "real"
+            layout.append(ParamSlot(path, pos, kind, part.shape))
+            stacks.setdefault((id(owner), key), (owner, key, []))[2].append(pos)
+            pos += layout[-1].width
         self.layout = tuple(layout)
         self.flat = np.zeros(pos)
-        views = []
-        for slot, (owner, key, arr) in zip(self.layout, places):
-            view = owner[key] = slot.view(self.flat)
+        # the p slots of a stacked array sit equally spaced, so the stack is
+        # one view with that spacing as its leading stride
+        for owner, key, starts in stacks.values():
+            arr = np.ascontiguousarray(owner[key])
+            lead = arr.strides[:1] if len(starts) == 1 else (8 * (starts[1] - starts[0]),)
+            view = owner[key] = np.ndarray(arr.shape, arr.dtype, self.flat, 8 * starts[0],
+                                           lead + arr.strides[1:])
             view[...] = arr
-            views.append(view)
-        self._arrays = tuple(views)
+        self._arrays = tuple(slot.view(self.flat) for slot in self.layout)
 
     def _walk(self):
-        """Yield (path, owner, key) with owner[key] the trainable array, in
-        declaration order; owner is a list or an object's __dict__."""
+        """Yield (path, owner, key, row) in declaration order: owner[key] is
+        a trainable array, owner a list or an object's __dict__, and the
+        path names all of it (row None) or its submatrix slot arr[row]."""
         cfg = self.config
         for b, blk in enumerate(self.blocks):
             attrs = vars(blk)
             if cfg.kind == KIND_DENSE:
                 for name in ("w1", "bias1", "skip", "w4", "bias_out"):
-                    yield f"block{b}.{name}", attrs, name
+                    yield f"block{b}.{name}", attrs, name, None
                 continue
             for i in range(cfg.p):
-                yield f"block{b}.w1.sub{i}.d_hat", blk.d_hat, i
-                yield from _chain_walk(f"block{b}.w1.sub{i}.f", blk.f_chains[i])
-                yield f"block{b}.w1.sub{i}.d_breve", blk.d_breve, i
-            yield f"block{b}.bias1", attrs, "bias1"
-            yield f"block{b}.skip", attrs, "skip"
+                yield f"block{b}.w1.sub{i}.d_hat", attrs, "d_hat", i
+                yield from _chain_walk(f"block{b}.w1.sub{i}.f", blk.f_chain, i)
+                yield f"block{b}.w1.sub{i}.d_breve", attrs, "d_breve", i
+            yield f"block{b}.bias1", attrs, "bias1", None
+            yield f"block{b}.skip", attrs, "skip", None
             for i in range(cfg.p):
-                yield from _chain_walk(f"block{b}.w4.sub{i}.fstar", blk.fstar_chains[i])
-            yield f"block{b}.bias_out", attrs, "bias_out"
+                yield from _chain_walk(f"block{b}.w4.sub{i}.fstar", blk.fstar_chain, i)
+            yield f"block{b}.bias_out", attrs, "bias_out", None
 
     # -- parameter plumbing ------------------------------------------------
 
@@ -303,28 +324,29 @@ class Network:
         self.flat[...] = flat
 
 
-def _chain_walk(prefix, chain):
+def _chain_walk(prefix, chain, i):
+    row = slice(i, i + 1)  # a chain's slot keeps its stack axis, of length 1
     for lvl in range(len(chain.twiddles)):
-        yield f"{prefix}.twiddle{lvl}", chain.twiddles, lvl
-    yield f"{prefix}.leaf", vars(chain), "leaf"
+        yield f"{prefix}.twiddle{lvl}", chain.twiddles, lvl, row
+    yield f"{prefix}.leaf", vars(chain), "leaf", row
 
 
 @dataclass
 class BlockTrace:
     """One block's intermediates.  The block input x and output y_out are
     real-split (2n, B); the hidden-width fields are complex carriers
-    (2pn, B)."""
+    (2pn, B).  The chain fields are None for the dense kind."""
 
     x: np.ndarray
-    x_c: np.ndarray | None     # input chains' carrier (structured kind)
-    chain_traces: list         # per submatrix, w1 chain trace
-    chain_out: list            # per submatrix, chain output before d_breve
-    pre1: np.ndarray           # pre-activation
-    y1: np.ndarray             # activation
-    y2: np.ndarray             # delayed activation
-    y3: np.ndarray             # y2 plus the skip term
-    fstar_traces: list
-    t_trunc: list              # per submatrix, truncated conj-chain output
+    x_c: np.ndarray | None         # input chains' carrier (n, B)
+    chain_trace: dict | None       # the input chain stack's trace
+    chain_out: np.ndarray | None   # (p, m, B) chain output before d_breve
+    pre1: np.ndarray               # pre-activation
+    y1: np.ndarray                 # activation
+    y2: np.ndarray                 # delayed activation
+    y3: np.ndarray                 # y2 plus the skip term
+    fstar_trace: dict | None       # the output chain stack's trace
+    t_trunc: np.ndarray | None     # (p, n, B) truncated conj-chain output
     y_out: np.ndarray
 
 
@@ -365,18 +387,9 @@ def _add_column_sums(dst, f) -> None:
     d[1] += f[:, 1::2].sum(axis=1)
 
 
-def _run_chain(chain, x, traces):
-    """chain applied to x; a traces list (None when not tracing) keeps the
-    chain's trace for the reverse pass."""
-    if traces is None:
-        return chain.apply(x)
-    y, tr = chain.apply_trace(x)
-    traces.append(tr)
-    return y
-
-
-def _stack(parts):
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+def _run_chain(chain, x, want_trace):
+    """chain applied to x, and its trace for the reverse pass or None."""
+    return chain.apply_trace(x) if want_trace else (chain.apply(x), None)
 
 
 def _middle_forward(cfg: NetworkConfig, blk, delay, h, want_trace):
@@ -400,45 +413,39 @@ def _middle_forward(cfg: NetworkConfig, blk, delay, h, want_trace):
 
 def _block_forward(cfg: NetworkConfig, blk, delay, x, want_trace):
     """One block on the real-split batch x (2n, B): the input layer (W1, or
-    p chirp-scaled DFT chains into the hidden slots), the middle both kinds
-    share (bias, leaky activation, frozen delay, skip), then the output layer
-    (W4, or p conjugate chains summed back to the input width)."""
-    m = cfg.m
+    the stack of p chirp-scaled DFT chains, whose (p, m, B) output is the
+    hidden carrier's p slots), the middle both kinds share (bias, leaky
+    activation, frozen delay, skip), then the output layer (W4, or the stack
+    of p conjugate chains, summed over p back to the input width)."""
+    p, m = cfg.p, cfg.m
     dense = cfg.kind == KIND_DENSE
-    chain_traces, fstar_traces = ([], []) if want_trace else (None, None)
-    x_c, chain_out, t_trunc = None, [], []
+    x_c = chain_trace = chain_out = fstar_trace = t_trunc = None
     if dense:
         h = real_join(blk.w1 @ x)
     else:
         x_c = real_join(x)
-        parts = []
-        for i in range(cfg.p):
-            c = _run_chain(blk.f_chains[i], blk.d_hat[i][:, None] * x_c, chain_traces)
-            chain_out.append(c if want_trace else None)  # only a trace keeps c alive
-            z = np.multiply(blk.d_breve[i][:, None], c, out=None if want_trace else c)
-            parts.append(z)
-        h = _stack(parts)
+        c, chain_trace = _run_chain(blk.f_chain, blk.d_hat[:, :, None] * x_c, want_trace)
+        chain_out = c if want_trace else None  # only a trace keeps c alive
+        h = np.multiply(blk.d_breve[:, :, None], c, out=None if want_trace else c)
+        h = h.reshape(p * m, -1)
 
     pre1, y1, y2, y3 = _middle_forward(cfg, blk, delay, h, want_trace)
 
     if dense:
         y_out = blk.w4 @ real_split(y3)
     else:
-        v = None
-        for i in range(cfg.p):
-            t = _run_chain(blk.fstar_chains[i], y3[i * m:(i + 1) * m],
-                           fstar_traces)[: x_c.shape[0]]
-            t_trunc.append(t if want_trace else None)
-            vi = np.multiply(blk.d_hat[i][:, None], t, out=None if want_trace else t)
-            v = vi if v is None else v + vi
-        y_out = real_split(v)
+        t, fstar_trace = _run_chain(blk.fstar_chain, y3.reshape(p, m, -1), want_trace)
+        t = t[:, : x_c.shape[0]]
+        t_trunc = t if want_trace else None
+        v = np.multiply(blk.d_hat[:, :, None], t, out=None if want_trace else t)
+        y_out = _split_sum(v)
     y_out += blk.bias_out[:, None]
 
     trace = None
     if want_trace:
         trace = BlockTrace(
-            x=x, x_c=x_c, chain_traces=chain_traces, chain_out=chain_out, pre1=pre1,
-            y1=y1, y2=y2, y3=y3, fstar_traces=fstar_traces, t_trunc=t_trunc, y_out=y_out,
+            x=x, x_c=x_c, chain_trace=chain_trace, chain_out=chain_out, pre1=pre1,
+            y1=y1, y2=y2, y3=y3, fstar_trace=fstar_trace, t_trunc=t_trunc, y_out=y_out,
         )
     return y_out, trace
 
@@ -495,7 +502,7 @@ def _middle_backward(cfg: NetworkConfig, blk, gblk, delay, tr, g_h):
 def _block_backward(cfg: NetworkConfig, blk, gblk, delay, tr, g_out):
     """Reverse one block: add its parameter gradients into gblk, the same
     block of the gradient twin, and return the gradient wrt the block input."""
-    m = cfg.m
+    p, m = cfg.p, cfg.m
     dense = cfg.kind == KIND_DENSE
     gblk.bias_out += g_out.sum(axis=1)
     # output layer, back to the hidden carrier g_h of y3
@@ -504,16 +511,13 @@ def _block_backward(cfg: NetworkConfig, blk, gblk, delay, tr, g_out):
         g_h = real_join(blk.w4.T @ g_out)
     else:
         g_v = real_join(g_out)
-        parts = []
-        for i in range(cfg.p):
-            # d_hat scales the output side too: its share joins the input side's
-            gblk.d_hat[i] += (g_v * np.conj(tr.t_trunc[i])).sum(axis=1)
-            g_fs = np.zeros((m, g_v.shape[1]), dtype=np.complex128)
-            g_fs[: g_v.shape[0]] = np.conj(blk.d_hat[i])[:, None] * g_v
-            g_ci, tw_g, leaf_g = blk.fstar_chains[i].backward(tr.fstar_traces[i], g_fs)
-            _accumulate_chain(gblk.fstar_chains[i], tw_g, leaf_g)
-            parts.append(g_ci)
-        g_h = _stack(parts)
+        # d_hat scales the output side too: its share joins the input side's
+        gblk.d_hat += (g_v * np.conj(tr.t_trunc)).sum(axis=-1)
+        g_fs = np.zeros((p, m, g_v.shape[1]), dtype=np.complex128)
+        np.multiply(np.conj(blk.d_hat)[:, :, None], g_v, out=g_fs[:, : g_v.shape[0]])
+        g_h, tw_g, leaf_g = blk.fstar_chain.backward(tr.fstar_trace, g_fs)
+        _accumulate_chain(gblk.fstar_chain, tw_g, leaf_g)
+        g_h = g_h.reshape(p * m, -1)
 
     g_pre1 = _middle_backward(cfg, blk, gblk, delay, tr, g_h)
 
@@ -521,16 +525,13 @@ def _block_backward(cfg: NetworkConfig, blk, gblk, delay, tr, g_out):
         g_r = real_split(g_pre1)
         gblk.w1 += g_r @ tr.x.T
         return blk.w1.T @ g_r
-    g_x_c = np.zeros_like(tr.x_c)
-    for i in range(cfg.p):
-        g_z = g_pre1[i * m:(i + 1) * m]
-        gblk.d_breve[i] += (g_z * np.conj(tr.chain_out[i])).sum(axis=1)
-        g_c = np.conj(blk.d_breve[i])[:, None] * g_z
-        g_u, tw_g, leaf_g = blk.f_chains[i].backward(tr.chain_traces[i], g_c)
-        _accumulate_chain(gblk.f_chains[i], tw_g, leaf_g)
-        gblk.d_hat[i] += (g_u * np.conj(tr.x_c)).sum(axis=1)
-        g_x_c += np.conj(blk.d_hat[i])[:, None] * g_u
-    return real_split(g_x_c)
+    g_z = g_pre1.reshape(p, m, -1)
+    gblk.d_breve += (g_z * np.conj(tr.chain_out)).sum(axis=-1)
+    g_c = np.conj(blk.d_breve)[:, :, None] * g_z
+    g_u, tw_g, leaf_g = blk.f_chain.backward(tr.chain_trace, g_c)
+    _accumulate_chain(gblk.f_chain, tw_g, leaf_g)
+    gblk.d_hat += (g_u * np.conj(tr.x_c)).sum(axis=-1)
+    return _split_sum(np.conj(blk.d_hat)[:, :, None] * g_u)
 
 
 def _backward(net: Network, trace: ForwardTrace, g_out) -> np.ndarray:
@@ -553,10 +554,6 @@ def _backward(net: Network, trace: ForwardTrace, g_out) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # construction
-
-
-def _random_unit(rng, shape):
-    return np.exp(2j * np.pi * rng.random(shape))
 
 
 def build_network(config: NetworkConfig) -> Network:
@@ -584,7 +581,9 @@ class _ZeroDraws:
 
 def _build(cfg: NetworkConfig, rng) -> Network:
     """The network of cfg with every random draw taken from rng."""
-    n, p, m = cfg.n, cfg.p, cfg.m
+    n, p, m, depth = cfg.n, cfg.p, cfg.m, cfg.resolved_depth
+    s = m >> depth
+    e = m - s + s * s  # one chain's entries
     blocks = []
     for _ in range(cfg.blocks_count):
         if cfg.kind == KIND_DENSE:
@@ -600,35 +599,22 @@ def _build(cfg: NetworkConfig, rng) -> Network:
                 )
             )
             continue
-        d_hat, d_breve, f_chains = [], [], []
-        for _ in range(p):
-            d_hat.append(_random_unit(rng, n))
-            f_chains.append(_chain_init(cfg, rng, exact=False))
-            d_breve.append(_random_unit(rng, m))
-        fstar_chains = [_chain_init(cfg, rng, exact=False) for _ in range(p)]
+        # w1 row i holds submatrix i's d_hat, input chain and d_breve draws,
+        # w4 row i its output chain's, so the generator is drawn in the
+        # declaration order of the parameters; each value is exp(2j*pi*u)
+        w1, w4 = rng.random((p, n + e + m)), rng.random((p, e))
         blocks.append(
             StructuredBlock(
-                d_hat=d_hat,
-                f_chains=f_chains,
-                d_breve=d_breve,
-                fstar_chains=fstar_chains,
+                d_hat=np.exp(2j * np.pi * w1[:, :n]),
+                f_chain=_random_chains(m, depth, w1[:, n:n + e], normalized=True),
+                d_breve=np.exp(2j * np.pi * w1[:, n + e:]),
+                fstar_chain=_random_chains(m, depth, w4, normalized=True),
                 bias1=np.zeros(cfg.hidden),
                 skip=np.zeros(cfg.hidden),
                 bias_out=np.zeros(2 * n),
             )
         )
     return Network(cfg, blocks)
-
-
-def _chain_init(cfg, rng, exact, inverse=False):
-    return build_recursive_dft_chain(
-        cfg.m,
-        cfg.resolved_depth,
-        exact=exact,
-        inverse=inverse,
-        normalized=True,
-        rng=None if exact else rng,
-    )
 
 
 def init_from_dvm(net: Network, alpha: complex) -> Network:
@@ -647,15 +633,15 @@ def init_from_dvm(net: Network, alpha: complex) -> Network:
         raise ValueError("alpha must be unit modulus")
     chirp = build_bluestein_chain(DvmSpec(cfg.n, alpha)).factors
     d_hat, d_breve = chirp[0].values, chirp[3].values
-    exact_f = _chain_init(cfg, None, exact=True)
-    exact_fs = _chain_init(cfg, None, exact=True, inverse=True)
+    exact_f = build_recursive_dft_chain(cfg.m, cfg.resolved_depth, normalized=True)
+    exact_fs = build_recursive_dft_chain(cfg.m, cfg.resolved_depth, inverse=True, normalized=True)
     for blk in net.blocks:
-        for i in range(cfg.p):
-            blk.d_hat[i][...] = d_hat
-            blk.d_breve[i][...] = d_breve
-            for chain, exact in ((blk.f_chains[i], exact_f), (blk.fstar_chains[i], exact_fs)):
-                for dst, src in zip(chain.param_arrays(), exact.param_arrays()):
-                    dst[...] = src
+        # every submatrix gets the same values: each row of the stacks
+        blk.d_hat[...] = d_hat
+        blk.d_breve[...] = d_breve
+        for chain, exact in ((blk.f_chain, exact_f), (blk.fstar_chain, exact_fs)):
+            for dst, src in zip(chain.param_arrays(), exact.param_arrays()):
+                dst[...] = src
         blk.bias1[...] = 0.0
         blk.skip[...] = 0.0
         blk.bias_out[...] = 0.0

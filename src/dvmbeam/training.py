@@ -115,8 +115,9 @@ def grad_check(
 
     Relative error uses max(1, |analytic|) in the denominator so tiny
     gradients do not blow the ratio up.  corrupt=(path, index, factor)
-    multiplies one analytic component before comparison; a working check
-    must then report that path as the worst offender.
+    multiplies one analytic component, index 0..width-1 of that path's
+    slot, before comparison; a working check must then report that path as
+    the worst offender.
     """
     cfg = net.config
     x2, _ = _as_columns(x, 2 * cfg.n)
@@ -131,6 +132,8 @@ def grad_check(
         path, idx, factor = corrupt
         for p_, a_, b_ in spans:
             if p_ == path:
+                if not 0 <= idx < b_ - a_:
+                    raise ValueError(f"corrupt index {idx} is outside {path!r}, of width {b_ - a_}")
                 analytic[a_ + idx] *= factor
                 break
         else:

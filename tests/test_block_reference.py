@@ -12,7 +12,7 @@ gradients must match it exactly, not to a tolerance.
 import numpy as np
 import pytest
 
-from dvmbeam.dvm import build_recursive_dft_chain
+from dvmbeam.dvm import RecursiveDftChain, _random_chains, build_recursive_dft_chain
 from dvmbeam.network import (
     KIND_DENSE,
     NetworkConfig,
@@ -27,6 +27,12 @@ from dvmbeam.training import _CHUNK_COLS, _batch_grads, backward
 
 # ---------------------------------------------------------------------------
 # the reference: chain levels, then the block pass, as before the carrier
+
+
+def _sub(chain, i):
+    """Chain i of a stack, as a one-chain stack viewing its values."""
+    return RecursiveDftChain(chain.size, chain.depth, [t[i:i + 1] for t in chain.twiddles],
+                             chain.leaf[i:i + 1], chain.scale)
 
 
 def _ref_chain_run(chain, x, want_trace):
@@ -107,7 +113,7 @@ def _ref_block_forward(cfg, blk, delay, x, want_trace):
         for i in range(cfg.p):
             pad = np.zeros((m, x.shape[1]), dtype=np.complex128)
             pad[: x_c.shape[0]] = blk.d_hat[i][:, None] * x_c
-            c = _ref_chain(blk.f_chains[i], pad, chain_traces)
+            c = _ref_chain(_sub(blk.f_chain, i), pad, chain_traces)
             chain_out.append(c)
             re, im = _ref_unpack(blk.d_breve[i][:, None] * c)
             re_parts.append(re)
@@ -126,7 +132,7 @@ def _ref_block_forward(cfg, blk, delay, x, want_trace):
         for i in range(cfg.p):
             slot = slice(i * m, (i + 1) * m)
             chain_in = _ref_pack(y3[:half][slot], y3[half:][slot])
-            t = _ref_chain(blk.fstar_chains[i], chain_in, fstar_traces)[: x_c.shape[0]]
+            t = _ref_chain(_sub(blk.fstar_chain, i), chain_in, fstar_traces)[: x_c.shape[0]]
             t_trunc.append(t)
             vi = blk.d_hat[i][:, None] * t
             v = vi if v is None else v + vi
@@ -169,9 +175,9 @@ def _ref_block_backward(cfg, blk, gblk, delay, tr, g_out):
             gblk.d_hat[i] += (g_v * np.conj(tr["t_trunc"][i])).sum(axis=1)
             g_fs = np.zeros((m, g_v.shape[1]), dtype=np.complex128)
             g_fs[: g_v.shape[0]] = np.conj(blk.d_hat[i])[:, None] * g_v
-            g_ci, tw_g, leaf_g = _ref_chain_backward(blk.fstar_chains[i],
+            g_ci, tw_g, leaf_g = _ref_chain_backward(_sub(blk.fstar_chain, i),
                                                      tr["fstar_traces"][i], g_fs)
-            _ref_accumulate_chain(gblk.fstar_chains[i], tw_g, leaf_g)
+            _ref_accumulate_chain(_sub(gblk.fstar_chain, i), tw_g, leaf_g)
             slot = slice(i * m, (i + 1) * m)
             g_y3c.real[slot], g_y3c.imag[slot] = _ref_unpack(g_ci)
     g_y3 = np.concatenate([g_y3c.real, g_y3c.imag])
@@ -189,8 +195,8 @@ def _ref_block_backward(cfg, blk, gblk, delay, tr, g_out):
         g_z = _ref_pack(g_pre1[:half][slot], g_pre1[half:][slot])
         gblk.d_breve[i] += (g_z * np.conj(tr["chain_out"][i])).sum(axis=1)
         g_c = np.conj(blk.d_breve[i])[:, None] * g_z
-        g_pad, tw_g, leaf_g = _ref_chain_backward(blk.f_chains[i], tr["chain_traces"][i], g_c)
-        _ref_accumulate_chain(gblk.f_chains[i], tw_g, leaf_g)
+        g_pad, tw_g, leaf_g = _ref_chain_backward(_sub(blk.f_chain, i), tr["chain_traces"][i], g_c)
+        _ref_accumulate_chain(_sub(gblk.f_chain, i), tw_g, leaf_g)
         g_u = g_pad[: g_x_c.shape[0]]
         gblk.d_hat[i] += (g_u * np.conj(tr["x_c"])).sum(axis=1)
         g_x_c += np.conj(blk.d_hat[i])[:, None] * g_u
@@ -239,9 +245,14 @@ CONFIGS = [
     NetworkConfig(n=16, activation_slope=0.0, seed=7),
     NetworkConfig(n=8, p=2, kind=KIND_DENSE, l_layers=9, delay_alpha=DELAY, seed=10),
     NetworkConfig(n=8, kind=KIND_DENSE, activation_slope=0.0, seed=11),
+    NetworkConfig(n=8, p=3, depth=2, activation_slope=0.3, l_layers=9, delay_alpha=DELAY, seed=12),
+    NetworkConfig(n=4, p=3, depth=3, seed=13),
+    NetworkConfig(n=4, p=4, depth=0, activation_slope=0.0, delay_alpha=DELAY, seed=14),
+    NetworkConfig(n=16, p=4, l_layers=9, seed=15),
 ]
 IDS = ["default", "p2-relu", "p2-L9", "depth0", "fulldepth-slope2.5",
-       "p2-depth1-L9", "relu", "dense-p2-L9", "dense-relu"]
+       "p2-depth1-L9", "relu", "dense-p2-L9", "dense-relu",
+       "p3-depth2-L9", "p3-fulldepth", "p4-depth0-relu", "p4-L9"]
 
 
 def _perturbed(cfg):
@@ -317,6 +328,25 @@ def test_chain_equals_reference_bytes(size, depth):
         assert _same(got_g[0], want_g[0][: arg.shape[0]])
         for a, b in zip(got_g[1] + [got_g[2]], want_g[1] + [want_g[2]]):
             assert _same(a, b)
+    # a stack of K=3 chains runs slice i as chain i alone, bit for bit
+    k, s = 3, size >> depth
+    stack = _random_chains(size, depth, rng.random((k, size - s + s * s)), normalized=True)
+    xs = rng.standard_normal((k, size, 5)) + 1j * rng.standard_normal((k, size, 5))
+    xs[:, : size // 2, 0] = -0.0
+    gs = rng.standard_normal((k, size, 5)) + 1j * rng.standard_normal((k, size, 5))
+    pads = xs.copy()
+    pads[:, size // 2:] = 0.0
+    for full, arg in ((xs, xs), (pads, xs[:, : size // 2])):
+        got_y, got_tr = stack.apply_trace(arg)
+        assert _same(stack.apply(arg), got_y)
+        got_g = stack.backward(got_tr, gs)
+        for i in range(k):
+            want_y, want_tr = _ref_chain_run(_sub(stack, i), full[i], True)
+            want_g = _ref_chain_backward(_sub(stack, i), want_tr, gs[i])
+            assert _same(got_y[i], want_y)
+            assert _same(got_g[0][i], want_g[0][: arg.shape[1]])
+            for a, b in zip(got_g[1] + [got_g[2]], want_g[1] + [want_g[2]]):
+                assert _same(a[i:i + 1], b)
 
 
 @pytest.mark.parametrize("cfg", [CONFIGS[0], CONFIGS[2], CONFIGS[7]],

@@ -271,6 +271,17 @@ def test_train_writes_model(data8, work):
     assert model_path.stat().st_size > 0
 
 
+def test_gen_train_eval_chain_with_three_submatrices(tmp_path):
+    # the p stacked submatrices run end to end: a p=3 model is trained,
+    # written and scored by eval
+    data, model = tmp_path / "n4.bin", tmp_path / "p3.net"
+    assert main(["gen-data", "--n", "4", "--freq-ghz", "24", "--samples-per-angle", "6",
+                 "--seed", "3", "--out", str(data)]) == EXIT_OK
+    assert main(["train", "--data", str(data), "--p", "3", "--epochs", "1", "--seed", "2",
+                 "--out-model", str(model)]) == EXIT_OK
+    assert main(["eval", "--model", str(model), "--data", str(data)]) == EXIT_OK
+
+
 def test_train_report_reproducible(data8, work):
     outs = []
     for tag in ("r1", "r2"):

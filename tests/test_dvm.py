@@ -854,6 +854,24 @@ def test_recursive_chain_shape_validation():
         RecursiveDftChain(8, 1, [np.ones((1, 4))], np.ones((1, 3, 3)))
     with pytest.raises(ValueError):
         RecursiveDftChain(6, 1, [np.ones((1, 3))], np.ones((1, 3, 3)))
+    # every twiddle level and the leaf hold one entry per chain of the stack
+    with pytest.raises(ValueError, match="leaf stack of 3"):
+        RecursiveDftChain(8, 2, [np.ones((3, 4)), np.ones((2, 2))], np.ones((3, 2, 2)))
+    with pytest.raises(ValueError, match="leaf stack of 1"):
+        RecursiveDftChain(8, 1, [np.ones((2, 4))], np.ones((1, 4, 4)))
+    with pytest.raises(ValueError, match="leaf has shape"):
+        RecursiveDftChain(8, 1, [np.ones((1, 4))], np.ones((4, 4)))
+    # an input stack must match the chain stack; 1-D and 2-D inputs are K=1
+    two = RecursiveDftChain(8, 1, [np.ones((2, 4))], np.ones((2, 4, 4)))
+    for bad in (np.ones((3, 8, 2)), np.ones((8, 2)), np.ones(8)):
+        with pytest.raises(ValueError, match="stack of 2 inputs"):
+            two.apply(bad)
+    assert two.apply(np.ones((2, 8, 2))).shape == (2, 8, 2)
+
+
+def test_build_recursive_dft_chain_random_needs_rng():
+    with pytest.raises(ValueError, match="exact=False .* needs rng"):
+        build_recursive_dft_chain(8, 2, exact=False)
 
 
 def test_recursive_chain_parameters_are_complex_and_keep_their_views():

@@ -235,11 +235,14 @@ def densified_forward(net, x):
     pad = np.zeros((m, n), dtype=complex)
     pad[:n] = np.eye(n)
     y = np.asarray(x, dtype=float)
+    eyes = np.tile(np.eye(m, dtype=complex), (p, 1, 1))
     for blk in net.blocks:
         x_c = y[:n] + 1j * y[n:]
+        # each chain of the stack of p, densified on its own identity
+        f_dense, fstar_dense = blk.f_chain.apply(eyes), blk.fstar_chain.apply(eyes)
         parts = []
         for i in range(p):
-            w1_sub = (np.diag(blk.d_breve[i]) @ blk.f_chains[i].dense()
+            w1_sub = (np.diag(blk.d_breve[i]) @ f_dense[i]
                       @ pad @ np.diag(blk.d_hat[i]))
             parts.append(w1_sub @ x_c)
         z = np.concatenate(parts)
@@ -254,7 +257,7 @@ def densified_forward(net, x):
         v = np.zeros(n, dtype=complex)
         for i in range(p):
             w4_sub = (np.diag(blk.d_hat[i])
-                      @ blk.fstar_chains[i].dense()[:n])
+                      @ fstar_dense[i][:n])
             v = v + w4_sub @ y3_c[i * m:(i + 1) * m]
         y = np.concatenate([v.real, v.imag]) + blk.bias_out
     return y
@@ -402,6 +405,9 @@ BUFFER_CONFIGS = [
     NetworkConfig(n=4, p=2, l_layers=9, seed=3),
     NetworkConfig(n=4, depth=0, seed=5),
     NetworkConfig(n=8, kind=KIND_DENSE, l_layers=9, seed=6),
+    # a stack of p submatrices is one strided view over its p slots
+    NetworkConfig(n=4, p=3, depth=0, seed=12),
+    NetworkConfig(n=8, p=3, depth=4, l_layers=9, seed=13),
 ]
 
 
@@ -422,11 +428,11 @@ def _block_arrays(net):
         for i in range(net.config.p):
             out[f"block{b}.w1.sub{i}.d_hat"] = blk.d_hat[i]
             out[f"block{b}.w1.sub{i}.d_breve"] = blk.d_breve[i]
-            for side, chain in (("w1", blk.f_chains[i]), ("w4", blk.fstar_chains[i])):
+            for side, chain in (("w1", blk.f_chain), ("w4", blk.fstar_chain)):
                 tag = "f" if side == "w1" else "fstar"
                 for lvl, tw in enumerate(chain.twiddles):
-                    out[f"block{b}.{side}.sub{i}.{tag}.twiddle{lvl}"] = tw
-                out[f"block{b}.{side}.sub{i}.{tag}.leaf"] = chain.leaf
+                    out[f"block{b}.{side}.sub{i}.{tag}.twiddle{lvl}"] = tw[i:i + 1]
+                out[f"block{b}.{side}.sub{i}.{tag}.leaf"] = chain.leaf[i:i + 1]
     return out
 
 

@@ -290,6 +290,17 @@ def test_grad_check_unknown_corrupt_path():
                    corrupt=("nope", 0, 2.0))
 
 
+@pytest.mark.parametrize("path,index", [("block0.bias1", 16), ("block0.bias_out", 8),
+                                        ("block0.skip", -1)])
+def test_grad_check_rejects_a_corrupt_index_outside_its_path(path, index):
+    # n=4: bias1 and skip have width 16 and bias_out, the last slot, width 8;
+    # an index past a slot's end must not reach the next one
+    net = random_net(0)
+    width = 8 if path == "block0.bias_out" else 16
+    with pytest.raises(ValueError, match=rf"{index} is outside '{path}', of width {width}"):
+        grad_check(net, np.zeros((8, 1)), np.zeros((8, 1)), corrupt=(path, index, 100.0))
+
+
 def test_grad_check_twenty_random_nets():
     for seed in range(10):
         for kind in ("structured", KIND_DENSE):
