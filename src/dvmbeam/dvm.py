@@ -10,7 +10,9 @@ and the Toeplitz block embeds in a circulant of size M = 2N, which the DFT
 diagonalizes.  The resulting seven-factor chain applies the full transform in
 O(N log N) arithmetic.  This module builds that chain, whose fixed DFT
 factors run on numpy.fft, and the recursive DFT factorization whose twiddle
-diagonals and leaf blocks later become trainable network parameters.
+diagonals and leaf blocks later become trainable network parameters.  The
+chain's apply kernel calls the pocketfft gufuncs that numpy.fft wraps
+directly: the same bytes, without the wrappers' per-call cost.
 
 All dense constructions here exist for verification; the apply paths never
 materialize an N x N matrix.
@@ -25,6 +27,13 @@ import os
 import threading
 
 import numpy as np
+# The private module of pocketfft's (n),()->(m) gufuncs, which np.fft.fft and
+# np.fft.ifft end in (numpy >= 2.0).  Only the Bluestein kernel calls them,
+# and only here is the module imported.  Each public call wraps a 2 us N=16
+# transform in 3.5-6 us of array-function dispatch, result_type, the
+# reciprocal(sqrt(m)) of a scalar and normalize_axis_index (best of 7 timeit
+# runs, 2-CPU x86 VM, numpy 2.4), and an apply makes two.
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 # Three-part split of 2*pi for Cody-Waite argument reduction.  The first part
 # carries 33 significant bits so n*_PI2_A stays exact for n < 2**20.
@@ -203,6 +212,13 @@ def fft(x, inverse: bool = False, counter: OpCounter | None = None) -> np.ndarra
     return y
 
 
+def _check_rows(x: np.ndarray, rows: int) -> None:
+    """Raise ValueError unless the array x has leading dimension rows."""
+    got = x.shape[0] if x.ndim else "a 0-d array"
+    if got != rows:
+        raise ValueError(f"expected leading dimension {rows}, got {got}")
+
+
 def even_odd_permute(x) -> np.ndarray:
     """Interleave the two halves: [a, b | c, d] -> [a, c, b, d] (axis 0)."""
     x = np.asarray(x)
@@ -240,6 +256,7 @@ class Diagonal:
         if counter is not None:
             self.tally(counter)
         x, v = np.asarray(x), self.values  # x.ndim costs a third of np.ndim(x)
+        _check_rows(x, len(v))  # one row would broadcast
         return np.multiply(x, v[:, None] if x.ndim == 2 else v)
 
     def dense(self):
@@ -266,6 +283,8 @@ class Dft:
         counter.tally(muls=muls + self.size, adds=adds)  # + the 1/sqrt(size) scaling
 
     def apply(self, x, counter=None):
+        x = np.asarray(x)
+        _check_rows(x, self.size)
         y = _pow2_dft(x, self.conj, "ortho")
         if counter is not None:
             self.tally(counter)
@@ -297,6 +316,7 @@ class ZeroPad:
 
     def apply(self, x, counter=None):
         x = np.asarray(x)
+        _check_rows(x, self.in_dim)  # one row would broadcast
         out = np.zeros((self.out_dim,) + x.shape[1:], x.dtype, order="F")
         out[: self.in_dim] = x
         return out
@@ -327,7 +347,9 @@ class Truncate:
         """No arithmetic: the truncation only drops rows."""
 
     def apply(self, x, counter=None):
-        return np.asarray(x)[: self.out_dim]
+        x = np.asarray(x)
+        _check_rows(x, self.in_dim)
+        return x[: self.out_dim]
 
     def dense(self):
         out = np.zeros((self.out_dim, self.in_dim), dtype=np.complex128)
@@ -371,24 +393,26 @@ class FactorChain:
         buffer (column-ordered for a batch; through row tiles from a
         row-ordered one), runs both DFTs and the middle diagonal in place
         there, and writes the last diagonal's product of its leading rows
-        into the result, a new array (Fortran order for a batch).  A counted
-        call tallies the factors' closed-form totals per column, once, on
-        the calling thread.
+        into the result, a new array (Fortran order for a batch).  The DFTs
+        call numpy's pocketfft gufuncs directly; their bytes are those of
+        the Dft factors, which run on public numpy.fft.  A counted call
+        tallies the factors' closed-form totals per column, once, on the
+        calling thread.
 
         Every column is its own transform, so a batch whose pad buffer has
         at least _SPLIT_MIN_ROWS rows and _SPLIT_MIN_ENTRIES entries runs as
         k column blocks, counted or not: k is at most one per usable CPU and
         per column, and at most _SPLIT_MAX_BLOCKS.  The calling thread
         allocates the pad buffer and the result and runs one block; k - 1
-        short-lived threads run the others (numpy.fft and np.multiply
-        release the interpreter lock).  The output is bit-identical.
+        short-lived threads run the others (the pocketfft gufuncs and
+        np.multiply release the interpreter lock).  The output is
+        bit-identical.
         """
         x = np.asarray(x, dtype=np.complex128)
         n, m = self.spec.n, self.spec.m
         if x.ndim not in (1, 2):
             raise ValueError(f"expected a vector (N,) or a column batch (N, B), got shape {x.shape}")
-        if x.shape[0] != n:
-            raise ValueError(f"expected leading dimension {n}, got {x.shape[0]}")
+        _check_rows(x, n)
         fs = self.factors
         if counter is not None:
             for f in fs:
@@ -419,7 +443,11 @@ def _bluestein(d_in, d_mid, d_out, x, pad, out=None):
     d_in . x into the leading rows of pad (a vector's pad comes zeroed, a
     batch's tail rows are zeroed here), the normalized DFT, the d_mid product
     and the conjugate normalized DFT in place in pad, and d_out times its
-    leading rows into out (a new array when out is None), which is returned."""
+    leading rows into out (a new array when out is None), which is returned.
+
+    The two DFTs call pocketfft's gufuncs directly, with numpy's orthonormal
+    factor, so their bytes are those of np.fft.fft and np.fft.ifft with
+    norm="ortho" (Dft.apply, the reference) without the wrappers' cost."""
     n = x.shape[0]
     head = pad[:n]
     if x.ndim == 1:
@@ -431,10 +459,22 @@ def _bluestein(d_in, d_mid, d_out, x, pad, out=None):
         else:
             np.multiply(x, d_in[:, None], out=head)
         d_mid, d_out = d_mid[:, None], d_out[:, None]
-    np.fft.fft(pad, axis=0, norm="ortho", out=pad)
+    scale = _ortho_scale(pad.shape[0])
+    _pocketfft.fft(pad, scale, axes=_AXIS_0, out=pad)
     np.multiply(pad, d_mid, out=pad)
-    np.fft.ifft(pad, axis=0, norm="ortho", out=pad)
+    _pocketfft.ifft(pad, scale, axes=_AXIS_0, out=pad)
     return np.multiply(head, d_out, out=out)
+
+
+# the gufuncs' axes argument for a transform along axis 0 (numpy wants a list)
+_AXIS_0 = [(0,), (), (0,)]
+
+
+def _ortho_scale(m: int) -> float:
+    """The factor of an orthonormal m-point DFT as numpy computes it,
+    reciprocal(sqrt(m)): square root and division are both correctly
+    rounded, so 1 / math.sqrt(m) is the same double."""
+    return 1 / math.sqrt(m)
 
 
 # Row tiles of the first product from a row-ordered batch into the
@@ -590,7 +630,10 @@ def fast_dvm_apply(chain: FactorChain, x, counter: OpCounter | None = None) -> n
     order (axis 0 contiguous).  FactorChain.apply says how the one fixed
     kernel runs and when a batch (N >= 1024 and 2**18 pad entries, counted
     or not) runs as column blocks on two threads, bit-identical to the
-    serial apply with no thread outliving the call.  A counted call tallies
+    serial apply with no thread outliving the call.  The kernel's two DFTs
+    call numpy's pocketfft gufuncs directly: numpy.fft's bytes without its
+    per-call wrappers, which took about half of a single N=16 snapshot's
+    apply.  A counted call tallies
     per column, whatever the batch.
     """
     return chain.apply(x, counter)

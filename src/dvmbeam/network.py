@@ -499,9 +499,10 @@ def _middle_backward(cfg: NetworkConfig, blk, gblk, delay, tr, g_h):
     return g
 
 
-def _block_backward(cfg: NetworkConfig, blk, gblk, delay, tr, g_out):
+def _block_backward(cfg: NetworkConfig, blk, gblk, delay, tr, g_out, want_input=True):
     """Reverse one block: add its parameter gradients into gblk, the same
-    block of the gradient twin, and return the gradient wrt the block input."""
+    block of the gradient twin, and return the gradient wrt the block input
+    (None without want_input: the first block's has no use)."""
     p, m = cfg.p, cfg.m
     dense = cfg.kind == KIND_DENSE
     gblk.bias_out += g_out.sum(axis=1)
@@ -524,14 +525,14 @@ def _block_backward(cfg: NetworkConfig, blk, gblk, delay, tr, g_out):
     if dense:
         g_r = real_split(g_pre1)
         gblk.w1 += g_r @ tr.x.T
-        return blk.w1.T @ g_r
+        return blk.w1.T @ g_r if want_input else None
     g_z = g_pre1.reshape(p, m, -1)
     gblk.d_breve += (g_z * np.conj(tr.chain_out)).sum(axis=-1)
     g_c = np.conj(blk.d_breve)[:, :, None] * g_z
     g_u, tw_g, leaf_g = blk.f_chain.backward(tr.chain_trace, g_c)
     _accumulate_chain(gblk.f_chain, tw_g, leaf_g)
     gblk.d_hat += (g_u * np.conj(tr.x_c)).sum(axis=-1)
-    return _split_sum(np.conj(blk.d_hat)[:, :, None] * g_u)
+    return _split_sum(np.conj(blk.d_hat)[:, :, None] * g_u) if want_input else None
 
 
 def _backward(net: Network, trace: ForwardTrace, g_out) -> np.ndarray:
@@ -546,9 +547,8 @@ def _backward(net: Network, trace: ForwardTrace, g_out) -> np.ndarray:
         twin = net._grads = _build(net.config, _ZeroDraws())
     twin.flat[...] = 0.0
     for b in range(len(net.blocks) - 1, -1, -1):
-        g_out = _block_backward(
-            net.config, net.blocks[b], twin.blocks[b], net.delay, trace.block_traces[b], g_out
-        )
+        g_out = _block_backward(net.config, net.blocks[b], twin.blocks[b], net.delay,
+                                trace.block_traces[b], g_out, want_input=b > 0)
     return twin.flat.copy()
 
 

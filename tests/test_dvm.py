@@ -5,9 +5,11 @@ Every fast path is checked against an independently built dense matrix, never
 against itself.
 """
 
+import functools
 import math
 import re
 import threading
+import types
 import tracemalloc
 
 import numpy as np
@@ -272,9 +274,20 @@ def test_fast_apply_batched_matches_loop():
 
 
 def test_fast_apply_dimension_mismatch():
+    # the chain and every factor: without the check a Dft would take any
+    # length (a 16-point DFT, 8 rows kept of 8) and a one-row input would
+    # broadcast through a Diagonal or a ZeroPad
     chain = build_bluestein_chain(DvmSpec(4, 1j))
-    with pytest.raises(ValueError):
-        fast_dvm_apply(chain, np.ones(5, dtype=complex))
+    for apply, x, rows in [(functools.partial(fast_dvm_apply, chain), np.ones(5), 4),
+                           (Dft(32).apply, np.ones(16), 32),
+                           (Dft(32, conj=True).apply, np.ones((16, 3)), 32),
+                           (Truncate(16, 32).apply, np.ones(8), 32),
+                           (Truncate(16, 32).apply, np.ones((8, 3)), 32),
+                           (Diagonal(np.ones(16)).apply, np.ones(1), 16),
+                           (Diagonal(np.ones(16)).apply, np.ones((1, 3)), 16),
+                           (ZeroPad(32, 16).apply, np.ones(1), 16)]:
+        with pytest.raises(ValueError, match=f"expected leading dimension {rows}, got {len(x)}$"):
+            apply(x)
 
 
 @pytest.mark.parametrize("x", [np.array(1.0 + 0.0j), np.ones((4, 2, 4), dtype=complex)],
@@ -432,6 +445,8 @@ def test_split_apply_equals_serial_bytes(monkeypatch, n, b):
     on_one_cpu = spy_threads(monkeypatch, 1)  # the reference runs serial
     serial = fast_dvm_apply(chain, x)
     assert on_one_cpu == []
+    # and is the public numpy.fft composition's bytes, so the split is too
+    assert serial.tobytes(order="A") == np.asfortranarray(composed_apply(chain, x)).tobytes(order="A")
     calls = spy_kernel(monkeypatch)
     for k in (2, 3):
         started = spy_threads(monkeypatch, k)
@@ -703,6 +718,28 @@ def test_dft_counter_formula():
             factor.apply(np.ones(size, dtype=complex), counter)
             assert counter.muls == (size // 2) * lg + size
             assert counter.adds == size * lg
+
+
+def test_kernel_dft_factor_is_numpys_ortho_factor(monkeypatch):
+    # the kernel hands the pocketfft gufuncs its own 1/sqrt(2N); numpy's
+    # norm="ortho" factor is reciprocal(sqrt(m)) in the input's real dtype
+    for k in range(1, 23):
+        m = 2**k
+        assert dvm._ortho_scale(m) == np.reciprocal(np.sqrt(m, dtype=np.float64)), m
+    calls = []
+
+    def spy(gufunc):
+        def call(a, scale, **kwargs):
+            calls.append((gufunc.__name__, a.shape[0], scale))
+            return gufunc(a, scale, **kwargs)
+        return call
+
+    monkeypatch.setattr(dvm, "_pocketfft", types.SimpleNamespace(
+        fft=spy(dvm._pocketfft.fft), ifft=spy(dvm._pocketfft.ifft)))
+    for x in (np.ones(16), np.ones((16, 3))):
+        calls.clear()
+        fast_dvm_apply(build_bluestein_chain(DvmSpec(16, 1j)), x)
+        assert calls == [("fft", 32, dvm._ortho_scale(32)), ("ifft", 32, dvm._ortho_scale(32))]
 
 
 def test_fast_apply_op_count_n1024():
