@@ -20,16 +20,18 @@ materialize an N x N matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import functools
 import math
+import operator
 import os
 import threading
 
 import numpy as np
-# The private module of pocketfft's (n),()->(m) gufuncs, which np.fft.fft and
-# np.fft.ifft end in (numpy >= 2.0).  Only the Bluestein kernel calls them,
-# and only here is the module imported.  Each public call wraps a 2 us N=16
+# The private module of pocketfft's one-axis gufuncs, which np.fft.fft and
+# np.fft.ifft end in (numpy >= 2.0).  Only the Bluestein kernel calls them
+# (FactorChain.apply for a vector, _bluestein for a batch), and only here is
+# the module imported.  Each public call wraps a 2 us N=16
 # transform in 3.5-6 us of array-function dispatch, result_type, the
 # reciprocal(sqrt(m)) of a scalar and normalize_axis_index (best of 7 timeit
 # runs, 2-CPU x86 VM, numpy 2.4), and an apply makes two.
@@ -98,17 +100,23 @@ def cis(phi: float, x) -> np.ndarray:
 class DvmSpec:
     """Problem description for one scaled DVM: size and generator.
 
-    n must be a power of two >= 2 and alpha unit modulus; the stored phase
-    phi = arg(alpha) is the single source of truth for every fractional
-    power, so all factors use one consistent branch.
+    n must be a power of two >= 2 (any integer operator.index accepts,
+    numpy integers included, stored as int) and alpha unit modulus; the
+    stored phase phi = arg(alpha) is the single source of truth for every
+    fractional power, so all factors use one consistent branch.
     """
 
     n: int
     alpha: complex
 
     def __post_init__(self):
-        if self.n < 2 or self.n & (self.n - 1):
-            raise ValueError(f"n must be a power of two >= 2, got {self.n}")
+        try:
+            n = operator.index(self.n)
+        except TypeError:
+            n = 0  # a float, a string or any other non-integer
+        if n < 2 or n & (n - 1):
+            raise ValueError(f"n must be a power of two >= 2, got {self.n!r}")
+        object.__setattr__(self, "n", n)
         if not abs(abs(self.alpha) - 1.0) <= UNIT_TOL:  # also rejects NaN
             raise ValueError(
                 f"alpha must be unit modulus within {UNIT_TOL}, "
@@ -360,44 +368,57 @@ class Truncate:
 _CHAIN_KINDS = (Diagonal, ZeroPad, Dft, Diagonal, Dft, Truncate, Diagonal)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FactorChain:
     """The seven-factor Bluestein chain of one scaled DVM (spec), factors in
     application order: factors[0] touches the input first.
 
     The factors tuple is the chain's inspectable description (each factor
     applies on its own and has a dense()); it must hold exactly the kinds
-    and sizes that build_bluestein_chain makes.  dense() applies the chain
-    to the identity, for verification at small sizes; it is the only place
-    the product is ever materialized.
+    and sizes that build_bluestein_chain makes.  The chain is frozen and
+    fixes, when it is built, what every apply of its size needs: n, m = 2n
+    and the orthonormal DFT factor 1/sqrt(m).  The factors' values are read
+    on every apply, so an in-place edit of one shows in the next.  dense()
+    applies the chain to the identity, for verification at small sizes; it
+    is the only place the product is ever materialized.
     """
 
     spec: DvmSpec
     factors: tuple
+    n: int = field(init=False, repr=False)
+    m: int = field(init=False, repr=False)
+    scale: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.factors = tuple(self.factors)
+        factors = tuple(self.factors)
         n, m = self.spec.n, self.spec.m
         want = [f"Diagonal({n})", f"ZeroPad({n} -> {m})", f"Dft({m})", f"Diagonal({m})",
                 f"Dft({m}, conj)", f"Truncate({m} -> {n})", f"Diagonal({n})"]
-        got = [repr(f) for f in self.factors]
-        if tuple(map(type, self.factors)) != _CHAIN_KINDS or got != want:
+        got = [repr(f) for f in factors]
+        if tuple(map(type, factors)) != _CHAIN_KINDS or got != want:
             raise ValueError(f"a FactorChain of size {n} is the factors {', '.join(want)} "
                              f"in that order, got {got}")
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "scale", _ortho_scale(m))
 
     def apply(self, x, counter: OpCounter | None = None) -> np.ndarray:
         """The chain applied to x, a vector (N,) or a column batch (N, B).
 
-        x is never written.  One fixed kernel, _bluestein, writes the first
-        diagonal's product into the leading rows of a zeroed 2N-row pad
-        buffer (column-ordered for a batch; through row tiles from a
-        row-ordered one), runs both DFTs and the middle diagonal in place
-        there, and writes the last diagonal's product of its leading rows
-        into the result, a new array (Fortran order for a batch).  The DFTs
-        call numpy's pocketfft gufuncs directly; their bytes are those of
-        the Dft factors, which run on public numpy.fft.  A counted call
-        tallies the factors' closed-form totals per column, once, on the
-        calling thread.
+        x is never written.  Each input kind runs one fixed kernel: the
+        first diagonal's product goes into the leading rows of a zeroed
+        2N-row pad buffer, both DFTs and the middle diagonal run in place
+        there, and the last diagonal's product of its leading rows is the
+        result, a new array.  A vector runs that kernel inline here, each
+        gufunc called on the 1-D pad (its only axis is the core axis) with a
+        positional out.  A batch runs it in _bluestein, with a column-ordered
+        pad buffer (filled through row tiles from a row-ordered batch) and a
+        Fortran-order result.  The DFTs call numpy's pocketfft gufuncs
+        directly with the chain's fixed factor; their bytes are those of the
+        Dft factors, which run on public numpy.fft.  A counted call tallies
+        the factors' closed-form totals per column, once, on the calling
+        thread.
 
         Every column is its own transform, so a batch whose pad buffer has
         at least _SPLIT_MIN_ROWS rows and _SPLIT_MIN_ENTRIES entries runs as
@@ -409,18 +430,24 @@ class FactorChain:
         bit-identical.
         """
         x = np.asarray(x, dtype=np.complex128)
-        n, m = self.spec.n, self.spec.m
+        n, fs = self.n, self.factors
         if x.ndim not in (1, 2):
             raise ValueError(f"expected a vector (N,) or a column batch (N, B), got shape {x.shape}")
-        _check_rows(x, n)
-        fs = self.factors
+        if x.shape[0] != n:
+            raise ValueError(f"expected leading dimension {n}, got {x.shape[0]}")
         if counter is not None:
             for f in fs:
                 f.tally(counter)
-        diagonals = fs[0].values, fs[3].values, fs[6].values
         if x.ndim == 1:
-            return _bluestein(*diagonals, x, np.zeros(m, np.complex128))
-        b = x.shape[1]
+            pad = np.zeros(self.m, np.complex128)
+            head = pad[:n]
+            np.multiply(x, fs[0].values, head)
+            _pocketfft.fft(pad, self.scale, pad)
+            np.multiply(pad, fs[3].values, pad)
+            _pocketfft.ifft(pad, self.scale, pad)
+            return np.multiply(head, fs[6].values)
+        kernel_args = fs[0].values, fs[3].values, fs[6].values, self.scale
+        m, b = self.m, x.shape[1]
         pad = np.empty((m, b), np.complex128, order="F")
         k = 1
         if b >= 2 and m >= _SPLIT_MIN_ROWS and m * b >= _SPLIT_MIN_ENTRIES:
@@ -429,37 +456,34 @@ class FactorChain:
             # the last product allocates the result once the tile scratch is
             # gone; allocated up front, applies at N=256, B=64 and N=64,
             # B=3000 read 1.7-1.8x in process
-            return _bluestein(*diagonals, x, pad)
+            return _bluestein(*kernel_args, x, pad)
         out = np.empty((n, b), np.complex128, order="F")
-        _in_column_blocks(k, functools.partial(_bluestein, *diagonals), x, pad, out)
+        _in_column_blocks(k, functools.partial(_bluestein, *kernel_args), x, pad, out)
         return out
 
     def dense(self) -> np.ndarray:
-        return self.apply(np.eye(self.spec.n, dtype=np.complex128))
+        return self.apply(np.eye(self.n, dtype=np.complex128))
 
 
-def _bluestein(d_in, d_mid, d_out, x, pad, out=None):
-    """The chain on x, a vector, a batch or one column block of a batch:
-    d_in . x into the leading rows of pad (a vector's pad comes zeroed, a
-    batch's tail rows are zeroed here), the normalized DFT, the d_mid product
-    and the conjugate normalized DFT in place in pad, and d_out times its
-    leading rows into out (a new array when out is None), which is returned.
+def _bluestein(d_in, d_mid, d_out, scale, x, pad, out=None):
+    """The chain on x, a batch or one column block of a batch: d_in . x into
+    the leading rows of pad (its tail rows zeroed here), the normalized DFT,
+    the d_mid product and the conjugate normalized DFT in place in pad, and
+    d_out times its leading rows into out (a new array when out is None),
+    which is returned.
 
-    The two DFTs call pocketfft's gufuncs directly, with numpy's orthonormal
-    factor, so their bytes are those of np.fft.fft and np.fft.ifft with
-    norm="ortho" (Dft.apply, the reference) without the wrappers' cost."""
+    The two DFTs call pocketfft's gufuncs directly along axis 0 with scale,
+    numpy's orthonormal factor, so their bytes are those of np.fft.fft and
+    np.fft.ifft with norm="ortho" (Dft.apply, the reference) without the
+    wrappers' cost."""
     n = x.shape[0]
     head = pad[:n]
-    if x.ndim == 1:
-        np.multiply(x, d_in, out=head)
+    pad[n:] = 0
+    if x.strides[0] > x.strides[1]:  # row-ordered
+        _multiply_by_row_tiles(x, d_in, head)
     else:
-        pad[n:] = 0
-        if x.strides[0] > x.strides[1]:  # row-ordered
-            _multiply_by_row_tiles(x, d_in, head)
-        else:
-            np.multiply(x, d_in[:, None], out=head)
-        d_mid, d_out = d_mid[:, None], d_out[:, None]
-    scale = _ortho_scale(pad.shape[0])
+        np.multiply(x, d_in[:, None], out=head)
+    d_mid, d_out = d_mid[:, None], d_out[:, None]
     _pocketfft.fft(pad, scale, axes=_AXIS_0, out=pad)
     np.multiply(pad, d_mid, out=pad)
     _pocketfft.ifft(pad, scale, axes=_AXIS_0, out=pad)
@@ -627,14 +651,15 @@ def fast_dvm_apply(chain: FactorChain, x, counter: OpCounter | None = None) -> n
     """Apply the factored scaled DVM to a vector (N,) or column batch (N, B).
 
     x is never written.  The result is a new array; a 2-D one is in Fortran
-    order (axis 0 contiguous).  FactorChain.apply says how the one fixed
-    kernel runs and when a batch (N >= 1024 and 2**18 pad entries, counted
-    or not) runs as column blocks on two threads, bit-identical to the
-    serial apply with no thread outliving the call.  The kernel's two DFTs
-    call numpy's pocketfft gufuncs directly: numpy.fft's bytes without its
-    per-call wrappers, which took about half of a single N=16 snapshot's
-    apply.  A counted call tallies
-    per column, whatever the batch.
+    order (axis 0 contiguous).  FactorChain.apply says how the fixed kernel
+    runs: inline for a vector, with no per-call work beyond the transform's
+    own numpy calls and shape checks, and in _bluestein for a batch, which
+    (N >= 1024 and 2**18 pad entries, counted or not) may run as column
+    blocks on two threads, bit-identical to the serial apply with no thread
+    outliving the call.  The two DFTs call numpy's pocketfft gufuncs
+    directly: numpy.fft's bytes without its per-call wrappers, which took
+    about half of a single N=16 snapshot's apply.  A counted call tallies
+    the chain's operations for one column, whatever the batch.
     """
     return chain.apply(x, counter)
 

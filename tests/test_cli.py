@@ -491,6 +491,10 @@ def test_verify_negative_control(capsys):
 def test_verify_flag_validation():
     assert main(["verify", "--trials", "0"]) == EXIT_USAGE
     assert main(["verify", "--n-max", "3"]) == EXIT_USAGE
+    # above the cap the dense oracle would be allocated: 2**30 asks for
+    # 16 EiB per matrix
+    for n_max in (2048, 2**30):
+        assert main(["verify", "--n-max", str(n_max)]) == EXIT_USAGE
     assert main(["verify", "--seed", "-1"]) == EXIT_USAGE
 
 

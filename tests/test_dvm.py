@@ -5,6 +5,7 @@ Every fast path is checked against an independently built dense matrix, never
 against itself.
 """
 
+import dataclasses
 import functools
 import math
 import re
@@ -116,6 +117,14 @@ def test_spec_validation_errors():
         DvmSpec(0, 1.0 + 0.0j)
     with pytest.raises(ValueError):
         DvmSpec(4, 1.1 + 0.0j)
+    # n is an integer: a float, a string or a bool is refused with the same
+    # error, naming n
+    for n in (16.0, "16", None, True, 2.5, np.float64(16)):
+        with pytest.raises(ValueError, match=re.escape(f"got {n!r}")):
+            DvmSpec(n, 1.0 + 0.0j)
+    for n in (np.int64(16), np.uint8(16)):
+        spec = DvmSpec(n, 1.0 + 0.0j)
+        assert spec.n == 16 and type(spec.n) is int
 
 
 @pytest.mark.parametrize("alpha", [complex(math.nan, 0.0), complex(0.0, math.nan),
@@ -417,6 +426,55 @@ def test_sweep_shapes_equal_factor_composition_bytes_and_tallies(n, b):
             assert (counted.muls, counted.adds) == (composed.muls, composed.adds)
 
 
+@pytest.mark.parametrize("n", [2**k for k in range(1, 13)])
+def test_vector_apply_equals_factor_composition_bytes_and_tallies(n):
+    # FactorChain.apply runs a vector's kernel inline: every input kind
+    # np.asarray may hand it, a strided view and a read-only array included
+    rng = np.random.default_rng(n + 7)
+    chain = build_bluestein_chain(DvmSpec(n, random_unit(rng)))
+    longer = rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n)
+    read_only = rng.normal(size=n) + 1j * rng.normal(size=n)
+    read_only.flags.writeable = False
+    inputs = {"complex": longer[:n].copy(), "float64": rng.normal(size=n),
+              "int64": rng.integers(-5, 5, size=n), "strided": longer[::2],
+              "read_only": read_only}
+    for kind, x in inputs.items():
+        keep = x.copy()
+        counted, composed = OpCounter(), OpCounter()
+        got = fast_dvm_apply(chain, x, counted)
+        assert got.shape == (n,) and got.dtype == np.complex128, kind
+        assert got.tobytes() == composed_apply(chain, x, composed).tobytes(), kind
+        assert (counted.muls, counted.adds) == (composed.muls, composed.adds), kind
+        assert x.tobytes() == keep.tobytes(), kind
+
+
+def test_chain_is_frozen_and_reads_its_factor_values_on_every_apply():
+    # n, m and the DFT factor are fixed when the chain is built; the
+    # diagonals' values are not, so an in-place edit shows in the next apply
+    # (doubling a diagonal doubles the result exactly; the first and last
+    # diagonals share one array, so doubling it quadruples the result)
+    rng = np.random.default_rng(29)
+    chain = build_bluestein_chain(DvmSpec(16, random_unit(rng)))
+    assert (chain.n, chain.m, chain.scale) == (16, 32, dvm._ortho_scale(32))
+    for name, value in (("n", 32), ("m", 64), ("scale", 1.0), ("factors", ())):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(chain, name, value)
+    for shape in ((16,), (16, 3)):
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        before = fast_dvm_apply(chain, x)
+        for i in (0, 3, 6):
+            values = chain.factors[i].values
+            gain = 2 ** sum(chain.factors[j].values is values for j in (0, 3, 6))
+            values *= 2
+            try:
+                got = fast_dvm_apply(chain, x)
+                assert np.array_equal(got, gain * before), (shape, i)
+                assert np.array_equal(got, composed_apply(chain, x)), (shape, i)
+            finally:
+                values /= 2
+        assert np.array_equal(fast_dvm_apply(chain, x), before)
+
+
 # ---------------------------------------------------------------------------
 # the chain split over column blocks on threads
 
@@ -426,9 +484,9 @@ def spy_kernel(monkeypatch):
     calls = []
     kernel = dvm._bluestein
 
-    def spy(d_in, d_mid, d_out, x, pad, out=None):
+    def spy(d_in, d_mid, d_out, scale, x, pad, out=None):
         calls.append((threading.current_thread(), pad.shape[1]))
-        return kernel(d_in, d_mid, d_out, x, pad, out)
+        return kernel(d_in, d_mid, d_out, scale, x, pad, out)
 
     monkeypatch.setattr(dvm, "_bluestein", spy)
     return calls
@@ -726,20 +784,30 @@ def test_kernel_dft_factor_is_numpys_ortho_factor(monkeypatch):
     for k in range(1, 23):
         m = 2**k
         assert dvm._ortho_scale(m) == np.reciprocal(np.sqrt(m, dtype=np.float64)), m
-    calls = []
+    calls, outs = [], []
 
     def spy(gufunc):
-        def call(a, scale, **kwargs):
+        def call(a, scale, *out, **kwargs):
             calls.append((gufunc.__name__, a.shape[0], scale))
-            return gufunc(a, scale, **kwargs)
+            # how the output buffer was passed, whether it is the input, and
+            # the keywords given
+            outs.append(("positional", out[0] is a, sorted(kwargs)) if out
+                        else ("keyword", kwargs["out"] is a, sorted(kwargs)))
+            return gufunc(a, scale, *out, **kwargs)
         return call
 
     monkeypatch.setattr(dvm, "_pocketfft", types.SimpleNamespace(
         fft=spy(dvm._pocketfft.fft), ifft=spy(dvm._pocketfft.ifft)))
-    for x in (np.ones(16), np.ones((16, 3))):
+    # a vector passes its out positionally and no axes; a batch keeps both
+    # keywords
+    for x, passed in (
+            (np.ones(16), ("positional", True, [])),
+            (np.ones((16, 3)), ("keyword", True, ["axes", "out"]))):
         calls.clear()
+        outs.clear()
         fast_dvm_apply(build_bluestein_chain(DvmSpec(16, 1j)), x)
         assert calls == [("fft", 32, dvm._ortho_scale(32)), ("ifft", 32, dvm._ortho_scale(32))]
+        assert outs == [passed, passed]
 
 
 def test_fast_apply_op_count_n1024():
