@@ -115,6 +115,7 @@ def _parse_int_list(text):
 
 
 def cmd_gen_data(args):
+    from .dvm import power_of_two
     from .signals import make_dataset, save_dataset, save_dataset_csv, verify_targets
 
     for flag in ("n", "freq_ghz", "out"):
@@ -122,7 +123,7 @@ def cmd_gen_data(args):
             return _fail(EXIT_USAGE, f"--{flag.replace('_', '-')} is required")
     if args.samples_per_angle < 1:
         return _fail(EXIT_USAGE, "--samples-per-angle must be >= 1")
-    if args.n < 2 or args.n & (args.n - 1):
+    if power_of_two(args.n, least=2) is None:
         return _fail(EXIT_USAGE, f"--n must be a power of two >= 2, got {args.n}")
     freq = args.freq_ghz * 1e9
     if args.tau_s is not None and not 0 < args.tau_s < math.inf:
@@ -333,11 +334,11 @@ VERIFY_N_MAX = 1024
 
 
 def cmd_verify(args):
-    from .dvm import check_seed
+    from .dvm import check_seed, power_of_two
 
     if args.trials < 1:
         return _fail(EXIT_USAGE, "--trials must be >= 1")
-    if not 2 <= args.n_max <= VERIFY_N_MAX or args.n_max & (args.n_max - 1):
+    if power_of_two(args.n_max, least=2) is None or args.n_max > VERIFY_N_MAX:
         return _fail(EXIT_USAGE, f"--n-max must be a power of two in 2..{VERIFY_N_MAX}")
     try:
         check_seed(args.seed)
@@ -359,10 +360,11 @@ def cmd_verify(args):
 
 def cmd_bench(args):
     from .complexity import reduction_report, write_reduction_csv, write_reduction_json
+    from .dvm import power_of_two
     from .network import default_depth
 
     for n in args.n_list:
-        if n < 2 or n & (n - 1):
+        if power_of_two(n, least=2) is None:
             return _fail(EXIT_USAGE, f"n values must be powers of two >= 2, got {n}")
     if args.p < 1:
         return _fail(EXIT_USAGE, f"--p must be >= 1, got {args.p}")

@@ -28,6 +28,7 @@ import csv
 import json
 import math
 
+from .dvm import power_of_two
 from .network import KIND_DENSE, NetworkConfig, expected_param_count
 
 CONVENTIONS = {
@@ -44,9 +45,10 @@ CONVENTIONS = {
 
 
 def _check_n(n: int) -> int:
-    if n < 2 or n & (n - 1):
+    k = power_of_two(n, least=2)
+    if k is None:
         raise ValueError(f"n must be a power of two >= 2, got {n}")
-    return int(math.log2(n))
+    return k.bit_length() - 1
 
 
 def flops_full(n: int, l_layers: int = 5, p: int = 1) -> dict:

@@ -8,11 +8,12 @@ generator alpha has entries alpha**(k*l), k, l = 0..N-1.  A chirp
 
 and the Toeplitz block embeds in a circulant of size M = 2N, which the DFT
 diagonalizes.  The resulting seven-factor chain applies the full transform in
-O(N log N) arithmetic.  This module builds that chain, whose fixed DFT
-factors run on numpy.fft, and the recursive DFT factorization whose twiddle
-diagonals and leaf blocks later become trainable network parameters.  The
-chain's apply kernel calls the pocketfft gufuncs that numpy.fft wraps
-directly: the same bytes, without the wrappers' per-call cost.
+O(N log N) arithmetic.  This module builds that chain from its DvmSpec
+alone, and the recursive DFT factorization whose twiddle diagonals and leaf
+blocks later become trainable network parameters.  Every fixed DFT here (the
+chain's apply kernel, its Dft factors and the build of its middle diagonal)
+calls the pocketfft gufuncs that numpy.fft wraps directly: the same bytes,
+without the wrappers' per-call cost.
 
 All dense constructions here exist for verification; the apply paths never
 materialize an N x N matrix.
@@ -28,11 +29,11 @@ import os
 import threading
 
 import numpy as np
-# The private module of pocketfft's one-axis gufuncs, which np.fft.fft and
-# np.fft.ifft end in (numpy >= 2.0).  Only the Bluestein kernel calls them
-# (FactorChain.apply for a vector, _bluestein for a batch), and only here is
-# the module imported.  Each public call wraps a 2 us N=16
-# transform in 3.5-6 us of array-function dispatch, result_type, the
+# The private module of pocketfft's one-axis gufuncs, which numpy.fft.fft
+# and numpy.fft.ifft end in (numpy >= 2.0).  The Bluestein kernel
+# (FactorChain.apply for a vector, _bluestein for a batch) and _dft call
+# them, and only here is the module imported.  Each public call wraps a 2 us
+# N=16 transform in 3.5-6 us of array-function dispatch, result_type, the
 # reciprocal(sqrt(m)) of a scalar and normalize_axis_index (best of 7 timeit
 # runs, 2-CPU x86 VM, numpy 2.4), and an apply makes two.
 from numpy.fft import _pocketfft_umath as _pocketfft
@@ -61,6 +62,17 @@ def check_seed(seed) -> None:
     if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
             or not 0 <= seed < 1 << 63):
         raise ValueError(f"seed must be an integer in 0..2**63-1, got {seed!r}")
+
+
+def power_of_two(n, least: int = 1) -> int | None:
+    """n as an int when operator.index accepts it (numpy integers too, not a
+    float or a string) and it is a power of two >= least, else None; each
+    caller raises its own error."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        return None
+    return n if n >= least and not n & (n - 1) else None
 
 
 def cis(phi: float, x) -> np.ndarray:
@@ -110,11 +122,8 @@ class DvmSpec:
     alpha: complex
 
     def __post_init__(self):
-        try:
-            n = operator.index(self.n)
-        except TypeError:
-            n = 0  # a float, a string or any other non-integer
-        if n < 2 or n & (n - 1):
+        n = power_of_two(self.n, least=2)
+        if n is None:
             raise ValueError(f"n must be a power of two >= 2, got {self.n!r}")
         object.__setattr__(self, "n", n)
         if not abs(abs(self.alpha) - 1.0) <= UNIT_TOL:  # also rejects NaN
@@ -181,7 +190,7 @@ def circulant_first_column(spec: DvmSpec) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# fixed DFTs on numpy.fft, batched over columns
+# fixed DFTs on pocketfft's gufuncs, batched over columns
 
 
 def _fft_ops(size: int) -> tuple[int, int]:
@@ -190,34 +199,23 @@ def _fft_ops(size: int) -> tuple[int, int]:
     return (size >> 1) * stages, size * stages
 
 
-def _pow2_dft(x, inverse: bool, norm: str) -> np.ndarray:
-    x = np.asarray(x, dtype=np.complex128)
-    size = x.shape[0]
-    if size == 0 or size & (size - 1):
-        raise ValueError(f"FFT length must be a power of two, got {size}")
-    return (np.fft.ifft if inverse else np.fft.fft)(x, axis=0, norm=norm)
+def _ortho_scale(m: int) -> float:
+    """The factor of an orthonormal m-point DFT as numpy computes it,
+    reciprocal(sqrt(m)): square root and division are both correctly
+    rounded, so 1 / math.sqrt(m) is the same double."""
+    return 1 / math.sqrt(m)
 
 
-def fft(x, inverse: bool = False, counter: OpCounter | None = None) -> np.ndarray:
-    """Unnormalized DFT along axis 0, entries omega**(k*l) with omega = e^{-2pi j/K}.
+# the gufuncs' axes argument for a transform along axis 0 (numpy wants a list)
+_AXIS_0 = [(0,), (), (0,)]
 
-    Parameters
-    ----------
-    x : array_like, shape (K,) or (K, B)
-        K must be a power of two.  Batches ride along axis 1.
-    inverse : bool
-        Conjugate transform, entries omega**(-k*l) (still unnormalized;
-        divide by K to invert).
-    counter : OpCounter, optional
-        Incremented by K/2 log2 K muls and K log2 K adds, the closed-form
-        count of a power-of-two FFT, so op totals do not depend on the
-        library that does the work.
-    """
-    y = _pow2_dft(x, inverse, "forward" if inverse else "backward")
-    if counter is not None:
-        muls, adds = _fft_ops(y.shape[0])
-        counter.tally(muls=muls, adds=adds)
-    return y
+
+def _dft(x: np.ndarray, scale: float, conj: bool = False) -> np.ndarray:
+    """scale times the DFT of the complex128 array x along axis 0 (the
+    conjugate DFT when conj) in a new array laid out like x: the gufunc call
+    numpy.fft.fft and numpy.fft.ifft make, so the same bytes."""
+    gufunc = _pocketfft.ifft if conj else _pocketfft.fft
+    return gufunc(x, scale, axes=_AXIS_0, out=np.empty_like(x))
 
 
 def _check_rows(x: np.ndarray, rows: int) -> None:
@@ -252,11 +250,6 @@ class Diagonal:
     def __repr__(self):
         return f"Diagonal({len(self.values)})"
 
-    @property
-    def shape(self):
-        k = len(self.values)
-        return (k, k)
-
     def tally(self, counter: OpCounter) -> None:
         counter.tally(muls=len(self.values))
 
@@ -267,39 +260,31 @@ class Diagonal:
         _check_rows(x, len(v))  # one row would broadcast
         return np.multiply(x, v[:, None] if x.ndim == 2 else v)
 
-    def dense(self):
-        return np.diag(self.values)
-
 
 class Dft:
-    """Normalized (unitary) DFT factor, conjugated when conj is set; fft()
-    is the raw transform."""
+    """Normalized (unitary) DFT factor along axis 0, conjugated when conj is
+    set; size must be a power of two."""
 
     def __init__(self, size: int, conj: bool = False):
-        self.size = size
+        self.size = power_of_two(size)
+        if self.size is None:
+            raise ValueError(f"FFT length must be a power of two, got {size}")
         self.conj = conj
+        self.scale = _ortho_scale(self.size)
 
     def __repr__(self):
         return f"Dft({self.size}{', conj' if self.conj else ''})"
-
-    @property
-    def shape(self):
-        return (self.size, self.size)
 
     def tally(self, counter: OpCounter) -> None:
         muls, adds = _fft_ops(self.size)
         counter.tally(muls=muls + self.size, adds=adds)  # + the 1/sqrt(size) scaling
 
     def apply(self, x, counter=None):
-        x = np.asarray(x)
+        x = np.asarray(x, dtype=np.complex128)
         _check_rows(x, self.size)
-        y = _pow2_dft(x, self.conj, "ortho")
         if counter is not None:
             self.tally(counter)
-        return y
-
-    def dense(self):
-        return self.apply(np.eye(self.size, dtype=np.complex128))
+        return _dft(x, self.scale, self.conj)
 
 
 class ZeroPad:
@@ -315,10 +300,6 @@ class ZeroPad:
     def __repr__(self):
         return f"ZeroPad({self.in_dim} -> {self.out_dim})"
 
-    @property
-    def shape(self):
-        return (self.out_dim, self.in_dim)
-
     def tally(self, counter: OpCounter) -> None:
         """No arithmetic: the pad only moves data."""
 
@@ -327,11 +308,6 @@ class ZeroPad:
         _check_rows(x, self.in_dim)  # one row would broadcast
         out = np.zeros((self.out_dim,) + x.shape[1:], x.dtype, order="F")
         out[: self.in_dim] = x
-        return out
-
-    def dense(self):
-        out = np.zeros((self.out_dim, self.in_dim), dtype=np.complex128)
-        out[: self.in_dim] = np.eye(self.in_dim)
         return out
 
 
@@ -347,10 +323,6 @@ class Truncate:
     def __repr__(self):
         return f"Truncate({self.in_dim} -> {self.out_dim})"
 
-    @property
-    def shape(self):
-        return (self.out_dim, self.in_dim)
-
     def tally(self, counter: OpCounter) -> None:
         """No arithmetic: the truncation only drops rows."""
 
@@ -359,49 +331,45 @@ class Truncate:
         _check_rows(x, self.in_dim)
         return x[: self.out_dim]
 
-    def dense(self):
-        out = np.zeros((self.out_dim, self.in_dim), dtype=np.complex128)
-        out[:, : self.out_dim] = np.eye(self.out_dim)
-        return out
-
-
-_CHAIN_KINDS = (Diagonal, ZeroPad, Dft, Diagonal, Dft, Truncate, Diagonal)
-
 
 @dataclass(frozen=True)
 class FactorChain:
-    """The seven-factor Bluestein chain of one scaled DVM (spec), factors in
-    application order: factors[0] touches the input first.
+    """The seven-factor chirp factorization of the scaled DVM of spec, built
+    from spec alone.  factors, in application order (factors[0] touches the
+    input first), is
 
-    The factors tuple is the chain's inspectable description (each factor
-    applies on its own and has a dense()); it must hold exactly the kinds
-    and sizes that build_bluestein_chain makes.  The chain is frozen and
-    fixes, when it is built, what every apply of its size needs: n, m = 2n
-    and the orthonormal DFT factor 1/sqrt(m).  The factors' values are read
-    on every apply, so an in-place edit of one shows in the next.  dense()
+        D, ZeroPad(n -> 2n), Dft(2n), Diagonal(d_breve), Dft(2n, conj),
+        Truncate(2n -> n), D
+
+    where D = Diagonal(d_hat), d_hat = alpha**(k^2/2), is one object stored
+    once and used twice, as the first and the last factor, and d_breve is
+    the raw DFT of the chirp circulant's first column.  The composition
+    equals alpha**(k*l) to a few ulp per entry.
+
+    The factors tuple is the chain's inspectable description: each factor
+    applies on its own.  The chain is frozen and fixes, when it is built,
+    what every apply of its size needs: n, m = 2n and the orthonormal DFT
+    factor 1/sqrt(m).  The factors' values are read on every apply, so an
+    in-place edit of one shows in the next, at both ends for D.  dense()
     applies the chain to the identity, for verification at small sizes; it
     is the only place the product is ever materialized.
     """
 
     spec: DvmSpec
-    factors: tuple
+    factors: tuple = field(init=False)
     n: int = field(init=False, repr=False)
     m: int = field(init=False, repr=False)
     scale: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        factors = tuple(self.factors)
-        n, m = self.spec.n, self.spec.m
-        want = [f"Diagonal({n})", f"ZeroPad({n} -> {m})", f"Dft({m})", f"Diagonal({m})",
-                f"Dft({m}, conj)", f"Truncate({m} -> {n})", f"Diagonal({n})"]
-        got = [repr(f) for f in factors]
-        if tuple(map(type, factors)) != _CHAIN_KINDS or got != want:
-            raise ValueError(f"a FactorChain of size {n} is the factors {', '.join(want)} "
-                             f"in that order, got {got}")
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "scale", _ortho_scale(m))
+        spec = self.spec
+        n, m = spec.n, spec.m
+        k = np.arange(n, dtype=np.float64)
+        d = Diagonal(cis(spec.phi, 0.5 * k * k))
+        d_breve = Diagonal(_dft(circulant_first_column(spec), 1.0))
+        factors = (d, ZeroPad(m, n), Dft(m), d_breve, Dft(m, conj=True), Truncate(n, m), d)
+        for name, value in (("factors", factors), ("n", n), ("m", m), ("scale", _ortho_scale(m))):
+            object.__setattr__(self, name, value)
 
     def apply(self, x, counter: OpCounter | None = None) -> np.ndarray:
         """The chain applied to x, a vector (N,) or a column batch (N, B).
@@ -473,9 +441,9 @@ def _bluestein(d_in, d_mid, d_out, scale, x, pad, out=None):
     which is returned.
 
     The two DFTs call pocketfft's gufuncs directly along axis 0 with scale,
-    numpy's orthonormal factor, so their bytes are those of np.fft.fft and
-    np.fft.ifft with norm="ortho" (Dft.apply, the reference) without the
-    wrappers' cost."""
+    numpy's orthonormal factor, so their bytes are those of numpy.fft.fft and
+    numpy.fft.ifft with norm="ortho" and of the Dft factors' own applies,
+    without the wrappers' cost."""
     n = x.shape[0]
     head = pad[:n]
     pad[n:] = 0
@@ -488,17 +456,6 @@ def _bluestein(d_in, d_mid, d_out, scale, x, pad, out=None):
     np.multiply(pad, d_mid, out=pad)
     _pocketfft.ifft(pad, scale, axes=_AXIS_0, out=pad)
     return np.multiply(head, d_out, out=out)
-
-
-# the gufuncs' axes argument for a transform along axis 0 (numpy wants a list)
-_AXIS_0 = [(0,), (), (0,)]
-
-
-def _ortho_scale(m: int) -> float:
-    """The factor of an orthonormal m-point DFT as numpy computes it,
-    reciprocal(sqrt(m)): square root and division are both correctly
-    rounded, so 1 / math.sqrt(m) is the same double."""
-    return 1 / math.sqrt(m)
 
 
 # Row tiles of the first product from a row-ordered batch into the
@@ -622,29 +579,8 @@ def _in_column_blocks(k, run, *arrays) -> None:
 
 
 def build_bluestein_chain(spec: DvmSpec) -> FactorChain:
-    """Seven-factor chirp factorization of the scaled DVM.
-
-    Application order: diag(alpha^(k^2/2)), zero-pad N -> 2N, normalized DFT,
-    diag of the raw DFT of the chirp circulant column, conjugate normalized
-    DFT, truncate 2N -> N, diag(alpha^(k^2/2)) again.  The composition equals
-    alpha**(k*l) to a few ulp per entry.
-    """
-    n, m = spec.n, spec.m
-    k = np.arange(n, dtype=np.float64)
-    d_hat = cis(spec.phi, 0.5 * k * k)
-    d_breve = fft(circulant_first_column(spec))
-    return FactorChain(
-        spec=spec,
-        factors=[
-            Diagonal(d_hat),
-            ZeroPad(m, n),
-            Dft(m),
-            Diagonal(d_breve),
-            Dft(m, conj=True),
-            Truncate(n, m),
-            Diagonal(d_hat),
-        ],
-    )
+    """The chirp factorization of the scaled DVM of spec: FactorChain(spec)."""
+    return FactorChain(spec)
 
 
 def fast_dvm_apply(chain: FactorChain, x, counter: OpCounter | None = None) -> np.ndarray:
@@ -662,11 +598,6 @@ def fast_dvm_apply(chain: FactorChain, x, counter: OpCounter | None = None) -> n
     the chain's operations for one column, whatever the batch.
     """
     return chain.apply(x, counter)
-
-
-def scaled_dvm_apply(spec: DvmSpec, x, counter: OpCounter | None = None) -> np.ndarray:
-    """Convenience wrapper: build the chain for spec and apply it."""
-    return fast_dvm_apply(build_bluestein_chain(spec), x, counter)
 
 
 # ---------------------------------------------------------------------------
@@ -721,8 +652,9 @@ class RecursiveDftChain:
     """
 
     def __init__(self, size, depth, twiddles, leaf, scale=1.0):
-        if size < 1 or size & (size - 1):
+        if (k := power_of_two(size)) is None:
             raise ValueError(f"chain size must be a power of two, got {size}")
+        size = k
         if not 0 <= depth <= size.bit_length() - 1:
             raise ValueError(
                 f"depth {depth} leaves no leaf: need 0 <= depth <= log2({size})"
@@ -901,8 +833,9 @@ def build_recursive_dft_chain(
     1/sqrt(2**depth).  inverse=True conjugates the exact values, giving the
     factorization of the conjugate DFT.
     """
-    if size < 1 or size & (size - 1):
+    if (k := power_of_two(size)) is None:
         raise ValueError(f"chain size must be a power of two, got {size}")
+    size = k
     if depth > size.bit_length() - 1:
         raise ValueError(f"depth {depth} exceeds log2({size})")
     s = size >> depth

@@ -44,6 +44,7 @@ from .dvm import (
     build_recursive_dft_chain,
     check_seed,
     cis,
+    power_of_two,
 )
 
 KIND_STRUCTURED = "structured"
@@ -104,7 +105,8 @@ _FIXED_KEYS = {"param_mode": "complex", "tie_scaling": True, "share_siblings": T
 class NetworkConfig:
     """Shape and behavior of one network.
 
-    n: channel count (power of two >= 2); hidden width is 4*p*n.
+    n: channel count (power of two >= 2); hidden width is 4*p*n, p >= 1.
+        Both are integers (numpy ones too), stored as int.
     depth: butterfly levels in each trainable DFT chain (the lambda knob);
         the chains have complex size 2n, so depth <= log2(2n).
     l_layers: total layer count; 5, or 4k+1 to repeat the block structure.
@@ -124,10 +126,13 @@ class NetworkConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 2 or self.n & (self.n - 1):
+        n = power_of_two(self.n, least=2)
+        if n is None:
             raise ValueError(f"n must be a power of two >= 2, got {self.n}")
-        if self.p < 1:
-            raise ValueError(f"p must be >= 1, got {self.p}")
+        if isinstance(self.p, bool) or not isinstance(self.p, (int, np.integer)) or self.p < 1:
+            raise ValueError(f"p must be an integer >= 1, got {self.p!r}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "p", int(self.p))
         if self.l_layers < 5 or (self.l_layers - 1) % 4:
             raise ValueError(
                 f"l_layers must be 5 or 4k+1 (block repeats), got {self.l_layers}"

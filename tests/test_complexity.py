@@ -109,6 +109,10 @@ def test_formulas_reject_bad_n():
         flops_full(6)
     with pytest.raises(ValueError, match="power of two"):
         flops_truncated(6, 2)
+    for n in (16.0, "16", None, 1):
+        with pytest.raises(ValueError, match="power of two"):
+            flops_full(n)
+    assert flops_full(np.int64(16)) == flops_full(16)
 
 
 # ---------------------------------------------------------------------------

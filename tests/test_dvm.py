@@ -31,8 +31,6 @@ from dvmbeam.dvm import (
     cis,
     even_odd_permute,
     fast_dvm_apply,
-    fft,
-    scaled_dvm_apply,
     scaled_dvm_dense,
     unscaled_dvm_dense,
 )
@@ -43,7 +41,7 @@ def random_unit(rng):
 
 
 def dense_dft(size, inverse=False):
-    # textbook O(K^2) construction, the independent oracle for fft()
+    # textbook O(K^2) construction, the independent oracle for the Dft factors
     sign = 1.0 if inverse else -1.0
     k = np.arange(size)
     return np.exp(sign * 2j * np.pi * np.outer(k, k) / size)
@@ -228,6 +226,30 @@ def test_factorization_identity_sweep():
             got = build_bluestein_chain(spec).dense()
             rel = np.linalg.norm(got - dense) / np.linalg.norm(dense)
             assert rel <= 1e-10, f"n={n} alpha={spec.alpha}"
+
+
+@pytest.mark.parametrize("n", [2**k for k in range(1, 13)])
+def test_chain_is_built_from_its_spec(n):
+    # the middle diagonal is public numpy's raw DFT of the circulant column
+    # bit for bit, and the first and last factor are one Diagonal
+    spec = DvmSpec(n, random_unit(np.random.default_rng(n)))
+    chain = build_bluestein_chain(spec)
+    assert chain.spec is spec
+    assert [f.__class__ for f in chain.factors] == [
+        Diagonal, ZeroPad, Dft, Diagonal, Dft, Truncate, Diagonal]
+    assert chain.factors[0] is chain.factors[6]
+    k = np.arange(n, dtype=np.float64)
+    assert chain.factors[0].values.tobytes() == cis(spec.phi, 0.5 * k * k).tobytes()
+    want = np.fft.fft(circulant_first_column(spec))
+    assert chain.factors[3].values.tobytes() == want.tobytes()
+    assert [f.conj for f in chain.factors[2:5:2]] == [False, True]
+
+
+def test_chain_takes_its_spec_alone():
+    # the factors are built from the spec, never handed in
+    assert [f.name for f in dataclasses.fields(FactorChain) if f.init] == ["spec"]
+    with pytest.raises(TypeError):
+        FactorChain(DvmSpec(16, 1j), ())
 
 
 def test_middle_block_is_chirp_toeplitz():
@@ -452,7 +474,7 @@ def test_chain_is_frozen_and_reads_its_factor_values_on_every_apply():
     # n, m and the DFT factor are fixed when the chain is built; the
     # diagonals' values are not, so an in-place edit shows in the next apply
     # (doubling a diagonal doubles the result exactly; the first and last
-    # diagonals share one array, so doubling it quadruples the result)
+    # factor are one Diagonal, so doubling it quadruples the result)
     rng = np.random.default_rng(29)
     chain = build_bluestein_chain(DvmSpec(16, random_unit(rng)))
     assert (chain.n, chain.m, chain.scale) == (16, 32, dvm._ortho_scale(32))
@@ -581,37 +603,6 @@ def test_split_apply_leaves_no_thread_and_keeps_its_input(monkeypatch):
     assert np.array_equal(y, composed_apply(chain, keep))
 
 
-@pytest.mark.parametrize("factors", [
-    [ZeroPad(32, 16), Dft(32), Diagonal(np.ones(32)), Dft(32, conj=True)],
-    [Diagonal(np.ones(16)), ZeroPad(32, 16), Dft(32), Truncate(16, 32)],
-    # the Bluestein kinds with the conjugate DFT first, or the wrong sizes
-    [Diagonal(np.ones(16)), ZeroPad(32, 16), Dft(32, conj=True), Diagonal(np.ones(32)),
-     Dft(32), Truncate(16, 32), Diagonal(np.ones(16))],
-    [Diagonal(np.ones(8)), ZeroPad(16, 8), Dft(16), Diagonal(np.ones(16)),
-     Dft(16, conj=True), Truncate(8, 16), Diagonal(np.ones(8))],
-    [],
-], ids=["no_pad_lead", "no_in_place_end", "conj_first", "size_8", "empty"])
-def test_chain_of_another_shape_is_rejected(factors):
-    # FactorChain.apply runs one fixed kernel, so a chain it would not
-    # compute as written is refused when it is built
-    want = ("Diagonal(16), ZeroPad(16 -> 32), Dft(32), Diagonal(32), Dft(32, conj), "
-            "Truncate(32 -> 16), Diagonal(16) in that order")
-    with pytest.raises(ValueError, match=re.escape(want)):
-        FactorChain(DvmSpec(16, 1j), factors)
-
-
-def test_chain_of_a_factor_subclass_is_rejected():
-    # a subclass's apply would never run inside the kernel
-    class Scaled(Diagonal):
-        def apply(self, x, counter=None):
-            return 2 * super().apply(x, counter)
-
-    factors = list(build_bluestein_chain(DvmSpec(16, 1j)).factors)
-    factors[0] = Scaled(factors[0].values)
-    with pytest.raises(ValueError, match="in that order"):
-        FactorChain(DvmSpec(16, 1j), factors)
-
-
 def test_chain_factors_cannot_be_replaced():
     chain = build_bluestein_chain(DvmSpec(16, 1j))
     with pytest.raises(TypeError):
@@ -697,14 +688,6 @@ def test_quota_below_two_cpus_keeps_the_apply_on_one_thread(monkeypatch, tmp_pat
     assert len(started) == workers
 
 
-def test_scaled_dvm_apply_wrapper():
-    rng = np.random.default_rng(23)
-    spec = DvmSpec(8, random_unit(rng))
-    x = rng.normal(size=8) + 1j * rng.normal(size=8)
-    assert np.allclose(scaled_dvm_apply(spec, x), scaled_dvm_dense(spec) @ x,
-                       atol=1e-10)
-
-
 def test_multiply_count_doubling_ratio():
     """Instrumented multiply growth per size doubling stays below 2.3."""
     counts = {}
@@ -725,46 +708,51 @@ def test_multiply_count_doubling_ratio():
 
 
 def test_fft_delta_and_constant():
-    assert np.allclose(fft([1, 0, 0, 0]), np.ones(4), atol=1e-15)
-    assert np.allclose(fft([1, 1, 1, 1]), [4, 0, 0, 0], atol=1e-15)
+    assert np.allclose(Dft(4).apply([1, 0, 0, 0]), np.full(4, 0.5), atol=1e-15)
+    assert np.allclose(Dft(4).apply([1, 1, 1, 1]), [2, 0, 0, 0], atol=1e-15)
 
 
 def test_fft_matches_dense_oracle():
     rng = np.random.default_rng(24)
     x = rng.normal(size=64) + 1j * rng.normal(size=64)
-    want = dense_dft(64) @ x
-    assert np.linalg.norm(fft(x) - want) / np.linalg.norm(want) <= 1e-12
+    want = dense_dft(64) @ x / 8
+    assert np.linalg.norm(Dft(64).apply(x) - want) / np.linalg.norm(want) <= 1e-12
 
 
 def test_fft_inverse_roundtrip():
     rng = np.random.default_rng(25)
     for size in (2, 8, 128, 1024):
         x = rng.normal(size=size) + 1j * rng.normal(size=size)
-        back = fft(fft(x), inverse=True) / size
+        back = Dft(size, conj=True).apply(Dft(size).apply(x))
         assert np.linalg.norm(back - x) / np.linalg.norm(x) <= 1e-12
 
 
 def test_fft_rejects_bad_length():
-    with pytest.raises(ValueError):
-        fft(np.ones(12))
-    with pytest.raises(ValueError):
-        fft(np.ones(0))
+    # when the factor is built, before any input
+    for size in (12, 0, -4, 16.0, "16"):
+        with pytest.raises(ValueError, match="FFT length must be a power of two"):
+            Dft(size)
 
 
 def test_fft_batched_matches_numpy():
+    # Dft.apply gives public numpy's orthonormal bytes on a vector and on
+    # C-order, F-order and strided batches
     rng = np.random.default_rng(26)
-    xb = rng.normal(size=(32, 5)) + 1j * rng.normal(size=(32, 5))
-    assert np.allclose(fft(xb), np.fft.fft(xb, axis=0), atol=1e-12)
+    for size in (2, 32, 4096):
+        wide = rng.normal(size=(size, 10)) + 1j * rng.normal(size=(size, 10))
+        for x in (wide[:, 0].copy(), wide[:, ::3][:, 0], wide[:, :3].copy(),
+                  np.asfortranarray(wide[:, :3]), wide[:, ::2], wide):
+            for factor, ref in ((Dft(size), np.fft.fft), (Dft(size, conj=True), np.fft.ifft)):
+                got = factor.apply(x)
+                assert got.shape == x.shape and got.dtype == np.complex128
+                assert got.tobytes() == ref(x, axis=0, norm="ortho").tobytes(), (factor, x.strides)
 
 
 def test_fft_counter_formula():
     # K/2 muls and K adds per stage, log2 K stages
     for size in (8, 64, 256):
-        counter = OpCounter()
-        fft(np.ones(size, dtype=complex), counter=counter)
         lg = size.bit_length() - 1
-        assert counter.muls == (size // 2) * lg
-        assert counter.adds == size * lg
+        assert dvm._fft_ops(size) == ((size // 2) * lg, size * lg)
 
 
 def test_dft_counter_formula():
@@ -796,6 +784,8 @@ def test_kernel_dft_factor_is_numpys_ortho_factor(monkeypatch):
             return gufunc(a, scale, *out, **kwargs)
         return call
 
+    # the chain is built before the spy: its build runs one raw DFT of its own
+    chain = build_bluestein_chain(DvmSpec(16, 1j))
     monkeypatch.setattr(dvm, "_pocketfft", types.SimpleNamespace(
         fft=spy(dvm._pocketfft.fft), ifft=spy(dvm._pocketfft.ifft)))
     # a vector passes its out positionally and no axes; a batch keeps both
@@ -805,7 +795,7 @@ def test_kernel_dft_factor_is_numpys_ortho_factor(monkeypatch):
             (np.ones((16, 3)), ("keyword", True, ["axes", "out"]))):
         calls.clear()
         outs.clear()
-        fast_dvm_apply(build_bluestein_chain(DvmSpec(16, 1j)), x)
+        fast_dvm_apply(chain, x)
         assert calls == [("fft", 32, dvm._ortho_scale(32)), ("ifft", 32, dvm._ortho_scale(32))]
         assert outs == [passed, passed]
 
@@ -828,8 +818,6 @@ def test_fixed_dfts_match_dense_oracle(batch):
     fwd, inv = dense_dft(size) @ x, dense_dft(size, inverse=True) @ x
     root = math.sqrt(size)
     for got, want in (
-        (fft(x), fwd),
-        (fft(x, inverse=True), inv),
         (Dft(size).apply(x), fwd / root),
         (Dft(size, conj=True).apply(x), inv / root),
     ):
@@ -867,7 +855,7 @@ def test_diagonal_into_a_fortran_buffer_equals_the_plain_product(n, b):
 
 def test_normalized_dft_unitarity():
     for size in (2, 16, 256, 2048):
-        f = Dft(size).dense()
+        f = Dft(size).apply(np.eye(size))
         err = np.max(np.abs(f @ f.conj().T - np.eye(size)))
         assert err <= 1e-12, f"size={size}: {err}"
 
@@ -904,7 +892,7 @@ def test_single_level_butterfly_identity():
     h4 = np.block([[np.eye(2), np.eye(2)], [d, -d]])
     f2 = np.array([[1, 1], [1, -1]], dtype=complex)
     got = even_odd_permute(np.kron(np.eye(2), f2) @ (h4 @ x))
-    assert np.max(np.abs(got - fft(x))) <= 1e-12
+    assert np.max(np.abs(got - dense_dft(4) @ x)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

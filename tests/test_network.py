@@ -99,6 +99,17 @@ def test_config_validation():
         NetworkConfig(n=8, delay_alpha=2.0 + 0.0j)
     with pytest.raises(ValueError):
         NetworkConfig(n=8, kind="perceptron")
+    # n and p are integers: a float, a string or a bool is refused by the
+    # config, not later in build_network; a numpy integer is stored as int
+    for n in (16.0, "16", None, True, np.float64(16)):
+        with pytest.raises(ValueError, match="n must be a power of two >= 2"):
+            NetworkConfig(n=n)
+    for p in (2.0, "2", None, True):
+        with pytest.raises(ValueError, match="p must be an integer >= 1"):
+            NetworkConfig(n=16, p=p)
+    cfg = NetworkConfig(n=np.int64(16), p=np.int32(2))
+    assert (type(cfg.n), type(cfg.p), cfg.resolved_depth) == (int, int, 5)
+    assert cfg == NetworkConfig(n=16, p=2)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**63, 2.0, None])
