@@ -114,6 +114,13 @@ def _parse_int_list(text):
 # subcommands
 
 
+# Largest gen-data set, as n times the sample count.  make_dataset peaks at
+# about 114 bytes per entry, so the cap keeps a run under 4 GB (and its file
+# at 1 GiB) where the flags alone would let numpy ask for terabytes and end
+# in a MemoryError traceback.  The check runs before anything is allocated.
+GEN_DATA_ENTRIES_MAX = 2**25
+
+
 def cmd_gen_data(args):
     from .dvm import power_of_two
     from .signals import make_dataset, save_dataset, save_dataset_csv, verify_targets
@@ -125,6 +132,9 @@ def cmd_gen_data(args):
         return _fail(EXIT_USAGE, "--samples-per-angle must be >= 1")
     if power_of_two(args.n, least=2) is None:
         return _fail(EXIT_USAGE, f"--n must be a power of two >= 2, got {args.n}")
+    if args.n * len(args.angles) * args.samples_per_angle > GEN_DATA_ENTRIES_MAX:
+        return _fail(EXIT_USAGE, f"--n times the sample count (angles x "
+                                 f"--samples-per-angle) must be at most {GEN_DATA_ENTRIES_MAX}")
     freq = args.freq_ghz * 1e9
     if args.tau_s is not None and not 0 < args.tau_s < math.inf:
         return _fail(EXIT_USAGE, f"--tau-s must be positive and finite, got {args.tau_s}")

@@ -64,6 +64,18 @@ def check_seed(seed) -> None:
         raise ValueError(f"seed must be an integer in 0..2**63-1, got {seed!r}")
 
 
+def check_int(value, name: str, least: int) -> int:
+    """value as an int when operator.index accepts it (numpy integers too;
+    not a bool, a float or a string) and it is >= least, else ValueError."""
+    try:
+        v = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        v = None
+    if v is None or v < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return v
+
+
 def power_of_two(n, least: int = 1) -> int | None:
     """n as an int when operator.index accepts it (numpy integers too, not a
     float or a string) and it is a power of two >= least, else None; each

@@ -42,6 +42,7 @@ from .dvm import (
     _random_chains,
     build_bluestein_chain,
     build_recursive_dft_chain,
+    check_int,
     check_seed,
     cis,
     power_of_two,
@@ -106,7 +107,8 @@ class NetworkConfig:
     """Shape and behavior of one network.
 
     n: channel count (power of two >= 2); hidden width is 4*p*n, p >= 1.
-        Both are integers (numpy ones too), stored as int.
+        n, p, depth and l_layers are integers (numpy ones too), stored as
+        int.
     depth: butterfly levels in each trainable DFT chain (the lambda knob);
         the chains have complex size 2n, so depth <= log2(2n).
     l_layers: total layer count; 5, or 4k+1 to repeat the block structure.
@@ -129,11 +131,12 @@ class NetworkConfig:
         n = power_of_two(self.n, least=2)
         if n is None:
             raise ValueError(f"n must be a power of two >= 2, got {self.n}")
-        if isinstance(self.p, bool) or not isinstance(self.p, (int, np.integer)) or self.p < 1:
-            raise ValueError(f"p must be an integer >= 1, got {self.p!r}")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "p", int(self.p))
-        if self.l_layers < 5 or (self.l_layers - 1) % 4:
+        object.__setattr__(self, "p", check_int(self.p, "p", 1))
+        if self.depth is not None:
+            object.__setattr__(self, "depth", check_int(self.depth, "depth", 0))
+        object.__setattr__(self, "l_layers", check_int(self.l_layers, "l_layers", 5))
+        if (self.l_layers - 1) % 4:
             raise ValueError(
                 f"l_layers must be 5 or 4k+1 (block repeats), got {self.l_layers}"
             )

@@ -21,7 +21,7 @@ import struct
 
 import numpy as np
 
-from .dvm import DvmSpec, build_bluestein_chain, check_seed, cis, fast_dvm_apply
+from .dvm import DvmSpec, build_bluestein_chain, check_int, check_seed, cis, fast_dvm_apply
 
 SPEED_OF_LIGHT = 299792458.0
 DEFAULT_SAMPLE_RATE = 32e9
@@ -180,14 +180,14 @@ def make_dataset(
     hashing for all samples runs as one vectorized pass, and a single
     PCG64 generator is reseeded per sample (_row_normals).  All targets
     come from one batched transform of the (n, samples) snapshot matrix.
-    seed must be an integer in 0..2**63-1 (check_seed), and sample_rate
-    must pass load_dataset's header check, so that the set loads back.
+    seed must be an integer in 0..2**63-1 (check_seed), samples_per_angle
+    an integer >= 1 (check_int), and sample_rate must pass load_dataset's
+    header check, so that the set loads back.
     """
     check_seed(seed)
     if not math.isfinite(freq):
         raise ValueError(f"freq must be finite, got {freq!r}")
-    if samples_per_angle < 1:
-        raise ValueError("samples_per_angle must be >= 1")
+    samples_per_angle = check_int(samples_per_angle, "samples_per_angle", 1)
     if not (sample_rate > 0 and math.isfinite(sample_rate)):
         raise ValueError(f"sample rate must be positive and finite, got {sample_rate!r}")
     if not 0 <= noise_std < math.inf:

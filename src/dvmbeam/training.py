@@ -11,7 +11,7 @@ fixed order; that order is part of the result, so it never varies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 import copy
 import hashlib
 import json
@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from .dvm import check_seed
+from .dvm import check_int, check_seed
 from .network import (
     Network,
     _as_columns,
@@ -103,13 +103,7 @@ def min_preactivation_gap(net: Network, x) -> float:
     return min(float(np.min(np.abs(tr.pre1.view(np.float64)))) for tr in trace.block_traces)
 
 
-def grad_check(
-    net: Network,
-    x,
-    target,
-    h_scale: float = 1e-6,
-    corrupt: tuple | None = None,
-) -> dict:
+def grad_check(net: Network, x, target, corrupt: tuple | None = None) -> dict:
     """Compare analytic gradients against central finite differences of the
     loss, one flat coordinate at a time.
 
@@ -123,47 +117,41 @@ def grad_check(
     x2, _ = _as_columns(x, 2 * cfg.n)
     t2, _ = _as_columns(target, 2 * cfg.n)
     _, trace = forward(net, x2, want_trace=True)
-    pack = backward(net, trace, t2)
-    analytic = pack.to_flat(net)
+    analytic = backward(net, trace, t2).to_flat(net)
 
-    # (path, start, stop) over the flat vector
-    spans = [(s.path, s.offset, s.offset + s.width) for s in net.layout]
     if corrupt is not None:
         path, idx, factor = corrupt
-        for p_, a_, b_ in spans:
-            if p_ == path:
-                if not 0 <= idx < b_ - a_:
-                    raise ValueError(f"corrupt index {idx} is outside {path!r}, of width {b_ - a_}")
-                analytic[a_ + idx] *= factor
-                break
-        else:
+        slot = next((s for s in net.layout if s.path == path), None)
+        if slot is None:
             raise ValueError(f"unknown parameter path {path!r}")
+        if not 0 <= idx < slot.width:
+            raise ValueError(f"corrupt index {idx} is outside {path!r}, of width {slot.width}")
+        analytic[slot.offset + idx] *= factor
 
     fd = _central_differences(
-        net, lambda: mse_loss(forward(net, x2)[0], t2, cfg.n), np.empty_like(analytic), h_scale
+        net, lambda: mse_loss(forward(net, x2)[0], t2, cfg.n), np.empty_like(analytic)
     )
 
     rel = np.abs(fd - analytic) / np.maximum(1.0, np.abs(analytic))
     worst = int(np.argmax(rel))
-    worst_path = next(p_ for p_, a_, b_ in spans if a_ <= worst < b_)
-    worst_off = worst - next(a_ for p_, a_, b_ in spans if p_ == worst_path)
+    slot = next(s for s in net.layout if s.offset <= worst < s.offset + s.width)
     return {
         "max_rel_err": float(rel[worst]),
-        "worst_path": worst_path,
-        "worst_index": int(worst_off),
+        "worst_path": slot.path,
+        "worst_index": worst - slot.offset,
         "n_checked": int(fd.size),
     }
 
 
-def _central_differences(model, f, out, h_scale):
+def _central_differences(model, f, out):
     """Fill out[..., j] with (f(theta0 + h e_j) - f(theta0 - h e_j)) / 2h
     for every coordinate j of model's flat parameters theta0, where
-    h = h_scale * max(1, |theta0_j|); f reads the model as set.  theta0 is
+    h = _FD_H_SCALE * max(1, |theta0_j|); f reads the model as set.  theta0 is
     set back afterwards, also when f raises.  Returns out."""
     theta0 = model.get_flat()
     try:
         for j in range(theta0.size):
-            h = h_scale * max(1.0, abs(theta0[j]))
+            h = _FD_H_SCALE * max(1.0, abs(theta0[j]))
             theta = theta0.copy()
             theta[j] += h
             model.set_flat(theta)
@@ -179,6 +167,21 @@ def _central_differences(model, f, out, h_scale):
 # ---------------------------------------------------------------------------
 # optimizers
 
+# Finite-difference step of grad_check and the LM Jacobian, relative to
+# max(1, |theta_j|).
+_FD_H_SCALE = 1e-6
+# Damped least-squares (Levenberg-Marquardt) step: the damping a run starts
+# from, the factor a rejected solve multiplies it by (an accepted step
+# divides by it), and the solves tried per step before it is given up.
+_LM_MU = 1e-3
+_LM_FACTOR = 10.0
+_LM_RETRIES = 8
+_LM_PARAM_LIMIT = 5000
+
+# to_dict keys with one possible value: batches are always shuffled and the
+# LM settings are fixed; kept because report digests hash these keys
+_FIXED_KEYS = {"shuffle": True, "lm_mu": _LM_MU, "lm_factor": _LM_FACTOR, "lm_retries": _LM_RETRIES}
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -189,9 +192,6 @@ class OptimizerConfig:
     seed: int = 0
     target_mse: float | None = None
     patience: int | None = None
-    lm_mu: float = 1e-3
-    lm_factor: float = 10.0
-    lm_retries: int = 8
 
     def __post_init__(self):
         if self.name == "lm":
@@ -199,35 +199,25 @@ class OptimizerConfig:
         if self.name not in ("sgd", "adam", "gauss_newton_lm"):
             raise ValueError(f"unknown optimizer {self.name!r}")
         check_seed(self.seed)
+        object.__setattr__(self, "batch_size", check_int(self.batch_size, "batch_size", 1))
+        object.__setattr__(self, "epochs", check_int(self.epochs, "epochs", 0))
+        if self.patience is not None:
+            object.__setattr__(self, "patience", check_int(self.patience, "patience", 1))
         # each range is written so that NaN fails it too
-        for name, ok, want in (
-            ("lr", 0 < self.lr < math.inf, "finite and > 0"),
-            ("batch_size", self.batch_size >= 1, ">= 1"),
-            ("epochs", self.epochs >= 0, ">= 0"),
-            ("target_mse", self.target_mse is None or 0 <= self.target_mse < math.inf,
-             "finite and >= 0"),
-            ("patience", self.patience is None or self.patience >= 1, ">= 1"),
-            ("lm_mu", 0 <= self.lm_mu < math.inf, "finite and >= 0"),
-            ("lm_factor", 1 < self.lm_factor < math.inf, "finite and > 1"),
-            ("lm_retries", self.lm_retries >= 0, ">= 0"),
-        ):
-            if not ok:
-                raise ValueError(f"{name} must be {want}, got {getattr(self, name)!r}")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
+        if self.target_mse is not None and not 0 <= self.target_mse < math.inf:
+            raise ValueError(f"target_mse must be finite and >= 0, got {self.target_mse!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name, "lr": self.lr, "batch_size": self.batch_size,
-            # batches are always shuffled; report digests hash the key
-            "epochs": self.epochs, "seed": self.seed, "shuffle": True,
-            "target_mse": self.target_mse, "patience": self.patience,
-            "lm_mu": self.lm_mu, "lm_factor": self.lm_factor,
-            "lm_retries": self.lm_retries,
-        }
+        return {**asdict(self), **_FIXED_KEYS}
 
     @staticmethod
     def from_dict(d: dict) -> "OptimizerConfig":
-        if d.get("shuffle", True) is not True:
-            raise ValueError(f"unsupported shuffle {d['shuffle']!r}: batches are always shuffled")
+        for key, fixed in _FIXED_KEYS.items():
+            value = d.get(key, fixed)
+            if type(value) is not type(fixed) or value != fixed:
+                raise ValueError(f"unsupported {key} {value!r}: only {fixed!r} is used")
         return OptimizerConfig(**{
             k: d[k] for k in OptimizerConfig.__dataclass_fields__ if k in d
         })
@@ -260,9 +250,6 @@ class _AdamState:
         return step
 
 
-_LM_PARAM_LIMIT = 5000
-
-
 def _lm_residual(model, xb, tb):
     # a model may define its own residual map (anything with get_flat /
     # set_flat / residuals works, not just Network)
@@ -273,10 +260,12 @@ def _lm_residual(model, xb, tb):
     return (y - tb).ravel()
 
 
-def gauss_newton_lm_step(net, xb, tb, mu, cfg: OptimizerConfig, h_scale=1e-6):
-    """One damped least-squares step on the batch; the Jacobian comes from
-    central differences (exact up to roundoff here, since residuals are
-    piecewise linear in every parameter).  Returns (loss_after, mu)."""
+def gauss_newton_lm_step(net, xb, tb, mu):
+    """One damped least-squares step on the batch from damping mu; the
+    Jacobian comes from central differences (exact up to roundoff here,
+    since residuals are piecewise linear in every parameter).  Each rejected
+    solve multiplies mu by _LM_FACTOR, up to _LM_RETRIES solves.  Returns
+    (loss_after, mu)."""
     theta0 = net.get_flat()
     n_par = theta0.size
     if n_par > _LM_PARAM_LIMIT:
@@ -289,59 +278,47 @@ def gauss_newton_lm_step(net, xb, tb, mu, cfg: OptimizerConfig, h_scale=1e-6):
     cfg_obj = getattr(net, "config", None)
     norm = cfg_obj.n * xb.shape[1] if cfg_obj is not None else r0.size
     loss0 = float(r0 @ r0) / norm
-    jac = _central_differences(
-        net, lambda: _lm_residual(net, xb, tb), np.empty((r0.size, n_par)), h_scale
-    )
+    jac = _central_differences(net, lambda: _lm_residual(net, xb, tb), np.empty((r0.size, n_par)))
     g = jac.T @ r0
     h_mat = jac.T @ jac
     eye = np.eye(n_par)
-    for _ in range(cfg.lm_retries):
+    for _ in range(_LM_RETRIES):
         try:
             delta = np.linalg.solve(h_mat + mu * eye, -g)
         except np.linalg.LinAlgError:
-            mu *= cfg.lm_factor
+            mu *= _LM_FACTOR
             continue
         net.set_flat(theta0 + delta)
         r1 = _lm_residual(net, xb, tb)
         loss1 = float(r1 @ r1) / norm
         if np.isfinite(loss1) and loss1 < loss0:
-            return loss1, max(mu / cfg.lm_factor, 1e-12)
+            return loss1, max(mu / _LM_FACTOR, 1e-12)
         net.set_flat(theta0)
-        mu *= cfg.lm_factor
+        mu *= _LM_FACTOR
     return loss0, mu
 
 
 def optimizer_step(theta, grad, state, opt: OptimizerConfig):
-    """Single parameter update; returns (new_theta, new_state).
+    """One gradient step, the only place the sgd and adam update rules live;
+    returns (new_theta, new_state).
 
     sgd keeps no state.  adam keeps moment estimates in the state object;
-    pass None on the first call.  The damped least-squares kind does not
-    update from a bare gradient, it refits residuals through the model:
-    state must then be a dict with keys "net", "x", "t" (and it gains a
-    "mu" entry), while grad is ignored.
+    pass None on the first call.
     """
-    if opt.name in ("sgd", "adam"):
-        theta = np.asarray(theta, dtype=np.float64)
-        grad = np.asarray(grad, dtype=np.float64)
-        if theta.shape != grad.shape:
-            raise ValueError("theta and grad shapes differ")
-        if opt.name == "sgd":
-            return theta - opt.lr * grad, state
-        if state is None:
-            state = _AdamState(theta.size)
-        return theta - state.update(grad, opt.lr), state
-    if not isinstance(state, dict) or not {"net", "x", "t"} <= state.keys():
+    if opt.name == "gauss_newton_lm":
         raise ValueError(
-            "the damped least-squares kind needs residuals, not a gradient: "
-            'pass state={"net": ..., "x": ..., "t": ...}, or use the adam '
-            "optimizer for plain gradient steps"
+            "the damped least-squares kind refits residuals through the model, "
+            "not a gradient: gauss_newton_lm_step runs it, and train calls that"
         )
-    net = state["net"]
-    mu = state.get("mu", opt.lm_mu)
-    _, mu = gauss_newton_lm_step(net, state["x"], state["t"], mu, opt)
-    new_state = dict(state)
-    new_state["mu"] = mu
-    return net.get_flat(), new_state
+    theta = np.asarray(theta, dtype=np.float64)
+    grad = np.asarray(grad, dtype=np.float64)
+    if theta.shape != grad.shape:
+        raise ValueError("theta and grad shapes differ")
+    if opt.name == "sgd":
+        return theta - opt.lr * grad, state
+    if state is None:
+        state = _AdamState(theta.size)
+    return theta - state.update(grad, opt.lr), state
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +430,8 @@ def train(
         raise ValueError("validation set is empty")
     rng = np.random.default_rng(opt.seed)
     theta = net.flat  # updated in place: every parameter array views it
-    adam = _AdamState(theta.size) if opt.name == "adam" else None
-    mu = opt.lm_mu
+    state = None
+    mu = _LM_MU
     train_hist: list = []
     val_hist: list = []
     best_val = math.inf
@@ -471,15 +448,12 @@ def train(
             idx = order[a : a + opt.batch_size]
             xb, tb = xT[:, idx], tT[:, idx]
             if opt.name == "gauss_newton_lm":
-                loss_b, mu = gauss_newton_lm_step(net, xb, tb, mu, opt)
+                loss_b, mu = gauss_newton_lm_step(net, xb, tb, mu)
                 sq_sum += loss_b * cfg.n * xb.shape[1]
             else:
                 flat_g, sq = _batch_grads(net, xb, tb)
                 loss_b = sq / (cfg.n * xb.shape[1])
-                if opt.name == "sgd":
-                    theta -= opt.lr * flat_g
-                else:
-                    theta -= adam.update(flat_g, opt.lr)
+                theta[...], state = optimizer_step(theta, flat_g, state, opt)
                 sq_sum += sq
             steps_run += 1
             seen += xb.shape[1]

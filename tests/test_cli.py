@@ -17,6 +17,7 @@ from dvmbeam.cli import (
     EXIT_SHAPE,
     EXIT_USAGE,
     EXIT_VERIFY,
+    GEN_DATA_ENTRIES_MAX,
     main,
 )
 from dvmbeam.network import NetworkConfig, build_network, init_from_dvm, save_network
@@ -83,6 +84,25 @@ def test_gen_data_zero_samples(work, capsys):
                  "--samples-per-angle", "0", "--out", str(work / "z.bin")])
     assert code == EXIT_USAGE
     assert "samples-per-angle" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n,spa", [(2**40, 1), (4, 10**11), (2**23, 2)],
+                         ids=["48TiB", "745GiB", "just_over"])
+def test_gen_data_rejects_an_oversized_set_before_allocating(work, capsys, n, spa):
+    # these used to end in a numpy MemoryError traceback and exit 1
+    import tracemalloc
+
+    out = work / "huge.bin"
+    tracemalloc.start()
+    try:
+        code = main(["gen-data", "--n", str(n), "--freq-ghz", "24",
+                     "--samples-per-angle", str(spa), "--out", str(out)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_USAGE
+    assert f"at most {GEN_DATA_ENTRIES_MAX}" in capsys.readouterr().err
+    assert peak < 1 << 20 and not out.exists()
 
 
 def test_gen_data_negative_noise(work):

@@ -112,6 +112,20 @@ def test_config_validation():
     assert cfg == NetworkConfig(n=16, p=2)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("depth", 3.0), ("depth", True), ("depth", "3"), ("depth", -1),
+    ("l_layers", 9.0), ("l_layers", True), ("l_layers", "9"), ("l_layers", 1),
+])
+def test_config_counts_must_be_integers(field, value):
+    # a float depth or l_layers used to pass the config and fail later in
+    # build_network with a TypeError; a bool passed as 1
+    with pytest.raises(ValueError, match=f"{field} must be an integer >= "):
+        NetworkConfig(n=16, **{field: value})
+    cfg = NetworkConfig(n=16, depth=np.int64(3), l_layers=np.int32(9))
+    assert (type(cfg.depth), type(cfg.l_layers)) == (int, int)
+    assert cfg == NetworkConfig(n=16, depth=3, l_layers=9)
+
+
 @pytest.mark.parametrize("seed", [-1, 2**63, 2.0, None])
 def test_config_seed_must_fit_the_header_field(seed):
     with pytest.raises(ValueError, match="seed must be an integer in 0..2\\*\\*63-1"):

@@ -286,6 +286,15 @@ def test_make_dataset_rejects_what_load_dataset_would(monkeypatch, kwargs, match
         make_dataset(**{**args, **kwargs})
 
 
+@pytest.mark.parametrize("spa", [3.0, True, "3", None, 0, -1])
+def test_make_dataset_samples_per_angle_must_be_an_integer(spa):
+    # a float used to end in a TypeError from np.arange, and True built a
+    # one-sample set
+    with pytest.raises(ValueError, match="samples_per_angle must be an integer >= 1"):
+        make_dataset(4, 24e9, [30.0], spa, 0.0, seed=1)
+    assert make_dataset(4, 24e9, [30.0], np.int64(2), 0.0, seed=1).n_samples == 2
+
+
 ROW_SEEDS = [0, 1, 100, 2**32 - 1, 2**32, 2**63 - 1]
 
 

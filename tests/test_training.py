@@ -19,6 +19,7 @@ from dvmbeam.network import (
 )
 from dvmbeam.signals import make_dataset
 from dvmbeam.training import (
+    _LM_MU,
     OptimizerConfig,
     _AdamState,
     TrainingDiverged,
@@ -424,13 +425,12 @@ def test_lm_toy_reaches_normal_equations_optimum():
     a_mat = rng.normal(size=(8, 3))
     b_vec = rng.normal(size=8)
     toy = LeastSquaresToy(np.zeros(3))
-    opt = OptimizerConfig(name="lm")
-    mu = opt.lm_mu
+    mu = _LM_MU
     accepted = 0
     for _ in range(3):
         r = toy.residuals(a_mat, b_vec)
         loss_before = float(r @ r) / r.size
-        loss_after, mu = gauss_newton_lm_step(toy, a_mat, b_vec, mu, opt)
+        loss_after, mu = gauss_newton_lm_step(toy, a_mat, b_vec, mu)
         if loss_after < loss_before:
             accepted += 1
     theta_star = np.linalg.lstsq(a_mat, b_vec, rcond=None)[0]
@@ -438,32 +438,18 @@ def test_lm_toy_reaches_normal_equations_optimum():
     assert np.max(np.abs(toy.theta - theta_star)) <= 1e-9
 
 
-def test_lm_through_optimizer_step():
-    rng = np.random.default_rng(9)
-    a_mat = rng.normal(size=(10, 4))
-    b_vec = rng.normal(size=10)
-    toy = LeastSquaresToy(np.zeros(4))
-    opt = OptimizerConfig(name="gauss_newton_lm")
-    loss0 = float(np.sum(toy.residuals(a_mat, b_vec) ** 2))
-    state = {"net": toy, "x": a_mat, "t": b_vec}
-    theta, state = optimizer_step(None, None, state, opt)
-    assert "mu" in state
-    assert np.array_equal(theta, toy.get_flat())
-    assert float(np.sum(toy.residuals(a_mat, b_vec) ** 2)) < loss0
-
-
-def test_lm_rejects_gradient_only_state():
-    opt = OptimizerConfig(name="lm")
-    for bad in (None, {}, {"net": object()}):
-        with pytest.raises(ValueError, match="adam"):
-            optimizer_step(np.zeros(3), np.zeros(3), bad, opt)
+def test_optimizer_step_rejects_the_lm_kind():
+    # optimizer_step takes gradient steps only; the damped least-squares
+    # step refits residuals through the model, in gauss_newton_lm_step
+    for name in ("lm", "gauss_newton_lm"):
+        with pytest.raises(ValueError, match="gauss_newton_lm_step runs it, and train"):
+            optimizer_step(np.zeros(3), np.zeros(3), None, OptimizerConfig(name=name))
 
 
 def test_lm_parameter_limit_suggests_adam():
     toy = LeastSquaresToy(np.zeros(5001))
     with pytest.raises(ValueError, match="adam"):
-        gauss_newton_lm_step(toy, np.zeros((2, 5001)), np.zeros(2),
-                             1e-3, OptimizerConfig(name="lm"))
+        gauss_newton_lm_step(toy, np.zeros((2, 5001)), np.zeros(2), 1e-3)
 
 
 def test_lm_restores_parameters_when_a_residual_raises():
@@ -478,20 +464,20 @@ def test_lm_restores_parameters_when_a_residual_raises():
 
     toy = Failing(np.array([0.5, -2.0]))
     with pytest.raises(FloatingPointError):
-        gauss_newton_lm_step(toy, np.eye(2), np.zeros(2), 1e-3, OptimizerConfig(name="lm"))
+        gauss_newton_lm_step(toy, np.eye(2), np.zeros(2), 1e-3)
     assert toy.theta.tobytes() == np.array([0.5, -2.0]).tobytes()
 
 
 def test_lm_rejection_raises_mu():
     # start at the optimum of a 1-parameter problem: every trial step is a
-    # rejection and mu must grow by the configured factor per retry
+    # rejection and mu must grow by the fixed factor 10 on each of the 8
+    # solves
     a_mat = np.array([[1.0], [2.0]])
     b_vec = np.array([0.0, 0.0])
     toy = LeastSquaresToy(np.zeros(1))
-    opt = OptimizerConfig(name="lm", lm_retries=3, lm_factor=10.0)
-    loss, mu = gauss_newton_lm_step(toy, a_mat, b_vec, 1e-3, opt)
+    loss, mu = gauss_newton_lm_step(toy, a_mat, b_vec, 1e-3)
     assert loss == 0.0
-    assert mu == pytest.approx(1e-3 * 10.0 ** 3)
+    assert mu == pytest.approx(1e-3 * 10.0 ** 8)
     assert np.array_equal(toy.theta, [0.0])
 
 
@@ -505,8 +491,10 @@ def test_optimizer_config_validation():
         OptimizerConfig(batch_size=0)
     with pytest.raises(ValueError):
         OptimizerConfig(epochs=-1)
-    with pytest.raises(ValueError):
-        OptimizerConfig(lm_factor=1.0)
+    # the LM settings are constants, not fields
+    for key in ("lm_mu", "lm_factor", "lm_retries"):
+        with pytest.raises(TypeError):
+            OptimizerConfig(**{key: 1})
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -517,14 +505,36 @@ def test_optimizer_config_validation():
 ], ids=["lr_nan", "lr_inf", "target_nan", "target_neg", "mu_nan", "mu_neg",
         "factor_nan", "factor_inf", "retries_neg", "patience_0"])
 def test_optimizer_config_rejects_nan_and_out_of_range(kwargs):
-    # NaN fails every comparison, so each check is written to fail on it
-    with pytest.raises(ValueError, match=next(iter(kwargs))):
+    # NaN fails every comparison, so each check is written to fail on it; the
+    # LM settings are fixed, and a report that carries another value for one
+    # of them is refused
+    key = next(iter(kwargs))
+    if key in OptimizerConfig.__dataclass_fields__:
+        with pytest.raises(ValueError, match=key):
+            OptimizerConfig(**kwargs)
+    with pytest.raises(ValueError, match=key):
+        OptimizerConfig.from_dict({**OptimizerConfig().to_dict(), **kwargs})
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(batch_size=8.0), dict(batch_size=True), dict(batch_size="8"), dict(epochs=2.0),
+    dict(epochs=True), dict(patience=1.5), dict(patience=True), dict(patience="2"),
+])
+def test_optimizer_config_counts_must_be_integers(kwargs):
+    # a float batch_size or epochs used to fail later inside train with a
+    # TypeError, and patience=1.5 trained and went into the report
+    key = next(iter(kwargs))
+    with pytest.raises(ValueError, match=f"{key} must be an integer >= "):
         OptimizerConfig(**kwargs)
+    opt = OptimizerConfig(batch_size=np.int64(8), epochs=np.int32(2), patience=np.int64(3))
+    assert opt == OptimizerConfig(batch_size=8, epochs=2, patience=3)
+    assert json.dumps(opt.to_dict()) == json.dumps(OptimizerConfig(
+        batch_size=8, epochs=2, patience=3).to_dict())
 
 
 def test_optimizer_config_keeps_the_valid_edges():
-    opt = OptimizerConfig(target_mse=0.0, patience=1, lm_mu=0.0, lm_retries=0)
-    assert (opt.target_mse, opt.patience, opt.lm_mu, opt.lm_retries) == (0.0, 1, 0.0, 0)
+    opt = OptimizerConfig(target_mse=0.0, patience=1, epochs=0)
+    assert (opt.target_mse, opt.patience, opt.epochs) == (0.0, 1, 0)
 
 
 def test_optimizer_config_dict_keeps_the_shuffle_literal():
@@ -535,6 +545,37 @@ def test_optimizer_config_dict_keeps_the_shuffle_literal():
     for value in (False, 0, 1, "true", None):
         with pytest.raises(ValueError, match=f"unsupported shuffle {value!r}"):
             OptimizerConfig.from_dict({**d, "shuffle": value})
+
+
+# the default config's report dict when the LM settings were fields; report
+# digests hash these keys and values, so they must not move
+DEFAULT_OPTIMIZER_DICT = {
+    "name": "adam", "lr": 1e-3, "batch_size": 32, "epochs": 100, "seed": 0,
+    "shuffle": True, "target_mse": None, "patience": None,
+    "lm_mu": 1e-3, "lm_factor": 10.0, "lm_retries": 8,
+}
+
+
+def test_optimizer_config_dict_keeps_the_fixed_lm_keys():
+    d = OptimizerConfig().to_dict()
+    # JSON tells 10 from 10.0 and True from 1, which == does not
+    assert json.dumps(d, sort_keys=True) == json.dumps(DEFAULT_OPTIMIZER_DICT, sort_keys=True)
+    assert OptimizerConfig.from_dict(DEFAULT_OPTIMIZER_DICT) == OptimizerConfig()
+    # a report without the fixed keys still loads
+    bare = {k: v for k, v in DEFAULT_OPTIMIZER_DICT.items() if not k.startswith("lm_")}
+    assert OptimizerConfig.from_dict(bare) == OptimizerConfig()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("lm_mu", 1e-2), ("lm_mu", 0.0), ("lm_mu", "0.001"), ("lm_mu", None),
+    ("lm_factor", 10), ("lm_factor", 2.0), ("lm_retries", 8.0), ("lm_retries", 3),
+    ("lm_retries", True),
+])
+def test_optimizer_config_from_dict_refuses_other_lm_values(key, value):
+    # the LM settings are constants; a report that names another value, or
+    # the same value as another type, was written by a different optimizer
+    with pytest.raises(ValueError, match=f"unsupported {key} {value!r}"):
+        OptimizerConfig.from_dict({**DEFAULT_OPTIMIZER_DICT, key: value})
 
 
 @pytest.mark.parametrize("seed", [-1, 2**63, 1.5, None])
@@ -616,6 +657,25 @@ def test_train_frozen_sections_untouched():
     opt = OptimizerConfig(name="adam", lr=1e-2, batch_size=32, epochs=4, seed=6)
     train(net, DS.x, DS.y, DS.x, DS.y, opt)
     assert net.delay.tobytes() == delay_before
+
+
+@pytest.mark.parametrize("name", ["sgd", "adam"])
+def test_train_steps_are_optimizer_steps(name):
+    # train holds no update rule of its own: one epoch equals optimizer_step
+    # fed the batch gradients in the epoch's shuffled order
+    from dvmbeam.training import _batch_grads
+
+    opt = OptimizerConfig(name=name, lr=1e-2, batch_size=16, epochs=1, seed=3)
+    net, ref = random_net(3), random_net(3)
+    train(net, DS.x, DS.y, DS.x, DS.y, opt)
+    order = np.random.default_rng(opt.seed).permutation(DS.x.shape[0])
+    state = None
+    for a in range(0, order.size, opt.batch_size):
+        idx = order[a:a + opt.batch_size]
+        g, _ = _batch_grads(ref, DS.x[idx].T, DS.y[idx].T)
+        theta, state = optimizer_step(ref.get_flat(), g, state, opt)
+        ref.set_flat(theta)
+    assert net.flat.tobytes() == ref.flat.tobytes()
 
 
 def test_train_lm_descends():
