@@ -178,6 +178,8 @@ def cmd_train(args):
         return _fail(EXIT_IO, f"cannot read dataset: {e}")
     except ValueError as e:
         return _fail(EXIT_IO, str(e))
+    if ds.n_samples == 0:
+        return _fail(EXIT_IO, f"{args.data}: dataset has no samples to train on")
     kind = KIND_STRUCTURED if args.model == "stnn" else KIND_DENSE
     try:
         net_cfg = NetworkConfig(

@@ -866,14 +866,26 @@ def build_recursive_dft_chain(
     return RecursiveDftChain(size, depth, twiddles, leaf_mat[None], scale=scale)
 
 
-def _random_chains(size, depth, phases, normalized=False) -> RecursiveDftChain:
-    """The random training start of a stack of K chains, from a (K, E) array
-    of uniform draws in [0, 1) with E = size - s + s*s: each row holds one
-    chain's values in declaration order (twiddle levels, then the leaf),
-    every value exp(2j*pi*u), the leaf's also divided by sqrt(s)."""
+def chain_view(size, depth, values, normalized=False) -> RecursiveDftChain:
+    """The stack of K chains whose values are the columns of values, a
+    complex (K, E) array with E = size - s + s*s: each row holds one chain's
+    values in declaration order, twiddle levels 0..depth-1 (size/2, size/4,
+    ... columns), then the s x s leaf row by row.  The chains' arrays are
+    views into values, so writing one writes the other."""
     s = size >> depth
-    z = np.exp(2j * np.pi * phases)
-    twiddles = [z[:, size - (size >> lvl):size - (size >> (lvl + 1))] for lvl in range(depth)]
-    leaf = z[:, size - s:].reshape(-1, s, s) / math.sqrt(s)
+    if values.shape[-1] != size - s + s * s:
+        raise ValueError(f"a chain of size {size} and depth {depth} has "
+                         f"{size - s + s * s} values, got {values.shape[-1]} columns")
+    twiddles = [values[:, size - (size >> lvl):size - (size >> (lvl + 1))] for lvl in range(depth)]
+    leaf = values[:, size - s:].reshape(-1, s, s)
     scale = (2.0 ** (-depth / 2.0)) if normalized else 1.0
     return RecursiveDftChain(size, depth, twiddles, leaf, scale=scale)
+
+
+def _random_chains(size, depth, phases, normalized=False) -> RecursiveDftChain:
+    """The random training start of a stack of K chains, from a (K, E) array
+    of uniform draws in [0, 1) laid out as chain_view reads it: every value
+    exp(2j*pi*u), the leaf's also divided by sqrt(s)."""
+    chains = chain_view(size, depth, np.exp(2j * np.pi * phases), normalized)
+    chains.leaf /= math.sqrt(chains.leaf_size)
+    return chains

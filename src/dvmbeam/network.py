@@ -39,9 +39,9 @@ from .dvm import (
     UNIT_TOL,
     DvmSpec,
     RecursiveDftChain,
-    _random_chains,
     build_bluestein_chain,
     build_recursive_dft_chain,
+    chain_view,
     check_int,
     check_seed,
     cis,
@@ -195,21 +195,26 @@ class NetworkConfig:
             if type(value) is not type(fixed) or value != fixed:
                 raise ValueError(f"unsupported {key} {value!r}: only {fixed!r} is built")
         da = d.get("delay_alpha", [1.0, 0.0])
+        # the counts go through as stored, so the constructor refuses a
+        # fractional one instead of truncating it
         return NetworkConfig(
-            n=int(d["n"]),
-            p=int(d.get("p", 1)),
-            depth=int(d["depth"]) if d.get("depth") is not None else None,
-            l_layers=int(d.get("l_layers", 5)),
+            n=d["n"],
+            p=d.get("p", 1),
+            depth=d.get("depth"),
+            l_layers=d.get("l_layers", 5),
             kind=d.get("kind", KIND_STRUCTURED),
             activation_slope=float(d.get("activation_slope", 0.2)),
             delay_alpha=complex(da[0], da[1]),
-            seed=int(d.get("seed", 0)),
+            seed=d.get("seed", 0),
         )
 
 
 @dataclass
 class StructuredBlock:
-    # submatrix i is row i of d_hat and d_breve and chain i of each stack
+    # submatrix i is row i of w1 and w4, and so row i of d_hat and d_breve
+    # and chain i of each stack, all views into those rows
+    w1: np.ndarray                   # complex (p, n + e + m): d_hat, input chain, d_breve
+    w4: np.ndarray                   # complex (p, e): output chain
     d_hat: np.ndarray                # complex (p, n): input and output scaling
     f_chain: RecursiveDftChain       # K = p input chains
     d_breve: np.ndarray              # complex (p, m): input chains' output scaling
@@ -255,60 +260,22 @@ class Network:
     """A configured network plus its trainable and frozen state.
 
     Every trainable array is a view into one float64 vector, self.flat, in
-    the fixed declaration order of the .stnn format; complex arrays view
-    interleaved re/im pairs.  Writing an array writes the vector and vice
-    versa, so flattening costs one copy and an optimizer can update
+    the fixed declaration order of the .stnn format (_carve); complex arrays
+    view interleaved re/im pairs.  Writing an array writes the vector and
+    vice versa, so flattening costs one copy and an optimizer can update
     self.flat in place.  Rebinding a parameter attribute to a new array
-    would detach it; write into it instead.
+    would detach it; write into it instead.  Network(config) is the zero
+    network; build_network draws its random start.
     """
 
-    def __init__(self, config: NetworkConfig, blocks: list):
+    def __init__(self, config: NetworkConfig):
         self.config = config
-        self.blocks = blocks
+        self.flat = np.zeros(expected_param_count(config))
+        self.blocks, self.layout = _carve(config, self.flat)
         k = np.arange(2 * config.p * config.n, dtype=np.float64)
         phi = math.atan2(config.delay_alpha.imag, config.delay_alpha.real)
         self.delay = cis(phi, k)  # frozen diag(alpha**k), k = 0..2pn-1
         self._grads = None  # gradient twin, built by the first _backward
-
-        layout, stacks, pos = [], {}, 0
-        for path, owner, key, row in self._walk():
-            part = owner[key] if row is None else owner[key][row]
-            kind = "complex" if part.dtype.kind == "c" else "real"
-            layout.append(ParamSlot(path, pos, kind, part.shape))
-            stacks.setdefault((id(owner), key), (owner, key, []))[2].append(pos)
-            pos += layout[-1].width
-        self.layout = tuple(layout)
-        self.flat = np.zeros(pos)
-        # the p slots of a stacked array sit equally spaced, so the stack is
-        # one view with that spacing as its leading stride
-        for owner, key, starts in stacks.values():
-            arr = np.ascontiguousarray(owner[key])
-            lead = arr.strides[:1] if len(starts) == 1 else (8 * (starts[1] - starts[0]),)
-            view = owner[key] = np.ndarray(arr.shape, arr.dtype, self.flat, 8 * starts[0],
-                                           lead + arr.strides[1:])
-            view[...] = arr
-        self._arrays = tuple(slot.view(self.flat) for slot in self.layout)
-
-    def _walk(self):
-        """Yield (path, owner, key, row) in declaration order: owner[key] is
-        a trainable array, owner a list or an object's __dict__, and the
-        path names all of it (row None) or its submatrix slot arr[row]."""
-        cfg = self.config
-        for b, blk in enumerate(self.blocks):
-            attrs = vars(blk)
-            if cfg.kind == KIND_DENSE:
-                for name in ("w1", "bias1", "skip", "w4", "bias_out"):
-                    yield f"block{b}.{name}", attrs, name, None
-                continue
-            for i in range(cfg.p):
-                yield f"block{b}.w1.sub{i}.d_hat", attrs, "d_hat", i
-                yield from _chain_walk(f"block{b}.w1.sub{i}.f", blk.f_chain, i)
-                yield f"block{b}.w1.sub{i}.d_breve", attrs, "d_breve", i
-            yield f"block{b}.bias1", attrs, "bias1", None
-            yield f"block{b}.skip", attrs, "skip", None
-            for i in range(cfg.p):
-                yield from _chain_walk(f"block{b}.w4.sub{i}.fstar", blk.fstar_chain, i)
-            yield f"block{b}.bias_out", attrs, "bias_out", None
 
     # -- parameter plumbing ------------------------------------------------
 
@@ -316,8 +283,8 @@ class Network:
         """Yield (path, array, kind) for every trainable array, in the fixed
         declaration order used by flattening and serialization.  kind
         "complex" packs re/im pairs, "real" packs values."""
-        for slot, arr in zip(self.layout, self._arrays):
-            yield slot.path, arr, slot.kind
+        for slot in self.layout:
+            yield slot.path, slot.view(self.flat), slot.kind
 
     def param_count(self) -> int:
         return self.flat.size
@@ -332,11 +299,65 @@ class Network:
         self.flat[...] = flat
 
 
-def _chain_walk(prefix, chain, i):
-    row = slice(i, i + 1)  # a chain's slot keeps its stack axis, of length 1
-    for lvl in range(len(chain.twiddles)):
-        yield f"{prefix}.twiddle{lvl}", chain.twiddles, lvl, row
-    yield f"{prefix}.leaf", vars(chain), "leaf", row
+def _carve(cfg: NetworkConfig, flat: np.ndarray):
+    """Every block of cfg as views into flat, and the ParamSlot layout, both
+    in .stnn order: per block W1, bias1, skip, W4, bias_out.
+
+    A dense block's W1 and W4 are one slot each.  A structured block's are
+    its submatrix rows w1, complex (p, n + e + m), and w4, complex (p, e),
+    with e one chain's entries: row i holds submatrix i's d_hat, input chain
+    and d_breve, or its output chain, each one slot.  d_hat, d_breve and the
+    chain stacks (laid out by dvm.chain_view) view columns of those rows.
+    Raises unless the layout ends exactly at the end of flat.
+    """
+    n, p, m, hidden, depth = cfg.n, cfg.p, cfg.m, cfg.hidden, cfg.resolved_depth
+    e = m - (m >> depth) + (m >> depth) ** 2  # one chain's entries
+    layout, blocks = [], []
+
+    def end():
+        return layout[-1].offset + layout[-1].width if layout else 0
+
+    def take(path, kind, shape):
+        """The slot after the last one, declared, as a view into flat."""
+        layout.append(ParamSlot(path, end(), kind, shape))
+        return layout[-1].view(flat)
+
+    def take_rows(path, tag, head=(), tail=()):
+        """Declare the p submatrix rows of a structured layer, each row its
+        head slots, one chain's slots and its tail slots (head and tail as
+        (name, shape) pairs); return the complex rows and their chain stack."""
+        lead, rest = (sum(math.prod(shape) for _, shape in part) for part in (head, tail))
+        rows = ParamSlot(path, end(), "complex", (p, lead + e + rest)).view(flat)
+        chain = chain_view(m, depth, rows[:, lead:lead + e], normalized=True)
+        names = [f"{tag}.twiddle{lvl}" for lvl in range(depth)] + [f"{tag}.leaf"]
+        parts = [*head, *((nm, (1,) + a.shape[1:]) for nm, a in zip(names, chain.param_arrays())),
+                 *tail]
+        for i in range(p):
+            for name, shape in parts:
+                take(f"{path}.sub{i}.{name}", "complex", shape)
+        return rows, chain
+
+    for b in range(cfg.blocks_count):
+        pre = f"block{b}."
+        if cfg.kind == KIND_DENSE:
+            w1 = take(pre + "w1", "real", (hidden, 2 * n))
+        else:
+            w1, f_chain = take_rows(pre + "w1", "f", [("d_hat", (n,))], [("d_breve", (m,))])
+        bias1 = take(pre + "bias1", "real", (hidden,))
+        skip = take(pre + "skip", "real", (hidden,))
+        if cfg.kind == KIND_DENSE:
+            w4 = take(pre + "w4", "real", (2 * n, hidden))
+            blocks.append(DenseBlockParams(w1, w4, bias1, skip,
+                                           take(pre + "bias_out", "real", (2 * n,))))
+        else:
+            w4, fstar_chain = take_rows(pre + "w4", "fstar")
+            blocks.append(StructuredBlock(
+                w1=w1, w4=w4, d_hat=w1[:, :n], f_chain=f_chain, d_breve=w1[:, -m:],
+                fstar_chain=fstar_chain, bias1=bias1, skip=skip,
+                bias_out=take(pre + "bias_out", "real", (2 * n,))))
+    if end() != flat.size:
+        raise RuntimeError(f"the layout of {cfg} ends at {end()}, not at {flat.size}")
+    return blocks, tuple(layout)
 
 
 @dataclass
@@ -546,13 +567,13 @@ def _block_backward(cfg: NetworkConfig, blk, gblk, delay, tr, g_out, want_input=
 def _backward(net: Network, trace: ForwardTrace, g_out) -> np.ndarray:
     """Reverse of forward(): every parameter gradient, laid out like net.flat.
 
-    The gradients accumulate in net's gradient twin, a zero-drawn network of
-    the same config built on the first call, whose arrays sit where net's
-    do; the result is a copy of its flat vector, so results never alias.
+    The gradients accumulate in net's gradient twin, Network(net.config)
+    built on the first call, whose arrays sit where net's do; the result is
+    a copy of its flat vector, so results never alias.
     """
     twin = net._grads
     if twin is None:
-        twin = net._grads = _build(net.config, _ZeroDraws())
+        twin = net._grads = Network(net.config)
     twin.flat[...] = 0.0
     for b in range(len(net.blocks) - 1, -1, -1):
         g_out = _block_backward(net.config, net.blocks[b], twin.blocks[b], net.delay,
@@ -570,59 +591,21 @@ def build_network(config: NetworkConfig) -> Network:
     Complex parameters start unit modulus with uniform random phase scaled
     by 1/sqrt(fan_in) (fan_in is 1 for diagonals, the leaf size for leaf
     blocks); dense baseline weights are uniform +-1/sqrt(fan_in); biases and
-    the skip diagonal start at zero.
+    the skip diagonal start at zero.  Each block draws W1, then W4, from one
+    generator seeded with config.seed.
     """
-    return _build(config, np.random.default_rng(config.seed))
-
-
-class _ZeroDraws:
-    """Generator stand-in that draws nothing: every call returns zeros of
-    the requested shape.  load_network and the gradient twin of _backward
-    build their layouts with it, since every value is overwritten."""
-
-    def random(self, shape):
-        return np.zeros(shape)
-
-    def uniform(self, low, high, shape):
-        return np.zeros(shape)
-
-
-def _build(cfg: NetworkConfig, rng) -> Network:
-    """The network of cfg with every random draw taken from rng."""
-    n, p, m, depth = cfg.n, cfg.p, cfg.m, cfg.resolved_depth
-    s = m >> depth
-    e = m - s + s * s  # one chain's entries
-    blocks = []
-    for _ in range(cfg.blocks_count):
-        if cfg.kind == KIND_DENSE:
-            a1 = 1.0 / math.sqrt(2 * n)
-            a4 = 1.0 / math.sqrt(cfg.hidden)
-            blocks.append(
-                DenseBlockParams(
-                    w1=rng.uniform(-a1, a1, (cfg.hidden, 2 * n)),
-                    bias1=np.zeros(cfg.hidden),
-                    skip=np.zeros(cfg.hidden),
-                    w4=rng.uniform(-a4, a4, (2 * n, cfg.hidden)),
-                    bias_out=np.zeros(2 * n),
-                )
-            )
+    net = Network(config)
+    rng = np.random.default_rng(config.seed)
+    for blk in net.blocks:
+        if config.kind == KIND_DENSE:
+            for w in (blk.w1, blk.w4):
+                a = 1.0 / math.sqrt(w.shape[1])
+                w[...] = rng.uniform(-a, a, w.shape)
             continue
-        # w1 row i holds submatrix i's d_hat, input chain and d_breve draws,
-        # w4 row i its output chain's, so the generator is drawn in the
-        # declaration order of the parameters; each value is exp(2j*pi*u)
-        w1, w4 = rng.random((p, n + e + m)), rng.random((p, e))
-        blocks.append(
-            StructuredBlock(
-                d_hat=np.exp(2j * np.pi * w1[:, :n]),
-                f_chain=_random_chains(m, depth, w1[:, n:n + e], normalized=True),
-                d_breve=np.exp(2j * np.pi * w1[:, n + e:]),
-                fstar_chain=_random_chains(m, depth, w4, normalized=True),
-                bias1=np.zeros(cfg.hidden),
-                skip=np.zeros(cfg.hidden),
-                bias_out=np.zeros(2 * n),
-            )
-        )
-    return Network(cfg, blocks)
+        for w, chain in ((blk.w1, blk.f_chain), (blk.w4, blk.fstar_chain)):
+            np.exp(2j * np.pi * rng.random(w.shape), out=w)
+            chain.leaf /= math.sqrt(chain.leaf_size)
+    return net
 
 
 def init_from_dvm(net: Network, alpha: complex) -> Network:
@@ -640,16 +623,16 @@ def init_from_dvm(net: Network, alpha: complex) -> Network:
     if not abs(abs(alpha) - 1.0) <= UNIT_TOL:
         raise ValueError("alpha must be unit modulus")
     chirp = build_bluestein_chain(DvmSpec(cfg.n, alpha)).factors
-    d_hat, d_breve = chirp[0].values, chirp[3].values
     exact_f = build_recursive_dft_chain(cfg.m, cfg.resolved_depth, normalized=True)
     exact_fs = build_recursive_dft_chain(cfg.m, cfg.resolved_depth, inverse=True, normalized=True)
+    # one exact W1 row and one W4 row, in the layout of _carve's rows
+    w1_row = np.concatenate([chirp[0].values, *(a.ravel() for a in exact_f.param_arrays()),
+                             chirp[3].values])
+    w4_row = np.concatenate([a.ravel() for a in exact_fs.param_arrays()])
     for blk in net.blocks:
         # every submatrix gets the same values: each row of the stacks
-        blk.d_hat[...] = d_hat
-        blk.d_breve[...] = d_breve
-        for chain, exact in ((blk.f_chain, exact_f), (blk.fstar_chain, exact_fs)):
-            for dst, src in zip(chain.param_arrays(), exact.param_arrays()):
-                dst[...] = src
+        blk.w1[...] = w1_row
+        blk.w4[...] = w4_row
         blk.bias1[...] = 0.0
         blk.skip[...] = 0.0
         blk.bias_out[...] = 0.0
@@ -762,7 +745,7 @@ def load_network(path: str) -> Network:
             f"{path}: parameter payload of {payload} bytes does not match header "
             f"{n_params} / config {want} parameters of 8 bytes"
         )
-    net = _build(cfg, _ZeroDraws())
+    net = Network(cfg)
     net.set_flat(np.frombuffer(data, dtype="<f8", offset=head_size))
     return net
 

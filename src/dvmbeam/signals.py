@@ -240,8 +240,9 @@ def split_dataset(ds: Dataset, train_fraction: float = 0.8, seed: int = 0):
         k = min(max(k, 1), rows.size - 1) if rows.size > 1 else rows.size
         train_idx.append(perm[:k])
         val_idx.append(perm[k:])
-    train_idx = np.concatenate(train_idx)
-    val_idx = np.concatenate(val_idx) if val_idx else np.zeros(0, dtype=int)
+    # a set without samples has no angle, and splits into two empty parts
+    train_idx, val_idx = (np.concatenate(idx) if idx else np.zeros(0, dtype=int)
+                          for idx in (train_idx, val_idx))
 
     def take(idx):
         return Dataset(

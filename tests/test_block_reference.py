@@ -15,9 +15,8 @@ import pytest
 from dvmbeam.dvm import RecursiveDftChain, _random_chains, build_recursive_dft_chain
 from dvmbeam.network import (
     KIND_DENSE,
+    Network,
     NetworkConfig,
-    _build,
-    _ZeroDraws,
     build_network,
     forward,
     init_from_dvm,
@@ -209,8 +208,7 @@ def ref_grads(net, x, target, norm=None):
     if norm is None:
         norm = net.config.n * y.shape[1]
     g_out = (2.0 / norm) * (y - target)
-    twin = _build(net.config, _ZeroDraws())
-    twin.flat[...] = 0.0
+    twin = Network(net.config)
     for b in range(len(net.blocks) - 1, -1, -1):
         g_out = _ref_block_backward(net.config, net.blocks[b], twin.blocks[b], net.delay,
                                     traces[b], g_out)

@@ -259,6 +259,20 @@ def test_train_empty_validation_split(work, capsys):
     assert "validation split" in err and "--samples-per-angle" in err
 
 
+def test_train_rejects_a_dataset_without_samples(work, capsys):
+    # a 0-sample file loads, but has nothing to split or train on: train
+    # names the file and exits 3 where it used to die in split_dataset with
+    # exit 1, the verification-failure code
+    path = work / "empty_train4.bin"
+    save_dataset(make_dataset(4, 24e9, [], 10, 0.1, seed=0), str(path))
+    assert load_dataset(str(path)).n_samples == 0
+    code = main(["train", "--data", str(path), "--epochs", "1"])
+    assert code == EXIT_IO
+    captured = capsys.readouterr()
+    assert str(path) in captured.err and "no samples" in captured.err
+    assert captured.out == ""
+
+
 def test_train_missing_data_flag(capsys):
     assert main(["train"]) == EXIT_USAGE
 

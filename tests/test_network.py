@@ -10,6 +10,7 @@ from dvmbeam.dvm import DvmSpec, scaled_dvm_dense
 from dvmbeam.network import (
     KIND_DENSE,
     KIND_STRUCTURED,
+    Network,
     NetworkConfig,
     build_network,
     count_parameters,
@@ -136,6 +137,17 @@ def test_config_seed_must_fit_the_header_field(seed):
 def test_config_roundtrip():
     cfg = NetworkConfig(n=16, p=2, depth=3, kind=KIND_DENSE, seed=9)
     assert NetworkConfig.from_dict(cfg.to_dict()) == cfg
+
+
+@pytest.mark.parametrize("key,value", [
+    ("n", 16.0), ("n", 16.5), ("p", 1.5), ("depth", 3.7), ("l_layers", 9.9),
+    ("l_layers", 9.0), ("seed", 2.5), ("seed", "2"),
+])
+def test_config_from_dict_refuses_fractional_counts(key, value):
+    # a count goes to the constructor as stored, never truncated by int()
+    d = {**NetworkConfig(n=16, depth=3, l_layers=9, seed=2).to_dict(), key: value}
+    with pytest.raises(ValueError, match=key):
+        NetworkConfig.from_dict(d)
 
 
 def test_config_dict_names_complex_parameters_and_rejects_others():
@@ -444,11 +456,12 @@ def _cfg_id(cfg):
 def _block_arrays(net):
     """Every trainable array as the forward pass reaches it, by path."""
     out = {}
+    dense = net.config.kind == KIND_DENSE
     for b, blk in enumerate(net.blocks):
-        for name in ("bias1", "skip", "bias_out", "w1", "w4"):
-            if hasattr(blk, name):
-                out[f"block{b}.{name}"] = getattr(blk, name)
-        if net.config.kind == KIND_DENSE:
+        # a structured block's w1 and w4 are its submatrix rows, not slots
+        for name in ("bias1", "skip", "bias_out") + (("w1", "w4") if dense else ()):
+            out[f"block{b}.{name}"] = getattr(blk, name)
+        if dense:
             continue
         for i in range(net.config.p):
             out[f"block{b}.w1.sub{i}.d_hat"] = blk.d_hat[i]
@@ -527,6 +540,46 @@ def test_gradient_twin_arrays_match_their_parameters(cfg):
     for path, arr in params.items():
         assert (grads[path].shape, grads[path].dtype) == (arr.shape, arr.dtype), path
         assert np.shares_memory(grads[path], twin.flat), path
+
+
+@pytest.mark.parametrize("cfg", BUFFER_CONFIGS, ids=_cfg_id)
+def test_submatrix_rows_are_their_slots_in_layout_order(cfg):
+    # row i of a structured block's w1 (w4) is the concatenation of the
+    # block{b}.w1.sub{i}.* (w4) slots, in layout order; a dense block's w1
+    # and w4 are one slot each
+    net = build_network(cfg)
+    entries = {path: arr for path, arr, _ in net.param_entries()}
+    for b, blk in enumerate(net.blocks):
+        for side in ("w1", "w4"):
+            rows = getattr(blk, side)
+            assert np.shares_memory(rows, net.flat)
+            if cfg.kind == KIND_DENSE:
+                assert np.array_equal(rows, entries[f"block{b}.{side}"])
+                continue
+            assert rows.shape[0] == cfg.p
+            for i in range(cfg.p):
+                prefix = f"block{b}.{side}.sub{i}."
+                parts = [arr.ravel() for path, arr in entries.items() if path.startswith(prefix)]
+                assert np.array_equal(rows[i], np.concatenate(parts)), prefix
+
+
+@pytest.mark.parametrize("cfg", BUFFER_CONFIGS, ids=_cfg_id)
+def test_network_of_a_config_is_the_zero_network(cfg):
+    net = Network(cfg)
+    assert net.layout == build_network(cfg).layout
+    assert net.flat.shape == (expected_param_count(cfg),) and not net.flat.any()
+
+
+@pytest.mark.parametrize("extra", [-2, 2])
+def test_network_refuses_a_count_its_layout_does_not_fill(monkeypatch, extra):
+    import dvmbeam.network as network
+
+    cfg = NetworkConfig(n=4, p=2)
+    count = expected_param_count(cfg)
+    monkeypatch.setattr(network, "expected_param_count", lambda c: count + extra)
+    # too short a vector cannot hold the last slot; too long a one ends past it
+    with pytest.raises(TypeError if extra < 0 else RuntimeError):
+        Network(cfg)
 
 
 def test_get_flat_is_a_copy():
@@ -646,10 +699,10 @@ def test_load_checks_header_before_building(tmp_path, monkeypatch, offset, value
     bad = tmp_path / "bad.stnn"
     bad.write_bytes(_rewrite_header(good.read_bytes(), offset, "<I", value))
 
-    def refuse(cfg, rng):
+    def refuse(cfg):
         raise AssertionError(f"built a network from an unchecked header: {cfg}")
 
-    monkeypatch.setattr(network, "_build", refuse)
+    monkeypatch.setattr(network, "Network", refuse)
     with pytest.raises(ValueError, match="does not match"):
         load_network(str(bad))
 

@@ -370,6 +370,15 @@ def test_split_seed_determinism():
     assert not np.array_equal(a1.x, b.x)
 
 
+def test_split_of_an_empty_set_is_two_empty_sets():
+    ds = make_dataset(4, 24e9, [], 10, 0.1, seed=0)
+    assert ds.n_samples == 0
+    for part in split_dataset(ds, 0.8, seed=0):
+        assert part.n_samples == 0
+        assert part.x.shape == ds.x.shape and part.y.shape == ds.y.shape
+        assert (part.n, part.freq) == (ds.n, ds.freq)
+
+
 def test_split_fraction_validation():
     ds = small_ds()
     for bad in (0.0, 1.0, -0.2, 1.7):
