@@ -9,8 +9,9 @@ Subcommands
              exact initialization, gradients)
   bench      emit the weight/FLOP reduction tables (CSV + JSON)
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error,
-4 numeric divergence, 5 shape mismatch.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error
+(also when stdout closes before the output is written), 4 numeric
+divergence, 5 shape mismatch.
 
 A config file of `key = value` lines (# comments allowed) can seed any
 subcommand's flags via --config; explicit flags win.  --threads N pins the
@@ -502,7 +503,21 @@ def main(argv=None):
     except SystemExit as e:
         # argparse exits 2 on usage errors; keep its code for --help (0) too
         return int(e.code) if e.code else EXIT_OK
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout has gone (`dvmbeam eval ... | head -1`): point
+        # fd 1 at the null device, so that the interpreter's last flush of
+        # the unwritten output is silent too
+        try:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        except (OSError, ValueError):  # an in-memory stdout has no fd
+            pass
+        return EXIT_IO
+    return code
 
 
 if __name__ == "__main__":

@@ -393,21 +393,22 @@ class FactorChain:
         result, a new array.  A vector runs that kernel inline here, each
         gufunc called on the 1-D pad (its only axis is the core axis) with a
         positional out.  A batch runs it in _bluestein, with a column-ordered
-        pad buffer (filled through row tiles from a row-ordered batch) and a
-        Fortran-order result.  The DFTs call numpy's pocketfft gufuncs
-        directly with the chain's fixed factor; their bytes are those of the
-        Dft factors, which run on public numpy.fft.  A counted call tallies
-        the factors' closed-form totals per column, once, on the calling
-        thread.
+        pad buffer and a Fortran-order result, both allocated here; a
+        row-ordered batch fills the pad buffer through row tiles whose
+        scratch is the result's leading entries.  The DFTs call numpy's
+        pocketfft gufuncs directly with the chain's fixed factor; their bytes
+        are those of the Dft factors, which run on public numpy.fft.  A
+        counted call tallies the factors' closed-form totals per column,
+        once, on the calling thread.
 
         Every column is its own transform, so a batch whose pad buffer has
-        at least _SPLIT_MIN_ROWS rows and _SPLIT_MIN_ENTRIES entries runs as
-        k column blocks, counted or not: k is at most one per usable CPU and
-        per column, and at most _SPLIT_MAX_BLOCKS.  The calling thread
-        allocates the pad buffer and the result and runs one block; k - 1
+        at least _SPLIT_MIN_ENTRIES entries runs as k column blocks, counted
+        or not: k is at most one per usable CPU and per column, and at most
+        _SPLIT_MAX_BLOCKS.  The calling thread runs one block; k - 1
         short-lived threads run the others (the pocketfft gufuncs and
         np.multiply release the interpreter lock).  The output is
-        bit-identical.
+        bit-identical, and a split apply allocates what a serial one does:
+        the pad buffer and the result, 3 N.B.16 bytes.
         """
         x = np.asarray(x, dtype=np.complex128)
         n, fs = self.n, self.factors
@@ -426,31 +427,37 @@ class FactorChain:
             np.multiply(pad, fs[3].values, pad)
             _pocketfft.ifft(pad, self.scale, pad)
             return np.multiply(head, fs[6].values)
-        kernel_args = fs[0].values, fs[3].values, fs[6].values, self.scale
         m, b = self.m, x.shape[1]
         pad = np.empty((m, b), np.complex128, order="F")
-        k = 1
-        if b >= 2 and m >= _SPLIT_MIN_ROWS and m * b >= _SPLIT_MIN_ENTRIES:
-            k = min(_usable_cpus(), _SPLIT_MAX_BLOCKS, b)
-        if k == 1:
-            # the last product allocates the result once the tile scratch is
-            # gone; allocated up front, applies at N=256, B=64 and N=64,
-            # B=3000 read 1.7-1.8x in process
-            return _bluestein(*kernel_args, x, pad)
         out = np.empty((n, b), np.complex128, order="F")
-        _in_column_blocks(k, functools.partial(_bluestein, *kernel_args), x, pad, out)
+        args = fs[0].values, fs[3].values, fs[6].values, self.scale
+        k = min(_usable_cpus(), _SPLIT_MAX_BLOCKS, b) if m * b >= _SPLIT_MIN_ENTRIES else 1
+        if k == 1:
+            _bluestein(*args, x, pad, out)
+        else:
+            _in_column_blocks(k, functools.partial(_bluestein, *args), x, pad, out)
         return out
 
     def dense(self) -> np.ndarray:
         return self.apply(np.eye(self.n, dtype=np.complex128))
 
 
-def _bluestein(d_in, d_mid, d_out, scale, x, pad, out=None):
-    """The chain on x, a batch or one column block of a batch: d_in . x into
-    the leading rows of pad (its tail rows zeroed here), the normalized DFT,
-    the d_mid product and the conjugate normalized DFT in place in pad, and
-    d_out times its leading rows into out (a new array when out is None),
-    which is returned.
+def _bluestein(d_in, d_mid, d_out, scale, x, pad, out):
+    """The chain on x, a batch or one column block of a batch, in
+    _bluestein_steps; above _BUFSIZE_FROM pad entries its products run under
+    _BUFSIZE-entry ufunc buffers, which move data, not arithmetic."""
+    if pad.size <= _BUFSIZE_FROM:
+        _bluestein_steps(d_in, d_mid, d_out, scale, x, pad, out)
+        return
+    with np.errstate():  # restores the caller's buffer size on exit
+        np.setbufsize(_BUFSIZE)
+        _bluestein_steps(d_in, d_mid, d_out, scale, x, pad, out)
+
+
+def _bluestein_steps(d_in, d_mid, d_out, scale, x, pad, out):
+    """d_in . x into the leading rows of pad (its tail rows zeroed here), the
+    normalized DFT, the d_mid product and the conjugate normalized DFT in
+    place in pad, and d_out times its leading rows into out.
 
     The two DFTs call pocketfft's gufuncs directly along axis 0 with scale,
     numpy's orthonormal factor, so their bytes are those of numpy.fft.fft and
@@ -460,22 +467,50 @@ def _bluestein(d_in, d_mid, d_out, scale, x, pad, out=None):
     head = pad[:n]
     pad[n:] = 0
     if x.strides[0] > x.strides[1]:  # row-ordered
-        _multiply_by_row_tiles(x, d_in, head)
+        _multiply_by_row_tiles(x, d_in, head, out)
     else:
         np.multiply(x, d_in[:, None], out=head)
-    d_mid, d_out = d_mid[:, None], d_out[:, None]
     _pocketfft.fft(pad, scale, axes=_AXIS_0, out=pad)
-    np.multiply(pad, d_mid, out=pad)
+    np.multiply(pad, d_mid[:, None], out=pad)
     _pocketfft.ifft(pad, scale, axes=_AXIS_0, out=pad)
-    return np.multiply(head, d_out, out=out)
+    np.multiply(head, d_out[:, None], out=out)
+
+
+# numpy's buffered iterator (2.4.6 here) grows a ufunc's inner loop past one
+# column by copying every operand that does not stride evenly across columns
+# (a broadcast diagonal, a column block, the pad buffer's leading rows) into
+# buffers of np.getbufsize() entries: 8,192 by default, two or three 128 KB
+# buffers per product, which also put 0.25 N.B.16 bytes per column block
+# above the pad buffer and the result at N=1024, B=64.  Each product alone,
+# one thread, with _BUFSIZE-entry buffers over the default (medians of 5
+# best-of-3 runs, 2-CPU x86 VM):
+#
+#    shape            first (one tile)    middle   last
+#    N=16,   B=64          1.03            0.94     0.99
+#    N=16,   B=900         0.50            0.80     0.91
+#    N=16,   B=3000        0.52            0.90     0.87
+#    N=64,   B=3000        0.72            0.89     0.72
+#    N=256,  B=64          0.92            0.71     0.46
+#    N=1024, B=64          0.93            0.61     0.53
+#    N=4096, B=64          0.95            0.99     1.01
+#
+# 16-entry buffers (no growth past one column) read up to 2.1 on the middle
+# and last products at N=16, where a column is 16 or 32 entries.  A pad
+# buffer of at most _BUFSIZE_FROM entries (numpy's default buffer) keeps the
+# default: there the switch, 2.5-4 us of errstate and setbufsize, gains
+# nothing (whole applies 1.04-1.08 at N=16, B=64 to 128).
+_BUFSIZE = 512
+_BUFSIZE_FROM = 8192
 
 
 # Row tiles of the first product from a row-ordered batch into the
 # column-ordered pad buffer: each tile is a contiguous np.multiply into a
 # scratch of about _TILE_ENTRIES entries and at least _TILE_MIN_ROWS rows,
-# then one cache-resident transposing copy.  Against a product into a fresh
-# array and a copy, the first diagonal and pad alone, one thread, medians of
-# 9 best-of runs, 2-CPU x86 VM (affinity {0, 1}) with other load:
+# then one cache-resident transposing copy.  The scratch is the leading
+# entries of the result's columns, which the last product overwrites, so
+# the tiles allocate nothing.  Against a product into a fresh array and a
+# copy, the first diagonal and pad alone, one thread, medians of 9 best-of
+# runs, 2-CPU x86 VM (affinity {0, 1}) with other load:
 #
 #    shape            two passes   2**14 entries, 64 rows   other tilings
 #    N=4096, B=64       4.3-4.6 ms   0.47-0.61   2**13 0.50-0.65, 2**15 0.49-0.58, 2**16 0.62
@@ -495,43 +530,51 @@ _TILE_ENTRIES = 1 << 14
 _TILE_MIN_ROWS = 64
 
 
-def _multiply_by_row_tiles(x, v, out):
+def _multiply_by_row_tiles(x, v, out, spare):
+    """v . x into out through row tiles, with spare (an F-contiguous array
+    of x's shape) as the scratch."""
     n, b = x.shape
     rows = min(n, max(_TILE_MIN_ROWS, _TILE_ENTRIES // max(b, 1)))
-    scratch = np.empty((rows, b), out.dtype)
+    scratch = spare.T.reshape(-1)[: rows * b].reshape(rows, b)
     for r in range(0, n, rows):
         tile = scratch[: n - r]
         np.multiply(x[r : r + rows], v[r : r + rows, None], out=tile)
         out[r : r + rows] = tile
 
 
-# When a batch is split across threads: its (2N, B) pad buffer must have
-# at least _SPLIT_MIN_ROWS rows (N >= 1024) and _SPLIT_MIN_ENTRIES entries,
-# and it splits into min(usable CPUs, _SPLIT_MAX_BLOCKS, B) column blocks.
-# A thread start plus join costs 45-115 us (best of 300, six runs).  Whole
-# chain split (k=2) over serial time, medians of 8 alternating best-of runs
-# in one process, 2-CPU x86 VM (affinity {0, 1}) with other load:
+# When a batch is split across threads: its (2N, B) pad buffer must have at
+# least _SPLIT_MIN_ENTRIES entries, whatever N, and it splits into
+# min(usable CPUs, _SPLIT_MAX_BLOCKS, B) column blocks.  A thread start plus
+# join costs 45-115 us (best of 300, six runs).  Whole chain split (k=2) over
+# serial time, both with this kernel, row-ordered input, in one process:
+# the median over six runs of the ratio of medians of 8-12 alternating 20 ms
+# burst medians, 2-CPU x86 VM (affinity {0, 1}) with other load:
 #
-#    shape             entries    split / serial
-#    N=256,  B=64       32,768    1.36
-#    N=16,   B=3000     96,000    0.76
-#    N=64,   B=3000    384,000    0.66
-#    N=1024, B=64      131,072    0.76
-#    N=1024, B=128     262,144    0.74
-#    N=2048, B=32/64   131,072 / 262,144    0.75 / 0.67
-#    N=4096, B=8/16    65,536 / 131,072     0.89 / 0.70
-#    N=4096, B=32/64   262,144 / 524,288    0.79 / 0.55
+#    pad entries   32,768   65,536   98,304   131,072   196,608   262,144
+#    N=16           1.48     0.84     0.74 *    0.67      0.62      0.71
+#    N=64           1.59     0.97     0.74      0.73      0.68      0.61
+#    N=256          1.30     0.85     0.77      0.69      0.66      0.68
+#    N=512          1.16     0.81     0.71      0.65      0.61      0.61
+#    N=1024         1.18     0.78     0.76      0.68      0.66      0.63
+#    N=2048         1.20     0.83     0.75      0.70      0.67      0.61
+#    N=4096         1.22     0.80     0.70      0.69      0.64      0.62
 #
-# The rule was set when only the DFTs and the middle diagonal split: then
-# below 2048 rows a gain was small, unsteady or lost in the rest of a
-# dataset build (N=1024, B=64 left benchmarks/run.py mid_op_ms level, and
-# n=16 or 64 at B=3000 read 0.91-1.18 in make_dataset), so those stay
-# serial until measured end to end again.  k above 2 has not been measured
-# (the machine above has two CPUs), so no apply uses more blocks.  Two
-# blocks forced onto one CPU read 1.14 at N=4096, B=64 and 1.16-1.24 at
-# 262,144 entries, so _usable_cpus also reads the process's CPU quota.
-_SPLIT_MIN_ROWS = 2048
-_SPLIT_MIN_ENTRIES = 1 << 18
+# (* 96,000 entries: N=16, B=3000.)  N=4096, B=64 (524,288) reads 0.56.
+# From 2**17 entries every shape reads at most 0.73, so no row floor is
+# needed: N=16 at B=4096 to 8192 gains like N=4096.  Single runs under load
+# read up to 0.98 there (N=64, B=1024 or 1536) and, in one run, 1.42 and
+# 1.31 at N=256, B=384 and 512 (0.55-0.95 in the other five).  Below 2**17
+# the split still gains in process at 98,304 entries, but it stays serial:
+# the 3000-sample n=16 dataset build (96,000 entries) read make_dataset 0.98
+# and verify_targets 0.91 of serial end to end, where n=32 and 64 read
+# 0.98 / 0.77 and 0.93 / 0.75 (15 alternating rounds each), and every n=16
+# set of the benchmark's workloads stays on one thread.  At 65,536 entries
+# the gain is small and unsteady (single runs 0.72-1.25), and at 32,768 the
+# split loses.  k above 2 has not been measured (the machine
+# above has two CPUs), so no apply uses more blocks.  Two blocks forced onto
+# one CPU read 1.14 at N=4096, B=64 and 1.16-1.24 at 262,144 entries, so
+# _usable_cpus also reads the process's CPU quota.
+_SPLIT_MIN_ENTRIES = 1 << 17
 _SPLIT_MAX_BLOCKS = 2
 
 # The process's cgroup v2 path is the "0::" line of _PROC_CGROUP; its
@@ -602,9 +645,9 @@ def fast_dvm_apply(chain: FactorChain, x, counter: OpCounter | None = None) -> n
     order (axis 0 contiguous).  FactorChain.apply says how the fixed kernel
     runs: inline for a vector, with no per-call work beyond the transform's
     own numpy calls and shape checks, and in _bluestein for a batch, which
-    (N >= 1024 and 2**18 pad entries, counted or not) may run as column
-    blocks on two threads, bit-identical to the serial apply with no thread
-    outliving the call.  The two DFTs call numpy's pocketfft gufuncs
+    from 2**17 pad entries (counted or not) may run as column blocks on two
+    threads, bit-identical to the serial apply in the same memory, with no
+    thread outliving the call.  The two DFTs call numpy's pocketfft gufuncs
     directly: numpy.fft's bytes without its per-call wrappers, which took
     about half of a single N=16 snapshot's apply.  A counted call tallies
     the chain's operations for one column, whatever the batch.

@@ -411,6 +411,29 @@ def test_eval_rejects_a_real_parameter_mode_model(exact_model, data4_clean, work
     assert res.stdout == ""
 
 
+def test_eval_into_a_closed_pipe_exits_with_the_io_code(exact_model, data4_clean):
+    # the read end of stdout closes before the child writes anything, as when
+    # `dvmbeam eval ... | head -1` has its line: the first write fails with
+    # EPIPE, which must end in EXIT_IO, not a traceback or an exit-time
+    # "Exception ignored" from the interpreter's last flush
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    for buffered in (True, False):
+        env = dict(os.environ, PYTHONPATH=path)
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        child = subprocess.Popen(
+            [sys.executable, "-m", "dvmbeam", "eval", "--model", str(exact_model),
+             "--data", str(data4_clean)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        child.stderr.close()
+        assert child.wait() == EXIT_IO, err
+        assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
 @pytest.mark.parametrize("offset,what", [(26, "tie-scaling"), (27, "share-siblings")])
 def test_eval_corrupt_model_flag_byte(exact_model, data4_clean, work, capsys, offset, what):
     data = bytearray(exact_model.read_bytes())

@@ -353,7 +353,6 @@ def spy_threads(monkeypatch, cpus, force=True):
     monkeypatch.setattr(dvm.threading, "Thread", Spy)
     monkeypatch.setattr(dvm, "_usable_cpus", lambda: cpus)
     if force:
-        monkeypatch.setattr(dvm, "_SPLIT_MIN_ROWS", 1)
         monkeypatch.setattr(dvm, "_SPLIT_MIN_ENTRIES", 1)
         monkeypatch.setattr(dvm, "_SPLIT_MAX_BLOCKS", cpus)
     return started
@@ -404,8 +403,8 @@ def test_chain_apply_returns_a_compact_array(monkeypatch):
 def test_chain_apply_memory_budget(monkeypatch):
     # only the (2N, B) pad buffer has 2N rows: the first diagonal writes
     # into it through row tiles, and the DFTs and the middle diagonal run in
-    # it, also when the chain's column blocks run on two threads (N=4096
-    # splits at batch 64, N=1024 does not)
+    # it, also when the chain's column blocks run on two threads (N=1024 and
+    # N=4096 both split at batch 64)
     b = 64
     rng = np.random.default_rng(26)
     for n in (1024, 4096):
@@ -421,7 +420,7 @@ def test_chain_apply_memory_budget(monkeypatch):
             finally:
                 tracemalloc.stop()
             assert peak <= 3.5 * n * b * 16, (n, cpus, peak / (n * b * 16))
-            assert len(started) == (2 * (cpus - 1) if n == 4096 else 0)
+            assert len(started) == 2 * (cpus - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +505,7 @@ def spy_kernel(monkeypatch):
     calls = []
     kernel = dvm._bluestein
 
-    def spy(d_in, d_mid, d_out, scale, x, pad, out=None):
+    def spy(d_in, d_mid, d_out, scale, x, pad, out):
         calls.append((threading.current_thread(), pad.shape[1]))
         return kernel(d_in, d_mid, d_out, scale, x, pad, out)
 
@@ -515,18 +514,26 @@ def spy_kernel(monkeypatch):
 
 
 # every N with every width but N=4096, B=1001, whose buffers take about 400 MB;
-# B=63 and B=1001 leave a partial last row tile in the first diagonal
+# B=63 and B=1001 leave a partial last row tile in the first diagonal; and
+# the 3000-sample n=64 dataset build and the narrowest n=16 batch that the
+# rule splits
 @pytest.mark.parametrize("n, b", [(n, b) for n in (16, 256, 1024, 4096)
-                                  for b in (2, 3, 63, 64, 1001) if n * b <= 1 << 20])
+                                  for b in (2, 3, 63, 64, 1001) if n * b <= 1 << 20]
+                         + [(64, 3000), (16, 4096)])
 def test_split_apply_equals_serial_bytes(monkeypatch, n, b):
     rng = np.random.default_rng(n + b)
     chain = build_bluestein_chain(DvmSpec(n, random_unit(rng)))
     x = rng.normal(size=(n, b)) + 1j * rng.normal(size=(n, b))
-    on_one_cpu = spy_threads(monkeypatch, 1)  # the reference runs serial
+    on_one_cpu = spy_threads(monkeypatch, 1, force=False)  # the reference runs serial
     serial = fast_dvm_apply(chain, x)
     assert on_one_cpu == []
     # and is the public numpy.fft composition's bytes, so the split is too
     assert serial.tobytes(order="A") == np.asfortranarray(composed_apply(chain, x)).tobytes(order="A")
+    # the rule itself on two CPUs: two blocks from 2**17 pad entries
+    by_rule = spy_threads(monkeypatch, 2, force=False)
+    for order_x in (np.ascontiguousarray(x), np.asfortranarray(x)):
+        assert fast_dvm_apply(chain, order_x).tobytes(order="A") == serial.tobytes(order="A")
+    assert len(by_rule) == (2 if 2 * n * b >= 1 << 17 else 0)
     calls = spy_kernel(monkeypatch)
     for k in (2, 3):
         started = spy_threads(monkeypatch, k)
@@ -575,17 +582,47 @@ def test_zero_and_one_column_batches(monkeypatch, n, b, order):
     assert started == []
 
 
-# (N, B, worker threads) on a machine with 8 usable CPUs
+# (N, B, worker threads) on a machine with 8 usable CPUs; B None is a vector
 @pytest.mark.parametrize("n, b, workers", [
-    (16, 3000, 0), (64, 3000, 0), (1024, 64, 0), (4096, 16, 0), (4096, 1, 0),
+    (16, 3000, 0), (64, 3000, 1), (1024, 64, 1), (4096, 16, 1), (4096, 1, 0),
     (1024, 128, 1), (2048, 64, 1), (4096, 32, 1), (4096, 64, 1),
+    # either side of 2**17 pad entries
+    (16, 4095, 0), (16, 4096, 1), (64, 1023, 0), (64, 1024, 1),
+    (1024, 63, 0), (2048, 31, 0), (2048, 32, 1), (4096, 15, 0),
+    # serial shapes of the benchmark's workloads and the CLI: the n=16 sets
+    # of 900 and 3000 samples, and snapshots one at a time
+    (16, 900, 0), (16, 64, 0), (1 << 16, None, 0),
 ])
 def test_split_needs_long_columns_and_a_large_buffer(monkeypatch, n, b, workers):
-    # 2N >= 2048 rows and 2**18 entries; never more than two blocks
+    # 2**17 pad entries, whatever N; never more than two blocks
     started = spy_threads(monkeypatch, 8, force=False)
-    x = np.ones((n, b), dtype=complex)
+    x = np.ones((n,) if b is None else (n, b), dtype=complex)
     fast_dvm_apply(build_bluestein_chain(DvmSpec(n, 1j)), x)
     assert len(started) == workers
+
+
+# the narrowest split batch at N=16, N=64 and N=256, and the split benchmark
+# shape N=1024, B=64: each a pad buffer of 2**17 to 2**18 entries
+@pytest.mark.parametrize("n, b", [(16, 4096), (64, 3000), (256, 256), (1024, 64)])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_split_apply_allocates_no_more_than_the_serial_one(monkeypatch, n, b, order):
+    # the pad buffer and the result, 3 n.B.16 bytes, and nothing per block:
+    # the first diagonal's row tiles use the result's own columns as their
+    # scratch, and the products' ufunc buffers are _BUFSIZE entries
+    rng = np.random.default_rng(n + b)
+    chain = build_bluestein_chain(DvmSpec(n, random_unit(rng)))
+    x = np.array(rng.normal(size=(n, b)) + 1j * rng.normal(size=(n, b)), order=order)
+    for cpus in (1, 2):
+        started = spy_threads(monkeypatch, cpus, force=False)
+        fast_dvm_apply(chain, x)
+        tracemalloc.start()
+        try:
+            fast_dvm_apply(chain, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.1 * n * b * 16, (cpus, peak / (n * b * 16))
+        assert len(started) == 2 * (cpus - 1)
 
 
 def test_split_apply_leaves_no_thread_and_keeps_its_input(monkeypatch):
@@ -848,7 +885,7 @@ def test_diagonal_into_a_fortran_buffer_equals_the_plain_product(n, b):
     x = rng.normal(size=(n, b)) + 1j * rng.normal(size=(n, b))
     buf = np.full((2 * n, b), np.nan, dtype=complex, order="F")
     out = buf[:n]
-    dvm._multiply_by_row_tiles(x, d.values, out)
+    dvm._multiply_by_row_tiles(x, d.values, out, np.empty((n, b), complex, order="F"))
     assert out.tobytes(order="F") == d.apply(x).tobytes(order="F")
     assert np.isnan(buf[n:]).all()
 
