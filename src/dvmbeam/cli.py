@@ -466,19 +466,23 @@ def _build_parser():
     return top, subparsers
 
 
-def _apply_config_defaults(subparsers, file_vals):
-    for sp in subparsers.values():
-        defaults = {}
-        for act in sp._actions:
-            if act.dest in file_vals:
-                raw = file_vals[act.dest]
-                if act.type is not None:
-                    defaults[act.dest] = act.type(raw)
-                elif isinstance(act.default, bool) or act.const is True:
-                    defaults[act.dest] = raw.lower() in ("1", "true", "yes")
-                else:
-                    defaults[act.dest] = raw
-        sp.set_defaults(**defaults)
+def _apply_config_defaults(sp, file_vals):
+    """Set the file's values as the defaults of subparser sp.  argparse
+    checks choices only on the command line, so a file value is checked
+    here."""
+    defaults = {}
+    for act in sp._actions:
+        if act.dest in file_vals:
+            raw = file_vals[act.dest]
+            if act.type is not None:
+                defaults[act.dest] = act.type(raw)
+            elif isinstance(act.default, bool) or act.const is True:
+                defaults[act.dest] = raw.lower() in ("1", "true", "yes")
+            else:
+                defaults[act.dest] = raw
+            if act.choices is not None and defaults[act.dest] not in act.choices:
+                raise ValueError(f"{act.dest} {raw!r} is not one of {', '.join(act.choices)}")
+    sp.set_defaults(**defaults)
 
 
 def main(argv=None):
@@ -493,7 +497,7 @@ def main(argv=None):
     if probe.config:
         try:
             file_vals = _read_config_file(probe.config)
-            _apply_config_defaults(subparsers, file_vals)
+            _apply_config_defaults(subparsers[probe.subcommand], file_vals)
         except OSError as e:
             return _fail(EXIT_IO, f"cannot read config file: {e}")
         except (ValueError, argparse.ArgumentTypeError) as e:

@@ -90,7 +90,6 @@ def flops_counted_structured(
 ) -> dict:
     """Layer-walked operation count for the structured kind under the
     module convention."""
-    _check_n(n)
     cfg = NetworkConfig(n=n, p=p, depth=depth, l_layers=l_layers)
     m, h = cfg.m, cfg.hidden
     lam = cfg.resolved_depth
@@ -116,7 +115,6 @@ def flops_counted_structured(
 
 def flops_counted_dense(n: int, l_layers: int = 5, p: int = 1) -> dict:
     """Layer-walked operation count for the fully connected baseline."""
-    _check_n(n)
     cfg = NetworkConfig(n=n, p=p, l_layers=l_layers, kind=KIND_DENSE)
     h = cfg.hidden
     by_layer = {
@@ -196,8 +194,7 @@ def reduction_report(
         "rows": rows,
         "conventions": dict(CONVENTIONS),
         "settings": {
-            # the scaling diagonal is always tied; the key keeps reports stable
-            "l_layers": l_layers, "p": p, "tie_scaling": True,
+            "l_layers": l_layers, "p": p,
             "note": (
                 "formula and counted accountings intentionally differ by a "
                 "few percent; both are reported, neither is adjusted"

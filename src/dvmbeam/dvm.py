@@ -583,11 +583,13 @@ _PROC_CGROUP = "/proc/self/cgroup"
 _CGROUP_ROOT = "/sys/fs/cgroup"
 
 
+@functools.cache
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity set (where the OS has one)
     cut to the whole CPUs of its cgroup v2 quota, at least one.  No quota
     ("max"), no cgroup v2 or a cpu.max that cannot be read or parsed leaves
-    the affinity count."""
+    the affinity count.  Read once per process: a later change to the
+    affinity set or the quota is not seen until the process restarts."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:

@@ -98,10 +98,6 @@ def leaky_relu(x, slope: float, out=None) -> np.ndarray:
     return (np.maximum if slope <= 1 else np.minimum)(x, slope * x, out=out)
 
 
-# to_dict keys with one possible value: complex parameters, the built structure
-_FIXED_KEYS = {"param_mode": "complex", "tie_scaling": True, "share_siblings": True}
-
-
 @dataclass(frozen=True)
 class NetworkConfig:
     """Shape and behavior of one network.
@@ -184,29 +180,7 @@ class NetworkConfig:
             "activation_slope": self.activation_slope,
             "delay_alpha": [self.delay_alpha.real, self.delay_alpha.imag],
             "seed": self.seed,
-            # fixed values, kept because report digests hash these keys
-            **_FIXED_KEYS,
         }
-
-    @staticmethod
-    def from_dict(d: dict) -> "NetworkConfig":
-        for key, fixed in _FIXED_KEYS.items():
-            value = d.get(key, fixed)
-            if type(value) is not type(fixed) or value != fixed:
-                raise ValueError(f"unsupported {key} {value!r}: only {fixed!r} is built")
-        da = d.get("delay_alpha", [1.0, 0.0])
-        # the counts go through as stored, so the constructor refuses a
-        # fractional one instead of truncating it
-        return NetworkConfig(
-            n=d["n"],
-            p=d.get("p", 1),
-            depth=d.get("depth"),
-            l_layers=d.get("l_layers", 5),
-            kind=d.get("kind", KIND_STRUCTURED),
-            activation_slope=float(d.get("activation_slope", 0.2)),
-            delay_alpha=complex(da[0], da[1]),
-            seed=d.get("seed", 0),
-        )
 
 
 @dataclass
@@ -620,8 +594,6 @@ def init_from_dvm(net: Network, alpha: complex) -> Network:
     cfg = net.config
     if cfg.kind != KIND_STRUCTURED:
         raise ValueError("exact initialization applies to the structured kind")
-    if not abs(abs(alpha) - 1.0) <= UNIT_TOL:
-        raise ValueError("alpha must be unit modulus")
     chirp = build_bluestein_chain(DvmSpec(cfg.n, alpha)).factors
     exact_f = build_recursive_dft_chain(cfg.m, cfg.resolved_depth, normalized=True)
     exact_fs = build_recursive_dft_chain(cfg.m, cfg.resolved_depth, inverse=True, normalized=True)

@@ -178,10 +178,6 @@ _LM_FACTOR = 10.0
 _LM_RETRIES = 8
 _LM_PARAM_LIMIT = 5000
 
-# to_dict keys with one possible value: batches are always shuffled and the
-# LM settings are fixed; kept because report digests hash these keys
-_FIXED_KEYS = {"shuffle": True, "lm_mu": _LM_MU, "lm_factor": _LM_FACTOR, "lm_retries": _LM_RETRIES}
-
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -210,17 +206,7 @@ class OptimizerConfig:
             raise ValueError(f"target_mse must be finite and >= 0, got {self.target_mse!r}")
 
     def to_dict(self) -> dict:
-        return {**asdict(self), **_FIXED_KEYS}
-
-    @staticmethod
-    def from_dict(d: dict) -> "OptimizerConfig":
-        for key, fixed in _FIXED_KEYS.items():
-            value = d.get(key, fixed)
-            if type(value) is not type(fixed) or value != fixed:
-                raise ValueError(f"unsupported {key} {value!r}: only {fixed!r} is used")
-        return OptimizerConfig(**{
-            k: d[k] for k in OptimizerConfig.__dataclass_fields__ if k in d
-        })
+        return asdict(self)
 
 
 class _AdamState:

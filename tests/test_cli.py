@@ -661,6 +661,34 @@ def test_config_file_errors(work, capsys):
     assert main(["--config", str(work / "nope.conf"), "bench"]) == EXIT_IO
 
 
+def test_config_file_format_outside_its_choices_is_a_usage_error(work, capsys):
+    # argparse checks choices on the command line only; a file value used to
+    # write the binary format and exit 0
+    cfg = work / "xml.conf"
+    cfg.write_text("format = xml\n")
+    out = work / "xml.bin"
+    assert main(["--config", str(cfg), "gen-data", "--n", "4", "--freq-ghz", "24",
+                 "--samples-per-angle", "2", "--out", str(out)]) == EXIT_USAGE
+    assert "config file: format 'xml' is not one of binary, csv" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_file_model_outside_its_choices_is_a_usage_error(data8, work, capsys):
+    # a file model = foo used to fit the fully connected kind and report "foo"
+    cfg = work / "foo.conf"
+    cfg.write_text("model = foo\n")
+    report = work / "foo_report.json"
+    assert main(["--config", str(cfg), "train", "--data", str(data8), "--epochs", "1",
+                 "--out-report", str(report)]) == EXIT_USAGE
+    assert "config file: model 'foo' is not one of stnn, ffnn" in capsys.readouterr().err
+    assert not report.exists()
+    # the key is checked against the subcommand run: eval's --model is a path
+    model = work / "foo_model.stnn"
+    save_network(build_network(NetworkConfig(n=8)), str(model))
+    cfg.write_text(f"model = {model}\n")
+    assert main(["--config", str(cfg), "eval", "--data", str(data8)]) == EXIT_OK
+
+
 def test_config_file_types_reach_each_subcommand(work, monkeypatch):
     # config layering walks argparse's private `_actions`; this pins that
     # every kind of option it converts still arrives typed in the args

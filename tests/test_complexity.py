@@ -112,6 +112,10 @@ def test_formulas_reject_bad_n():
     for n in (16.0, "16", None, 1):
         with pytest.raises(ValueError, match="power of two"):
             flops_full(n)
+    # the counted walks take the check from the network config they build
+    for fn in (flops_counted_structured, flops_counted_dense):
+        with pytest.raises(ValueError, match="n must be a power of two >= 2, got 6"):
+            fn(6)
     assert flops_full(np.int64(16)) == flops_full(16)
 
 

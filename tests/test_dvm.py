@@ -693,6 +693,9 @@ def fake_cgroup(monkeypatch, tmp_path, cpu_max, cgroup="0::/job/step\n", cpus=8)
     monkeypatch.setattr(dvm, "_PROC_CGROUP", str(proc))
     monkeypatch.setattr(dvm, "_CGROUP_ROOT", str(root))
     monkeypatch.setattr(dvm.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    # the count is cached per process: a cache of the test's own reads the
+    # fake files and leaves the process's cached count alone
+    monkeypatch.setattr(dvm, "_usable_cpus", functools.cache(dvm._usable_cpus.__wrapped__))
 
 
 @pytest.mark.parametrize("cpu_max, cpus", [
@@ -711,6 +714,16 @@ def test_usable_cpus_reads_the_cgroup_quota(monkeypatch, tmp_path, cpu_max, cpus
 def test_usable_cpus_without_a_cgroup_v2_line(monkeypatch, tmp_path):
     # a cgroup v1 process: no "0::" line, so no quota is read
     fake_cgroup(monkeypatch, tmp_path, "50000 100000\n", cgroup="4:cpu:/job/step\n")
+    assert dvm._usable_cpus() == 8
+
+
+def test_usable_cpus_is_read_once(monkeypatch, tmp_path):
+    # a later quota change is not seen until the cache is cleared
+    fake_cgroup(monkeypatch, tmp_path, "50000 100000\n")
+    assert dvm._usable_cpus() == 1
+    (tmp_path / "fs" / "job" / "step" / "cpu.max").write_text("max 100000\n")
+    assert dvm._usable_cpus() == 1
+    dvm._usable_cpus.cache_clear()
     assert dvm._usable_cpus() == 8
 
 

@@ -499,21 +499,13 @@ def test_optimizer_config_validation():
 
 @pytest.mark.parametrize("kwargs", [
     dict(lr=float("nan")), dict(lr=float("inf")), dict(target_mse=float("nan")),
-    dict(target_mse=-1e-3), dict(lm_mu=float("nan")), dict(lm_mu=-1.0),
-    dict(lm_factor=float("nan")), dict(lm_factor=float("inf")), dict(lm_retries=-1),
-    dict(patience=0),
-], ids=["lr_nan", "lr_inf", "target_nan", "target_neg", "mu_nan", "mu_neg",
-        "factor_nan", "factor_inf", "retries_neg", "patience_0"])
+    dict(target_mse=-1e-3), dict(patience=0),
+], ids=["lr_nan", "lr_inf", "target_nan", "target_neg", "patience_0"])
 def test_optimizer_config_rejects_nan_and_out_of_range(kwargs):
-    # NaN fails every comparison, so each check is written to fail on it; the
-    # LM settings are fixed, and a report that carries another value for one
-    # of them is refused
+    # NaN fails every comparison, so each check is written to fail on it
     key = next(iter(kwargs))
-    if key in OptimizerConfig.__dataclass_fields__:
-        with pytest.raises(ValueError, match=key):
-            OptimizerConfig(**kwargs)
     with pytest.raises(ValueError, match=key):
-        OptimizerConfig.from_dict({**OptimizerConfig().to_dict(), **kwargs})
+        OptimizerConfig(**kwargs)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -537,47 +529,6 @@ def test_optimizer_config_keeps_the_valid_edges():
     assert (opt.target_mse, opt.patience, opt.epochs) == (0.0, 1, 0)
 
 
-def test_optimizer_config_dict_keeps_the_shuffle_literal():
-    # batches are always shuffled; the key stays because report digests hash it
-    d = OptimizerConfig().to_dict()
-    assert d["shuffle"] is True
-    assert OptimizerConfig.from_dict(d) == OptimizerConfig()
-    for value in (False, 0, 1, "true", None):
-        with pytest.raises(ValueError, match=f"unsupported shuffle {value!r}"):
-            OptimizerConfig.from_dict({**d, "shuffle": value})
-
-
-# the default config's report dict when the LM settings were fields; report
-# digests hash these keys and values, so they must not move
-DEFAULT_OPTIMIZER_DICT = {
-    "name": "adam", "lr": 1e-3, "batch_size": 32, "epochs": 100, "seed": 0,
-    "shuffle": True, "target_mse": None, "patience": None,
-    "lm_mu": 1e-3, "lm_factor": 10.0, "lm_retries": 8,
-}
-
-
-def test_optimizer_config_dict_keeps_the_fixed_lm_keys():
-    d = OptimizerConfig().to_dict()
-    # JSON tells 10 from 10.0 and True from 1, which == does not
-    assert json.dumps(d, sort_keys=True) == json.dumps(DEFAULT_OPTIMIZER_DICT, sort_keys=True)
-    assert OptimizerConfig.from_dict(DEFAULT_OPTIMIZER_DICT) == OptimizerConfig()
-    # a report without the fixed keys still loads
-    bare = {k: v for k, v in DEFAULT_OPTIMIZER_DICT.items() if not k.startswith("lm_")}
-    assert OptimizerConfig.from_dict(bare) == OptimizerConfig()
-
-
-@pytest.mark.parametrize("key,value", [
-    ("lm_mu", 1e-2), ("lm_mu", 0.0), ("lm_mu", "0.001"), ("lm_mu", None),
-    ("lm_factor", 10), ("lm_factor", 2.0), ("lm_retries", 8.0), ("lm_retries", 3),
-    ("lm_retries", True),
-])
-def test_optimizer_config_from_dict_refuses_other_lm_values(key, value):
-    # the LM settings are constants; a report that names another value, or
-    # the same value as another type, was written by a different optimizer
-    with pytest.raises(ValueError, match=f"unsupported {key} {value!r}"):
-        OptimizerConfig.from_dict({**DEFAULT_OPTIMIZER_DICT, key: value})
-
-
 @pytest.mark.parametrize("seed", [-1, 2**63, 1.5, None])
 def test_optimizer_config_seed_must_fit_the_header_field(seed):
     with pytest.raises(ValueError, match="seed must be an integer in 0..2\\*\\*63-1"):
@@ -594,7 +545,7 @@ def test_optimizer_config_has_no_workers():
 def test_optimizer_config_roundtrip():
     opt = OptimizerConfig(name="adam", lr=3e-2, batch_size=16, epochs=7,
                           seed=5, target_mse=1e-4, patience=9)
-    assert OptimizerConfig.from_dict(opt.to_dict()) == opt
+    assert OptimizerConfig(**opt.to_dict()) == opt
 
 
 # ---------------------------------------------------------------------------
@@ -778,6 +729,7 @@ def short_report():
 
 
 def test_report_schema():
+    # the exact keys: a report key cannot come or go without a change here
     d = short_report().to_dict()
     assert sorted(d) == sorted([
         "config", "seed", "param_count", "epochs_run", "steps_run",
@@ -785,6 +737,12 @@ def test_report_schema():
         "final_val_mse", "wall_time_s",
     ])
     assert sorted(d["config"]) == ["network", "optimizer"]
+    assert sorted(d["config"]["network"]) == sorted([
+        "n", "p", "depth", "l_layers", "kind", "activation_slope", "delay_alpha", "seed",
+    ])
+    assert sorted(d["config"]["optimizer"]) == sorted([
+        "name", "lr", "batch_size", "epochs", "seed", "target_mse", "patience",
+    ])
     assert d["config"]["network"]["n"] == 4
     assert d["config"]["optimizer"]["name"] == "adam"
     assert d["param_count"] > 0
