@@ -19,7 +19,9 @@ from dvmbeam.network import (
 )
 from dvmbeam.signals import make_dataset
 from dvmbeam.training import (
+    _LM_FACTOR,
     _LM_MU,
+    _LM_RETRIES,
     OptimizerConfig,
     _AdamState,
     TrainingDiverged,
@@ -527,6 +529,23 @@ def test_optimizer_config_counts_must_be_integers(kwargs):
 def test_optimizer_config_keeps_the_valid_edges():
     opt = OptimizerConfig(target_mse=0.0, patience=1, epochs=0)
     assert (opt.target_mse, opt.patience, opt.epochs) == (0.0, 1, 0)
+
+
+# the default config's report dict; report digests hash these keys and
+# values, so they must not move
+DEFAULT_OPTIMIZER_DICT = {
+    "name": "adam", "lr": 1e-3, "batch_size": 32, "epochs": 100, "seed": 0,
+    "target_mse": None, "patience": None,
+}
+
+
+def test_optimizer_config_dict_keeps_the_fixed_lm_keys():
+    # the LM settings are constants of the optimizer, not report keys
+    d = OptimizerConfig().to_dict()
+    # JSON tells 10 from 10.0 and True from 1, which == does not
+    assert json.dumps(d, sort_keys=True) == json.dumps(DEFAULT_OPTIMIZER_DICT, sort_keys=True)
+    assert OptimizerConfig(**DEFAULT_OPTIMIZER_DICT) == OptimizerConfig()
+    assert json.dumps([_LM_MU, _LM_FACTOR, _LM_RETRIES]) == json.dumps([1e-3, 10.0, 8])
 
 
 @pytest.mark.parametrize("seed", [-1, 2**63, 1.5, None])
