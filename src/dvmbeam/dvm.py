@@ -444,14 +444,9 @@ class FactorChain:
 
 def _bluestein(d_in, d_mid, d_out, scale, x, pad, out):
     """The chain on x, a batch or one column block of a batch, in
-    _bluestein_steps; above _BUFSIZE_FROM pad entries its products run under
-    _BUFSIZE-entry ufunc buffers, which move data, not arithmetic."""
-    if pad.size <= _BUFSIZE_FROM:
-        _bluestein_steps(d_in, d_mid, d_out, scale, x, pad, out)
-        return
-    with np.errstate():  # restores the caller's buffer size on exit
-        np.setbufsize(_BUFSIZE)
-        _bluestein_steps(d_in, d_mid, d_out, scale, x, pad, out)
+    _bluestein_steps, under the ufunc buffers of its pad buffer's size (each
+    thread sets its own: numpy keeps the setting per thread)."""
+    with_ufunc_buffers(pad.size, _bluestein_steps, d_in, d_mid, d_out, scale, x, pad, out)
 
 
 def _bluestein_steps(d_in, d_mid, d_out, scale, x, pad, out):
@@ -478,37 +473,65 @@ def _bluestein_steps(d_in, d_mid, d_out, scale, x, pad, out):
 
 # numpy's buffered iterator (2.4.6 here) grows a ufunc's inner loop past one
 # column by copying every operand that does not stride evenly across columns
-# (a broadcast diagonal, a column block, the pad buffer's leading rows) into
-# buffers of np.getbufsize() entries: 8,192 by default, two or three 128 KB
-# buffers per product, which also put 0.25 N.B.16 bytes per column block
-# above the pad buffer and the result at N=1024, B=64.  Each product alone,
-# one thread, with _BUFSIZE-entry buffers over the default (medians of 5
-# best-of-3 runs, 2-CPU x86 VM):
+# (a broadcast diagonal, a column block, the pad buffer's leading rows, a
+# chain level's halves) into buffers of np.getbufsize() entries: 8,192 by
+# default, two or three 128 KB buffers per product (0.25 N.B.16 bytes per
+# column block above the pad buffer and the result at N=1024, B=64).  Work
+# on more than _BUFSIZE_FROM entries runs under _BUFSIZE-entry buffers
+# instead: the kernel's products (0.46-0.95 per product at N >= 64, B=64 to
+# 3000) and every network.forward pass, keyed on its hidden carrier (p.2n.B
+# complex entries).  At or below _BUFSIZE_FROM (numpy's default buffer) the switch,
+# 2.5-4 us of errstate and setbufsize, gains nothing: whole applies read
+# 1.04-1.08 at N=16, B=64 to 128, and a B=32 training step never pays it.
+# An untraced structured forward (default depth, F-ordered input) with the
+# switch alone, and with it and network._BLOCK_ENTRIES = 2**15 column
+# blocks, over the pass with numpy's default buffers and no blocks (the
+# mean of two runs of medians of 11 alternating bursts in one process,
+# 2-CPU x86 VM, OpenBLAS 0.3.31):
 #
-#    shape            first (one tile)    middle   last
-#    N=16,   B=64          1.03            0.94     0.99
-#    N=16,   B=900         0.50            0.80     0.91
-#    N=16,   B=3000        0.52            0.90     0.87
-#    N=64,   B=3000        0.72            0.89     0.72
-#    N=256,  B=64          0.92            0.71     0.46
-#    N=1024, B=64          0.93            0.61     0.53
-#    N=4096, B=64          0.95            0.99     1.01
+#    n    p     B=300       B=900       B=3000      B=9000
+#    16   1     0.63/0.62   0.71/0.71   0.91/0.57   1.00/0.55
+#    16   2     0.66/0.65   0.70/0.67   0.93/0.47   1.01/0.51
+#    16   4     0.62/0.61   0.79/0.69   0.93/0.59   0.99/0.50
+#    32   1     0.70/0.70   0.72/0.70   0.91/0.63   1.01/0.57
+#    32   2     0.69/0.66   0.80/0.66   0.91/0.67   1.01/0.45
+#    32   4     0.73/0.73   0.81/0.62   0.93/0.49
+#    64   1     0.71/0.72   0.82/0.76   0.91/0.61   1.00/0.44
+#    64   2     0.73/0.71   0.85/0.67   0.93/0.52
+#    64   4     0.83/0.76   0.86/0.70   0.96/0.59
 #
-# 16-entry buffers (no growth past one column) read up to 2.1 on the middle
-# and last products at N=16, where a column is 16 or 32 entries.  A pad
-# buffer of at most _BUFSIZE_FROM entries (numpy's default buffer) keeps the
-# default: there the switch, 2.5-4 us of errstate and setbufsize, gains
-# nothing (whole applies 1.04-1.08 at N=16, B=64 to 128).
+# (B=9000 is left out where a carrier is above 128 rows.)  In one run each,
+# a limit of 3 * 2**14 read within 0.09 of 2**15 at B >= 3000 (0.41-0.62,
+# higher only at n=16, p <= 2, B=9000), and 2**14 read up to 0.93 where its
+# blocks are narrow (n=64, p=1, B=300: two of 150 columns) and 0.84-0.88 at
+# n=32..64, p=2..4, B=3000.  16-entry buffers (no growth past one column)
+# read up to 2.1 on the kernel's middle and last products at N=16, where a
+# column is 16 or 32 entries.
 _BUFSIZE = 512
 _BUFSIZE_FROM = 8192
+
+
+def with_ufunc_buffers(entries, fn, *args):
+    """fn(*args), under _BUFSIZE-entry ufunc buffers when its work spans more
+    than _BUFSIZE_FROM array entries, else as it is.  Buffers move data, not
+    arithmetic: the Bluestein kernel and the network's forward pass give the
+    same bytes either way (their tests check it).  np.errstate restores the
+    caller's buffer size and error state on exit, a raise included (numpy
+    >= 2.0); the setting holds for the calling thread only."""
+    if entries <= _BUFSIZE_FROM:
+        return fn(*args)
+    with np.errstate():
+        np.setbufsize(_BUFSIZE)
+        return fn(*args)
 
 
 # Row tiles of the first product from a row-ordered batch into the
 # column-ordered pad buffer: each tile is a contiguous np.multiply into a
 # scratch of about _TILE_ENTRIES entries and at least _TILE_MIN_ROWS rows,
-# then one cache-resident transposing copy.  The scratch is the leading
-# entries of the result's columns, which the last product overwrites, so
-# the tiles allocate nothing.  Against a product into a fresh array and a
+# then one cache-resident transposing copy.  A wide batch cuts each row tile
+# into round(entries / _TILE_MAX_ENTRIES) equal column tiles.  The scratch
+# is the leading entries of the result's columns, which the last product
+# overwrites, so the tiles allocate nothing.  Against a product into a fresh array and a
 # copy, the first diagonal and pad alone, one thread, medians of 9 best-of
 # runs, 2-CPU x86 VM (affinity {0, 1}) with other load:
 #
@@ -525,21 +548,34 @@ _BUFSIZE_FROM = 8192
 # 1.14-1.94 against the two passes there.  A batch that fits in one tile
 # goes through the scratch too: whole applies read 0.88-0.94 of those with
 # a direct product at N=64..256 (B=64..3000) and 0.98-1.03 at N=16 (B=64 or
-# 900), medians of 60 alternating bursts, same machine.
+# 900), medians of 60 alternating bursts, same machine.  Column tiles, the
+# first product alone against whole-width row tiles (medians of 15
+# alternating best-of-8 runs, same machine): 0.61 at N=64, B=3000, 0.50 at
+# N=64, B=9000, 0.64-0.67 at N=256, B=3000 and 0.84-0.88 at N=16, B=4096,
+# and 0.99-1.04 at N=256..2048, B=300..1001.  Capped at 2**14 entries (a
+# 256-column cap at 64 rows), they read 1.10-1.36 at N=1024, B=300 or 1001,
+# N=256, B=600 and N=2048, B=500.  Whole serial applies read 0.93 at N=256,
+# B=3000 and 0.98-1.00 at N=16..1024.
 _TILE_ENTRIES = 1 << 14
 _TILE_MIN_ROWS = 64
+_TILE_MAX_ENTRIES = 1 << 15
 
 
 def _multiply_by_row_tiles(x, v, out, spare):
-    """v . x into out through row tiles, with spare (an F-contiguous array
-    of x's shape) as the scratch."""
+    """v . x into out through tiles of rows as above, cut into equal column
+    tiles of about _TILE_MAX_ENTRIES entries, with spare (an F-contiguous
+    array of x's shape) as the scratch."""
     n, b = x.shape
     rows = min(n, max(_TILE_MIN_ROWS, _TILE_ENTRIES // max(b, 1)))
-    scratch = spare.T.reshape(-1)[: rows * b].reshape(rows, b)
-    for r in range(0, n, rows):
-        tile = scratch[: n - r]
-        np.multiply(x[r : r + rows], v[r : r + rows, None], out=tile)
-        out[r : r + rows] = tile
+    cols = max(1, -(-b // max(1, round(rows * b / _TILE_MAX_ENTRIES))))  # 1 when b is 0
+    scratch = spare.T.reshape(-1)
+    for c in range(0, b, cols):
+        width = min(cols, b - c)
+        for r in range(0, n, rows):
+            height = min(rows, n - r)
+            tile = scratch[: height * width].reshape(height, width)
+            np.multiply(x[r : r + rows, c : c + cols], v[r : r + rows, None], out=tile)
+            out[r : r + rows, c : c + cols] = tile
 
 
 # When a batch is split across threads: its (2N, B) pad buffer must have at

@@ -46,6 +46,7 @@ from .dvm import (
     check_seed,
     cis,
     power_of_two,
+    with_ufunc_buffers,
 )
 
 KIND_STRUCTURED = "structured"
@@ -453,20 +454,70 @@ def _block_forward(cfg: NetworkConfig, blk, delay, x, want_trace):
     return y_out, trace
 
 
+# An untraced structured pass whose hidden carrier (p.2n.B complex entries)
+# holds 1.5 * _BLOCK_ENTRIES or more runs in column blocks, so that each
+# block's level buffers stay in cache: k = round(B / w) blocks, w the widest
+# multiple of _BLOCK_ALIGN columns whose carrier fits in _BLOCK_ENTRIES.
+# Each block takes B / k columns rounded down to a multiple of
+# _BLOCK_ALIGN, the last one also the rest, so a pass just over one block
+# does not pay a narrow second block (timings, with dvm's ufunc buffer
+# switch, in the table above dvm._BUFSIZE).  Blocks start at multiples of
+# _BLOCK_ALIGN columns, and none is one column (a matrix-vector product):
+# the leaves' BLAS products give other bytes there.  The dense kind is not
+# blocked: its real BLAS products give other bytes for a block whose width
+# is not a multiple of 8 (OpenBLAS 0.3.31).
+_BLOCK_ENTRIES = 1 << 15
+_BLOCK_ALIGN = 16
+
+
+def _block_starts(cfg: NetworkConfig, cols: int):
+    """The first column of each column block of an untraced pass over cols
+    columns (the last block runs to the end): [0] alone for the dense kind
+    or a pass of one block."""
+    fit = max(_BLOCK_ALIGN, _BLOCK_ENTRIES // (cfg.p * cfg.m) // _BLOCK_ALIGN * _BLOCK_ALIGN)
+    blocks = min(round(cols / fit), cols // _BLOCK_ALIGN)
+    if cfg.kind == KIND_DENSE or blocks < 2:
+        return [0]
+    width = cols // blocks // _BLOCK_ALIGN * _BLOCK_ALIGN
+    return range(0, blocks * width, width)
+
+
+def _blocks_forward(net: Network, x, want_trace):
+    """Every block of net on the (2n, B) batch x: the output and the block
+    traces (an empty list untraced)."""
+    traces = []
+    for blk in net.blocks:
+        x, tr = _block_forward(net.config, blk, net.delay, x, want_trace)
+        if want_trace:
+            traces.append(tr)
+    return x, traces
+
+
+def _forward(net: Network, x, want_trace):
+    """forward() on the (2n, B) batch x; a wide untraced pass runs block by
+    block into the columns of one C-ordered (2n, B) result."""
+    cols = x.shape[1]
+    starts = [0] if want_trace else _block_starts(net.config, cols)
+    if len(starts) == 1:
+        y, traces = _blocks_forward(net, x, want_trace)
+        return y, (ForwardTrace(x=x, block_traces=traces, y=y) if want_trace else None)
+    y = np.empty((x.shape[0], cols))
+    for a, b in zip(starts, [*starts[1:], cols]):
+        y[:, a:b] = _blocks_forward(net, x[:, a:b], False)[0]
+    return y, None
+
+
 def forward(net: Network, x, want_trace: bool = False):
     """Run the network on one real-split vector or a (2n, B) column batch.
 
-    Returns (y, trace); trace is None unless requested.
+    Returns (y, trace); trace is None unless requested.  The pass runs under
+    dvm.with_ufunc_buffers, keyed on its hidden carrier's entries, and a
+    wide untraced structured pass runs in column blocks (_block_starts);
+    neither changes a byte of y.
     """
     cfg = net.config
     x2, flat = _as_columns(x, 2 * cfg.n)
-    block_traces = []
-    y = x2
-    for blk in net.blocks:
-        y, tr = _block_forward(cfg, blk, net.delay, y, want_trace)
-        if want_trace:
-            block_traces.append(tr)
-    trace = ForwardTrace(x=x2, block_traces=block_traces, y=y) if want_trace else None
+    y, trace = with_ufunc_buffers(cfg.p * cfg.m * x2.shape[1], _forward, net, x2, want_trace)
     return (y[:, 0] if flat else y), trace
 
 

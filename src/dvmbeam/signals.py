@@ -320,6 +320,7 @@ def load_dataset(path: str, verify: bool = True) -> Dataset:
     time = take(count, (count,))
     x = take(count * 2 * n, (count, 2 * n))
     y = take(count * 2 * n, (count, 2 * n))
+    _check_finite_rows(path, angle, time)
     ds = Dataset(
         x=x, y=y, angle=angle, time=time, n=n, freq=freq, sample_rate=rate,
         spacing=spacing, noise_std=noise_std, seed=seed,
@@ -327,6 +328,18 @@ def load_dataset(path: str, verify: bool = True) -> Dataset:
     if verify:
         _check_targets(path, ds)
     return ds
+
+
+def _check_finite_rows(path: str, angle, time) -> None:
+    """Raise ValueError naming the first row whose angle or time is NaN or
+    infinite: split_dataset would drop that sample, and eval's per-angle
+    scores would meet an empty batch."""
+    bad = ~(np.isfinite(angle) & np.isfinite(time))
+    if bad.any():
+        i = int(bad.argmax())
+        name, value = ("angle", angle[i]) if not np.isfinite(angle[i]) else ("time", time[i])
+        raise ValueError(f"{path}: row {i} has a non-finite {name} ({float(value)!r}); "
+                         "angles and times must be finite")
 
 
 def _check_targets(path: str, ds: Dataset) -> None:
@@ -409,6 +422,7 @@ def load_dataset_csv(path: str, freq: float | None = None,
     angle = np.radians(vals[:, 1])
     x = vals[:, 2 : 2 + 2 * n].copy()
     y = vals[:, 2 + 2 * n :].copy()
+    _check_finite_rows(path, angle, time)
     ds = Dataset(
         x=x, y=y, angle=angle, time=time, n=n,
         freq=(math.nan if freq is None else freq), sample_rate=sample_rate,

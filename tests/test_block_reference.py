@@ -12,6 +12,7 @@ gradients must match it exactly, not to a tolerance.
 import numpy as np
 import pytest
 
+from dvmbeam import network
 from dvmbeam.dvm import RecursiveDftChain, _random_chains, build_recursive_dft_chain
 from dvmbeam.network import (
     KIND_DENSE,
@@ -276,6 +277,47 @@ def test_forward_equals_reference_bytes(cfg):
         assert _same(got, want)
         got_tr, _ = forward(net, xin, want_trace=True)
         assert _same(got_tr, want)
+
+
+def _unblocked_forward(monkeypatch, net, x):
+    """forward() untraced with no column blocks and no ufunc buffer switch."""
+    with monkeypatch.context() as m:
+        m.setattr(network, "_BLOCK_ENTRIES", 1 << 62)
+        m.setattr(network, "with_ufunc_buffers", lambda entries, fn, *args: fn(*args))
+        return forward(net, x)[0]
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=IDS)
+@pytest.mark.parametrize("half", [False, True], ids=["short-tail", "long-tail"])
+def test_blocked_forward_equals_the_unblocked_pass_bytes(monkeypatch, cfg, half):
+    # three column blocks of the structured kind, the last one ragged: the
+    # pass is 5 columns, or nearly half a block, wider than three blocks of
+    # the limit; the dense kind runs as one block, under the switch alone
+    net, rng = _perturbed(cfg)
+    width = network._BLOCK_ENTRIES // (cfg.p * cfg.m) // 16 * 16
+    cols = 3 * width + (width // 2 - 3 if half else 5)
+    runs = []
+    blocks_forward = network._blocks_forward
+
+    def spy(net, x, want_trace):
+        runs.append(x.shape[1])
+        return blocks_forward(net, x, want_trace)
+
+    monkeypatch.setattr(network, "_blocks_forward", spy)
+    x = rng.standard_normal((2 * cfg.n, cols))
+    for xin in (x, np.asfortranarray(x)):
+        runs.clear()
+        got = forward(net, xin)[0]
+        want = _unblocked_forward(monkeypatch, net, xin)
+        assert _same(got, want) and got.flags.c_contiguous
+        *blocks, whole = runs
+        assert whole == cols
+        if cfg.kind == KIND_DENSE:
+            assert blocks == [cols]
+        else:
+            *full, last = blocks
+            assert len(full) == 2 and full[0] == full[1] and full[0] % 16 == 0
+            assert last >= full[0] and last % 16 and sum(blocks) == cols
 
 
 @pytest.mark.parametrize("cfg", CONFIGS, ids=IDS)

@@ -273,6 +273,24 @@ def test_train_rejects_a_dataset_without_samples(work, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_a_nan_angle_in_the_dataset_exits_with_the_io_code(exact_model, work, capsys, command):
+    # a 6-sample n=4 set with one NaN angle used to load: eval then died in
+    # its per-angle scores on an empty batch, and train's split dropped the
+    # sample from both parts
+    ds = make_dataset(4, 24e9, [-20.0, 30.0], 3, 0.1, seed=4)
+    ds.angle[4] = float("nan")
+    path = work / f"nan_angle_{command}.bin"
+    save_dataset(ds, str(path))
+    argv = (["train", "--data", str(path), "--epochs", "1"] if command == "train"
+            else ["eval", "--model", str(exact_model), "--data", str(path)])
+    code = main(argv)
+    assert code == EXIT_IO
+    captured = capsys.readouterr()
+    assert f"{path}: row 4 has a non-finite angle (nan)" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_train_missing_data_flag(capsys):
     assert main(["train"]) == EXIT_USAGE
 

@@ -677,6 +677,37 @@ def test_split_apply_reraises_a_block_error_after_the_join(monkeypatch, in_worke
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("caller_bufsize", [8192, 1 << 16])
+@pytest.mark.parametrize("fail", [False, True])
+def test_split_apply_restores_the_callers_ufunc_state(monkeypatch, caller_bufsize, fail):
+    # each block's thread runs the kernel's steps under 512-entry ufunc
+    # buffers (a (2048, 32) pad block); the caller's buffer size and error
+    # state are back after the apply, also when a block raises
+    started = spy_threads(monkeypatch, 2, force=False)
+    seen = []
+    steps = dvm._bluestein_steps
+
+    def spy(*args):
+        seen.append(np.getbufsize())
+        if fail and threading.current_thread() is not threading.main_thread():
+            raise FloatingPointError("block failed")
+        return steps(*args)
+
+    monkeypatch.setattr(dvm, "_bluestein_steps", spy)
+    chain = build_bluestein_chain(DvmSpec(1024, 1j))
+    x = np.ones((1024, 64), dtype=complex)
+    with np.errstate(divide="raise", over="warn"):
+        np.setbufsize(caller_bufsize)
+        state = np.geterr()
+        if fail:
+            with pytest.raises(FloatingPointError, match="block failed"):
+                fast_dvm_apply(chain, x)
+        else:
+            fast_dvm_apply(chain, x)
+        assert np.getbufsize() == caller_bufsize and np.geterr() == state
+    assert len(started) == 1 and seen == [512, 512]
+
+
 # ---------------------------------------------------------------------------
 # usable CPUs: the affinity set cut to the cgroup v2 CPU quota
 
@@ -887,8 +918,10 @@ def test_zero_pad_returns_fresh_zero_filled_array(dtype, batch):
 
 
 # (rows, columns): one tile, whole tiles, a partial last tile, the 64-row
-# minimum at wide batches, and no columns
-@pytest.mark.parametrize("n, b", [(16, 64), (1024, 64), (1024, 63), (100, 3000), (4096, 0)])
+# minimum at wide batches with six column tiles of 500, two column tiles of
+# 2,048 at N=16, and no columns
+@pytest.mark.parametrize("n, b", [(16, 64), (1024, 64), (1024, 63), (100, 3000), (16, 4096),
+                                  (4096, 0)])
 def test_diagonal_into_a_fortran_buffer_equals_the_plain_product(n, b):
     # the kernel writes the first diagonal's product of a C-ordered batch
     # into the Fortran-order pad buffer through row tiles; the bytes are
@@ -901,6 +934,19 @@ def test_diagonal_into_a_fortran_buffer_equals_the_plain_product(n, b):
     dvm._multiply_by_row_tiles(x, d.values, out, np.empty((n, b), complex, order="F"))
     assert out.tobytes(order="F") == d.apply(x).tobytes(order="F")
     assert np.isnan(buf[n:]).all()
+
+
+@pytest.mark.parametrize("n, b", [(16, 4096), (64, 3000)])
+def test_wide_row_ordered_batch_equals_column_ordered_bytes(n, b):
+    # a row-ordered batch whose row tiles would hold 1.5 * _TILE_MAX_ENTRIES
+    # or more goes through column tiles too, with the bytes of a
+    # column-ordered batch, which takes no tiles
+    rng = np.random.default_rng(n + b)
+    chain = build_bluestein_chain(DvmSpec(n, random_unit(rng)))
+    x = rng.normal(size=(n, b)) + 1j * rng.normal(size=(n, b))
+    got = fast_dvm_apply(chain, x)
+    want = fast_dvm_apply(chain, np.asfortranarray(x))
+    assert got.tobytes(order="F") == want.tobytes(order="F")
 
 
 def test_normalized_dft_unitarity():

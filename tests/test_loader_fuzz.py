@@ -2,9 +2,12 @@
 flips, injected commas and blank lines in valid binary and CSV dataset
 files, and truncations, byte flips and header-field rewrites in a valid
 .stnn model file, must end in ValueError or OSError, never in another
-exception; a random --config file must end in an exit code."""
+exception; NaN or infinite angles and times in random rows must end in a
+ValueError that names the first such row; a random --config file must end
+in an exit code."""
 
 import contextlib
+import dataclasses
 import struct
 from unittest import mock
 
@@ -110,6 +113,32 @@ def test_binary_loader_raises_only_value_or_os_errors(valid_files, edits):
 def test_csv_loader_raises_only_value_or_os_errors(valid_files, edits):
     _load_mutated(valid_files, "csv", edits,
                   lambda path: load_dataset_csv(path, freq=DS.freq))
+
+
+# non-finite angles and times written into random rows of a valid set
+_NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+BAD_ROWS = st.lists(st.tuples(st.sampled_from(["angle", "time"]),
+                              st.integers(0, DS.n_samples - 1), _NON_FINITE),
+                    min_size=1, max_size=4)
+
+
+@FUZZ
+@given(edits=BAD_ROWS, fmt=st.sampled_from(["binary", "csv"]))
+def test_loaders_refuse_a_non_finite_angle_or_time_naming_the_first_row(valid_files,
+                                                                         edits, fmt):
+    ds = dataclasses.replace(DS, angle=DS.angle.copy(), time=DS.time.copy())
+    for field, row, value in edits:
+        getattr(ds, field)[row] = value
+    p = valid_files[0] / f"bad_rows.{fmt}"
+    if fmt == "binary":
+        save_dataset(ds, str(p))
+        load = load_dataset
+    else:
+        save_dataset_csv(ds, str(p))
+        load = lambda path: load_dataset_csv(path, freq=DS.freq)  # noqa: E731
+    first = min(row for _, row, _ in edits)
+    with pytest.raises(ValueError, match=f"row {first} has a non-finite "):
+        load(str(p))
 
 
 @FUZZ

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from dvmbeam import network
 from dvmbeam.dvm import DvmSpec, scaled_dvm_dense
 from dvmbeam.network import (
     KIND_DENSE,
@@ -224,6 +225,44 @@ def test_traces_own_their_arrays(cfg):
     assert backward(net, trace_b, tb).to_flat(net).tobytes() == packs[1].tobytes()
     # a trace survives its own backward
     assert backward(net, trace_a, ta).to_flat(net).tobytes() == packs[0].tobytes()
+
+
+@pytest.mark.parametrize("caller_bufsize", [8192, 1 << 16])
+@pytest.mark.parametrize("kind", [KIND_STRUCTURED, KIND_DENSE])
+def test_forward_restores_the_callers_ufunc_state(monkeypatch, caller_bufsize, kind):
+    # a wide pass runs every block under 512-entry ufunc buffers, traced or
+    # not; a 32-column training chunk (1,024 carrier entries) keeps the
+    # caller's; either way the caller's buffer size and error state come back,
+    # also when the pass raises
+    net = build_network(NetworkConfig(n=16, kind=kind))
+    seen = []
+    block_forward = network._block_forward
+
+    def spy(*args):
+        seen.append(np.getbufsize())
+        return block_forward(*args)
+
+    monkeypatch.setattr(network, "_block_forward", spy)
+    x = np.random.default_rng(5).standard_normal((32, 3100))
+    wide = 3 if kind == KIND_STRUCTURED else 1  # column blocks of the untraced pass
+    with np.errstate(over="raise", under="warn"):
+        np.setbufsize(caller_bufsize)
+        state = np.geterr()
+        for xin, trace, want in ((x[:, :32], True, [caller_bufsize]), (x, False, [512] * wide),
+                                 (x, True, [512])):
+            seen.clear()
+            forward(net, xin, want_trace=trace)
+            assert seen == want
+            assert np.getbufsize() == caller_bufsize and np.geterr() == state
+
+        def failing(*args):
+            raise FloatingPointError("block failed")
+
+        monkeypatch.setattr(network, "_block_forward", failing)
+        with pytest.raises(FloatingPointError, match="block failed"):
+            forward(net, x)
+        assert np.getbufsize() == caller_bufsize and np.geterr() == state
+    assert np.getbufsize() == 8192
 
 
 def test_delay_exponents_run_zero_to_2pn_minus_1():

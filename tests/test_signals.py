@@ -544,6 +544,38 @@ def test_load_rejects_non_finite_freq_naming_file_and_byte(tmp_path, freq, verif
     assert str(p) in str(err.value) and f"frequency {freq!r} (byte 20)" in str(err.value)
 
 
+@pytest.mark.parametrize("fmt", ["binary", "csv"])
+@pytest.mark.parametrize("field", ["angle", "time"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("verify", [True, False])
+def test_load_rejects_non_finite_angle_or_time_naming_the_first_row(tmp_path, fmt, field,
+                                                                    value, verify):
+    # a NaN angle used to load: split_dataset then dropped its sample from
+    # both parts, and eval's per-angle scores met an empty batch
+    ds = small_ds()
+    getattr(ds, field)[[7, 12]] = value
+    p = tmp_path / f"d.{fmt}"
+    if fmt == "binary":
+        save_dataset(ds, str(p))
+        load = load_dataset
+    else:
+        save_dataset_csv(ds, str(p))
+        load = functools.partial(load_dataset_csv, freq=ds.freq)
+    with pytest.raises(ValueError) as err:
+        load(str(p), verify=verify)
+    assert f"{p}: row 7 has a non-finite {field} ({value!r})" in str(err.value)
+
+
+def test_csv_load_without_freq_rejects_a_non_finite_angle(tmp_path):
+    # the row check does not wait for the target check, which needs freq
+    ds = small_ds()
+    ds.angle[0] = math.nan
+    p = tmp_path / "d.csv"
+    save_dataset_csv(ds, str(p))
+    with pytest.raises(ValueError, match="row 0 has a non-finite angle"):
+        load_dataset_csv(str(p))
+
+
 @pytest.mark.parametrize("freq", [0.0, -24e9])
 def test_zero_and_negative_freq_save_and_load(tmp_path, freq):
     ds = make_dataset(4, freq, [30.0, 40.0], 5, 0.1, seed=3)
