@@ -295,8 +295,6 @@ def _verify_checks(args):
     worst = 0.0
     for size, depth in ((8, 3), (16, 4), (32, 5), (64, 6)):
         chain = build_recursive_dft_chain(size, depth, exact=True)
-        if args.corrupt_twiddle:
-            chain.twiddles[0][0, 0] *= np.exp(0.01j)
         kk = np.arange(size)
         dense = np.exp(-2j * np.pi * np.outer(kk, kk) / size)
         err = np.linalg.norm(chain.dense() - dense) / np.linalg.norm(dense)
@@ -452,7 +450,6 @@ def _build_parser():
                    help=f"largest transform size checked, a power of two in 2..{VERIFY_N_MAX}")
     v.add_argument("--trials", type=int, default=10)
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--corrupt-twiddle", action="store_true", help=argparse.SUPPRESS)
     v.set_defaults(func=cmd_verify)
 
     b = sub.add_parser("bench", help="emit weight/FLOP reduction tables")
@@ -474,12 +471,7 @@ def _apply_config_defaults(sp, file_vals):
     for act in sp._actions:
         if act.dest in file_vals:
             raw = file_vals[act.dest]
-            if act.type is not None:
-                defaults[act.dest] = act.type(raw)
-            elif isinstance(act.default, bool) or act.const is True:
-                defaults[act.dest] = raw.lower() in ("1", "true", "yes")
-            else:
-                defaults[act.dest] = raw
+            defaults[act.dest] = raw if act.type is None else act.type(raw)
             if act.choices is not None and defaults[act.dest] not in act.choices:
                 raise ValueError(f"{act.dest} {raw!r} is not one of {', '.join(act.choices)}")
     sp.set_defaults(**defaults)

@@ -106,8 +106,8 @@ def cis(phi: float, x) -> np.ndarray:
         product is used.
     """
     x = np.asarray(x, dtype=np.float64)
-    if abs(phi) * float(np.max(np.abs(x), initial=0.0)) > _TWO_PI * (1 << 20) or \
-            float(np.max(np.abs(x), initial=0.0)) > _CIS_EXACT_LIMIT:
+    top = float(np.max(np.abs(x), initial=0.0))
+    if abs(phi) * top > _TWO_PI * (1 << 20) or top > _CIS_EXACT_LIMIT:
         theta = phi * x
         return np.cos(theta) + 1j * np.sin(theta)
     t = phi * 134217729.0  # 2**27 + 1
@@ -644,16 +644,20 @@ def _usable_cpus() -> int:
 def _in_column_blocks(k, run, *arrays) -> None:
     """Call run on k column blocks of arrays (views, all cut alike).
 
-    The calling thread takes the first block and k - 1 threads the others;
-    every thread has joined before this returns or raises, and an exception
-    from a worker is re-raised here.
+    The calling thread takes the first block and k - 1 threads the others,
+    each under the caller's floating-point error state (numpy keeps it per
+    thread, and a new thread starts from the defaults); every thread has
+    joined before this returns or raises, and an exception from a worker is
+    re-raised here.
     """
     blocks = list(zip(*(np.array_split(a, k, axis=1) for a in arrays)))
     errors = []
+    err, call = np.geterr(), np.geterrcall()
 
     def work(block):
         try:
-            run(*block)
+            with np.errstate(call=call, **err):
+                run(*block)
         except Exception as e:  # re-raised by the caller after the join
             errors.append(e)
 
@@ -720,6 +724,18 @@ def _interleave_index(size: int, depth: int):
     return hit
 
 
+def chain_entries(size: int, depth: int) -> int:
+    """Values of one chain of size and depth: one twiddle diagonal per level
+    (size/2 + size/4 + ... + s entries), then the s x s leaf, s = size >> depth.
+    Raises ValueError unless size is a power of two and 0 <= depth <= log2(size)."""
+    if (n := power_of_two(size)) is None:
+        raise ValueError(f"chain size must be a power of two, got {size}")
+    if not 0 <= depth <= n.bit_length() - 1:
+        raise ValueError(f"depth {depth} leaves no leaf: need 0 <= depth <= log2({n})")
+    s = n >> depth
+    return n - s + s * s
+
+
 class RecursiveDftChain:
     """DFT of a power-of-two size as depth butterfly levels plus leaf blocks.
 
@@ -730,11 +746,17 @@ class RecursiveDftChain:
     twiddles and an exact DFT leaf the chain reproduces the DFT; with free
     values the same wiring is what the network trains.
 
-    One object holds a stack of K chains of one wiring: twiddles[l] has shape
-    (K, half_l) and leaf (K, s, s), and chain k runs slice k of a (K, rows, B)
+    One object holds a stack of K chains of one wiring, whose values are the
+    rows of values, a complex (K, chain_entries(size, depth)) array kept as
+    self.values (a complex128 array as it is, so a view into a parameter
+    buffer stays one).  Each row holds twiddle levels 0..depth-1 (size/2,
+    size/4, ... columns), then the s x s leaf row by row; twiddles[l], of
+    shape (K, half_l), and leaf, (K, s, s), are views of those columns, so
+    writing one writes the other.  Chain k runs slice k of a (K, rows, B)
     input; a 1-D or 2-D input is a K = 1 stack and keeps its shape.  Sibling
     blocks share their level's diagonal, as the FFT's do, and every segment
-    meets the same leaf matrix.  scale is a frozen real normalization.
+    meets the same leaf matrix.  normalized=True folds the frozen real scale
+    2**(-depth/2) into every output.
 
     An input of half height, size/2 rows, stands for [u; 0]: the chain
     returns the transform of the zero-padded vector without building the
@@ -744,28 +766,21 @@ class RecursiveDftChain:
     bit.
     """
 
-    def __init__(self, size, depth, twiddles, leaf, scale=1.0):
-        if (k := power_of_two(size)) is None:
-            raise ValueError(f"chain size must be a power of two, got {size}")
-        size = k
-        if not 0 <= depth <= size.bit_length() - 1:
-            raise ValueError(
-                f"depth {depth} leaves no leaf: need 0 <= depth <= log2({size})"
-            )
+    def __init__(self, size, depth, values, normalized=False):
+        e = chain_entries(size, depth)
+        size = operator.index(size)
+        s = size >> depth
+        values = np.asarray(values, dtype=np.complex128)
+        if values.ndim != 2 or values.shape[1] != e:
+            raise ValueError(f"a chain of size {size} and depth {depth} has {e} values "
+                             f"per row of a (K, {e}) array, got shape {values.shape}")
         self.size = size
         self.depth = depth
-        # a complex128 array is kept as is, so a view into a parameter buffer
-        # stays one
-        self.twiddles = [np.asarray(t, dtype=np.complex128) for t in twiddles]
-        self.leaf = np.asarray(leaf, dtype=np.complex128)
-        self.scale = float(scale)
-        s = size >> depth
-        if self.leaf.ndim != 3 or self.leaf.shape[1:] != (s, s):
-            raise ValueError(f"leaf has shape {self.leaf.shape}, wanted (K,{s},{s})")
-        for lvl, t in enumerate(self.twiddles):
-            if t.shape != (len(self.leaf), (size >> lvl) >> 1):
-                raise ValueError(f"twiddle level {lvl} has shape {t.shape} for a leaf "
-                                 f"stack of {len(self.leaf)}")
+        self.values = values
+        self.twiddles = [values[:, size - (size >> lvl):size - (size >> (lvl + 1))]
+                         for lvl in range(depth)]
+        self.leaf = values[:, size - s:].reshape(-1, s, s)
+        self.scale = 2.0 ** (-depth / 2.0) if normalized else 1.0
         self._perm, self._inv_perm = _interleave_index(size, depth)
 
     @property
@@ -776,13 +791,13 @@ class RecursiveDftChain:
         """Trainable arrays in declaration order: twiddle levels, then leaf."""
         return self.twiddles + [self.leaf]
 
-    def apply(self, x, counter: OpCounter | None = None) -> np.ndarray:
-        y, _ = self._run(x, counter=counter, want_trace=False)
+    def apply(self, x) -> np.ndarray:
+        y, _ = self._run(x, want_trace=False)
         return y
 
     def apply_trace(self, x):
         """Forward pass keeping the intermediates backward() needs."""
-        return self._run(x, counter=None, want_trace=True)
+        return self._run(x, want_trace=True)
 
     def _stacked(self, x):
         """x as a (K, rows, B) stack, and the function that gives a result
@@ -791,11 +806,11 @@ class RecursiveDftChain:
         shape = x.shape
         if x.ndim < 3:
             x = x.reshape(1, shape[0], -1)
-        if x.ndim != 3 or len(x) != len(self.leaf):
-            raise ValueError(f"expected a stack of {len(self.leaf)} inputs, got shape {shape}")
+        if x.ndim != 3 or len(x) != len(self.values):
+            raise ValueError(f"expected a stack of {len(self.values)} inputs, got shape {shape}")
         return x, (lambda y: y.reshape(y.shape[1:2] + shape[1:]) if len(shape) < 3 else y)
 
-    def _run(self, x, counter, want_trace):
+    def _run(self, x, want_trace):
         x, unstack = self._stacked(x)
         size = self.size
         k, rows, cols = x.shape
@@ -823,8 +838,6 @@ class RecursiveDftChain:
                 np.multiply(x, self.twiddles[0][:, :, None], out=y[:, rows:])
                 if want_trace:
                     diffs.append(x.copy()[:, None])
-                if counter is not None:
-                    counter.tally(muls=k * rows)
                 first = 1
         for lvl in range(first, self.depth):
             half = size >> (lvl + 1)
@@ -841,16 +854,12 @@ class RecursiveDftChain:
             np.add(top, bot, out=w_top)
             np.multiply(d, self.twiddles[lvl][:, None, :, None], out=w_bot)
             y = dst
-            if counter is not None:
-                counter.tally(muls=k * (half << lvl), adds=k * size)
         if y is x:  # no level ran: the leaf reads, and a trace keeps, a copy
             y = bufs[0]
             y[...] = x
         s = self.leaf_size
         segs = y.reshape(k, size // s, s, cols)  # kept by the trace: y is not written again
         leaf = self.leaf[:, None]
-        if counter is not None:
-            counter.tally(muls=k * size * s, adds=k * size * (s - 1))
         if want_trace:
             y = np.matmul(leaf, segs).reshape(k, size, cols).take(self._perm, axis=1)
         else:
@@ -862,8 +871,6 @@ class RecursiveDftChain:
             prod.reshape(k, size, cols).take(self._perm, axis=1, out=y, mode="clip")
         if self.scale != 1.0:
             y *= self.scale
-            if counter is not None:
-                counter.tally(muls=k * size)
         trace = None
         if want_trace:
             trace = {"diffs": diffs, "leaf_in": segs, "pruned": pruned}
@@ -916,57 +923,38 @@ def build_recursive_dft_chain(
     normalized: bool = False,
     rng: np.random.Generator | None = None,
 ) -> RecursiveDftChain:
-    """Construct the recursive factorization of the size-point DFT.
+    """Construct the recursive factorization of the size-point DFT, one
+    chain on a (1, chain_entries(size, depth)) row of values.
 
     exact=True fills in the true twiddles omega_b**m and a dense DFT leaf so
-    the chain reproduces the transform; exact=False draws unit-modulus random
-    twiddles and 1/sqrt(s)-scaled random leaf entries from rng as a training
-    start.  normalized=True makes the chain equal the unitary DFT: leaves are
-    normalized and the frozen scale field folds in the remaining
-    1/sqrt(2**depth).  inverse=True conjugates the exact values, giving the
-    factorization of the conjugate DFT.
+    the chain reproduces the transform; exact=False draws the random
+    training start from rng (_random_start).  normalized=True makes the
+    chain equal the unitary DFT: leaves are normalized and the frozen scale
+    folds in the remaining 1/sqrt(2**depth).  inverse=True conjugates the
+    exact values, giving the factorization of the conjugate DFT.
     """
-    if (k := power_of_two(size)) is None:
-        raise ValueError(f"chain size must be a power of two, got {size}")
-    size = k
-    if depth > size.bit_length() - 1:
-        raise ValueError(f"depth {depth} exceeds log2({size})")
-    s = size >> depth
+    values = np.empty((1, chain_entries(size, depth)), np.complex128)
+    chain = RecursiveDftChain(size, depth, values, normalized)
     if not exact:
         if rng is None:
             raise ValueError("exact=False draws the chain's values: it needs rng")
-        return _random_chains(size, depth, rng.random((1, size - s + s * s)), normalized)
+        _random_start(values, chain, rng)
+        return chain
+    size, s = chain.size, chain.leaf_size
     sign = 1.0 if inverse else -1.0
-    twiddles = [np.exp(sign * 2j * np.pi * np.arange(size >> lvl >> 1)[None] / (size >> lvl))
-                for lvl in range(depth)]
+    for lvl, tw in enumerate(chain.twiddles):
+        tw[0] = np.exp(sign * 2j * np.pi * np.arange(size >> lvl >> 1) / (size >> lvl))
     kk = np.arange(s)
-    leaf_mat = np.exp(sign * 2j * np.pi * np.outer(kk, kk) / s) if s > 1 else np.ones((1, 1))
+    chain.leaf[0] = np.exp(sign * 2j * np.pi * np.outer(kk, kk) / s) if s > 1 else 1.0
     if normalized:
-        leaf_mat = leaf_mat / math.sqrt(s)
-    scale = (2.0 ** (-depth / 2.0)) if normalized else 1.0
-    return RecursiveDftChain(size, depth, twiddles, leaf_mat[None], scale=scale)
+        chain.leaf /= math.sqrt(s)
+    return chain
 
 
-def chain_view(size, depth, values, normalized=False) -> RecursiveDftChain:
-    """The stack of K chains whose values are the columns of values, a
-    complex (K, E) array with E = size - s + s*s: each row holds one chain's
-    values in declaration order, twiddle levels 0..depth-1 (size/2, size/4,
-    ... columns), then the s x s leaf row by row.  The chains' arrays are
-    views into values, so writing one writes the other."""
-    s = size >> depth
-    if values.shape[-1] != size - s + s * s:
-        raise ValueError(f"a chain of size {size} and depth {depth} has "
-                         f"{size - s + s * s} values, got {values.shape[-1]} columns")
-    twiddles = [values[:, size - (size >> lvl):size - (size >> (lvl + 1))] for lvl in range(depth)]
-    leaf = values[:, size - s:].reshape(-1, s, s)
-    scale = (2.0 ** (-depth / 2.0)) if normalized else 1.0
-    return RecursiveDftChain(size, depth, twiddles, leaf, scale=scale)
-
-
-def _random_chains(size, depth, phases, normalized=False) -> RecursiveDftChain:
-    """The random training start of a stack of K chains, from a (K, E) array
-    of uniform draws in [0, 1) laid out as chain_view reads it: every value
-    exp(2j*pi*u), the leaf's also divided by sqrt(s)."""
-    chains = chain_view(size, depth, np.exp(2j * np.pi * phases), normalized)
-    chains.leaf /= math.sqrt(chains.leaf_size)
-    return chains
+def _random_start(rows, chain, rng) -> None:
+    """The random training start, written in place: rows, a complex array
+    whose columns chain's arrays view, becomes exp(2j*pi*u) for uniform
+    draws u in [0, 1) of its shape, then chain's leaf is divided by sqrt(s).
+    build_recursive_dft_chain and network.build_network both draw here."""
+    np.exp(2j * np.pi * rng.random(rows.shape), out=rows)
+    chain.leaf /= math.sqrt(chain.leaf_size)

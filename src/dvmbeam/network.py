@@ -39,9 +39,10 @@ from .dvm import (
     UNIT_TOL,
     DvmSpec,
     RecursiveDftChain,
+    _random_start,
     build_bluestein_chain,
     build_recursive_dft_chain,
-    chain_view,
+    chain_entries,
     check_int,
     check_seed,
     cis,
@@ -280,13 +281,14 @@ def _carve(cfg: NetworkConfig, flat: np.ndarray):
 
     A dense block's W1 and W4 are one slot each.  A structured block's are
     its submatrix rows w1, complex (p, n + e + m), and w4, complex (p, e),
-    with e one chain's entries: row i holds submatrix i's d_hat, input chain
+    with e = dvm.chain_entries: row i holds submatrix i's d_hat, input chain
     and d_breve, or its output chain, each one slot.  d_hat, d_breve and the
-    chain stacks (laid out by dvm.chain_view) view columns of those rows.
+    chain stacks (each a RecursiveDftChain on its rows' columns) view those
+    rows.
     Raises unless the layout ends exactly at the end of flat.
     """
     n, p, m, hidden, depth = cfg.n, cfg.p, cfg.m, cfg.hidden, cfg.resolved_depth
-    e = m - (m >> depth) + (m >> depth) ** 2  # one chain's entries
+    e = chain_entries(m, depth)
     layout, blocks = [], []
 
     def end():
@@ -303,7 +305,7 @@ def _carve(cfg: NetworkConfig, flat: np.ndarray):
         (name, shape) pairs); return the complex rows and their chain stack."""
         lead, rest = (sum(math.prod(shape) for _, shape in part) for part in (head, tail))
         rows = ParamSlot(path, end(), "complex", (p, lead + e + rest)).view(flat)
-        chain = chain_view(m, depth, rows[:, lead:lead + e], normalized=True)
+        chain = RecursiveDftChain(m, depth, rows[:, lead:lead + e], normalized=True)
         names = [f"{tag}.twiddle{lvl}" for lvl in range(depth)] + [f"{tag}.leaf"]
         parts = [*head, *((nm, (1,) + a.shape[1:]) for nm, a in zip(names, chain.param_arrays())),
                  *tail]
@@ -628,8 +630,7 @@ def build_network(config: NetworkConfig) -> Network:
                 w[...] = rng.uniform(-a, a, w.shape)
             continue
         for w, chain in ((blk.w1, blk.f_chain), (blk.w4, blk.fstar_chain)):
-            np.exp(2j * np.pi * rng.random(w.shape), out=w)
-            chain.leaf /= math.sqrt(chain.leaf_size)
+            _random_start(w, chain, rng)
     return net
 
 
@@ -649,9 +650,8 @@ def init_from_dvm(net: Network, alpha: complex) -> Network:
     exact_f = build_recursive_dft_chain(cfg.m, cfg.resolved_depth, normalized=True)
     exact_fs = build_recursive_dft_chain(cfg.m, cfg.resolved_depth, inverse=True, normalized=True)
     # one exact W1 row and one W4 row, in the layout of _carve's rows
-    w1_row = np.concatenate([chirp[0].values, *(a.ravel() for a in exact_f.param_arrays()),
-                             chirp[3].values])
-    w4_row = np.concatenate([a.ravel() for a in exact_fs.param_arrays()])
+    w1_row = np.concatenate([chirp[0].values, exact_f.values[0], chirp[3].values])
+    w4_row = exact_fs.values[0]
     for blk in net.blocks:
         # every submatrix gets the same values: each row of the stacks
         blk.w1[...] = w1_row
@@ -670,11 +670,7 @@ def expected_param_count(cfg: NetworkConfig) -> int:
     if cfg.kind == KIND_DENSE:
         per_block = 2 * hidden * 2 * n + 2 * hidden + 2 * n
     else:
-        size, depth = cfg.m, cfg.resolved_depth
-        leaf = size >> depth
-        # one diagonal per level: size/2 + size/4 + ... + leaf
-        chain = (size - leaf) + leaf * leaf
-        entries = n + cfg.m + 2 * chain
+        entries = n + cfg.m + 2 * chain_entries(cfg.m, cfg.resolved_depth)
         per_block = p * 2 * entries + 2 * hidden + 2 * n
     return per_block * cfg.blocks_count
 

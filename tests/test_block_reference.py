@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from dvmbeam import network
-from dvmbeam.dvm import RecursiveDftChain, _random_chains, build_recursive_dft_chain
+from dvmbeam.dvm import RecursiveDftChain, _random_start, build_recursive_dft_chain, chain_entries
 from dvmbeam.network import (
     KIND_DENSE,
     Network,
@@ -31,8 +31,8 @@ from dvmbeam.training import _CHUNK_COLS, _batch_grads, backward
 
 def _sub(chain, i):
     """Chain i of a stack, as a one-chain stack viewing its values."""
-    return RecursiveDftChain(chain.size, chain.depth, [t[i:i + 1] for t in chain.twiddles],
-                             chain.leaf[i:i + 1], chain.scale)
+    return RecursiveDftChain(chain.size, chain.depth, chain.values[i:i + 1],
+                             normalized=chain.scale != 1.0)
 
 
 def _ref_chain_run(chain, x, want_trace):
@@ -369,8 +369,10 @@ def test_chain_equals_reference_bytes(size, depth):
         for a, b in zip(got_g[1] + [got_g[2]], want_g[1] + [want_g[2]]):
             assert _same(a, b)
     # a stack of K=3 chains runs slice i as chain i alone, bit for bit
-    k, s = 3, size >> depth
-    stack = _random_chains(size, depth, rng.random((k, size - s + s * s)), normalized=True)
+    k = 3
+    stack = RecursiveDftChain(size, depth, np.empty((k, chain_entries(size, depth)), complex),
+                              normalized=True)
+    _random_start(stack.values, stack, rng)
     xs = rng.standard_normal((k, size, 5)) + 1j * rng.standard_normal((k, size, 5))
     xs[:, : size // 2, 0] = -0.0
     gs = rng.standard_normal((k, size, 5)) + 1j * rng.standard_normal((k, size, 5))

@@ -552,11 +552,20 @@ def test_verify_passes(capsys):
     assert "all checks passed" in out
 
 
-def test_verify_negative_control(capsys):
-    # the hidden hook corrupts one twiddle; the table must name the
-    # recursive-dft check as the offender and exit nonzero
-    code = main(["verify", "--n-max", "4", "--trials", "1",
-                 "--corrupt-twiddle"])
+def test_verify_negative_control(capsys, monkeypatch):
+    # one corrupted twiddle in every exact chain the check builds: the table
+    # must name the recursive-dft check as the offender and exit nonzero
+    import dvmbeam.dvm as dvm
+
+    build = dvm.build_recursive_dft_chain
+
+    def corrupted(*args, **kwargs):
+        chain = build(*args, **kwargs)
+        chain.twiddles[0][0, 0] *= np.exp(0.01j)
+        return chain
+
+    monkeypatch.setattr(dvm, "build_recursive_dft_chain", corrupted)
+    code = main(["verify", "--n-max", "4", "--trials", "1"])
     out = capsys.readouterr().out
     assert code == EXIT_VERIFY
     assert "FAIL  recursive-dft" in out
@@ -571,6 +580,8 @@ def test_verify_flag_validation():
     for n_max in (2048, 2**30):
         assert main(["verify", "--n-max", str(n_max)]) == EXIT_USAGE
     assert main(["verify", "--seed", "-1"]) == EXIT_USAGE
+    # the corrupting hook is no option: tests patch the chain builder instead
+    assert main(["verify", "--corrupt-twiddle"]) == EXIT_USAGE
 
 
 # ---------------------------------------------------------------------------
@@ -728,7 +739,6 @@ def test_config_file_types_reach_each_subcommand(work, monkeypatch):
         "trials = 4            # int, verify only\n"
         "noise-std = 0.25      # float\n"
         "out = from_file.bin   # string\n"
-        "corrupt-twiddle = yes # boolean flag\n"
     )
     assert main(["--config", str(cfg), "gen-data"]) == EXIT_OK
     assert main(["--config", str(cfg), "verify"]) == EXIT_OK
@@ -738,13 +748,8 @@ def test_config_file_types_reach_each_subcommand(work, monkeypatch):
     assert gen.out == "from_file.bin"
     assert ver.seed == 7 and type(ver.seed) is int
     assert ver.trials == 4 and type(ver.trials) is int
-    assert ver.corrupt_twiddle is True
     # untouched options keep their parser defaults
     assert gen.samples_per_angle == 1000 and ver.n_max == 256
-
-    cfg.write_text("corrupt-twiddle = no\n")
-    assert main(["--config", str(cfg), "verify"]) == EXIT_OK
-    assert seen["verify"].corrupt_twiddle is False
 
 
 def test_installed_entry_point(work):

@@ -12,6 +12,7 @@ import re
 import threading
 import types
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -708,6 +709,29 @@ def test_split_apply_restores_the_callers_ufunc_state(monkeypatch, caller_bufsiz
     assert len(started) == 1 and seen == [512, 512]
 
 
+@pytest.mark.parametrize("column", [0, 63])
+def test_split_apply_runs_every_block_under_the_callers_error_state(monkeypatch, column):
+    # numpy keeps the error state per thread, and a new thread starts from
+    # the defaults: an infinite entry in the worker's block (column 63 of
+    # two) must meet the caller's settings as one in the calling thread's
+    # block (column 0) does; two usable CPUs split the batch by the rule
+    started = spy_threads(monkeypatch, 2, force=False)
+    chain = build_bluestein_chain(DvmSpec(1024, 1j))
+    x = np.ones((1024, 64), dtype=complex)
+    x[5, column] = np.inf
+    with np.errstate(invalid="raise"):
+        with pytest.raises(FloatingPointError, match="invalid value"):
+            fast_dvm_apply(chain, x)
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning in either thread would raise
+        fast_dvm_apply(chain, x)
+    seen = []
+    with np.errstate(all="call", call=lambda kind, flag: seen.append(kind)):
+        fast_dvm_apply(chain, x)
+    assert seen and set(seen) == {"invalid value"}
+    assert len(started) == 3
+
+
 # ---------------------------------------------------------------------------
 # usable CPUs: the affinity set cut to the cgroup v2 CPU quota
 
@@ -1037,24 +1061,28 @@ def test_recursive_chain_depth_out_of_range():
 def test_recursive_chain_shape_validation():
     from dvmbeam.dvm import RecursiveDftChain
 
-    with pytest.raises(ValueError):
-        RecursiveDftChain(8, 1, [np.ones((1, 3))], np.ones((1, 4, 4)))
-    with pytest.raises(ValueError):
-        RecursiveDftChain(8, 1, [np.ones((1, 4))], np.ones((1, 3, 3)))
-    with pytest.raises(ValueError):
-        RecursiveDftChain(6, 1, [np.ones((1, 3))], np.ones((1, 3, 3)))
-    # every twiddle level and the leaf hold one entry per chain of the stack
-    with pytest.raises(ValueError, match="leaf stack of 3"):
-        RecursiveDftChain(8, 2, [np.ones((3, 4)), np.ones((2, 2))], np.ones((3, 2, 2)))
-    with pytest.raises(ValueError, match="leaf stack of 1"):
-        RecursiveDftChain(8, 1, [np.ones((2, 4))], np.ones((1, 4, 4)))
-    with pytest.raises(ValueError, match="leaf has shape"):
-        RecursiveDftChain(8, 1, [np.ones((1, 4))], np.ones((4, 4)))
+    # size 8, depth 1: twiddles of 4, a 4 x 4 leaf, 20 values per chain
+    assert dvm.chain_entries(8, 1) == 20
+    for values in (np.ones((1, 19)), np.ones((1, 21)), np.ones((2, 36))):
+        with pytest.raises(ValueError, match=r"has 20 values per row of a \(K, 20\) array"):
+            RecursiveDftChain(8, 1, values)
+    # the values are rows: a 1-D or 3-D array is no stack
+    for values in (np.ones(20), np.ones((1, 1, 20)), np.ones(())):
+        with pytest.raises(ValueError, match="got shape"):
+            RecursiveDftChain(8, 1, values)
+    with pytest.raises(ValueError, match="power of two"):
+        RecursiveDftChain(6, 1, np.ones((1, 12)))
+    for depth in (-1, 4):
+        with pytest.raises(ValueError, match="leaves no leaf"):
+            RecursiveDftChain(8, depth, np.ones((1, 8)))
     # an input stack must match the chain stack; 1-D and 2-D inputs are K=1
-    two = RecursiveDftChain(8, 1, [np.ones((2, 4))], np.ones((2, 4, 4)))
+    two = RecursiveDftChain(8, 1, np.ones((2, 20)))
+    assert len(two.leaf) == 2 and all(len(t) == 2 for t in two.twiddles)
     for bad in (np.ones((3, 8, 2)), np.ones((8, 2)), np.ones(8)):
         with pytest.raises(ValueError, match="stack of 2 inputs"):
             two.apply(bad)
+        with pytest.raises(ValueError, match="stack of 2 inputs"):
+            two.apply_trace(bad)
     assert two.apply(np.ones((2, 8, 2))).shape == (2, 8, 2)
 
 
@@ -1063,30 +1091,74 @@ def test_build_recursive_dft_chain_random_needs_rng():
         build_recursive_dft_chain(8, 2, exact=False)
 
 
-def test_recursive_chain_parameters_are_complex_and_keep_their_views():
+def test_recursive_chain_arrays_are_views_of_its_value_rows():
+    for size, depth in ((2, 0), (2, 1), (8, 0), (8, 2), (16, 3), (32, 5)):
+        _check_chain_views(size, depth)
+
+
+def _check_chain_views(size, depth):
     from dvmbeam.dvm import RecursiveDftChain
 
-    buf = np.zeros(2 * (4 + 2 + 4), dtype=np.float64)
-    tw = [np.ndarray((1, 4), np.complex128, buffer=buf), np.ndarray((1, 2), np.complex128,
-                                                                     buffer=buf, offset=64)]
-    leaf = np.ndarray((1, 2, 2), np.complex128, buffer=buf, offset=96)
-    chain = RecursiveDftChain(8, 2, tw, leaf)
-    # a complex view is kept, so a write to the buffer reaches the chain
-    assert chain.twiddles[0] is tw[0] and chain.twiddles[1] is tw[1] and chain.leaf is leaf
-    # a real array becomes a complex copy
-    real = RecursiveDftChain(8, 2, [t.real for t in tw], leaf.real)
-    assert all(a.dtype == np.complex128 for a in real.param_arrays())
+    # three rows inside wider ones, as a network's submatrix rows hold them
+    e, s = dvm.chain_entries(size, depth), size >> depth
+    rows = np.zeros((3, 2 + e + 5), dtype=np.complex128)
+    values = rows[:, 2:2 + e]
+    chain = RecursiveDftChain(size, depth, values)
+    assert chain.values is values
+    arrays = chain.param_arrays()
+    halves = [size >> lvl >> 1 for lvl in range(depth)]
+    assert [a.shape for a in arrays] == [(3, h) for h in halves] + [(3, s, s)]
+    assert sum(a[0].size for a in arrays) == e
+    # rows to arrays: the arrays, laid end to end, read the rows as written
+    rng = np.random.default_rng(size + depth)
+    values[...] = rng.standard_normal(values.shape) + 1j * rng.standard_normal(values.shape)
+    assert np.array_equal(np.concatenate([a.reshape(3, -1) for a in arrays], axis=1), values)
+    # arrays to row: writing the chain's arrays writes the rows
+    for lvl, tw in enumerate(chain.twiddles):
+        tw[...] = lvl + 1
+    chain.leaf[...] = -1j
+    want = np.concatenate([np.full((3, h), lvl + 1.0) for lvl, h in enumerate(halves)]
+                          + [np.full((3, s * s), -1j)], axis=1)
+    assert np.array_equal(values, want)
+    assert not rows[:, :2].any() and not rows[:, 2 + e:].any()
+    # a complex128 array is kept as is; any other becomes a complex copy
+    real = RecursiveDftChain(size, depth, values.real)
+    assert real.values.dtype == np.complex128 and not np.shares_memory(real.values, rows)
 
 
-def test_recursive_chain_counter():
-    # depth butterfly levels at size/2 muls + size adds, then leaf matmuls
-    size, depth = 16, 2
-    chain = build_recursive_dft_chain(size, depth, exact=True)
-    counter = OpCounter()
-    chain.apply(np.ones(size, dtype=complex), counter=counter)
+def _old_chain_values(size, depth, exact, inverse=False, normalized=False, rng=None):
+    """One chain's value row as the level-by-level construction built it:
+    a list of twiddle levels and a leaf, concatenated in declaration order."""
     s = size >> depth
-    assert counter.muls == depth * (size // 2) + (size // s) * s * s
-    assert counter.adds == depth * size + (size // s) * s * (s - 1)
+    if not exact:
+        values = np.exp(2j * np.pi * rng.random((1, size - s + s * s)))
+        values[:, size - s:] /= math.sqrt(s)
+        return values
+    sign = 1.0 if inverse else -1.0
+    twiddles = [np.exp(sign * 2j * np.pi * np.arange(size >> lvl >> 1)[None] / (size >> lvl))
+                for lvl in range(depth)]
+    kk = np.arange(s)
+    leaf = np.exp(sign * 2j * np.pi * np.outer(kk, kk) / s) if s > 1 else np.ones((1, 1))
+    if normalized:
+        leaf = leaf / math.sqrt(s)
+    return np.concatenate([t.ravel() for t in twiddles] + [leaf.ravel()])[None]
+
+
+def test_recursive_chain_values_equal_the_level_by_level_build_bytes():
+    for size in (2, 4, 8, 16, 32, 64):
+        for depth in range(size.bit_length()):
+            for inverse in (False, True):
+                for normalized in (False, True):
+                    got = build_recursive_dft_chain(size, depth, inverse=inverse,
+                                                    normalized=normalized)
+                    want = _old_chain_values(size, depth, True, inverse, normalized)
+                    assert got.values.tobytes() == want.tobytes(), (size, depth, inverse)
+                    assert got.scale == (2.0 ** (-depth / 2.0) if normalized else 1.0)
+            seed = 1000 * size + depth
+            got = build_recursive_dft_chain(size, depth, exact=False,
+                                            rng=np.random.default_rng(seed))
+            want = _old_chain_values(size, depth, False, rng=np.random.default_rng(seed))
+            assert got.values.tobytes() == want.tobytes(), (size, depth, "random")
 
 
 def test_recursive_chain_apply_does_not_mutate_input():

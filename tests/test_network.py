@@ -610,6 +610,30 @@ def test_expected_param_count_matches_built_network(cfg):
     assert expected_param_count(cfg) == build_network(cfg).param_count()
 
 
+def test_chain_entries_is_each_chains_share_of_the_layout():
+    from dvmbeam.dvm import RecursiveDftChain, chain_entries
+
+    for size in (2, 4, 8, 16, 32, 64):
+        for depth in range(size.bit_length()):
+            e = chain_entries(size, depth)
+            # the chain's own arrays: one diagonal per level, then the leaf
+            chain = RecursiveDftChain(size, depth, np.zeros((1, e), complex))
+            assert sum(a.size for a in chain.param_arrays()) == e, (size, depth)
+            if size < 4:
+                continue  # a network's chains have size 2n >= 4
+            n = size // 2
+            for p in (1, 3):
+                cfg = NetworkConfig(n=n, p=p, depth=depth)
+                blk = Network(cfg).blocks[0]
+                # _carve's rows: d_hat, input chain, d_breve; the output chain
+                assert blk.w1.shape == (p, n + e + size) and blk.w4.shape == (p, e)
+                # expected_param_count: per block, p pairs of complex rows
+                # plus bias1, skip (hidden each) and bias_out (2n)
+                per_block = expected_param_count(cfg) // cfg.blocks_count
+                share = (per_block - 2 * cfg.hidden - 2 * n) // (2 * p) - n - size
+                assert share == 2 * e, (size, depth, p)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
