@@ -22,6 +22,7 @@ this module imports the numerical stack lazily.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -400,6 +401,9 @@ def cmd_bench(args):
 
 
 def _build_parser():
+    """Declare the parser; returns (top, {subcommand: subparser}).  The list
+    defaults are strings, which argparse converts on every parse, so no call
+    gets a list another call has seen."""
     top = argparse.ArgumentParser(
         prog="dvmbeam",
         description="fast delay-Vandermonde transforms and structured beamforming nets",
@@ -413,7 +417,7 @@ def _build_parser():
     g = sub.add_parser("gen-data", help="simulate a snapshot dataset")
     g.add_argument("--n", type=int, default=None, help="array size (power of two)")
     g.add_argument("--freq-ghz", type=float, default=None, help="carrier frequency")
-    g.add_argument("--angles", type=_parse_angles, default=[30.0, 40.0, 50.0],
+    g.add_argument("--angles", type=_parse_angles, default="30,40,50",
                    help="comma list of arrival angles in degrees")
     g.add_argument("--samples-per-angle", type=int, default=1000)
     g.add_argument("--noise-std", type=float, default=0.1)
@@ -422,7 +426,6 @@ def _build_parser():
                    help="override the transform sampling interval (seconds)")
     g.add_argument("--out", default=None)
     g.add_argument("--format", choices=("binary", "csv"), default="binary")
-    g.set_defaults(func=cmd_gen_data)
 
     t = sub.add_parser("train", help="train a model on a dataset")
     t.add_argument("--data", default=None)
@@ -438,29 +441,39 @@ def _build_parser():
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--out-model", default=None)
     t.add_argument("--out-report", default=None)
-    t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("eval", help="evaluate a saved model")
     e.add_argument("--model", default=None)
     e.add_argument("--data", default=None)
-    e.set_defaults(func=cmd_eval)
 
     v = sub.add_parser("verify", help="run numerical self-checks")
     v.add_argument("--n-max", type=int, default=256,
                    help=f"largest transform size checked, a power of two in 2..{VERIFY_N_MAX}")
     v.add_argument("--trials", type=int, default=10)
     v.add_argument("--seed", type=int, default=0)
-    v.set_defaults(func=cmd_verify)
 
     b = sub.add_parser("bench", help="emit weight/FLOP reduction tables")
-    b.add_argument("--n-list", type=_parse_int_list, default=[8, 16, 32])
+    b.add_argument("--n-list", type=_parse_int_list, default="8,16,32")
     b.add_argument("--p", type=int, default=1)
     b.add_argument("--out", default="reduction_report",
                    help="output base path (writes .csv and .json)")
-    b.set_defaults(func=cmd_bench)
 
     subparsers.update({"gen-data": g, "train": t, "eval": e, "verify": v, "bench": b})
     return top, subparsers
+
+
+@functools.cache
+def _shared_parser():
+    """The parser of every run without --config, built once per process.
+    No call changes it: main looks the handler up by subcommand, and a
+    --config run puts the file's defaults on a parser of its own."""
+    return _build_parser()
+
+
+def _handler(subcommand):
+    # read from the module on every call, so a replaced cmd_* is the one run
+    return {"gen-data": cmd_gen_data, "train": cmd_train, "eval": cmd_eval,
+            "verify": cmd_verify, "bench": cmd_bench}[subcommand]
 
 
 def _apply_config_defaults(sp, file_vals):
@@ -480,13 +493,15 @@ def _apply_config_defaults(sp, file_vals):
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     _apply_threads(argv)
-    parser, subparsers = _build_parser()
+    parser = _shared_parser()[0]
     # first pass only finds --config; the real parse then sees file defaults
     try:
         probe, _ = parser.parse_known_args(argv)
     except SystemExit as e:
         return int(e.code) if e.code else EXIT_OK
     if probe.config:
+        # the file's defaults go on this run's own parser, not the shared one
+        parser, subparsers = _build_parser()
         try:
             file_vals = _read_config_file(probe.config)
             _apply_config_defaults(subparsers[probe.subcommand], file_vals)
@@ -500,7 +515,7 @@ def main(argv=None):
         # argparse exits 2 on usage errors; keep its code for --help (0) too
         return int(e.code) if e.code else EXIT_OK
     try:
-        code = args.func(args)
+        code = _handler(args.subcommand)(args)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader of stdout has gone (`dvmbeam eval ... | head -1`): point

@@ -182,7 +182,8 @@ def make_dataset(
     come from one batched transform of the (n, samples) snapshot matrix.
     seed must be an integer in 0..2**63-1 (check_seed), samples_per_angle
     an integer >= 1 (check_int), and sample_rate must pass load_dataset's
-    header check, so that the set loads back.
+    header check, so that the set loads back.  A noise_std so large that a
+    noisy snapshot or its target is not finite raises ValueError.
     """
     check_seed(seed)
     if not math.isfinite(freq):
@@ -208,17 +209,24 @@ def make_dataset(
         u[:, rows] = synth_received(geom, freq, theta, t_grid)
         angle_col[rows] = theta
         time_col[rows] = t_grid
-    if noise_std:
-        z = _row_normals(seed, total, 2 * n)
-        s = noise_std / math.sqrt(2.0)
-        u += s * (z[:, :n] + 1j * z[:, n:]).T
-    v = fast_dvm_apply(build_bluestein_chain(spec), u)
+    # a noise_std near the float range overflows the snapshots or their
+    # transform; the check below refuses such a set, so numpy's overflow
+    # warnings on the way are not shown
+    with np.errstate(over="ignore", invalid="ignore"):
+        if noise_std:
+            z = _row_normals(seed, total, 2 * n)
+            s = noise_std / math.sqrt(2.0)
+            u += s * (z[:, :n] + 1j * z[:, n:]).T
+        v = fast_dvm_apply(build_bluestein_chain(spec), u)
     x = np.empty((total, 2 * n))
     y = np.empty((total, 2 * n))
     x[:, :n] = u.real.T
     x[:, n:] = u.imag.T
     y[:, :n] = v.real.T
     y[:, n:] = v.imag.T
+    if noise_std and not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError(f"noise_std {noise_std!r} is too large: a noisy snapshot "
+                         f"or its target is not finite")
     return Dataset(
         x=x, y=y, angle=angle_col, time=time_col, n=n, freq=freq,
         sample_rate=sample_rate, spacing=geom.spacing,

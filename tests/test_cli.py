@@ -1,11 +1,13 @@
 """Command-line tests: every subcommand end to end on small inputs, exit
 codes, config-file layering, and output artifacts."""
 
+import functools
 import json
 import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +120,25 @@ def test_gen_data_nan_frequency(work, capsys):
     assert code == EXIT_USAGE
     assert "freq must be finite, got nan" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_gen_data_refuses_noise_that_overflows(work, capsys):
+    # this used to print seven numpy RuntimeWarnings, write a set with
+    # infinite inputs and NaN targets, and exit 1
+    out = work / "overflow.bin"
+    flags = ["gen-data", "--n", "16", "--freq-ghz", "24", "--angles", "30",
+             "--samples-per-angle", "50", "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(flags + ["--noise-std", "1e307"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: noise_std 1e+307 is too large: a noisy snapshot "
+                                "or its target is not finite\n")
+        assert not out.exists()
+        assert main(flags + ["--noise-std", "1e306"]) == EXIT_OK
+    assert "target consistency: PASS" in capsys.readouterr().out
+    assert load_dataset(str(out)).n_samples == 50
 
 
 def test_gen_data_deterministic(work):
@@ -750,6 +771,98 @@ def test_config_file_types_reach_each_subcommand(work, monkeypatch):
     assert ver.trials == 4 and type(ver.trials) is int
     # untouched options keep their parser defaults
     assert gen.samples_per_angle == 1000 and ver.n_max == 256
+
+
+@pytest.fixture
+def fresh_parser(monkeypatch):
+    """An empty parser cache whose builds are counted; the module's own
+    cache is put back after the test."""
+    import dvmbeam.cli as cli
+
+    builds = []
+    build = cli._build_parser
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_build_parser", counted)
+    monkeypatch.setattr(cli, "_shared_parser", functools.cache(cli._shared_parser.__wrapped__))
+    return builds
+
+
+def test_plain_runs_build_the_parser_once(work, fresh_parser):
+    cfg = work / "once.conf"
+    cfg.write_text("n-list = 8\n")
+    out = str(work / "once")
+    assert main(["bench", "--n-list", "8", "--out", out]) == EXIT_OK
+    assert main(["eval"]) == EXIT_USAGE
+    assert main(["verify", "--trials", "0"]) == EXIT_USAGE
+    assert main(["bench", "--n-list", "x"]) == EXIT_USAGE
+    assert len(fresh_parser) == 1
+    # a --config run parses on a parser of its own, and the next plain run
+    # takes the shared one again
+    assert main(["--config", str(cfg), "bench", "--out", out]) == EXIT_OK
+    assert len(fresh_parser) == 2
+    assert main(["bench", "--n-list", "8", "--out", out]) == EXIT_OK
+    assert len(fresh_parser) == 2
+
+
+def test_config_defaults_do_not_reach_a_later_run(work, fresh_parser):
+    cfg = work / "spa.conf"
+    cfg.write_text("samples-per-angle = 2\nangles = 10\nnoise-std = 0\n")
+    flags = ["gen-data", "--n", "4", "--freq-ghz", "24"]
+    path = work / "spa.bin"
+    assert main(flags + ["--out", str(path)]) == EXIT_OK  # builds the shared parser
+    assert main(["--config", str(cfg), *flags, "--out", str(path)]) == EXIT_OK
+    assert load_dataset(str(path)).n_samples == 2
+    assert main(flags + ["--out", str(path)]) == EXIT_OK
+    ds = load_dataset(str(path))
+    assert ds.n_samples == 3000 and ds.noise_std == 0.1
+    assert sorted(set(np.round(np.degrees(ds.angle), 6))) == [30.0, 40.0, 50.0]
+
+
+def test_a_run_that_edits_its_args_leaves_the_next_runs_defaults(work, fresh_parser, monkeypatch):
+    import dvmbeam.cli as cli
+
+    seen = []
+
+    def edit(args):
+        seen.append(list(args.angles))
+        args.angles.append(60.0)
+        return EXIT_OK
+
+    monkeypatch.setattr(cli, "cmd_gen_data", edit)
+    assert main(["gen-data"]) == EXIT_OK
+    assert main(["gen-data"]) == EXIT_OK
+    assert seen == [[30.0, 40.0, 50.0]] * 2
+
+
+def test_a_handler_replaced_after_the_parser_is_built_is_the_one_run(fresh_parser, monkeypatch):
+    import dvmbeam.cli as cli
+
+    assert main(["eval"]) == EXIT_USAGE  # the real cmd_eval, on the shared parser
+    seen = []
+
+    def fake(args):
+        seen.append((args.model, args.data))
+        return EXIT_OK
+
+    monkeypatch.setattr(cli, "cmd_eval", fake)
+    assert main(["eval", "--model", "m.stnn", "--data", "d.bin"]) == EXIT_OK
+    assert seen == [("m.stnn", "d.bin")]
+    assert len(fresh_parser) == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["gen-data", "--help"], ["bench", "-h"]],
+                         ids=["top", "gen-data", "bench"])
+def test_help_twice_prints_the_same_text(fresh_parser, capsys, argv):
+    assert main(argv) == EXIT_OK
+    first = capsys.readouterr()
+    assert main(argv) == EXIT_OK
+    second = capsys.readouterr()
+    assert first.out.startswith("usage: dvmbeam") and first.err == ""
+    assert second == first
 
 
 def test_installed_entry_point(work):

@@ -4,6 +4,7 @@ import csv
 import functools
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -284,6 +285,28 @@ def test_make_dataset_rejects_what_load_dataset_would(monkeypatch, kwargs, match
     args = dict(n=4, freq=24e9, angles_deg=[30.0], samples_per_angle=2, noise_std=0.1, seed=1)
     with pytest.raises(ValueError, match=match):
         make_dataset(**{**args, **kwargs})
+
+
+@pytest.mark.parametrize("noise_std", [1e307, 1.7e308])
+@pytest.mark.parametrize("n,angles,spa", [(16, [30.0], 50), (64, [30.0, 40.0, 50.0], 1000)],
+                         ids=["serial", "split"])
+def test_make_dataset_refuses_noise_that_overflows_without_a_warning(noise_std, n, angles, spa):
+    # the transform of such noise used to give a set with infinite inputs
+    # and NaN targets, after seven numpy RuntimeWarnings; a 3000-sample n=64
+    # set runs the transform in two column blocks, one on a worker thread
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="noise_std .* is too large"):
+            make_dataset(n, 24e9, angles, spa, noise_std, seed=0)
+
+
+def test_make_dataset_keeps_a_huge_noise_whose_set_is_finite():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ds = make_dataset(16, 24e9, [30.0], 50, 1e306, seed=0)
+        assert verify_targets(ds) < 1e-9
+    assert np.isfinite(ds.x).all() and np.isfinite(ds.y).all()
+    assert np.abs(ds.x).max() > 1e305
 
 
 @pytest.mark.parametrize("spa", [3.0, True, "3", None, 0, -1])
