@@ -14,9 +14,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error
 divergence, 5 shape mismatch.
 
 A config file of `key = value` lines (# comments allowed) can seed any
-subcommand's flags via --config; explicit flags win.  --threads N pins the
-BLAS/OpenMP pool size and must take effect before numpy loads, which is why
-this module imports the numerical stack lazily.
+subcommand's flags via --config; explicit flags win.
 """
 
 from __future__ import annotations
@@ -28,37 +26,16 @@ import math
 import os
 import sys
 
+import numpy as np
+
+from . import __version__, complexity, dvm, network, signals, training
+
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_DIVERGED = 4
 EXIT_SHAPE = 5
-
-_THREAD_ENV = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-)
-
-
-def _apply_threads(argv):
-    """Pin thread pools before any numpy import; returns argv untouched."""
-    for i, a in enumerate(argv):
-        if a == "--threads" and i + 1 < len(argv):
-            n = argv[i + 1]
-        elif a.startswith("--threads="):
-            n = a.split("=", 1)[1]
-        else:
-            continue
-        if not n.isdigit() or int(n) < 1:
-            print("error: --threads takes a positive integer", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
-        for var in _THREAD_ENV:
-            os.environ[var] = n
-    return argv
-
 
 def _read_config_file(path):
     """Parse `key = value` lines; raises OSError/ValueError on problems."""
@@ -80,15 +57,9 @@ def _fail(code, msg):
     return code
 
 
-def _version():
-    from . import __version__
-
-    return __version__
-
-
 def _resolved(args, keys):
     cfg = {k: getattr(args, k) for k in keys}
-    cfg["version"] = _version()
+    cfg["version"] = __version__
     return cfg
 
 
@@ -124,15 +95,12 @@ GEN_DATA_ENTRIES_MAX = 2**25
 
 
 def cmd_gen_data(args):
-    from .dvm import power_of_two
-    from .signals import make_dataset, save_dataset, save_dataset_csv, verify_targets
-
     for flag in ("n", "freq_ghz", "out"):
         if getattr(args, flag) is None:
             return _fail(EXIT_USAGE, f"--{flag.replace('_', '-')} is required")
     if args.samples_per_angle < 1:
         return _fail(EXIT_USAGE, "--samples-per-angle must be >= 1")
-    if power_of_two(args.n, least=2) is None:
+    if dvm.power_of_two(args.n, least=2) is None:
         return _fail(EXIT_USAGE, f"--n must be a power of two >= 2, got {args.n}")
     if args.n * len(args.angles) * args.samples_per_angle > GEN_DATA_ENTRIES_MAX:
         return _fail(EXIT_USAGE, f"--n times the sample count (angles x "
@@ -142,20 +110,20 @@ def cmd_gen_data(args):
         return _fail(EXIT_USAGE, f"--tau-s must be positive and finite, got {args.tau_s}")
     sample_rate = 32e9 if args.tau_s is None else 1.0 / (args.tau_s * args.n)
     try:
-        ds = make_dataset(
+        ds = signals.make_dataset(
             n=args.n, freq=freq, angles_deg=args.angles,
             samples_per_angle=args.samples_per_angle,
             noise_std=args.noise_std, seed=args.seed, sample_rate=sample_rate,
         )
     except ValueError as e:
         return _fail(EXIT_USAGE, str(e))
-    err = verify_targets(ds)
+    err = signals.verify_targets(ds)
     check = "PASS" if err < 1e-9 else "FAIL"
     try:
         if args.format == "csv":
-            save_dataset_csv(ds, args.out)
+            signals.save_dataset_csv(ds, args.out)
         else:
-            save_dataset(ds, args.out)
+            signals.save_dataset(ds, args.out)
     except OSError as e:
         return _fail(EXIT_IO, f"cannot write {args.out}: {e}")
     print(f"wrote {ds.n_samples} samples to {args.out} "
@@ -167,48 +135,41 @@ def cmd_gen_data(args):
 def cmd_train(args):
     if args.data is None:
         return _fail(EXIT_USAGE, "--data is required")
-    from .network import (
-        KIND_DENSE, KIND_STRUCTURED, NetworkConfig, build_network,
-        count_parameters, save_network,
-    )
-    from .signals import load_dataset, split_dataset
-    from .training import OptimizerConfig, TrainingDiverged, train
-
     try:
-        ds = load_dataset(args.data)
+        ds = signals.load_dataset(args.data)
     except OSError as e:
         return _fail(EXIT_IO, f"cannot read dataset: {e}")
     except ValueError as e:
         return _fail(EXIT_IO, str(e))
     if ds.n_samples == 0:
         return _fail(EXIT_IO, f"{args.data}: dataset has no samples to train on")
-    kind = KIND_STRUCTURED if args.model == "stnn" else KIND_DENSE
+    kind = network.KIND_STRUCTURED if args.model == "stnn" else network.KIND_DENSE
     try:
-        net_cfg = NetworkConfig(
+        net_cfg = network.NetworkConfig(
             n=ds.n, p=args.p, depth=getattr(args, "lambda"), kind=kind,
             delay_alpha=ds.alpha, seed=args.seed,
         )
-        opt_cfg = OptimizerConfig(
+        opt_cfg = training.OptimizerConfig(
             name=args.optimizer, lr=args.lr, batch_size=args.batch_size,
             epochs=args.epochs, seed=args.seed, target_mse=args.target_mse,
         )
     except ValueError as e:
         return _fail(EXIT_USAGE, str(e))
-    tr, va = split_dataset(ds, 0.8, seed=args.seed)
+    tr, va = signals.split_dataset(ds, 0.8, seed=args.seed)
     if len(va.x) == 0:
         return _fail(
             EXIT_USAGE,
             f"the validation split of {args.data} is empty: every angle needs at "
             f"least 2 samples (gen-data --samples-per-angle 2 or more)",
         )
-    net = build_network(net_cfg)
+    net = network.build_network(net_cfg)
     try:
-        report = train(net, tr.x, tr.y, va.x, va.y, opt_cfg)
-    except TrainingDiverged as e:
+        report = training.train(net, tr.x, tr.y, va.x, va.y, opt_cfg)
+    except training.TrainingDiverged as e:
         return _fail(EXIT_DIVERGED, f"training diverged: {e}")
     except ValueError as e:
         return _fail(EXIT_SHAPE, str(e))
-    params = count_parameters(net)["total"]
+    params = network.count_parameters(net)["total"]
     payload = report.to_dict()
     payload["resolved_config"] = _resolved(args, (
         "data", "model", "p", "epochs", "optimizer", "lr", "batch_size",
@@ -217,7 +178,7 @@ def cmd_train(args):
     payload["resolved_config"]["lambda"] = net_cfg.resolved_depth
     try:
         if args.out_model:
-            save_network(net, args.out_model)
+            network.save_network(net, args.out_model)
         if args.out_report:
             with open(args.out_report, "w", encoding="utf-8") as fh:
                 json.dump(payload, fh, indent=1, sort_keys=True)
@@ -234,15 +195,9 @@ def cmd_train(args):
 def cmd_eval(args):
     if args.model is None or args.data is None:
         return _fail(EXIT_USAGE, "--model and --data are required")
-    import numpy as np
-
-    from .network import forward, load_network
-    from .signals import load_dataset
-    from .training import mse_loss
-
     try:
-        net = load_network(args.model)
-        ds = load_dataset(args.data)
+        net = network.load_network(args.model)
+        ds = signals.load_dataset(args.data)
     except OSError as e:
         return _fail(EXIT_IO, f"cannot read input: {e}")
     except ValueError as e:
@@ -254,12 +209,12 @@ def cmd_eval(args):
             EXIT_SHAPE,
             f"model expects n={net.config.n} channels, dataset has n={ds.n}",
         )
-    y, _ = forward(net, ds.x.T)
-    total = mse_loss(y, ds.y.T, ds.n)
+    y, _ = network.forward(net, ds.x.T)
+    total = training.mse_loss(y, ds.y.T, ds.n)
     print(f"samples: {ds.n_samples}  overall MSE: {total:.6e}")
     for theta in np.unique(ds.angle):
         rows = ds.angle == theta
-        m = mse_loss(y[:, rows], ds.y[rows].T, ds.n)
+        m = training.mse_loss(y[:, rows], ds.y[rows].T, ds.n)
         print(f"  angle {math.degrees(theta):7.2f} deg: MSE {m:.6e} "
               f"({int(rows.sum())} samples)")
     return EXIT_OK
@@ -267,15 +222,6 @@ def cmd_eval(args):
 
 def _verify_checks(args):
     """Yield (name, worst_error, bound) tuples for the self-check table."""
-    import numpy as np
-
-    from .dvm import (
-        DvmSpec, build_bluestein_chain, build_recursive_dft_chain,
-        fast_dvm_apply, scaled_dvm_dense,
-    )
-    from .network import NetworkConfig, build_network, forward, init_from_dvm
-    from .training import grad_check, min_preactivation_gap
-
     rng = np.random.default_rng(args.seed)
 
     worst = 0.0
@@ -284,10 +230,10 @@ def _verify_checks(args):
         eye = np.eye(n, dtype=np.complex128)
         for _ in range(args.trials):
             alpha = np.exp(2j * np.pi * rng.random())
-            spec = DvmSpec(n, alpha)
-            chain = build_bluestein_chain(spec)
-            dense = scaled_dvm_dense(spec)
-            got = fast_dvm_apply(chain, eye)
+            spec = dvm.DvmSpec(n, alpha)
+            chain = dvm.build_bluestein_chain(spec)
+            dense = dvm.scaled_dvm_dense(spec)
+            got = dvm.fast_dvm_apply(chain, eye)
             err = np.linalg.norm(got - dense) / np.linalg.norm(dense)
             worst = max(worst, float(err))
         n *= 2
@@ -295,7 +241,7 @@ def _verify_checks(args):
 
     worst = 0.0
     for size, depth in ((8, 3), (16, 4), (32, 5), (64, 6)):
-        chain = build_recursive_dft_chain(size, depth, exact=True)
+        chain = dvm.build_recursive_dft_chain(size, depth, exact=True)
         kk = np.arange(size)
         dense = np.exp(-2j * np.pi * np.outer(kk, kk) / size)
         err = np.linalg.norm(chain.dense() - dense) / np.linalg.norm(dense)
@@ -305,11 +251,11 @@ def _verify_checks(args):
     worst = 0.0
     for n_net in (4, 8, 16):
         alpha = np.exp(2j * np.pi * rng.random())
-        cfg = NetworkConfig(n=n_net, activation_slope=1.0, delay_alpha=1.0)
-        net = init_from_dvm(build_network(cfg), alpha)
-        dense = scaled_dvm_dense(DvmSpec(n_net, alpha))
+        cfg = network.NetworkConfig(n=n_net, activation_slope=1.0, delay_alpha=1.0)
+        net = network.init_from_dvm(network.build_network(cfg), alpha)
+        dense = dvm.scaled_dvm_dense(dvm.DvmSpec(n_net, alpha))
         x = rng.standard_normal((2 * n_net, 8))
-        y, _ = forward(net, x)
+        y, _ = network.forward(net, x)
         zc = x[:n_net] + 1j * x[n_net:]
         ref = dense @ zc
         err = np.max(np.abs((y[:n_net] + 1j * y[n_net:]) - ref)) / np.max(np.abs(ref))
@@ -319,19 +265,19 @@ def _verify_checks(args):
     worst = 0.0
     for kind in ("structured", "fully_connected"):
         for trial in range(max(1, args.trials // 2)):
-            cfg = NetworkConfig(
+            cfg = network.NetworkConfig(
                 n=4, depth=2, kind=kind, seed=int(rng.integers(2**31)),
                 delay_alpha=np.exp(2j * np.pi * rng.random()),
             )
-            net = build_network(cfg)
+            net = network.build_network(cfg)
             th = net.get_flat()
             net.set_flat(th + 0.05 * rng.standard_normal(th.size))
             for _ in range(50):
                 x = rng.standard_normal((8, 3))
                 t = rng.standard_normal((8, 3))
-                if min_preactivation_gap(net, x) > 1e-4:
+                if training.min_preactivation_gap(net, x) > 1e-4:
                     break
-            res = grad_check(net, x, t)
+            res = training.grad_check(net, x, t)
             worst = max(worst, res["max_rel_err"])
     yield "gradient-check", worst, 1e-5
 
@@ -346,14 +292,12 @@ VERIFY_N_MAX = 1024
 
 
 def cmd_verify(args):
-    from .dvm import check_seed, power_of_two
-
     if args.trials < 1:
         return _fail(EXIT_USAGE, "--trials must be >= 1")
-    if power_of_two(args.n_max, least=2) is None or args.n_max > VERIFY_N_MAX:
+    if dvm.power_of_two(args.n_max, least=2) is None or args.n_max > VERIFY_N_MAX:
         return _fail(EXIT_USAGE, f"--n-max must be a power of two in 2..{VERIFY_N_MAX}")
     try:
-        check_seed(args.seed)
+        dvm.check_seed(args.seed)
     except ValueError as e:
         return _fail(EXIT_USAGE, str(e))
     failures = []
@@ -371,21 +315,17 @@ def cmd_verify(args):
 
 
 def cmd_bench(args):
-    from .complexity import reduction_report, write_reduction_csv, write_reduction_json
-    from .dvm import power_of_two
-    from .network import default_depth
-
     for n in args.n_list:
-        if power_of_two(n, least=2) is None:
+        if dvm.power_of_two(n, least=2) is None:
             return _fail(EXIT_USAGE, f"n values must be powers of two >= 2, got {n}")
     if args.p < 1:
         return _fail(EXIT_USAGE, f"--p must be >= 1, got {args.p}")
-    depths = [default_depth(n) for n in args.n_list]
-    report = reduction_report(ns=args.n_list, depths=depths, p=args.p)
+    depths = [network.default_depth(n) for n in args.n_list]
+    report = complexity.reduction_report(ns=args.n_list, depths=depths, p=args.p)
     extra = {"resolved_config": _resolved(args, ("n_list", "p", "out"))}
     try:
-        write_reduction_csv(report, args.out + ".csv")
-        write_reduction_json(report, args.out + ".json", extra=extra)
+        complexity.write_reduction_csv(report, args.out + ".csv")
+        complexity.write_reduction_json(report, args.out + ".json", extra=extra)
     except OSError as e:
         return _fail(EXIT_IO, f"cannot write report: {e}")
     for row in report["rows"]:
@@ -408,9 +348,8 @@ def _build_parser():
         prog="dvmbeam",
         description="fast delay-Vandermonde transforms and structured beamforming nets",
     )
-    top.add_argument("--version", action="version", version=f"%(prog)s {_version()}")
+    top.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     top.add_argument("--config", help="key = value file supplying flag defaults")
-    top.add_argument("--threads", type=int, help="pin BLAS/OpenMP thread count")
     sub = top.add_subparsers(dest="subcommand", required=True)
     subparsers = {}
 
@@ -492,7 +431,6 @@ def _apply_config_defaults(sp, file_vals):
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    _apply_threads(argv)
     parser = _shared_parser()[0]
     # first pass only finds --config; the real parse then sees file defaults
     try:

@@ -701,27 +701,21 @@ def fast_dvm_apply(chain: FactorChain, x, counter: OpCounter | None = None) -> n
 # recursive DFT factorization (the trainable block structure)
 
 
-# (size, depth) -> (perm, inverse perm); filled on first use, read-only
-_INTERLEAVE_CACHE: dict = {}
-
-
+@functools.cache
 def _interleave_index(size: int, depth: int):
-    """Row order that undoes depth levels of even/odd splitting.
+    """Row order that undoes depth levels of even/odd splitting, as the
+    read-only pair (perm, inverse perm), built once per (size, depth).
 
     Going bottom-up, level l interleaves the two halves of each block of
     size >> l; the composition is one gather, out = y[perm], and its adjoint
     is g[inv_perm].
     """
-    key = (size, depth)
-    hit = _INTERLEAVE_CACHE.get(key)
-    if hit is None:
-        perm = np.arange(size)
-        for lvl in range(depth - 1, -1, -1):
-            perm = even_odd_permute(perm.reshape(1 << lvl, size >> lvl).T).T.reshape(size)
-        inv = np.argsort(perm)
-        perm.flags.writeable = inv.flags.writeable = False
-        hit = _INTERLEAVE_CACHE[key] = (perm, inv)
-    return hit
+    perm = np.arange(size)
+    for lvl in range(depth - 1, -1, -1):
+        perm = even_odd_permute(perm.reshape(1 << lvl, size >> lvl).T).T.reshape(size)
+    inv = np.argsort(perm)
+    perm.flags.writeable = inv.flags.writeable = False
+    return perm, inv
 
 
 def chain_entries(size: int, depth: int) -> int:

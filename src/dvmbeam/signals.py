@@ -15,7 +15,7 @@ single sample can be regenerated without replaying the whole stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import math
 import struct
 
@@ -252,15 +252,9 @@ def split_dataset(ds: Dataset, train_fraction: float = 0.8, seed: int = 0):
     train_idx, val_idx = (np.concatenate(idx) if idx else np.zeros(0, dtype=int)
                           for idx in (train_idx, val_idx))
 
-    def take(idx):
-        return Dataset(
-            x=ds.x[idx].copy(), y=ds.y[idx].copy(),
-            angle=ds.angle[idx].copy(), time=ds.time[idx].copy(),
-            n=ds.n, freq=ds.freq, sample_rate=ds.sample_rate,
-            spacing=ds.spacing, noise_std=ds.noise_std, seed=ds.seed,
-        )
-
-    return take(train_idx), take(val_idx)
+    # fancy indexing copies, so no part shares memory with ds
+    return tuple(replace(ds, x=ds.x[idx], y=ds.y[idx], angle=ds.angle[idx], time=ds.time[idx])
+                 for idx in (train_idx, val_idx))
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +346,16 @@ def _check_finite_rows(path: str, angle, time) -> None:
 
 def _check_targets(path: str, ds: Dataset) -> None:
     """Raise ValueError unless every stored target is within 1e-9 of the
-    transform of its stored input; a NaN in x or y fails, as it must."""
+    transform of its stored input.  A NaN or infinity in x or y fails, and
+    the message then names the first row that holds one."""
     err = verify_targets(ds)
     if not err <= 1e-9:
+        bad = ~(np.isfinite(ds.x).all(axis=1) & np.isfinite(ds.y).all(axis=1))
+        if bad.any():
+            i = int(bad.argmax())
+            name = "input (x)" if not np.isfinite(ds.x[i]).all() else "target (y)"
+            raise ValueError(f"{path}: row {i} has a non-finite {name}; "
+                             "inputs and targets must be finite")
         raise ValueError(
             f"{path}: stored targets deviate from recomputed transform "
             f"by {err:.3e} (limit 1e-9); file is stale or corrupt"
@@ -363,13 +364,16 @@ def _check_targets(path: str, ds: Dataset) -> None:
 
 def verify_targets(ds: Dataset) -> float:
     """Max absolute difference between stored targets and the transform of
-    the stored inputs."""
+    the stored inputs; NaN or infinite when an input or target is."""
     spec = DvmSpec(ds.n, ds.alpha)
     chain = build_bluestein_chain(spec)
-    u = (ds.x[:, : ds.n] + 1j * ds.x[:, ds.n :]).T
-    v = fast_dvm_apply(chain, u)
-    expect = np.concatenate([v.real, v.imag]).T
-    return float(np.max(np.abs(expect - ds.y))) if ds.n_samples else 0.0
+    # a non-finite entry turns the result into NaN, which _check_targets
+    # refuses, so numpy's overflow and invalid-value warnings are not shown
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = (ds.x[:, : ds.n] + 1j * ds.x[:, ds.n :]).T
+        v = fast_dvm_apply(chain, u)
+        expect = np.concatenate([v.real, v.imag]).T
+        return float(np.max(np.abs(expect - ds.y))) if ds.n_samples else 0.0
 
 
 def save_dataset_csv(ds: Dataset, path: str) -> None:
@@ -400,16 +404,13 @@ def save_dataset_csv(ds: Dataset, path: str) -> None:
 
 
 def load_dataset_csv(path: str, freq: float | None = None,
-                     sample_rate: float = DEFAULT_SAMPLE_RATE,
-                     spacing: float | None = None, noise_std: float = 0.0,
-                     seed: int = 0, verify: bool = True) -> Dataset:
+                     sample_rate: float = DEFAULT_SAMPLE_RATE) -> Dataset:
     """Read the tabular format back (CRLF or LF line ends).  The table
-    carries no generator metadata, so freq (and friends) must be supplied to
-    re-verify targets; without freq the data loads unverified, with a NaN
-    freq that save_dataset rejects.  The
-    sample_id column is not parsed.  seed must pass check_seed, so that
-    save_dataset can write the result."""
-    check_seed(seed)
+    carries no generator metadata, so freq and sample_rate must be supplied
+    to re-verify targets; without freq the data loads unverified, with a NaN
+    freq that save_dataset rejects.  The set is labelled with the
+    half-wavelength spacing, noise_std 0 and seed 0.  The sample_id column
+    is not parsed."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n")
     if lines[-1] == "":
@@ -434,10 +435,9 @@ def load_dataset_csv(path: str, freq: float | None = None,
     ds = Dataset(
         x=x, y=y, angle=angle, time=time, n=n,
         freq=(math.nan if freq is None else freq), sample_rate=sample_rate,
-        spacing=(half_wavelength_spacing() if spacing is None else spacing),
-        noise_std=noise_std, seed=seed,
+        spacing=half_wavelength_spacing(), noise_std=0.0, seed=0,
     )
-    if verify and freq is not None:
+    if freq is not None:
         _check_targets(path, ds)
     return ds
 

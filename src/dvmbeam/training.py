@@ -103,31 +103,18 @@ def min_preactivation_gap(net: Network, x) -> float:
     return min(float(np.min(np.abs(tr.pre1.view(np.float64)))) for tr in trace.block_traces)
 
 
-def grad_check(net: Network, x, target, corrupt: tuple | None = None) -> dict:
+def grad_check(net: Network, x, target) -> dict:
     """Compare analytic gradients against central finite differences of the
     loss, one flat coordinate at a time.
 
     Relative error uses max(1, |analytic|) in the denominator so tiny
-    gradients do not blow the ratio up.  corrupt=(path, index, factor)
-    multiplies one analytic component, index 0..width-1 of that path's
-    slot, before comparison; a working check must then report that path as
-    the worst offender.
+    gradients do not blow the ratio up.
     """
     cfg = net.config
     x2, _ = _as_columns(x, 2 * cfg.n)
     t2, _ = _as_columns(target, 2 * cfg.n)
     _, trace = forward(net, x2, want_trace=True)
     analytic = backward(net, trace, t2).to_flat(net)
-
-    if corrupt is not None:
-        path, idx, factor = corrupt
-        slot = next((s for s in net.layout if s.path == path), None)
-        if slot is None:
-            raise ValueError(f"unknown parameter path {path!r}")
-        if not 0 <= idx < slot.width:
-            raise ValueError(f"corrupt index {idx} is outside {path!r}, of width {slot.width}")
-        analytic[slot.offset + idx] *= factor
-
     fd = _central_differences(
         net, lambda: mse_loss(forward(net, x2)[0], t2, cfg.n), np.empty_like(analytic)
     )

@@ -382,6 +382,29 @@ def exact_model(work):
     return path
 
 
+@pytest.mark.parametrize("subcommand", ["eval", "train"])
+@pytest.mark.parametrize("field,value", [("x", np.inf), ("y", np.nan)])
+def test_non_finite_set_exits_with_one_line_naming_the_row(exact_model, data4_clean, work,
+                                                           capsys, subcommand, field, value):
+    # the target check used to print numpy's overflow and invalid-value
+    # warnings, then a deviation of nan that named neither row nor field
+    ds = load_dataset(str(data4_clean))
+    getattr(ds, field)[7, 3] = value
+    bad = work / f"non_finite_{field}.bin"
+    save_dataset(ds, str(bad))
+    argv = (["eval", "--model", str(exact_model)] if subcommand == "eval"
+            else ["train", "--epochs", "1"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([*argv, "--data", str(bad)])
+    captured = capsys.readouterr()
+    assert code == EXIT_IO
+    name = "input (x)" if field == "x" else "target (y)"
+    assert captured.err == (f"error: {bad}: row 7 has a non-finite {name}; "
+                            "inputs and targets must be finite\n")
+    assert captured.out == ""
+
+
 def test_eval_exact_model_on_clean_data(exact_model, data4_clean, capsys):
     code = main(["eval", "--model", str(exact_model), "--data", str(data4_clean)])
     out = capsys.readouterr().out
@@ -661,24 +684,16 @@ def test_no_subcommand_is_usage_error(capsys):
     assert main([]) == EXIT_USAGE
 
 
-def test_threads_flag_validation():
-    with pytest.raises(SystemExit) as err:
-        main(["--threads", "0", "bench"])
-    assert err.value.code == EXIT_USAGE
-
-
-def test_threads_flag_sets_pool_env(work):
-    saved = os.environ.get("OMP_NUM_THREADS")
-    try:
-        code = main(["--threads", "2", "bench", "--n-list", "8",
-                     "--out", str(work / "thr")])
-        assert code == EXIT_OK
-        assert os.environ["OMP_NUM_THREADS"] == "2"
-    finally:
-        if saved is None:
-            os.environ.pop("OMP_NUM_THREADS", None)
-        else:
-            os.environ["OMP_NUM_THREADS"] = saved
+def test_threads_flag_validation(work, capsys):
+    # there is no --threads: numpy, and with it the BLAS pool, is loaded
+    # before main runs, so the flag could not pin anything
+    env = dict(os.environ)
+    out = str(work / "thr")
+    for argv in (["--threads", "2", "bench"], ["--threads=1", "bench"]):
+        assert main([*argv, "--n-list", "8", "--out", out]) == EXIT_USAGE
+        assert "dvmbeam: error:" in capsys.readouterr().err
+    assert dict(os.environ) == env
+    assert not os.path.exists(out + ".csv")
 
 
 def test_config_file_supplies_defaults(work):
@@ -771,6 +786,36 @@ def test_config_file_types_reach_each_subcommand(work, monkeypatch):
     assert ver.trials == 4 and type(ver.trials) is int
     # untouched options keep their parser defaults
     assert gen.samples_per_angle == 1000 and ver.n_max == 256
+
+
+def test_gen_data_and_eval_call_each_function_on_its_module(exact_model, work, monkeypatch):
+    # the benchmark's traced pass wraps these seven functions on their
+    # modules, as the tests' monkeypatches do: the CLI must look each one up
+    # there at call time, or a replacement would never run
+    import dvmbeam.network as network
+    import dvmbeam.signals as signals
+    import dvmbeam.training as training
+
+    calls = {}
+
+    def counting(key, f):
+        def run(*args, **kwargs):
+            calls[key] += 1
+            return f(*args, **kwargs)
+        return run
+
+    for mod, name in ((signals, "make_dataset"), (signals, "verify_targets"),
+                      (signals, "save_dataset"), (signals, "load_dataset"),
+                      (network, "load_network"), (network, "forward"),
+                      (training, "mse_loss")):
+        key = f"{mod.__name__}.{name}"
+        calls[key] = 0
+        monkeypatch.setattr(mod, name, counting(key, getattr(mod, name)))
+    data = str(work / "boundary.bin")
+    assert main(["gen-data", "--n", "4", "--freq-ghz", "24", "--samples-per-angle", "4",
+                 "--out", data]) == EXIT_OK
+    assert main(["eval", "--model", str(exact_model), "--data", data]) == EXIT_OK
+    assert [key for key, count in calls.items() if count == 0] == []
 
 
 @pytest.fixture

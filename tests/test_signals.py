@@ -3,6 +3,7 @@
 import csv
 import functools
 import math
+import re
 import struct
 import warnings
 
@@ -459,12 +460,17 @@ def test_load_rejects_corruption(tmp_path):
 
 
 @pytest.mark.parametrize("fmt", ["binary", "csv"])
-@pytest.mark.parametrize("array, edit", [
-    ("y", lambda v: math.nan), ("x", lambda v: math.nan), ("y", lambda v: v + 1e-6),
-], ids=["nan_target", "nan_input", "finite_drift"])
-def test_load_rejects_nan_and_drifted_entries(tmp_path, fmt, array, edit):
-    # verify_targets returns NaN for a NaN anywhere in x or y, and NaN fails
-    # every comparison: the check must reject unless the error is <= 1e-9
+@pytest.mark.parametrize("array, edit, message", [
+    ("y", lambda v: math.nan, r"row 1 has a non-finite target \(y\)"),
+    ("x", lambda v: math.nan, r"row 1 has a non-finite input \(x\)"),
+    ("y", lambda v: v + 1e-6, "stored targets deviate"),
+    ("y", lambda v: math.inf, r"row 1 has a non-finite target \(y\)"),
+    ("x", lambda v: -math.inf, r"row 1 has a non-finite input \(x\)"),
+], ids=["nan_target", "nan_input", "finite_drift", "inf_target", "inf_input"])
+def test_load_rejects_nan_and_drifted_entries(tmp_path, fmt, array, edit, message):
+    # verify_targets returns NaN or inf for a NaN or inf anywhere in x or y,
+    # and NaN fails every comparison: the check must reject unless the error
+    # is <= 1e-9, name the row of a non-finite entry, and warn of nothing
     ds = small_ds()
     arr = getattr(ds, array)
     arr[1, 2] = edit(arr[1, 2])
@@ -475,8 +481,10 @@ def test_load_rejects_nan_and_drifted_entries(tmp_path, fmt, array, edit):
     else:
         save_dataset_csv(ds, str(p))
         load = functools.partial(load_dataset_csv, freq=ds.freq)
-    with pytest.raises(ValueError, match="deviate"):
-        load(str(p))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"{re.escape(str(p))}: {message}"):
+            load(str(p))
 
 
 @pytest.mark.parametrize("field, value", [
@@ -583,7 +591,8 @@ def test_load_rejects_non_finite_angle_or_time_naming_the_first_row(tmp_path, fm
         load = load_dataset
     else:
         save_dataset_csv(ds, str(p))
-        load = functools.partial(load_dataset_csv, freq=ds.freq)
+        # a table loads unverified when no freq is given
+        load = lambda path, verify: load_dataset_csv(path, freq=ds.freq if verify else None)  # noqa: E731
     with pytest.raises(ValueError) as err:
         load(str(p), verify=verify)
     assert f"{p}: row 7 has a non-finite {field} ({value!r})" in str(err.value)
@@ -606,14 +615,6 @@ def test_zero_and_negative_freq_save_and_load(tmp_path, freq):
     save_dataset(ds, str(p))
     back = load_dataset(str(p))
     assert back.freq == freq and np.array_equal(back.y, ds.y)
-
-
-@pytest.mark.parametrize("seed", [-1, 2**63, 1.5])
-def test_csv_load_rejects_seed_a_dataset_file_cannot_hold(tmp_path, seed):
-    p = tmp_path / "d.csv"
-    save_dataset_csv(small_ds(), str(p))
-    with pytest.raises(ValueError, match="seed"):
-        load_dataset_csv(str(p), seed=seed)
 
 
 def test_csv_load_rejects_malformed(tmp_path):

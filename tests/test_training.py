@@ -259,9 +259,11 @@ def test_grad_check_block_variants(cfg):
     assert res["n_checked"] == net.param_count()
 
 
-def test_grad_check_flags_corrupted_component():
+def test_grad_check_flags_corrupted_component(monkeypatch):
     # corrupt the largest analytic gradient by 1%; the check must point at
     # exactly that parameter with an error above the detection floor
+    import dvmbeam.training as training
+
     rng = np.random.default_rng(5)
     net = random_net(3)
     x = rng.normal(size=(8, 4))
@@ -280,28 +282,16 @@ def test_grad_check_flags_corrupted_component():
     path = next(p for p, a, b in spans if a <= j < b)
     off = j - next(a for p, a, b in spans if p == path)
 
-    res = grad_check(net, x, t, corrupt=(path, off, 1.01))
+    def corrupted(*args, **kwargs):
+        pack = backward(*args, **kwargs)
+        pack.flat[j] *= 1.01
+        return pack
+
+    monkeypatch.setattr(training, "backward", corrupted)
+    res = grad_check(net, x, t)
     assert res["worst_path"] == path
     assert res["worst_index"] == off
     assert res["max_rel_err"] >= 5e-3
-
-
-def test_grad_check_unknown_corrupt_path():
-    net = random_net(0)
-    with pytest.raises(ValueError, match="unknown parameter"):
-        grad_check(net, np.zeros((8, 1)), np.zeros((8, 1)),
-                   corrupt=("nope", 0, 2.0))
-
-
-@pytest.mark.parametrize("path,index", [("block0.bias1", 16), ("block0.bias_out", 8),
-                                        ("block0.skip", -1)])
-def test_grad_check_rejects_a_corrupt_index_outside_its_path(path, index):
-    # n=4: bias1 and skip have width 16 and bias_out, the last slot, width 8;
-    # an index past a slot's end must not reach the next one
-    net = random_net(0)
-    width = 8 if path == "block0.bias_out" else 16
-    with pytest.raises(ValueError, match=rf"{index} is outside '{path}', of width {width}"):
-        grad_check(net, np.zeros((8, 1)), np.zeros((8, 1)), corrupt=(path, index, 100.0))
 
 
 def test_grad_check_twenty_random_nets():
