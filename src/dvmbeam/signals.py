@@ -25,8 +25,10 @@ from .dvm import DvmSpec, build_bluestein_chain, check_int, check_seed, cis, fas
 
 SPEED_OF_LIGHT = 299792458.0
 DEFAULT_SAMPLE_RATE = 32e9
-# rows formatted per write in save_dataset_csv
-_CSV_BLOCK_ROWS = 256
+# values formatted per write in save_dataset_csv.  A block's slots and
+# temporaries take about 200 bytes a value; blocks of 2,048-16,384 values
+# wrote the 900-sample n=16 table fastest, 4x larger ones 1.3x slower
+_CSV_BLOCK_VALUES = 8192
 
 # numpy.random.SeedSequence's hash constants (pool of four 32-bit words) and
 # the 128-bit LCG multiplier of PCG64, as numpy defines them
@@ -347,7 +349,8 @@ def _check_finite_rows(path: str, angle, time) -> None:
 def _check_targets(path: str, ds: Dataset) -> None:
     """Raise ValueError unless every stored target is within 1e-9 of the
     transform of its stored input.  A NaN or infinity in x or y fails, and
-    the message then names the first row that holds one."""
+    the message then names the first row that holds one; so does a finite
+    input whose transform overflows."""
     err = verify_targets(ds)
     if not err <= 1e-9:
         bad = ~(np.isfinite(ds.x).all(axis=1) & np.isfinite(ds.y).all(axis=1))
@@ -356,30 +359,176 @@ def _check_targets(path: str, ds: Dataset) -> None:
             name = "input (x)" if not np.isfinite(ds.x[i]).all() else "target (y)"
             raise ValueError(f"{path}: row {i} has a non-finite {name}; "
                              "inputs and targets must be finite")
+        over = ~np.isfinite(_recomputed_targets(ds)).all(axis=1)
+        if over.any():
+            raise ValueError(f"{path}: row {int(over.argmax())} has an input (x) whose "
+                             "transform overflows float64; inputs must be small enough "
+                             "for a finite target")
         raise ValueError(
             f"{path}: stored targets deviate from recomputed transform "
             f"by {err:.3e} (limit 1e-9); file is stale or corrupt"
         )
 
 
-def verify_targets(ds: Dataset) -> float:
-    """Max absolute difference between stored targets and the transform of
-    the stored inputs; NaN or infinite when an input or target is."""
-    spec = DvmSpec(ds.n, ds.alpha)
-    chain = build_bluestein_chain(spec)
-    # a non-finite entry turns the result into NaN, which _check_targets
-    # refuses, so numpy's overflow and invalid-value warnings are not shown
+def _recomputed_targets(ds: Dataset) -> np.ndarray:
+    """(samples, 2n) real-split transform of every stored input; NaN or
+    infinite in a row whose input is, or so large that the transform
+    overflows.  numpy's overflow and invalid-value warnings are not shown:
+    _check_targets refuses such a set."""
+    chain = build_bluestein_chain(DvmSpec(ds.n, ds.alpha))
     with np.errstate(over="ignore", invalid="ignore"):
         u = (ds.x[:, : ds.n] + 1j * ds.x[:, ds.n :]).T
         v = fast_dvm_apply(chain, u)
-        expect = np.concatenate([v.real, v.imag]).T
+        return np.concatenate([v.real, v.imag]).T
+
+
+def verify_targets(ds: Dataset) -> float:
+    """Max absolute difference between stored targets and the transform of
+    the stored inputs; NaN or infinite when an input or target is."""
+    expect = _recomputed_targets(ds)
+    with np.errstate(over="ignore", invalid="ignore"):
         return float(np.max(np.abs(expect - ds.y))) if ds.n_samples else 0.0
+
+
+# ---------------------------------------------------------------------------
+# tables
+#
+# save_dataset_csv writes every value as Python's '%.17g' would, a block of
+# values at a time.  Each value gets a 40-byte slot whose non-NUL bytes, in
+# order, are the separator and the value's text:
+#
+#   byte 0        ',' (the separator before the value)
+#   byte 1        '-' for a negative value
+#   bytes 2-6     '0.' and up to three '0's for a value below 1
+#   byte 7 + 2j   significant digit j of 17 (j = 0..16)
+#   byte 8 + 2j   '.' after digit j = E when a nonzero digit follows
+#
+# and one bytes.translate drops the NULs of a whole block.  A finite v with
+# 1e-4 <= |v| < 1e16 prints in '%g's fixed style (its decimal exponent after
+# rounding is in -4..16), so its text is the 17 digits of D = round(|v| *
+# 10**(16 - E)), E = floor(log10 |v|), with the point after digit E, '0.'
+# and -E - 1 zeros ahead of them when E < 0, and trailing zeros after the
+# point dropped.  Every other value (zeros, non-finite, subnormal, tiny or
+# huge) takes Python's own '%.17g'; a set of snapshots and targets has a
+# handful of them.
+
+_SLOT = 40
+# 10**k for k <= 22 is an exact double
+_POW10 = np.array([float(10**k) for k in range(23)])
+
+
+def _dekker_split(a):
+    """(hi, lo) with hi + lo == a and each half 26 bits or less (Dekker 1971)."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _dekker_split(_POW10)
+
+
+def _digit_group_tables():
+    """Two tables over the 4-digit groups 0000-9999: each group as 8 bytes,
+    every digit after a NUL, read as one uint64; and its trailing zeros, 4
+    for 0000."""
+    g = np.arange(10000)
+    groups = np.zeros((g.size, 8), np.uint8)
+    groups[:, 1::2] = g[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
+    return groups.view(np.uint64).ravel(), sum(g % 10**k == 0 for k in range(1, 5))
+
+
+_GROUPS, _GROUP_TZ = _digit_group_tables()
+
+
+def _slot_xor_table() -> np.ndarray:
+    """(21 * 17 * 2, 5) uint64: for exponent E = -4..16, last kept digit
+    0..16 and sign, the bytes to XOR into the digit groups' 40 bytes to make
+    the value's slot.  A kept digit's byte XORs with 0; a dropped trailing
+    zero with '0'; the NUL ahead of each digit and the three '0's that pad
+    the first group (one digit) turn into the separator, sign, prefix or
+    point."""
+    e = np.arange(-4, 17)[:, None, None, None]
+    last = np.arange(17)[:, None, None]
+    neg = np.arange(2)[:, None]
+    pos = np.arange(_SLOT)
+    zero, point = ord("0"), ord(".")
+    want = ((pos == 0) * ord(",") + (pos == 1) * neg * ord("-")
+            + (e < 0) * ((pos == 2) * zero + (pos == 3) * point
+                         + ((pos >= 4) & (pos <= 2 - e)) * zero)
+            + ((0 <= e) & (e < last) & (pos == 8 + 2 * e)) * point)
+    have = ((pos < 7) | (pos > 7 + 2 * last)) * (pos % 2) * zero
+    table = np.broadcast_to(want ^ have, (21, 17, 2, _SLOT)).astype(np.uint8)
+    return table.view(np.uint64).reshape(-1, _SLOT // 8)
+
+
+_SLOT_XOR = _slot_xor_table()
+
+
+def _round17(a, e):
+    """round(a * 10**(16 - e)) as int64, ties to even.  a * 10**k is exactly
+    p + err, Dekker's product.  For e = floor(log10 a), p >= 1e16 > 2**53 is
+    an even integer, so adding rint(err) rounds a tie to even; for another e
+    the result falls outside [1e16, 1e17), and _g17_slots redoes it."""
+    k = 16 - e
+    b, bh, bl = _POW10[k], _POW10_HI[k], _POW10_LO[k]
+    ah, al = _dekker_split(a)
+    p = a * b
+    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    return p.astype(np.int64) + np.rint(err).astype(np.int64)
+
+
+def _g17_slots(v: np.ndarray) -> np.ndarray:
+    """(v.size, _SLOT) uint8: slot i holds ',' then '%.17g' % v[i] in the
+    layout above, NUL-padded.  v is a 1-D float64 array."""
+    a = np.abs(v)
+    exact = (a >= 1e-4) & (a < 1e16)
+    a[~exact] = 1.0
+    e = np.floor(np.log10(a)).astype(np.intp)
+    d = _round17(a, e)
+    # log10 is within an ulp, so E is off by at most one near a power of ten,
+    # where D falls outside [1e16, 1e17); one step fixes it
+    off = (d < 10**16).astype(np.intp) - (d >= 10**17)
+    redo = np.flatnonzero(off)
+    if redo.size:
+        e[redo] -= off[redo]
+        d[redo] = _round17(a[redo], e[redo])
+    # D as five groups of 4 digits (the first holds one), in 32-bit arithmetic
+    hi = d // 10**8
+    lo = (d - hi * 10**8).astype(np.uint32)
+    hi = hi.astype(np.uint32)
+    groups = np.empty((v.size, 5), np.uint32)
+    q = hi // 10000
+    groups[:, 2] = hi - q * 10000
+    groups[:, 0] = q // 10000
+    groups[:, 1] = q - groups[:, 0] * 10000
+    groups[:, 3] = lo // 10000
+    groups[:, 4] = lo - groups[:, 3] * 10000
+    slots = np.empty((v.size, _SLOT), np.uint8)
+    words = slots.view(np.uint64)
+    # every group is below 10000; take buffers out= unless mode is not "raise"
+    np.take(_GROUPS, groups, out=words, mode="clip")
+    # trailing zeros of D: those of its last nonzero group
+    tz = _GROUP_TZ[groups[:, 4]]
+    deep = np.flatnonzero(tz == 4)
+    if deep.size:
+        t = tz[deep]
+        for j in (3, 2, 1):
+            t += (t == 4 * (4 - j)) * _GROUP_TZ[groups[deep, j]]
+        tz[deep] = t
+    last = np.maximum(e, 16 - tz)
+    words ^= np.take(_SLOT_XOR, ((e + 4) * 17 + last) * 2 + np.signbit(v), axis=0)
+    for i in np.flatnonzero(~exact):
+        text = np.frombuffer(b"%.17g" % v[i], np.uint8)
+        slots[i, 1:] = 0
+        slots[i, 2 : 2 + text.size] = text
+    return slots
 
 
 def save_dataset_csv(ds: Dataset, path: str) -> None:
     """Tabular twin of the binary format: one header row, one row per sample,
-    17 significant digits per value (lossless for float64), CRLF line ends.
-    Rows are formatted in blocks of _CSV_BLOCK_ROWS to bound the memory used."""
+    each value as '%.17g' writes it (17 significant digits, lossless for
+    float64), CRLF line ends.  Rows are formatted in blocks of about
+    _CSV_BLOCK_VALUES values (_g17_slots) to bound the memory used."""
     n = ds.n
     header = (
         ["sample_id", "t", "angle_deg"]
@@ -388,31 +537,48 @@ def save_dataset_csv(ds: Dataset, path: str) -> None:
         + [f"y_re_{i}" for i in range(n)]
         + [f"y_im_{i}" for i in range(n)]
     )
-    row_fmt = "%d," + ",".join(["%.17g"] * (2 + 4 * n)) + "\r\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for a in range(0, ds.n_samples, _CSV_BLOCK_ROWS):
-            b = min(a + _CSV_BLOCK_ROWS, ds.n_samples)
-            vals = np.empty((b - a, 2 + 4 * n))
-            vals[:, 0] = ds.time[a:b]
-            vals[:, 1] = np.degrees(ds.angle[a:b])
-            vals[:, 2 : 2 + 2 * n] = ds.x[a:b]
-            vals[:, 2 + 2 * n :] = ds.y[a:b]
-            fh.write("".join(
-                row_fmt % (i, *row) for i, row in enumerate(vals.tolist(), a)
-            ))
+    width = len(header)
+    rows = max(1, _CSV_BLOCK_VALUES // width)
+    with open(path, "wb") as fh:
+        # each row starts by ending the line before it, and the table ends
+        # with one more line end
+        fh.write(",".join(header).encode())
+        for a in range(0, ds.n_samples, rows):
+            b = min(a + rows, ds.n_samples)
+            vals = np.empty((b - a, width))
+            # a sample id is an exact double (below 2**53), and '%.17g'
+            # writes an integer below 1e17 as '%d' does
+            vals[:, 0] = np.arange(a, b)
+            vals[:, 1] = ds.time[a:b]
+            vals[:, 2] = np.degrees(ds.angle[a:b])
+            vals[:, 3 : 3 + 2 * n] = ds.x[a:b]
+            vals[:, 3 + 2 * n :] = ds.y[a:b]
+            slots = _g17_slots(vals.ravel()).reshape(b - a, width, _SLOT)
+            slots[:, 0, :2] = (ord("\r"), ord("\n"))
+            fh.write(slots.tobytes().translate(None, b"\0"))
+        fh.write(b"\r\n")
 
 
 def load_dataset_csv(path: str, freq: float | None = None,
                      sample_rate: float = DEFAULT_SAMPLE_RATE) -> Dataset:
-    """Read the tabular format back (CRLF or LF line ends).  The table
+    """Read the tabular format back.  A line ends at LF, CRLF or a lone CR, as
+    in a file read in text mode, and the file must be UTF-8.  The table
     carries no generator metadata, so freq and sample_rate must be supplied
     to re-verify targets; without freq the data loads unverified, with a NaN
     freq that save_dataset rejects.  The set is labelled with the
     half-wavelength spacing, noise_std 0 and seed 0.  The sample_id column
     is not parsed."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if b"\r" in raw:
+        raw = _lf_line_ends(raw)
+    body_commas = np.count_nonzero(np.frombuffer(raw, np.uint8) == ord(","))
+    # strict: a file that is not UTF-8 raises here.  Each copy of the file
+    # is freed once the next one is made, so the lines are the only copy left
+    text = raw.decode("utf-8")
+    del raw
+    lines = text.split("\n")
+    del text
     if lines[-1] == "":
         lines.pop()
     if not lines or lines[0].split(",", 1)[0] != "sample_id":
@@ -421,12 +587,7 @@ def load_dataset_csv(path: str, freq: float | None = None,
     if width < 11 or (width - 3) % 4:
         raise ValueError(f"{path}: header has {width} columns, want 3 + 4n with n >= 2")
     n = (width - 3) // 4
-    body = lines[1:]
-    for i, line in enumerate(body):
-        fields = line.count(",") + 1 if line else 0
-        if fields != width:
-            raise ValueError(f"{path}: row {i} has {fields} fields, want {width}")
-    vals = _parse_value_fields(path, body, width)
+    vals = _parse_value_fields(path, lines[1:], width, body_commas - (width - 1))
     time = vals[:, 0].copy()
     angle = np.radians(vals[:, 1])
     x = vals[:, 2 : 2 + 2 * n].copy()
@@ -442,10 +603,26 @@ def load_dataset_csv(path: str, freq: float | None = None,
     return ds
 
 
-def _parse_value_fields(path: str, body: list, width: int) -> np.ndarray:
+def _lf_line_ends(raw: bytes) -> bytes:
+    """raw with every line end an LF, as text mode reads it: a CR that no LF
+    follows ends a line as an LF does, and the CR of a CRLF is dropped.  Each
+    byte it changes or drops is ASCII and keeps an LF after it, so the
+    result is UTF-8 exactly when raw is."""
+    data = np.frombuffer(raw, np.uint8)
+    lone = data == ord("\r")
+    lone[:-1] &= data[1:] != ord("\n")
+    if lone.any():
+        data = data.copy()
+        data[lone] = ord("\n")
+        raw = data.tobytes()
+    return raw.replace(b"\r", b"")
+
+
+def _parse_value_fields(path: str, body: list, width: int, commas: int) -> np.ndarray:
     """float64 (rows, width - 1) array of every field but the first, parsed
-    in one call; a field that is not a number raises ValueError naming its
-    row."""
+    in one call; body holds `commas` commas in all.  A row without width
+    fields, or with a field that is not a number, raises ValueError naming
+    the first such row, field counts first."""
     def parse(lines):
         return np.loadtxt(lines, delimiter=",", usecols=range(1, width),
                           comments=None, ndmin=2)
@@ -453,11 +630,23 @@ def _parse_value_fields(path: str, body: list, width: int) -> np.ndarray:
     if not body:
         return np.empty((0, width - 1))
     try:
-        return parse(body)
+        vals, error = parse(body), None
     except ValueError as err:
-        for i, line in enumerate(body):
-            try:
-                parse([line])
-            except ValueError:
-                raise ValueError(f"{path}: row {i} has a non-numeric value") from None
-        raise ValueError(f"{path}: {err}") from None
+        vals, error = None, err
+    # a parse that passed found width fields or more on every line it did
+    # not skip as blank; it skipped none, and no line had more, exactly when
+    # the row count and the comma total match
+    if error is None and len(vals) == len(body) and commas == (width - 1) * len(body):
+        return vals
+    for i, line in enumerate(body):
+        fields = line.count(",") + 1 if line else 0
+        if fields != width:
+            raise ValueError(f"{path}: row {i} has {fields} fields, want {width}")
+    if error is None:
+        return vals
+    for i, line in enumerate(body):
+        try:
+            parse([line])
+        except ValueError:
+            raise ValueError(f"{path}: row {i} has a non-numeric value") from None
+    raise ValueError(f"{path}: {error}") from None

@@ -9,7 +9,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dvmbeam import signals
 from dvmbeam.dvm import DvmSpec, build_bluestein_chain, fast_dvm_apply, scaled_dvm_dense
 from dvmbeam.signals import (
     SPEED_OF_LIGHT,
@@ -466,11 +468,14 @@ def test_load_rejects_corruption(tmp_path):
     ("y", lambda v: v + 1e-6, "stored targets deviate"),
     ("y", lambda v: math.inf, r"row 1 has a non-finite target \(y\)"),
     ("x", lambda v: -math.inf, r"row 1 has a non-finite input \(x\)"),
-], ids=["nan_target", "nan_input", "finite_drift", "inf_target", "inf_input"])
+    ("x", lambda v: 1e308, r"row 1 has an input \(x\) whose transform overflows float64"),
+], ids=["nan_target", "nan_input", "finite_drift", "inf_target", "inf_input",
+        "overflowing_input"])
 def test_load_rejects_nan_and_drifted_entries(tmp_path, fmt, array, edit, message):
     # verify_targets returns NaN or inf for a NaN or inf anywhere in x or y,
-    # and NaN fails every comparison: the check must reject unless the error
-    # is <= 1e-9, name the row of a non-finite entry, and warn of nothing
+    # or for a finite input whose transform overflows, and NaN fails every
+    # comparison: the check must reject unless the error is <= 1e-9, name
+    # the row of a non-finite entry or target, and warn of nothing
     ds = small_ds()
     arr = getattr(ds, array)
     arr[1, 2] = edit(arr[1, 2])
@@ -796,3 +801,104 @@ def test_csv_load_rejects_bad_header(tmp_path):
     empty.write_bytes(b"")
     with pytest.raises(ValueError, match="missing header"):
         load_dataset_csv(str(empty))
+
+
+def test_csv_load_reads_lone_cr_line_ends_and_names_blank_and_short_rows(tmp_path):
+    # text mode ends a line at a CR that no LF follows, so such a table
+    # loads as its CRLF twin does; a blank line and a short last row without
+    # a line end are named by row
+    ds = small_ds()
+    crlf = tmp_path / "crlf.csv"
+    save_dataset_csv(ds, str(crlf))
+    raw = crlf.read_bytes()
+    lines = raw.split(b"\r\n")[:-1]
+    cr = tmp_path / "cr.csv"
+    cr.write_bytes(raw.replace(b"\r\n", b"\r"))
+    mixed = tmp_path / "mixed.csv"
+    mixed.write_bytes(b"".join(line + (b"\r", b"\n", b"\r\n")[i % 3]
+                               for i, line in enumerate(lines)))
+    want = load_dataset_csv(str(crlf), freq=ds.freq)
+    for path in (cr, mixed):
+        got = load_dataset_csv(str(path), freq=ds.freq)
+        for field in ("x", "y", "angle", "time"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+    blank = tmp_path / "blank.csv"
+    blank.write_bytes(b"\r".join(lines[:4] + [b""] + lines[4:]) + b"\r")
+    with pytest.raises(ValueError, match="row 3 has 0 fields, want 19"):
+        load_dataset_csv(str(blank))
+    # a row with 18 extra fields and a blank line hold as many commas as two
+    # good rows; the parse skips the blank line and keeps 19 of the long row
+    extra = tmp_path / "extra.csv"
+    extra.write_bytes(b"\r\n".join(lines[:3] + [lines[3] + b",0" * 18] + lines[4:6] + [b""]
+                                   + lines[6:]) + b"\r\n")
+    with pytest.raises(ValueError, match="row 2 has 37 fields, want 19"):
+        load_dataset_csv(str(extra))
+    short = tmp_path / "short.csv"
+    short.write_bytes(b"\r".join(lines[:-1] + [lines[-1].rsplit(b",", 1)[0]]))
+    with pytest.raises(ValueError, match="row 59 has 18 fields, want 19"):
+        load_dataset_csv(str(short))
+
+
+# ---------------------------------------------------------------------------
+# the '%.17g' kernel of save_dataset_csv
+
+
+def _g17(values):
+    """Each value's text as save_dataset_csv writes it, ',' before each."""
+    v = np.asarray(values, dtype=np.float64).ravel()
+    return signals._g17_slots(v).tobytes().translate(None, b"\0")
+
+
+def _ref17(values):
+    return b"".join(b",%.17g" % v for v in np.asarray(values, dtype=np.float64).ravel())
+
+
+def _boundaries():
+    """10**k for k = -5..17 and 1e-4 and 1e16, each with both neighbours."""
+    centres = [float(f"1e{k}") for k in range(-5, 18)] + [1e-4, 1e16]
+    out = []
+    for c in centres:
+        out += [np.nextafter(c, 0.0), c, np.nextafter(c, np.inf)]
+    return np.array(out)
+
+
+# values whose 18th significant digit is an exact 5: '%.17g' rounds them to
+# an even 17th digit (1000000000000000.25 -> ...0.2, ....75 -> ...0.8)
+_TIES = [1e15 + 0.25, 1e15 + 0.75, 2e15 + 0.25, 1e14 + 0.125, 1e14 + 0.375,
+         123456789012345.625, 1e13 + 0.0625]
+
+
+def test_g17_fixed_table_matches_percent_format():
+    table = np.concatenate([_boundaries(), _TIES, [0.0, -0.0, 0.1, 1 / 3, 2 / 3]])
+    table = np.concatenate([table, -table])
+    for t in _TIES:  # each is an exact tie, not a rounded one
+        assert len(("%.18g" % t).replace(".", "")) == 18 and ("%.18g" % t).endswith("5")
+    got, want = _g17(table).split(b",")[1:], _ref17(table).split(b",")[1:]
+    assert [(float(v), g) for v, g, w in zip(table, got, want) if g != w] == []
+
+
+def test_g17_every_decade_from_1e_minus_6_to_1e17():
+    # 10**5 doubles drawn uniformly over the bit patterns of each decade,
+    # with random signs; one kernel call per decade
+    rng = np.random.default_rng(17)
+    for k in range(-6, 17):
+        lo, hi = np.array([float(f"1e{k}"), float(f"1e{k + 1}")]).view(np.int64)
+        v = rng.integers(lo, hi, 10**5, endpoint=True).view(np.float64)
+        v *= rng.choice([-1.0, 1.0], v.size)
+        assert _g17(v) == _ref17(v), f"decade 1e{k}"
+
+
+_G17_FUZZ = settings(max_examples=300, deadline=None, database=None, derandomize=True)
+
+
+@_G17_FUZZ
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_g17_matches_percent_format_on_any_bit_pattern(bits):
+    v = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert _g17(v) == _ref17(v)
+
+
+@_G17_FUZZ
+@given(st.lists(st.floats(), min_size=1, max_size=64))
+def test_g17_matches_percent_format_on_any_float(values):
+    assert _g17(values) == _ref17(values)
