@@ -14,7 +14,7 @@ from dvmbeam.training import OptimizerConfig, train
 
 ds = make_dataset(n=8, freq=24e9, angles_deg=[30.0, 40.0, 50.0],
                   samples_per_angle=600, noise_std=0.1, seed=100)
-tr, va = split_dataset(ds, train_fraction=0.8, seed=100)
+tr, va = split_dataset(ds, seed=100)
 print(f"dataset: {ds.n_samples} samples, {tr.n_samples} train / {va.n_samples} val")
 print(f"transform alpha: {ds.alpha:.6f}")
 

@@ -5,9 +5,6 @@ __version__ = "0.1.0"
 from .complexity import (
     flops_counted_dense,
     flops_counted_structured,
-    flops_full,
-    flops_truncated,
-    percentage_reduction,
     reduction_report,
     write_reduction_csv,
     write_reduction_json,
@@ -19,12 +16,9 @@ from .dvm import (
     RecursiveDftChain,
     build_bluestein_chain,
     build_recursive_dft_chain,
-    circulant_first_column,
     cis,
-    even_odd_permute,
     fast_dvm_apply,
     scaled_dvm_dense,
-    unscaled_dvm_dense,
 )
 from .network import (
     KIND_DENSE,
@@ -39,7 +33,6 @@ from .network import (
     save_network,
 )
 from .signals import (
-    Dataset,
     load_dataset,
     make_dataset,
     save_dataset,
@@ -48,12 +41,10 @@ from .signals import (
 )
 from .training import (
     OptimizerConfig,
-    TrainReport,
     TrainingDiverged,
     backward,
     evaluate_mse,
     grad_check,
-    loss_and_grads,
     mse_loss,
     optimizer_step,
     train,
@@ -68,12 +59,9 @@ __all__ = [
     "RecursiveDftChain",
     "build_bluestein_chain",
     "build_recursive_dft_chain",
-    "circulant_first_column",
     "cis",
-    "even_odd_permute",
     "fast_dvm_apply",
     "scaled_dvm_dense",
-    "unscaled_dvm_dense",
     # networks
     "KIND_DENSE",
     "KIND_STRUCTURED",
@@ -86,7 +74,6 @@ __all__ = [
     "load_network",
     "save_network",
     # signal simulation
-    "Dataset",
     "load_dataset",
     "make_dataset",
     "save_dataset",
@@ -94,21 +81,16 @@ __all__ = [
     "transform_alpha",
     # training
     "OptimizerConfig",
-    "TrainReport",
     "TrainingDiverged",
     "backward",
     "evaluate_mse",
     "grad_check",
-    "loss_and_grads",
     "mse_loss",
     "optimizer_step",
     "train",
     # complexity accounting
     "flops_counted_dense",
     "flops_counted_structured",
-    "flops_full",
-    "flops_truncated",
-    "percentage_reduction",
     "reduction_report",
     "write_reduction_csv",
     "write_reduction_json",

@@ -155,7 +155,7 @@ def cmd_train(args):
         )
     except ValueError as e:
         return _fail(EXIT_USAGE, str(e))
-    tr, va = signals.split_dataset(ds, 0.8, seed=args.seed)
+    tr, va = signals.split_dataset(ds, seed=args.seed)
     if len(va.x) == 0:
         return _fail(
             EXIT_USAGE,
@@ -432,25 +432,25 @@ def _apply_config_defaults(sp, file_vals):
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _shared_parser()[0]
-    # first pass only finds --config; the real parse then sees file defaults
+    # argparse exits 2 on usage errors; keep its code for --help (0) too
     try:
-        probe, _ = parser.parse_known_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if args.config:
+            # a second parse, on this run's own parser, sees the file's
+            # defaults; the shared parser never gets them
+            parser, subparsers = _build_parser()
+            try:
+                file_vals = _read_config_file(args.config)
+                _apply_config_defaults(subparsers[args.subcommand], file_vals)
+            except OSError as e:
+                return _fail(EXIT_IO, f"cannot read config file: {e}")
+            except (ValueError, argparse.ArgumentTypeError) as e:
+                return _fail(EXIT_USAGE, f"config file: {e}")
+            args = parser.parse_args(argv)
+        elif extra:
+            # what parse_args does with leftovers: usage, message, exit 2
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as e:
-        return int(e.code) if e.code else EXIT_OK
-    if probe.config:
-        # the file's defaults go on this run's own parser, not the shared one
-        parser, subparsers = _build_parser()
-        try:
-            file_vals = _read_config_file(probe.config)
-            _apply_config_defaults(subparsers[probe.subcommand], file_vals)
-        except OSError as e:
-            return _fail(EXIT_IO, f"cannot read config file: {e}")
-        except (ValueError, argparse.ArgumentTypeError) as e:
-            return _fail(EXIT_USAGE, f"config file: {e}")
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        # argparse exits 2 on usage errors; keep its code for --help (0) too
         return int(e.code) if e.code else EXIT_OK
     try:
         code = _handler(args.subcommand)(args)

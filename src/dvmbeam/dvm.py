@@ -180,12 +180,6 @@ def scaled_dvm_dense(spec: DvmSpec) -> np.ndarray:
     return cis(spec.phi, np.outer(k, k))
 
 
-def unscaled_dvm_dense(spec: DvmSpec) -> np.ndarray:
-    """Dense oracle for the unscaled variant, entries alpha**((k+1)*l)."""
-    k = np.arange(spec.n, dtype=np.float64)
-    return cis(spec.phi, np.outer(k + 1.0, k))
-
-
 def circulant_first_column(spec: DvmSpec) -> np.ndarray:
     """First column of the size-2N circulant embedding the chirp Toeplitz.
 
@@ -235,18 +229,6 @@ def _check_rows(x: np.ndarray, rows: int) -> None:
     got = x.shape[0] if x.ndim else "a 0-d array"
     if got != rows:
         raise ValueError(f"expected leading dimension {rows}, got {got}")
-
-
-def even_odd_permute(x) -> np.ndarray:
-    """Interleave the two halves: [a, b | c, d] -> [a, c, b, d] (axis 0)."""
-    x = np.asarray(x)
-    size = x.shape[0]
-    if size % 2:
-        raise ValueError(f"even/odd interleave needs even length, got {size}")
-    out = np.empty_like(x)
-    out[0::2] = x[: size // 2]
-    out[1::2] = x[size // 2 :]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -707,12 +689,12 @@ def _interleave_index(size: int, depth: int):
     read-only pair (perm, inverse perm), built once per (size, depth).
 
     Going bottom-up, level l interleaves the two halves of each block of
-    size >> l; the composition is one gather, out = y[perm], and its adjoint
-    is g[inv_perm].
+    size >> l ([a, b | c, d] -> [a, c, b, d]); the composition is one
+    gather, out = y[perm], and its adjoint is g[inv_perm].
     """
     perm = np.arange(size)
     for lvl in range(depth - 1, -1, -1):
-        perm = even_odd_permute(perm.reshape(1 << lvl, size >> lvl).T).T.reshape(size)
+        perm = perm.reshape(1 << lvl, 2, -1).swapaxes(1, 2).reshape(size)
     inv = np.argsort(perm)
     perm.flags.writeable = inv.flags.writeable = False
     return perm, inv

@@ -255,13 +255,6 @@ class Network:
 
     # -- parameter plumbing ------------------------------------------------
 
-    def param_entries(self):
-        """Yield (path, array, kind) for every trainable array, in the fixed
-        declaration order used by flattening and serialization.  kind
-        "complex" packs re/im pairs, "real" packs values."""
-        for slot in self.layout:
-            yield slot.path, slot.view(self.flat), slot.kind
-
     def param_count(self) -> int:
         return self.flat.size
 
@@ -269,7 +262,7 @@ class Network:
         return self.flat.copy()
 
     def set_flat(self, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=np.float64)
+        flat = _real_array(flat, "flat")
         if flat.shape != self.flat.shape:
             raise ValueError(f"flat vector has {flat.shape}, expected {self.flat.shape}")
         self.flat[...] = flat
@@ -365,8 +358,19 @@ class ForwardTrace:
     y: np.ndarray
 
 
-def _as_columns(x, width):
-    x = np.asarray(x, dtype=np.float64)
+def _real_array(x, name: str) -> np.ndarray:
+    """x as a float64 array.  A complex x raises ValueError naming it,
+    where a cast would drop its imaginary part: a network takes a complex
+    vector as its real split (real_split)."""
+    x = np.asarray(x)
+    if x.dtype.kind == "c":
+        raise ValueError(f"{name} is complex where a real array is expected; "
+                         f"a complex vector goes in as its real split [Re; Im]")
+    return x.astype(np.float64, copy=False)
+
+
+def _as_columns(x, width, name: str):
+    x = _real_array(x, name)
     flat = x.ndim == 1
     if flat:
         x = x[:, None]
@@ -518,7 +522,7 @@ def forward(net: Network, x, want_trace: bool = False):
     neither changes a byte of y.
     """
     cfg = net.config
-    x2, flat = _as_columns(x, 2 * cfg.n)
+    x2, flat = _as_columns(x, 2 * cfg.n, "x")
     y, trace = with_ufunc_buffers(cfg.p * cfg.m * x2.shape[1], _forward, net, x2, want_trace)
     return (y[:, 0] if flat else y), trace
 

@@ -169,7 +169,6 @@ def make_dataset(
     samples_per_angle: int,
     noise_std: float,
     seed: int,
-    spacing: float | None = None,
     sample_rate: float = DEFAULT_SAMPLE_RATE,
 ) -> Dataset:
     """Simulate snapshots over an angle grid and attach transform targets.
@@ -198,7 +197,7 @@ def make_dataset(
     angles_deg = np.atleast_1d(np.asarray(angles_deg, dtype=np.float64))
     if not np.all(np.isfinite(angles_deg)):
         raise ValueError(f"angles must be finite, got {angles_deg.tolist()}")
-    geom = ArrayGeometry(n, half_wavelength_spacing() if spacing is None else spacing)
+    geom = ArrayGeometry(n, half_wavelength_spacing())
     spec = DvmSpec(n, transform_alpha(freq, n, sample_rate))
     t_grid = np.arange(samples_per_angle, dtype=np.float64) / samples_per_angle
     total = angles_deg.size * samples_per_angle
@@ -236,17 +235,19 @@ def make_dataset(
     )
 
 
-def split_dataset(ds: Dataset, train_fraction: float = 0.8, seed: int = 0):
-    """Stratified split: every distinct angle keeps train_fraction of its
+# share of each angle's samples that split_dataset puts in the training part
+_TRAIN_FRACTION = 0.8
+
+
+def split_dataset(ds: Dataset, seed: int = 0):
+    """Stratified split: every distinct angle keeps _TRAIN_FRACTION of its
     samples in the training part.  Returns (train, val) datasets."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must be in (0, 1)")
     rng = np.random.default_rng(seed)
     train_idx, val_idx = [], []
     for theta in np.unique(ds.angle):
         rows = np.flatnonzero(ds.angle == theta)
         perm = rows[rng.permutation(rows.size)]
-        k = int(round(train_fraction * rows.size))
+        k = int(round(_TRAIN_FRACTION * rows.size))
         k = min(max(k, 1), rows.size - 1) if rows.size > 1 else rows.size
         train_idx.append(perm[:k])
         val_idx.append(perm[k:])

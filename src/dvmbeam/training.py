@@ -25,6 +25,7 @@ from .network import (
     Network,
     _as_columns,
     _backward,
+    _real_array,
     forward,
 )
 
@@ -39,8 +40,8 @@ class TrainingDiverged(RuntimeError):
 def mse_loss(pred, target, n: int) -> float:
     """Squared error summed over all 2n real components, averaged over the
     batch, divided by n (so a unit-error complex channel contributes 1)."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
+    pred = _real_array(pred, "pred")
+    target = _real_array(target, "target")
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch {pred.shape} vs {target.shape}")
     cols = 1 if pred.ndim == 1 else pred.shape[1]
@@ -52,15 +53,10 @@ def mse_loss(pred, target, n: int) -> float:
 @dataclass
 class GradientPack:
     """The gradient of every trainable parameter: flat, laid out like the
-    network's flat parameters and owned by this pack; data maps each path of
-    Network.param_entries to its view of flat."""
+    network's flat parameters (net.layout's slots view it) and owned by this
+    pack."""
 
     flat: np.ndarray
-    layout: tuple
-
-    @property
-    def data(self) -> dict:
-        return {slot.path: slot.view(self.flat) for slot in self.layout}
 
     def to_flat(self, net: Network) -> np.ndarray:
         return self.flat
@@ -71,7 +67,7 @@ def backward(net: Network, trace, target, norm: float | None = None) -> Gradient
     trainable parameter.  norm overrides the n*batch denominator so batch
     chunks of a larger reduction can share one normalization."""
     cfg = net.config
-    target, _ = _as_columns(target, 2 * cfg.n)
+    target, _ = _as_columns(target, 2 * cfg.n, "target")
     y = trace.y
     if y.shape != target.shape:
         raise ValueError(f"target shape {target.shape} does not match {y.shape}")
@@ -80,15 +76,7 @@ def backward(net: Network, trace, target, norm: float | None = None) -> Gradient
             raise ValueError("empty batch: pass norm to take the gradient of zero columns")
         norm = cfg.n * y.shape[1]
     g = (2.0 / norm) * (y - target)
-    return GradientPack(_backward(net, trace, g), net.layout)
-
-
-def loss_and_grads(net: Network, x, target, norm: float | None = None):
-    """Forward + backward in one call; returns (loss, GradientPack)."""
-    x2, _ = _as_columns(x, 2 * net.config.n)
-    y, trace = forward(net, x2, want_trace=True)
-    loss = mse_loss(y, np.asarray(target, dtype=np.float64).reshape(y.shape), net.config.n)
-    return loss, backward(net, trace, target, norm=norm)
+    return GradientPack(_backward(net, trace, g))
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +99,8 @@ def grad_check(net: Network, x, target) -> dict:
     gradients do not blow the ratio up.
     """
     cfg = net.config
-    x2, _ = _as_columns(x, 2 * cfg.n)
-    t2, _ = _as_columns(target, 2 * cfg.n)
+    x2, _ = _as_columns(x, 2 * cfg.n, "x")
+    t2, _ = _as_columns(target, 2 * cfg.n, "target")
     _, trace = forward(net, x2, want_trace=True)
     analytic = backward(net, trace, t2).to_flat(net)
     fd = _central_differences(
@@ -174,7 +162,6 @@ class OptimizerConfig:
     epochs: int = 100
     seed: int = 0
     target_mse: float | None = None
-    patience: int | None = None
 
     def __post_init__(self):
         if self.name == "lm":
@@ -184,8 +171,6 @@ class OptimizerConfig:
         check_seed(self.seed)
         object.__setattr__(self, "batch_size", check_int(self.batch_size, "batch_size", 1))
         object.__setattr__(self, "epochs", check_int(self.epochs, "epochs", 0))
-        if self.patience is not None:
-            object.__setattr__(self, "patience", check_int(self.patience, "patience", 1))
         # each range is written so that NaN fails it too
         if not 0 < self.lr < math.inf:
             raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
@@ -283,8 +268,8 @@ def optimizer_step(theta, grad, state, opt: OptimizerConfig):
             "the damped least-squares kind refits residuals through the model, "
             "not a gradient: gauss_newton_lm_step runs it, and train calls that"
         )
-    theta = np.asarray(theta, dtype=np.float64)
-    grad = np.asarray(grad, dtype=np.float64)
+    theta = _real_array(theta, "theta")
+    grad = _real_array(grad, "grad")
     if theta.shape != grad.shape:
         raise ValueError("theta and grad shapes differ")
     if opt.name == "sgd":
@@ -368,8 +353,8 @@ def _batch_grads(net: Network, xb, tb):
 
 def evaluate_mse(net: Network, x_rows, t_rows) -> float:
     """Full-set MSE; rows are samples."""
-    x = np.asarray(x_rows, dtype=np.float64).T
-    t = np.asarray(t_rows, dtype=np.float64).T
+    x = _real_array(x_rows, "x_rows").T
+    t = _real_array(t_rows, "t_rows").T
     y, _ = forward(net, x)
     return mse_loss(y, t, net.config.n)
 
@@ -382,15 +367,17 @@ def train(
     val_t,
     opt: OptimizerConfig,
 ) -> TrainReport:
-    """Mini-batch training with per-epoch validation and optional early
-    stopping.  Sample arrays are row-major (one sample per row, width 2n).
+    """Mini-batch training with per-epoch validation, stopped once the
+    validation MSE reaches opt.target_mse.  Sample arrays are row-major
+    (one sample per row, width 2n), real-split, never complex.
 
     Raises TrainingDiverged as soon as any batch loss turns non-finite.
     """
     t_start = time.perf_counter()
     cfg = net.config
-    xT = np.asarray(train_x, dtype=np.float64).T
-    tT = np.asarray(train_t, dtype=np.float64).T
+    xT = _real_array(train_x, "train_x").T
+    tT = _real_array(train_t, "train_t").T
+    val_x, val_t = _real_array(val_x, "val_x"), _real_array(val_t, "val_t")
     if xT.shape[0] != 2 * cfg.n or xT.shape != tT.shape:
         raise ValueError(
             f"training arrays must be (samples, {2 * cfg.n}); got "
@@ -407,8 +394,6 @@ def train(
     mu = _LM_MU
     train_hist: list = []
     val_hist: list = []
-    best_val = math.inf
-    since_best = 0
     stop_reason = "max_epochs"
     epochs_run = 0
     steps_run = 0
@@ -442,14 +427,6 @@ def train(
         if opt.target_mse is not None and val_hist[-1] <= opt.target_mse:
             stop_reason = "target_reached"
             break
-        if val_hist[-1] < best_val:
-            best_val = val_hist[-1]
-            since_best = 0
-        else:
-            since_best += 1
-            if opt.patience is not None and since_best >= opt.patience:
-                stop_reason = "patience"
-                break
 
     return TrainReport(
         network=cfg.to_dict(),

@@ -853,6 +853,23 @@ def test_plain_runs_build_the_parser_once(work, fresh_parser):
     assert len(fresh_parser) == 2
 
 
+def test_a_plain_run_parses_its_argv_once(fresh_parser, monkeypatch, capsys):
+    import dvmbeam.cli as cli
+
+    top = cli._shared_parser()[0]
+    parses = []
+    parse = top.parse_known_args
+    monkeypatch.setattr(top, "parse_known_args",
+                        lambda *a, **kw: parses.append(a) or parse(*a, **kw))
+    monkeypatch.setattr(cli, "cmd_eval", lambda args: EXIT_OK)
+    assert main(["eval", "--model", "m.stnn"]) == EXIT_OK
+    assert len(parses) == 1
+    # leftover arguments still end in argparse's usage error, exit 2
+    assert main(["eval", "--bogus", "1"]) == EXIT_USAGE
+    assert "dvmbeam: error: unrecognized arguments: --bogus 1" in capsys.readouterr().err
+    assert len(parses) == 2
+
+
 def test_config_defaults_do_not_reach_a_later_run(work, fresh_parser):
     cfg = work / "spa.conf"
     cfg.write_text("samples-per-angle = 2\nangles = 10\nnoise-std = 0\n")

@@ -30,10 +30,8 @@ from dvmbeam.dvm import (
     build_recursive_dft_chain,
     circulant_first_column,
     cis,
-    even_odd_permute,
     fast_dvm_apply,
     scaled_dvm_dense,
-    unscaled_dvm_dense,
 )
 
 
@@ -83,30 +81,6 @@ def test_scaled_dense_entries_unit_modulus():
     for n in (4, 16, 256):
         a = scaled_dvm_dense(DvmSpec(n, random_unit(rng)))
         assert np.max(np.abs(np.abs(a) - 1.0)) <= 1e-12
-
-
-def test_unscaled_dense_frozen_n2():
-    a = unscaled_dvm_dense(DvmSpec(2, -1j))
-    want = np.array([[1, -1j], [1, -1]], dtype=complex)
-    assert np.max(np.abs(a - want)) <= 1e-15
-
-
-def test_unscaled_dense_column0_ones():
-    rng = np.random.default_rng(14)
-    for n in (2, 8, 32):
-        a = unscaled_dvm_dense(DvmSpec(n, random_unit(rng)))
-        assert np.max(np.abs(a[:, 0] - 1.0)) <= 1e-15
-
-
-def test_row_shift_relation():
-    """unscaled[k,l] = alpha^l * scaled[k,l]."""
-    rng = np.random.default_rng(15)
-    for n in (2, 4, 16, 64):
-        spec = DvmSpec(n, random_unit(rng))
-        scaled = scaled_dvm_dense(spec)
-        unscaled = unscaled_dvm_dense(spec)
-        shift = cis(spec.phi, np.arange(n, dtype=float))
-        assert np.max(np.abs(unscaled - shift[None, :] * scaled)) <= 1e-12
 
 
 def test_spec_validation_errors():
@@ -981,27 +955,43 @@ def test_normalized_dft_unitarity():
 
 
 # ---------------------------------------------------------------------------
-# even/odd interleave
+# even/odd interleave (the chain's output row order, dvm._interleave_index)
+
+
+def bottom_up_interleave(size, depth):
+    """The row order written out one level at a time: from level depth-1 up
+    to level 0, each block of size >> level becomes its two halves'
+    entries taken in turn ([a, b | c, d] -> [a, c, b, d])."""
+    order = list(range(size))
+    for level in reversed(range(depth)):
+        block = size >> level
+        half = block // 2
+        order = [v for start in range(0, size, block)
+                 for pair in zip(order[start:start + half], order[start + half:start + block])
+                 for v in pair]
+    return order
+
+
+def test_interleave_index_is_the_bottom_up_even_odd_interleave():
+    for size in (2, 4, 8, 16, 32, 64):
+        for depth in range(size.bit_length()):
+            perm, inv = dvm._interleave_index(size, depth)
+            assert perm.tolist() == bottom_up_interleave(size, depth), (size, depth)
+            assert np.array_equal(perm[inv], np.arange(size)), (size, depth)
+            assert not (perm.flags.writeable or inv.flags.writeable)
 
 
 def test_even_odd_frozen():
-    out = even_odd_permute(np.array([1.0, 2.0, 3.0, 4.0]))
+    perm, _ = dvm._interleave_index(4, 1)
+    out = np.array([1.0, 2.0, 3.0, 4.0])[perm]
     assert np.array_equal(out, [1.0, 3.0, 2.0, 4.0])
 
 
 def test_even_odd_inverse_is_identity():
     rng = np.random.default_rng(27)
     x = rng.normal(size=16)
-    out = even_odd_permute(x)
-    idx = even_odd_permute(np.arange(16))
-    undo = np.empty(16)
-    undo[idx] = out
-    assert np.array_equal(undo, x)
-
-
-def test_even_odd_rejects_odd_length():
-    with pytest.raises(ValueError):
-        even_odd_permute(np.ones(5))
+    perm, inv = dvm._interleave_index(16, 1)
+    assert np.array_equal(x[perm][inv], x)
 
 
 def test_single_level_butterfly_identity():
@@ -1011,7 +1001,8 @@ def test_single_level_butterfly_identity():
     d = np.diag([1.0, np.exp(-2j * np.pi / 4)])
     h4 = np.block([[np.eye(2), np.eye(2)], [d, -d]])
     f2 = np.array([[1, 1], [1, -1]], dtype=complex)
-    got = even_odd_permute(np.kron(np.eye(2), f2) @ (h4 @ x))
+    perm, _ = dvm._interleave_index(4, 1)
+    got = (np.kron(np.eye(2), f2) @ (h4 @ x))[perm]
     assert np.max(np.abs(got - dense_dft(4) @ x)) <= 1e-12
 
 

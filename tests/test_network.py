@@ -375,8 +375,7 @@ def test_exact_init_leaves_frozen_structure_alone():
     before = net.delay.copy()
     init_from_dvm(net, complex(np.exp(-0.5j)))
     assert np.array_equal(net.delay, before)
-    paths = [p for p, _, _ in net.param_entries()]
-    assert not any("delay" in p for p in paths)
+    assert not any("delay" in slot.path for slot in net.layout)
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +403,8 @@ def test_structured_counts_frozen_and_banded():
 
 def test_complex_diagonal_counts_two_reals_each():
     net = build_network(NetworkConfig(n=16))
-    entries = {p: (a, k) for p, a, k in net.param_entries()}
-    arr, kind = entries["block0.w1.sub0.d_hat"]
+    slot = next(s for s in net.layout if s.path == "block0.w1.sub0.d_hat")
+    arr, kind = slot.view(net.flat), slot.kind
     assert kind == "complex" and arr.size == 16
     assert arr.size * 2 == 32
 
@@ -488,13 +487,14 @@ def _block_arrays(net):
 def _unpack(flat, net):
     """Decode a flat vector into arrays by path, re/im pairs interleaved."""
     out, pos = {}, 0
-    for path, arr, kind in net.param_entries():
-        if kind == "complex":
-            chunk = flat[pos : pos + 2 * arr.size]
-            out[path] = (chunk[0::2] + 1j * chunk[1::2]).reshape(arr.shape)
+    for slot in net.layout:
+        size = math.prod(slot.shape)
+        if slot.kind == "complex":
+            chunk = flat[pos : pos + 2 * size]
+            out[slot.path] = (chunk[0::2] + 1j * chunk[1::2]).reshape(slot.shape)
         else:
-            out[path] = flat[pos : pos + arr.size].reshape(arr.shape)
-        pos += out[path].size * (2 if kind == "complex" else 1)
+            out[slot.path] = flat[pos : pos + size].reshape(slot.shape)
+        pos += size * (2 if slot.kind == "complex" else 1)
     assert pos == flat.size
     return out
 
@@ -505,7 +505,7 @@ def test_set_flat_shows_in_every_parameter_array(cfg):
     theta = np.random.default_rng(50).normal(size=net.param_count())
     net.set_flat(theta)
     want = _unpack(theta, net)
-    entries = {path: arr for path, arr, _ in net.param_entries()}
+    entries = {slot.path: slot.view(net.flat) for slot in net.layout}
     reached = _block_arrays(net)
     assert set(entries) == set(reached) == set(want)
     for path, ref in want.items():
@@ -530,10 +530,11 @@ def test_parameter_array_write_shows_in_get_flat(cfg):
 @pytest.mark.parametrize("cfg", BUFFER_CONFIGS, ids=_cfg_id)
 def test_complex_parameter_views_are_aligned(cfg):
     net = build_network(cfg)
-    for path, arr, kind in net.param_entries():
-        if kind == "complex":
+    for slot in net.layout:
+        arr = slot.view(net.flat)
+        if slot.kind == "complex":
             assert arr.dtype == np.complex128
-            assert arr.ctypes.data % 16 == 0 and arr.flags.aligned, path
+            assert arr.ctypes.data % 16 == 0 and arr.flags.aligned, slot.path
 
 
 @pytest.mark.parametrize("cfg", BUFFER_CONFIGS, ids=_cfg_id)
@@ -559,7 +560,7 @@ def test_submatrix_rows_are_their_slots_in_layout_order(cfg):
     # block{b}.w1.sub{i}.* (w4) slots, in layout order; a dense block's w1
     # and w4 are one slot each
     net = build_network(cfg)
-    entries = {path: arr for path, arr, _ in net.param_entries()}
+    entries = {slot.path: slot.view(net.flat) for slot in net.layout}
     for b, blk in enumerate(net.blocks):
         for side in ("w1", "w4"):
             rows = getattr(blk, side)

@@ -370,7 +370,7 @@ def test_make_dataset_seeds_a_constant_number_of_generators(monkeypatch):
 
 def test_split_sizes_and_stratification():
     ds = make_dataset(4, 24e9, [30.0, 40.0, 50.0], 1000, 0.0, seed=7)
-    tr, va = split_dataset(ds, 0.8, seed=0)
+    tr, va = split_dataset(ds, seed=0)
     assert tr.n_samples == 2400 and va.n_samples == 600
     for theta in np.unique(ds.angle):
         assert np.sum(tr.angle == theta) == 800
@@ -379,7 +379,7 @@ def test_split_sizes_and_stratification():
 
 def test_split_disjoint_and_exhaustive():
     ds = small_ds()
-    tr, va = split_dataset(ds, 0.8, seed=3)
+    tr, va = split_dataset(ds, seed=3)
     key = lambda d: {tuple(row) for row in d.x}
     all_rows = key(ds)
     assert key(tr) | key(va) == all_rows
@@ -389,9 +389,9 @@ def test_split_disjoint_and_exhaustive():
 
 def test_split_seed_determinism():
     ds = small_ds()
-    a1, _ = split_dataset(ds, 0.8, seed=5)
-    a2, _ = split_dataset(ds, 0.8, seed=5)
-    b, _ = split_dataset(ds, 0.8, seed=6)
+    a1, _ = split_dataset(ds, seed=5)
+    a2, _ = split_dataset(ds, seed=5)
+    b, _ = split_dataset(ds, seed=6)
     assert np.array_equal(a1.x, a2.x)
     assert not np.array_equal(a1.x, b.x)
 
@@ -399,17 +399,20 @@ def test_split_seed_determinism():
 def test_split_of_an_empty_set_is_two_empty_sets():
     ds = make_dataset(4, 24e9, [], 10, 0.1, seed=0)
     assert ds.n_samples == 0
-    for part in split_dataset(ds, 0.8, seed=0):
+    for part in split_dataset(ds, seed=0):
         assert part.n_samples == 0
         assert part.x.shape == ds.x.shape and part.y.shape == ds.y.shape
         assert (part.n, part.freq) == (ds.n, ds.freq)
 
 
-def test_split_fraction_validation():
+def test_split_share_and_element_spacing_are_fixed():
+    # each angle's training share (4/5) and the half-wavelength element
+    # spacing are constants, not settings
     ds = small_ds()
-    for bad in (0.0, 1.0, -0.2, 1.7):
-        with pytest.raises(ValueError):
-            split_dataset(ds, bad, seed=0)
+    with pytest.raises(TypeError):
+        split_dataset(ds, train_fraction=0.5)
+    with pytest.raises(TypeError):
+        make_dataset(4, 24e9, [30.0], 4, 0.0, seed=0, spacing=0.01)
 
 
 # ---------------------------------------------------------------------------

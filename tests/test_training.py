@@ -29,7 +29,6 @@ from dvmbeam.training import (
     evaluate_mse,
     gauss_newton_lm_step,
     grad_check,
-    loss_and_grads,
     min_preactivation_gap,
     mse_loss,
     optimizer_step,
@@ -40,6 +39,12 @@ from dvmbeam.training import (
 # reuses it (the exact transform parameters reach loss 0 on it, so small
 # convergence bounds are meaningful)
 DS = make_dataset(4, 24e9, [20.0, 30.0, 40.0, 50.0], 16, 0.0, seed=0)
+
+
+def grads_by_path(net, pack):
+    """Each trainable array's gradient, by path: its layout slot's view of
+    the pack's flat vector."""
+    return {slot.path: slot.view(pack.flat) for slot in net.layout}
 
 
 def random_net(seed, kind="structured", slope=0.2):
@@ -112,7 +117,7 @@ def test_backward_zero_residual_zero_grads():
     x = rng.normal(size=(8, 4))
     y, trace = forward(net, x, want_trace=True)
     pack = backward(net, trace, y)
-    for path, g in pack.data.items():
+    for path, g in grads_by_path(net, pack).items():
         assert np.max(np.abs(g)) <= 1e-14, path
 
 
@@ -122,10 +127,10 @@ def test_backward_covers_exactly_the_trainables():
     x = rng.normal(size=(8, 2))
     _, trace = forward(net, x, want_trace=True)
     pack = backward(net, trace, rng.normal(size=(8, 2)))
-    paths = [p for p, _, _ in net.param_entries()]
-    assert sorted(pack.data) == sorted(paths)
+    # one gradient entry per trainable scalar, so every slot has its view
+    assert pack.flat.shape == net.flat.shape
     # the delay diagonal is frozen: no gradient slot may exist for it
-    assert not any("delay" in p for p in pack.data)
+    assert not any("delay" in p for p in grads_by_path(net, pack))
 
 
 def test_second_backward_leaves_the_first_pack_unchanged():
@@ -135,11 +140,10 @@ def test_second_backward_leaves_the_first_pack_unchanged():
     _, trace = forward(net, x, want_trace=True)
     first = backward(net, trace, rng.normal(size=(8, 3)))
     flat = first.flat.copy()
-    data = {path: g.copy() for path, g in first.data.items()}
     second = backward(net, trace, rng.normal(size=(8, 3)))
     assert not np.array_equal(second.flat, flat)
+    # every per-path gradient is a view of flat, so this covers them all
     assert np.array_equal(first.flat, flat)
-    assert all(np.array_equal(first.data[path], g) for path, g in data.items())
 
 
 def test_backward_builds_no_views_after_the_first_call(monkeypatch):
@@ -163,10 +167,46 @@ def test_empty_batch_names_itself_in_a_value_error():
         backward(net, trace, x)
     with pytest.raises(ValueError, match="empty batch"):
         mse_loss(x, x, 4)
-    with pytest.raises(ValueError, match="empty batch"):
-        loss_and_grads(net, x, x)
     # a caller that names the normalization still gets the (zero) gradient
     assert not backward(net, trace, x, norm=1.0).flat.any()
+
+
+# a complex array where a real one belongs used to be cast, losing its
+# imaginary part behind a ComplexWarning: mse_loss(x + 1j, x, 4) was 0.0, and
+# forward(net, z) equalled forward(net, z.real)
+COMPLEX_CALLS = {
+    "mse_loss_pred": (lambda net, x, z: mse_loss(z, x, 4), "pred"),
+    "mse_loss_target": (lambda net, x, z: mse_loss(x, z, 4), "target"),
+    "forward": (lambda net, x, z: forward(net, z), "x"),
+    "backward": (lambda net, x, z: backward(net, forward(net, x, want_trace=True)[1], z),
+                 "target"),
+    "grad_check_x": (lambda net, x, z: grad_check(net, z, x), "x"),
+    "grad_check_target": (lambda net, x, z: grad_check(net, x, z), "target"),
+    "evaluate_mse_x": (lambda net, x, z: evaluate_mse(net, z.T, x.T), "x_rows"),
+    "evaluate_mse_t": (lambda net, x, z: evaluate_mse(net, x.T, z.T), "t_rows"),
+    "train_x": (lambda net, x, z: train(net, z.T, x.T, x.T, x.T, OptimizerConfig()), "train_x"),
+    "train_t": (lambda net, x, z: train(net, x.T, z.T, x.T, x.T, OptimizerConfig()), "train_t"),
+    "val_x": (lambda net, x, z: train(net, x.T, x.T, z.T, x.T, OptimizerConfig()), "val_x"),
+    "val_t": (lambda net, x, z: train(net, x.T, x.T, x.T, z.T, OptimizerConfig()), "val_t"),
+    "set_flat": (lambda net, x, z: net.set_flat(net.get_flat() + z[0, 0]), "flat"),
+    "optimizer_step_theta": (lambda net, x, z: optimizer_step(
+        net.get_flat() + z[0, 0], net.get_flat(), None, OptimizerConfig()), "theta"),
+    "optimizer_step_grad": (lambda net, x, z: optimizer_step(
+        net.get_flat(), net.get_flat() + z[0, 0], None, OptimizerConfig()), "grad"),
+}
+
+
+@pytest.mark.parametrize("call", COMPLEX_CALLS)
+def test_complex_input_is_refused_by_name(call):
+    fn, name = COMPLEX_CALLS[call]
+    net = random_net(7)
+    x = np.random.default_rng(8).normal(size=(8, 3))
+    before = net.get_flat()
+    # a zero imaginary part is refused too: the dtype, not the values, decides
+    for z in (x + 1j, x.astype(np.complex128)):
+        with pytest.raises(ValueError, match=f"^{name} is complex"):
+            fn(net, x, z)
+    assert np.array_equal(net.get_flat(), before)
 
 
 def test_backward_target_shape_mismatch():
@@ -180,8 +220,9 @@ def test_backward_target_shape_mismatch():
 def test_gradient_flat_layout_matches_parameters():
     net = random_net(5)
     rng = np.random.default_rng(3)
-    x = rng.normal(size=(8, 2))
-    loss, pack = loss_and_grads(net, x, rng.normal(size=(8, 2)))
+    x, t = rng.normal(size=(8, 2)), rng.normal(size=(8, 2))
+    y, trace = forward(net, x, want_trace=True)
+    loss, pack = mse_loss(y, t, 4), backward(net, trace, t)
     assert pack.to_flat(net).shape == net.get_flat().shape
     assert loss >= 0.0
 
@@ -190,10 +231,9 @@ def _interleaved_reference(pack, net):
     """The pack-by-path layout, built the explicit way: complex gradients as
     re/im pairs, real gradients as values, in declaration order."""
     parts = []
-    for path, arr, kind in net.param_entries():
-        g = pack.data[path]
-        if kind == "complex":
-            buf = np.empty(arr.size * 2)
+    for slot, g in zip(net.layout, grads_by_path(net, pack).values()):
+        if slot.kind == "complex":
+            buf = np.empty(g.size * 2)
             buf[0::2] = g.real.ravel()
             buf[1::2] = g.imag.ravel()
             parts.append(buf)
@@ -215,9 +255,10 @@ def test_gradient_flat_equals_interleaved_pack(cfg):
     pack = backward(net, trace, rng.normal(size=(8, 5)))
     flat = pack.to_flat(net)
     assert np.array_equal(flat, _interleaved_reference(pack, net))
-    for path, arr, _ in net.param_entries():
-        assert pack.data[path].dtype == arr.dtype, path
-        assert np.shares_memory(pack.data[path], flat), path
+    grads = grads_by_path(net, pack)
+    for slot in net.layout:
+        assert grads[slot.path].dtype == slot.view(net.flat).dtype, slot.path
+        assert np.shares_memory(grads[slot.path], flat), slot.path
 
 
 def test_grad_check_exact_init_linear():
@@ -273,9 +314,9 @@ def test_grad_check_flags_corrupted_component(monkeypatch):
 
     spans = []
     pos = 0
-    for path, arr, kind in net.param_entries():
-        k = arr.size * (2 if kind == "complex" else 1)
-        spans.append((path, pos, pos + k))
+    for slot in net.layout:
+        k = slot.view(net.flat).size * (2 if slot.kind == "complex" else 1)
+        spans.append((slot.path, pos, pos + k))
         pos += k
     j = int(np.argmax(np.abs(flat)))
     assert abs(flat[j]) > 1.0
@@ -491,8 +532,8 @@ def test_optimizer_config_validation():
 
 @pytest.mark.parametrize("kwargs", [
     dict(lr=float("nan")), dict(lr=float("inf")), dict(target_mse=float("nan")),
-    dict(target_mse=-1e-3), dict(patience=0),
-], ids=["lr_nan", "lr_inf", "target_nan", "target_neg", "patience_0"])
+    dict(target_mse=-1e-3),
+], ids=["lr_nan", "lr_inf", "target_nan", "target_neg"])
 def test_optimizer_config_rejects_nan_and_out_of_range(kwargs):
     # NaN fails every comparison, so each check is written to fail on it
     key = next(iter(kwargs))
@@ -502,30 +543,30 @@ def test_optimizer_config_rejects_nan_and_out_of_range(kwargs):
 
 @pytest.mark.parametrize("kwargs", [
     dict(batch_size=8.0), dict(batch_size=True), dict(batch_size="8"), dict(epochs=2.0),
-    dict(epochs=True), dict(patience=1.5), dict(patience=True), dict(patience="2"),
+    dict(epochs=True), dict(epochs="2"), dict(batch_size=None), dict(epochs=np.float64(2)),
 ])
 def test_optimizer_config_counts_must_be_integers(kwargs):
     # a float batch_size or epochs used to fail later inside train with a
-    # TypeError, and patience=1.5 trained and went into the report
+    # TypeError
     key = next(iter(kwargs))
     with pytest.raises(ValueError, match=f"{key} must be an integer >= "):
         OptimizerConfig(**kwargs)
-    opt = OptimizerConfig(batch_size=np.int64(8), epochs=np.int32(2), patience=np.int64(3))
-    assert opt == OptimizerConfig(batch_size=8, epochs=2, patience=3)
+    opt = OptimizerConfig(batch_size=np.int64(8), epochs=np.int32(2))
+    assert opt == OptimizerConfig(batch_size=8, epochs=2)
     assert json.dumps(opt.to_dict()) == json.dumps(OptimizerConfig(
-        batch_size=8, epochs=2, patience=3).to_dict())
+        batch_size=8, epochs=2).to_dict())
 
 
 def test_optimizer_config_keeps_the_valid_edges():
-    opt = OptimizerConfig(target_mse=0.0, patience=1, epochs=0)
-    assert (opt.target_mse, opt.patience, opt.epochs) == (0.0, 1, 0)
+    opt = OptimizerConfig(target_mse=0.0, epochs=0)
+    assert (opt.target_mse, opt.epochs) == (0.0, 0)
 
 
 # the default config's report dict; report digests hash these keys and
 # values, so they must not move
 DEFAULT_OPTIMIZER_DICT = {
     "name": "adam", "lr": 1e-3, "batch_size": 32, "epochs": 100, "seed": 0,
-    "target_mse": None, "patience": None,
+    "target_mse": None,
 }
 
 
@@ -551,9 +592,16 @@ def test_optimizer_config_has_no_workers():
         OptimizerConfig(workers=1)
 
 
+def test_optimizer_config_has_no_patience():
+    # train stops at target_mse or after epochs; nothing set a patience
+    assert "patience" not in OptimizerConfig().to_dict()
+    with pytest.raises(TypeError):
+        OptimizerConfig(patience=5)
+
+
 def test_optimizer_config_roundtrip():
     opt = OptimizerConfig(name="adam", lr=3e-2, batch_size=16, epochs=7,
-                          seed=5, target_mse=1e-4, patience=9)
+                          seed=5, target_mse=1e-4)
     assert OptimizerConfig(**opt.to_dict()) == opt
 
 
@@ -707,17 +755,6 @@ def test_train_step_accounting():
     assert rep.steps_run == 14
 
 
-def test_train_patience_stop():
-    # an exactly initialized net starts at the optimum; the first update
-    # nudges it off, validation stops improving, patience triggers
-    net = exact_net()
-    opt = OptimizerConfig(name="adam", lr=1e-3, batch_size=32, epochs=50,
-                          seed=0, patience=5)
-    rep = train(net, DS.x, DS.y, DS.x, DS.y, opt)
-    assert rep.stop_reason == "patience"
-    assert rep.epochs_run < 50
-
-
 def test_train_histories_finite_nonnegative():
     net = random_net(8)
     rep = train(net, DS.x, DS.y, DS.x, DS.y,
@@ -750,7 +787,7 @@ def test_report_schema():
         "n", "p", "depth", "l_layers", "kind", "activation_slope", "delay_alpha", "seed",
     ])
     assert sorted(d["config"]["optimizer"]) == sorted([
-        "name", "lr", "batch_size", "epochs", "seed", "target_mse", "patience",
+        "name", "lr", "batch_size", "epochs", "seed", "target_mse",
     ])
     assert d["config"]["network"]["n"] == 4
     assert d["config"]["optimizer"]["name"] == "adam"
