@@ -108,7 +108,8 @@ def cmd_gen_data(args):
     freq = args.freq_ghz * 1e9
     if args.tau_s is not None and not 0 < args.tau_s < math.inf:
         return _fail(EXIT_USAGE, f"--tau-s must be positive and finite, got {args.tau_s}")
-    sample_rate = 32e9 if args.tau_s is None else 1.0 / (args.tau_s * args.n)
+    sample_rate = (signals.DEFAULT_SAMPLE_RATE if args.tau_s is None
+                   else 1.0 / (args.tau_s * args.n))
     try:
         ds = signals.make_dataset(
             n=args.n, freq=freq, angles_deg=args.angles,

@@ -247,9 +247,7 @@ class Diagonal:
     def tally(self, counter: OpCounter) -> None:
         counter.tally(muls=len(self.values))
 
-    def apply(self, x, counter=None):
-        if counter is not None:
-            self.tally(counter)
+    def apply(self, x):
         x, v = np.asarray(x), self.values  # x.ndim costs a third of np.ndim(x)
         _check_rows(x, len(v))  # one row would broadcast
         return np.multiply(x, v[:, None] if x.ndim == 2 else v)
@@ -273,11 +271,9 @@ class Dft:
         muls, adds = _fft_ops(self.size)
         counter.tally(muls=muls + self.size, adds=adds)  # + the 1/sqrt(size) scaling
 
-    def apply(self, x, counter=None):
+    def apply(self, x):
         x = np.asarray(x, dtype=np.complex128)
         _check_rows(x, self.size)
-        if counter is not None:
-            self.tally(counter)
         return _dft(x, self.scale, self.conj)
 
 
@@ -297,7 +293,7 @@ class ZeroPad:
     def tally(self, counter: OpCounter) -> None:
         """No arithmetic: the pad only moves data."""
 
-    def apply(self, x, counter=None):
+    def apply(self, x):
         x = np.asarray(x)
         _check_rows(x, self.in_dim)  # one row would broadcast
         out = np.zeros((self.out_dim,) + x.shape[1:], x.dtype, order="F")
@@ -320,7 +316,7 @@ class Truncate:
     def tally(self, counter: OpCounter) -> None:
         """No arithmetic: the truncation only drops rows."""
 
-    def apply(self, x, counter=None):
+    def apply(self, x):
         x = np.asarray(x)
         _check_rows(x, self.in_dim)
         return x[: self.out_dim]

@@ -1,8 +1,8 @@
 """Uniform linear array signal simulator and dataset handling.
 
-A plane wave from direction theta reaches element k of a uniform linear
-array (k - 1) * spacing * sin(theta) / c seconds after element 0, so the
-noiseless baseband snapshot is u_k(t) = exp(-2 pi j f (t - delay_k)).
+A plane wave from direction theta reaches element k = 0..n-1 of a uniform
+linear array k * ELEMENT_SPACING * sin(theta) / c seconds after element 0,
+so the noiseless baseband snapshot is u_k(t) = exp(-2 pi j f (t - delay_k)).
 Training pairs map the real-split noisy snapshot to the real-split scaled
 delay-Vandermonde transform of that same snapshot, with the transform's
 generator alpha = exp(-2 pi j f tau) tied to the sampling interval
@@ -21,10 +21,13 @@ import struct
 
 import numpy as np
 
-from .dvm import DvmSpec, build_bluestein_chain, check_int, check_seed, cis, fast_dvm_apply
+from .dvm import (DvmSpec, build_bluestein_chain, check_int, check_seed, cis, fast_dvm_apply,
+                  power_of_two)
 
 SPEED_OF_LIGHT = 299792458.0
 DEFAULT_SAMPLE_RATE = 32e9
+# half a wavelength at 32 GHz, the top of the band: no grating lobes over it
+ELEMENT_SPACING = SPEED_OF_LIGHT / (2.0 * 32e9)
 # values formatted per write in save_dataset_csv.  A block's slots and
 # temporaries take about 200 bytes a value; blocks of 2,048-16,384 values
 # wrote the 900-sample n=16 table fastest, 4x larger ones 1.3x slower
@@ -41,38 +44,16 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
 
 
-@dataclass(frozen=True)
-class ArrayGeometry:
-    """Element count and uniform spacing (meters) of the receive array."""
-
-    n_elements: int
-    spacing: float
-
-    def __post_init__(self):
-        if self.n_elements < 2:
-            raise ValueError("array needs at least 2 elements")
-        if not (self.spacing > 0 and math.isfinite(self.spacing)):
-            raise ValueError("spacing must be a positive finite length")
-
-
-def half_wavelength_spacing(design_freq: float = DEFAULT_SAMPLE_RATE) -> float:
-    """Spacing c / (2 f) that avoids grating lobes at the design frequency."""
-    return SPEED_OF_LIGHT / (2.0 * design_freq)
-
-
-def steering_delay(geom: ArrayGeometry, theta: float) -> np.ndarray:
-    """Arrival delay of each element relative to element 0, in seconds."""
-    k = np.arange(geom.n_elements, dtype=np.float64)
-    return k * geom.spacing * math.sin(theta) / SPEED_OF_LIGHT
-
-
-def synth_received(geom: ArrayGeometry, freq: float, theta: float, t) -> np.ndarray:
-    """Noiseless baseband snapshots, shape (n_elements, len(t)); make_dataset
-    adds the noise."""
+def synth_received(n: int, freq: float, thetas, t) -> np.ndarray:
+    """Noiseless baseband snapshots of n elements, shape (n, A * S): column
+    a * S + s is the plane wave from thetas[a] (radians) at time t[s], so
+    each angle's S snapshots are adjacent.  make_dataset adds the noise."""
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    delays = steering_delay(geom, theta)
-    phase_arg = freq * (t[None, :] - delays[:, None])
-    return np.exp(-2j * np.pi * phase_arg)
+    k = np.arange(n, dtype=np.float64)
+    delays = k[:, None] * ELEMENT_SPACING * np.sin(thetas) / SPEED_OF_LIGHT
+    phase = -2j * np.pi * (freq * (t - delays[:, :, None]))
+    return np.exp(phase, out=phase).reshape(n, thetas.size * t.size)
 
 
 def transform_alpha(freq: float, n: int, sample_rate: float = DEFAULT_SAMPLE_RATE) -> complex:
@@ -197,19 +178,13 @@ def make_dataset(
     angles_deg = np.atleast_1d(np.asarray(angles_deg, dtype=np.float64))
     if not np.all(np.isfinite(angles_deg)):
         raise ValueError(f"angles must be finite, got {angles_deg.tolist()}")
-    geom = ArrayGeometry(n, half_wavelength_spacing())
+    if power_of_two(n, least=2) is None:
+        raise ValueError(f"n must be a power of two >= 2, got {n!r}")
     spec = DvmSpec(n, transform_alpha(freq, n, sample_rate))
     t_grid = np.arange(samples_per_angle, dtype=np.float64) / samples_per_angle
-    total = angles_deg.size * samples_per_angle
-    u = np.empty((n, total), dtype=np.complex128)
-    angle_col = np.empty(total)
-    time_col = np.empty(total)
-    for k, a_deg in enumerate(angles_deg):
-        rows = slice(k * samples_per_angle, (k + 1) * samples_per_angle)
-        theta = math.radians(a_deg)
-        u[:, rows] = synth_received(geom, freq, theta, t_grid)
-        angle_col[rows] = theta
-        time_col[rows] = t_grid
+    thetas = np.radians(angles_deg)
+    u = synth_received(n, freq, thetas, t_grid)
+    total = u.shape[1]
     # a noise_std near the float range overflows the snapshots or their
     # transform; the check below refuses such a set, so numpy's overflow
     # warnings on the way are not shown
@@ -229,8 +204,9 @@ def make_dataset(
         raise ValueError(f"noise_std {noise_std!r} is too large: a noisy snapshot "
                          f"or its target is not finite")
     return Dataset(
-        x=x, y=y, angle=angle_col, time=time_col, n=n, freq=freq,
-        sample_rate=sample_rate, spacing=geom.spacing,
+        x=x, y=y, angle=np.repeat(thetas, samples_per_angle),
+        time=np.tile(t_grid, thetas.size), n=n, freq=freq,
+        sample_rate=sample_rate, spacing=ELEMENT_SPACING,
         noise_std=noise_std, seed=seed,
     )
 
@@ -302,9 +278,9 @@ def load_dataset(path: str, verify: bool = True) -> Dataset:
         raise ValueError(f"{path}: bad magic {magic!r}, not a dataset file")
     if version != _VERSION:
         raise ValueError(f"{path}: unsupported dataset version {version}")
-    if n < 2 or not (rate > 0 and math.isfinite(rate)):
+    if power_of_two(n, least=2) is None or not (rate > 0 and math.isfinite(rate)):
         raise ValueError(f"{path}: header gives n={n} and sample rate {rate!r}; "
-                         "want n >= 2 and a positive finite rate")
+                         "want a power-of-two n >= 2 and a positive finite rate")
     if not math.isfinite(freq):
         raise ValueError(f"{path}: frequency {freq!r} (byte 20) must be finite")
     if seed < 0:
@@ -385,10 +361,14 @@ def _recomputed_targets(ds: Dataset) -> np.ndarray:
 
 def verify_targets(ds: Dataset) -> float:
     """Max absolute difference between stored targets and the transform of
-    the stored inputs; NaN or infinite when an input or target is."""
+    the stored inputs; NaN or infinite when an input or target is.  A set
+    without samples gives 0.0 before any chain is built, so a header's n
+    drives no allocation."""
+    if not ds.n_samples:
+        return 0.0
     expect = _recomputed_targets(ds)
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.max(np.abs(expect - ds.y))) if ds.n_samples else 0.0
+        return float(np.max(np.abs(expect - ds.y)))
 
 
 # ---------------------------------------------------------------------------
@@ -560,15 +540,14 @@ def save_dataset_csv(ds: Dataset, path: str) -> None:
         fh.write(b"\r\n")
 
 
-def load_dataset_csv(path: str, freq: float | None = None,
-                     sample_rate: float = DEFAULT_SAMPLE_RATE) -> Dataset:
+def load_dataset_csv(path: str, freq: float | None = None) -> Dataset:
     """Read the tabular format back.  A line ends at LF, CRLF or a lone CR, as
     in a file read in text mode, and the file must be UTF-8.  The table
-    carries no generator metadata, so freq and sample_rate must be supplied
-    to re-verify targets; without freq the data loads unverified, with a NaN
-    freq that save_dataset rejects.  The set is labelled with the
-    half-wavelength spacing, noise_std 0 and seed 0.  The sample_id column
-    is not parsed."""
+    carries no generator metadata, so freq must be supplied to re-verify
+    targets, which are checked at DEFAULT_SAMPLE_RATE; without freq the data
+    loads unverified, with a NaN freq that save_dataset rejects.  The set is
+    labelled with DEFAULT_SAMPLE_RATE, ELEMENT_SPACING, noise_std 0 and seed
+    0.  The sample_id column is not parsed."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if b"\r" in raw:
@@ -596,8 +575,8 @@ def load_dataset_csv(path: str, freq: float | None = None,
     _check_finite_rows(path, angle, time)
     ds = Dataset(
         x=x, y=y, angle=angle, time=time, n=n,
-        freq=(math.nan if freq is None else freq), sample_rate=sample_rate,
-        spacing=half_wavelength_spacing(), noise_std=0.0, seed=0,
+        freq=(math.nan if freq is None else freq), sample_rate=DEFAULT_SAMPLE_RATE,
+        spacing=ELEMENT_SPACING, noise_std=0.0, seed=0,
     )
     if freq is not None:
         _check_targets(path, ds)

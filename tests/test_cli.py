@@ -5,6 +5,7 @@ import functools
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 import warnings
@@ -12,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
+from dvmbeam import signals
 from dvmbeam.cli import (
     EXIT_DIVERGED,
     EXIT_IO,
@@ -438,6 +440,26 @@ def test_eval_rejects_a_dataset_without_samples(exact_model, work, capsys):
     captured = capsys.readouterr()
     assert str(path) in captured.err and "no samples" in captured.err
     assert captured.out == ""
+
+
+def test_eval_of_an_empty_set_with_a_huge_n_builds_no_transform(exact_model, work, capsys,
+                                                                monkeypatch):
+    # a 68-byte header with no samples and n = 2**31 passes every header
+    # check; verifying it used to build the n = 2**31 chain (np.arange(2**31)
+    # and more) before it looked at the sample count
+    path = work / "empty_huge_n.bin"
+    path.write_bytes(struct.pack(signals._HEAD_FMT, b"DVMB", 1, 2**31, 0, 24e9, 32e9,
+                                 0.0, 0.0, 0.0, 0))
+
+    def refuse(spec):
+        raise AssertionError(f"built a chain of n={spec.n} for a set without samples")
+
+    monkeypatch.setattr(signals, "build_bluestein_chain", refuse)
+    assert load_dataset(str(path)).x.shape == (0, 2**32)
+    code = main(["eval", "--model", str(exact_model), "--data", str(path)])
+    assert code == EXIT_IO
+    captured = capsys.readouterr()
+    assert str(path) in captured.err and "no samples" in captured.err
 
 
 def test_eval_missing_flags():

@@ -2,6 +2,7 @@
 
 import csv
 import functools
+import inspect
 import math
 import re
 import struct
@@ -11,26 +12,30 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dvmbeam import signals
+from dvmbeam import dvm, signals
 from dvmbeam.dvm import DvmSpec, build_bluestein_chain, fast_dvm_apply, scaled_dvm_dense
 from dvmbeam.signals import (
+    ELEMENT_SPACING,
     SPEED_OF_LIGHT,
-    ArrayGeometry,
     Dataset,
-    half_wavelength_spacing,
     load_dataset,
     load_dataset_csv,
     make_dataset,
     save_dataset,
     save_dataset_csv,
     split_dataset,
-    steering_delay,
     synth_received,
     transform_alpha,
     verify_targets,
 )
 
-GEOM = ArrayGeometry(8, half_wavelength_spacing())
+N = 8
+
+
+def delays(theta: float, n: int = N) -> np.ndarray:
+    """Each element's arrival delay after element 0, read back from the
+    phases of a 1 Hz snapshot at t = 0: exp(2 pi j delay_k)."""
+    return np.angle(synth_received(n, 1.0, theta, 0.0)[:, 0]) / (2 * np.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -38,40 +43,35 @@ GEOM = ArrayGeometry(8, half_wavelength_spacing())
 
 
 def test_geometry_validation():
-    with pytest.raises(ValueError):
-        ArrayGeometry(1, 1e-3)
-    with pytest.raises(ValueError):
-        ArrayGeometry(8, 0.0)
-    with pytest.raises(ValueError):
-        ArrayGeometry(8, float("inf"))
+    # the array needs a power-of-two element count of at least 2, refused
+    # before any work (n = 0 used to reach transform_alpha's division)
+    for n in (0, 1, 3, 12, 2.0, "16"):
+        with pytest.raises(ValueError, match="n must be a power of two >= 2"):
+            make_dataset(n, 24e9, [30.0], 2, 0.1, seed=1)
 
 
 def test_half_wavelength_spacing_value():
-    # c / (2 * 32 GHz), the design default
-    assert half_wavelength_spacing() == pytest.approx(
-        SPEED_OF_LIGHT / 64e9, rel=0, abs=0
-    )
+    # c / (2 * 32 GHz): half a wavelength at the top of the band
+    assert ELEMENT_SPACING == SPEED_OF_LIGHT / 64e9
 
 
 def test_steering_delay_first_element_zero():
-    for angle in (-1.0, 0.0, 0.7, 1.4):
-        assert steering_delay(GEOM, angle)[0] == 0.0
+    u = synth_received(N, 24e9, [-1.0, 0.0, 0.7, 1.4], 0.0)
+    assert np.all(u[0] == 1.0)
 
 
 def test_steering_delay_broadside_zero():
-    assert np.max(np.abs(steering_delay(GEOM, 0.0))) == 0.0
+    assert np.max(np.abs(delays(0.0))) == 0.0
 
 
 def test_steering_delay_second_element_30deg():
     """Half-wavelength spacing at 32 GHz, 30 degrees: sin(30)/(2*32e9)."""
-    d = steering_delay(GEOM, math.radians(30.0))
-    assert d[1] == pytest.approx(7.8125e-12, rel=1e-12)
+    assert delays(math.radians(30.0))[1] == pytest.approx(7.8125e-12, rel=1e-12)
 
 
 def test_steering_delay_increasing_off_broadside():
     for angle_deg in (10.0, 45.0, 80.0):
-        d = steering_delay(GEOM, math.radians(angle_deg))
-        assert np.all(np.diff(d) > 0)
+        assert np.all(np.diff(delays(math.radians(angle_deg))) > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -79,24 +79,23 @@ def test_steering_delay_increasing_off_broadside():
 
 
 def test_noiseless_snapshots_unit_modulus():
-    u = synth_received(GEOM, 24e9, math.radians(40.0), np.linspace(0, 1, 17))
+    u = synth_received(N, 24e9, math.radians(40.0), np.linspace(0, 1, 17))
     assert np.max(np.abs(np.abs(u) - 1.0)) <= 1e-12
 
 
 def test_broadside_snapshots_identical_across_elements():
-    u = synth_received(GEOM, 24e9, 0.0, [0.0, 0.25, 0.5])
+    u = synth_received(N, 24e9, 0.0, [0.0, 0.25, 0.5])
     assert np.max(np.abs(u - u[0:1, :])) == 0.0
 
 
 def test_snapshot_closed_form():
     # modest phase magnitude so association order cannot blur the oracle
-    t = np.array([0.3])
+    t = np.array([3e-11])
     theta = math.radians(35.0)
-    geom = ArrayGeometry(8, 0.25)
-    u = synth_received(geom, 27.0, theta, t)
-    delays = steering_delay(geom, theta)
-    for k in range(geom.n_elements):
-        want = np.exp(-2j * np.pi * 27.0 * (t[0] - delays[k]))
+    u = synth_received(N, 27e9, theta, t)
+    for k in range(N):
+        delay = k * ELEMENT_SPACING * math.sin(theta) / SPEED_OF_LIGHT
+        want = np.exp(-2j * np.pi * 27e9 * (t[0] - delay))
         assert abs(u[k, 0] - want) <= 5e-14
 
 
@@ -104,15 +103,26 @@ def test_snapshot_element_phase_progression_at_carrier():
     """At t=0 the inter-element phase ramp e^(2 pi j f delay_k) is the whole
     signal; this is the geometry the beamformer learns."""
     theta = math.radians(35.0)
-    u = synth_received(GEOM, 27e9, theta, np.array([0.0]))
-    delays = steering_delay(GEOM, theta)
-    want = np.exp(2j * np.pi * 27e9 * delays)
+    u = synth_received(N, 27e9, theta, np.array([0.0]))
+    want = np.exp(2j * np.pi * 27e9 * np.arange(N) * ELEMENT_SPACING * math.sin(theta)
+                  / SPEED_OF_LIGHT)
     assert np.max(np.abs(u[:, 0] - want)) <= 1e-12
+
+
+def test_snapshots_of_many_angles_are_each_angles_own_bitwise():
+    # column a * S + s is angle a at time s, the bytes of a one-angle call
+    thetas = np.radians([-60.0, -12.5, 0.0, 33.0, 71.0])
+    t = np.arange(7) / 7
+    u = synth_received(16, 27.5e9, thetas, t)
+    assert u.shape == (16, 35) and u.flags.c_contiguous
+    for a, theta in enumerate(thetas):
+        assert u[:, 7 * a : 7 * (a + 1)].tobytes() == synth_received(16, 27.5e9, theta, t).tobytes()
+    assert synth_received(16, 27.5e9, [], t).shape == (16, 0)
 
 
 def test_noise_component_std():
     # the noise make_dataset adds: the same set at noise 0.1 and at noise 0
-    n = GEOM.n_elements
+    n = N
     args = (n, 24e9, [11.5], 100_000 // n)
     noise = make_dataset(*args, 0.1, seed=50).x - make_dataset(*args, 0.0, seed=50).x
     assert noise.size >= 2 * (100_000 - n)
@@ -183,7 +193,6 @@ def _reference_make_dataset(n, freq, angles_deg, samples_per_angle, noise_std, s
     """The per-sample build make_dataset replaced: one transform per sample
     and two standard_normal(n) draws from each sample's own generator."""
     angles_deg = np.atleast_1d(np.asarray(angles_deg, dtype=np.float64))
-    geom = ArrayGeometry(n, half_wavelength_spacing())
     chain = build_bluestein_chain(DvmSpec(n, transform_alpha(freq, n)))
     t_grid = np.arange(samples_per_angle, dtype=np.float64) / samples_per_angle
     total = angles_deg.size * samples_per_angle
@@ -194,9 +203,9 @@ def _reference_make_dataset(n, freq, angles_deg, samples_per_angle, noise_std, s
     row = 0
     for a_deg in angles_deg:
         theta = math.radians(a_deg)
-        clean = synth_received(geom, freq, theta, t_grid)
+        delay = np.arange(n) * ELEMENT_SPACING * math.sin(theta) / SPEED_OF_LIGHT
         for j in range(samples_per_angle):
-            u = clean[:, j]
+            u = np.exp(-2j * np.pi * (freq * (t_grid[j] - delay)))
             if noise_std:
                 child = np.random.default_rng([seed, row])
                 s = noise_std / math.sqrt(2.0)
@@ -247,6 +256,32 @@ def test_make_dataset_transforms_once(monkeypatch):
     monkeypatch.setattr(signals, "fast_dvm_apply", counting)
     make_dataset(4, 24e9, [30.0, 40.0, 50.0], 20, 0.1, seed=1)
     assert calls == [(4, 60)]
+
+
+def test_make_dataset_synthesizes_once(monkeypatch):
+    calls = []
+    real = signals.synth_received
+
+    def counting(n, freq, thetas, t):
+        calls.append((n, len(thetas), len(t)))
+        return real(n, freq, thetas, t)
+
+    monkeypatch.setattr(signals, "synth_received", counting)
+    ds = make_dataset(4, 24e9, [30.0, 40.0, 50.0], 20, 0.1, seed=1)
+    assert calls == [(4, 3, 20)]
+    assert np.array_equal(ds.angle, np.repeat(np.radians([30.0, 40.0, 50.0]), 20))
+    assert np.array_equal(ds.time, np.tile(np.arange(20) / 20, 3))
+
+
+def test_settings_with_one_value_are_gone():
+    # the spacing is the constant ELEMENT_SPACING, a table verifies at
+    # DEFAULT_SAMPLE_RATE, and FactorChain.apply counts through each factor's
+    # tally, so none of these is a setting any more
+    for name in ("ArrayGeometry", "steering_delay", "half_wavelength_spacing"):
+        assert not hasattr(signals, name)
+    assert list(inspect.signature(load_dataset_csv).parameters) == ["path", "freq"]
+    for factor in (dvm.Diagonal, dvm.Dft, dvm.ZeroPad, dvm.Truncate):
+        assert list(inspect.signature(factor.apply).parameters) == ["self", "x"]
 
 
 def test_make_dataset_validation():
@@ -496,12 +531,14 @@ def test_load_rejects_nan_and_drifted_entries(tmp_path, fmt, array, edit, messag
 
 
 @pytest.mark.parametrize("field, value", [
-    ("n", 0), ("n", 1), ("sample_rate", 0.0), ("sample_rate", -32e9),
+    ("n", 0), ("n", 1), ("n", 3), ("n", 2**31 + 2**30), ("sample_rate", 0.0),
+    ("sample_rate", -32e9),
     ("sample_rate", float("nan")),
 ])
 def test_load_rejects_bad_header_values(tmp_path, field, value):
-    # n = 0 or a zero rate used to reach transform_alpha and divide by zero;
-    # n is bytes 8-11 and the sample rate bytes 28-35 of the header
+    # n = 0 or a zero rate used to reach transform_alpha and divide by zero,
+    # and an n that is not a power of two has no transform; n is bytes 8-11
+    # and the sample rate bytes 28-35 of the header
     ds = small_ds()
     p = tmp_path / "d.dvmb"
     save_dataset(ds, str(p))
@@ -684,7 +721,7 @@ def _edge_value_dataset():
     angle = np.radians(rng.uniform(-90, 90, 600))
     angle[:4] = [0.0, -0.0, np.pi / 2, -np.pi / 6]
     return Dataset(x=x, y=y, angle=angle, time=rng.random(600), n=4, freq=24e9,
-                   sample_rate=32e9, spacing=half_wavelength_spacing(),
+                   sample_rate=32e9, spacing=ELEMENT_SPACING,
                    noise_std=0.0, seed=0)
 
 
