@@ -119,7 +119,7 @@ def cmd_gen_data(args):
     except ValueError as e:
         return _fail(EXIT_USAGE, str(e))
     err = signals.verify_targets(ds)
-    check = "PASS" if err < 1e-9 else "FAIL"
+    check = "PASS" if signals.targets_pass(err) else "FAIL"
     try:
         if args.format == "csv":
             signals.save_dataset_csv(ds, args.out)
@@ -131,6 +131,19 @@ def cmd_gen_data(args):
           f"(n={ds.n}, f={args.freq_ghz} GHz, alpha={ds.alpha:.6f})")
     print(f"target consistency: {check} (max deviation {err:.3e})")
     return EXIT_OK if check == "PASS" else EXIT_VERIFY
+
+
+# Largest net train builds, in trainable parameters, and largest hidden
+# carrier of one training chunk (p.2n.32 complex entries, training's
+# _CHUNK_COLS = 32 columns).  A run peaks at about 56 bytes a parameter (the
+# weights, the gradient twin, Adam's moments and the step's scratch) plus
+# about 330 bytes a chunk carrier entry (the traced pass and its reverse;
+# tracemalloc peaks of one-epoch runs, n = 8..64), so at both caps a run
+# stays under 4 GB, as a gen-data run does, where the set's n and --p alone
+# would let numpy ask for hundreds of GiB and end in a MemoryError
+# traceback.  The check runs before the net is built.
+TRAIN_PARAMS_MAX = 2**25
+TRAIN_CARRIER_ENTRIES_MAX = 2**22
 
 
 def cmd_train(args):
@@ -156,6 +169,16 @@ def cmd_train(args):
         )
     except ValueError as e:
         return _fail(EXIT_USAGE, str(e))
+    params = network.expected_param_count(net_cfg)
+    carrier = net_cfg.p * net_cfg.m * training._CHUNK_COLS
+    if params > TRAIN_PARAMS_MAX or carrier > TRAIN_CARRIER_ENTRIES_MAX:
+        return _fail(
+            EXIT_USAGE,
+            f"a {args.model} net with --p {args.p} on the n={ds.n} set {args.data} has "
+            f"{params} parameters and {carrier} hidden carrier entries per training "
+            f"chunk; train takes at most {TRAIN_PARAMS_MAX} and {TRAIN_CARRIER_ENTRIES_MAX}: "
+            f"lower --p or use a set with a smaller n",
+        )
     tr, va = signals.split_dataset(ds, seed=args.seed)
     if len(va.x) == 0:
         return _fail(
@@ -170,13 +193,12 @@ def cmd_train(args):
         return _fail(EXIT_DIVERGED, f"training diverged: {e}")
     except ValueError as e:
         return _fail(EXIT_SHAPE, str(e))
-    params = network.count_parameters(net)["total"]
     payload = report.to_dict()
     payload["resolved_config"] = _resolved(args, (
         "data", "model", "p", "epochs", "optimizer", "lr", "batch_size",
         "target_mse", "seed",
     ))
-    payload["resolved_config"]["lambda"] = net_cfg.resolved_depth
+    payload["resolved_config"]["lambda"] = net_cfg.depth
     try:
         if args.out_model:
             network.save_network(net, args.out_model)
@@ -321,8 +343,7 @@ def cmd_bench(args):
             return _fail(EXIT_USAGE, f"n values must be powers of two >= 2, got {n}")
     if args.p < 1:
         return _fail(EXIT_USAGE, f"--p must be >= 1, got {args.p}")
-    depths = [network.default_depth(n) for n in args.n_list]
-    report = complexity.reduction_report(ns=args.n_list, depths=depths, p=args.p)
+    report = complexity.reduction_report(ns=args.n_list, p=args.p)
     extra = {"resolved_config": _resolved(args, ("n_list", "p", "out"))}
     try:
         complexity.write_reduction_csv(report, args.out + ".csv")

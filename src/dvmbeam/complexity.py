@@ -92,7 +92,7 @@ def flops_counted_structured(
     module convention."""
     cfg = NetworkConfig(n=n, p=p, depth=depth, l_layers=l_layers)
     m, h = cfg.m, cfg.hidden
-    lam = cfg.resolved_depth
+    lam = cfg.depth
     chain = _chain_counted(m, lam)
     by_layer = {
         "chirp_scaling_in": {"muls": p * 2 * n, "adds": 0},
@@ -139,12 +139,7 @@ def percentage_reduction(dense_value: float, structured_value: float) -> float:
     return 100.0 * (dense_value - structured_value) / dense_value
 
 
-def reduction_report(
-    ns=(8, 16, 32),
-    depths=None,
-    l_layers: int = 5,
-    p: int = 1,
-) -> dict:
+def reduction_report(ns=(8, 16, 32), l_layers: int = 5, p: int = 1) -> dict:
     """Side-by-side audit of both kinds at the given channel counts.
 
     Per row: trainable parameter counts (network.expected_param_count, the
@@ -156,13 +151,12 @@ def reduction_report(
     included so the formula-vs-counted residual is visible.
     """
     rows = []
-    for i, n in enumerate(ns):
-        depth = None if depths is None else depths[i]
-        cfg_s = NetworkConfig(n=n, p=p, depth=depth, l_layers=l_layers)
+    for n in ns:
+        cfg_s = NetworkConfig(n=n, p=p, l_layers=l_layers)
         cfg_d = NetworkConfig(n=n, p=p, l_layers=l_layers, kind=KIND_DENSE)
         params_s = expected_param_count(cfg_s)
         params_d = expected_param_count(cfg_d)
-        lam = cfg_s.resolved_depth
+        lam = cfg_s.depth
         formula_s = flops_truncated(n, lam, l_layers, p)
         formula_full = flops_full(n, l_layers, p)
         counted_s = flops_counted_structured(n, lam, l_layers, p)

@@ -28,7 +28,7 @@ this module only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 import math
 import struct
 from typing import NamedTuple
@@ -56,10 +56,6 @@ KIND_DENSE = "fully_connected"
 # Recursion depths used by the reference configurations; other sizes default
 # to log2(N), one level short of full depth.
 DEPTH_DEFAULTS = {8: 4, 16: 5, 32: 6}
-
-
-def default_depth(n: int) -> int:
-    return DEPTH_DEFAULTS.get(n, max(1, n.bit_length() - 1))
 
 
 def real_split(z) -> np.ndarray:
@@ -108,7 +104,9 @@ class NetworkConfig:
         n, p, depth and l_layers are integers (numpy ones too), stored as
         int.
     depth: butterfly levels in each trainable DFT chain (the lambda knob);
-        the chains have complex size 2n, so depth <= log2(2n).
+        the chains have complex size 2n, so depth <= log2(2n).  None is
+        resolved when the config is built, to DEPTH_DEFAULTS[n] or else
+        log2(n), so a built config always holds an int.
     l_layers: total layer count; 5, or 4k+1 to repeat the block structure.
     delay_alpha: unit-modulus generator of the frozen delay diagonal
         (1 makes the delay the identity).
@@ -131,8 +129,9 @@ class NetworkConfig:
             raise ValueError(f"n must be a power of two >= 2, got {self.n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "p", check_int(self.p, "p", 1))
-        if self.depth is not None:
-            object.__setattr__(self, "depth", check_int(self.depth, "depth", 0))
+        if self.depth is None:
+            object.__setattr__(self, "depth", DEPTH_DEFAULTS.get(n, max(1, n.bit_length() - 1)))
+        object.__setattr__(self, "depth", check_int(self.depth, "depth", 0))
         object.__setattr__(self, "l_layers", check_int(self.l_layers, "l_layers", 5))
         if (self.l_layers - 1) % 4:
             raise ValueError(
@@ -150,9 +149,9 @@ class NetworkConfig:
             )
         if self.kind == KIND_STRUCTURED:
             lim = self.m.bit_length() - 1
-            if not 0 <= self.resolved_depth <= lim:
+            if not 0 <= self.depth <= lim:
                 raise ValueError(
-                    f"depth {self.resolved_depth} out of range 0..{lim} "
+                    f"depth {self.depth} out of range 0..{lim} "
                     f"for chain size {self.m}"
                 )
 
@@ -161,8 +160,8 @@ class NetworkConfig:
         return 2 * self.n
 
     @property
-    def resolved_depth(self) -> int:
-        return default_depth(self.n) if self.depth is None else self.depth
+    def resolved_depth(self) -> int:  # alias of depth, read by benchmarks/workloads.py
+        return self.depth
 
     @property
     def hidden(self) -> int:
@@ -173,16 +172,7 @@ class NetworkConfig:
         return (self.l_layers - 1) // 4
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "p": self.p,
-            "depth": self.resolved_depth,
-            "l_layers": self.l_layers,
-            "kind": self.kind,
-            "activation_slope": self.activation_slope,
-            "delay_alpha": [self.delay_alpha.real, self.delay_alpha.imag],
-            "seed": self.seed,
-        }
+        return {**asdict(self), "delay_alpha": [self.delay_alpha.real, self.delay_alpha.imag]}
 
 
 @dataclass
@@ -280,7 +270,7 @@ def _carve(cfg: NetworkConfig, flat: np.ndarray):
     rows.
     Raises unless the layout ends exactly at the end of flat.
     """
-    n, p, m, hidden, depth = cfg.n, cfg.p, cfg.m, cfg.hidden, cfg.resolved_depth
+    n, p, m, hidden, depth = cfg.n, cfg.p, cfg.m, cfg.hidden, cfg.depth
     e = chain_entries(m, depth)
     layout, blocks = [], []
 
@@ -332,8 +322,9 @@ def _carve(cfg: NetworkConfig, flat: np.ndarray):
 
 @dataclass
 class BlockTrace:
-    """One block's intermediates.  The block input x and output y_out are
-    real-split (2n, B); the hidden-width fields are complex carriers
+    """What the reverse pass reads of one block.  The block input x is
+    real-split (2n, B); its output is the next block's x, or the trace's y
+    for the last block.  The hidden-width fields are complex carriers
     (2pn, B).  The chain fields are None for the dense kind."""
 
     x: np.ndarray
@@ -342,18 +333,16 @@ class BlockTrace:
     chain_out: np.ndarray | None   # (p, m, B) chain output before d_breve
     pre1: np.ndarray               # pre-activation
     y1: np.ndarray                 # activation
-    y2: np.ndarray                 # delayed activation
-    y3: np.ndarray                 # y2 plus the skip term
+    y3: np.ndarray                 # delayed activation plus the skip term
     fstar_trace: dict | None       # the output chain stack's trace
     t_trunc: np.ndarray | None     # (p, n, B) truncated conj-chain output
-    y_out: np.ndarray
 
 
 @dataclass
 class ForwardTrace:
-    """Per-layer intermediates kept for inspection and the backward pass."""
+    """Per-layer intermediates kept for inspection and the backward pass;
+    the network input is the first block's x."""
 
-    x: np.ndarray
     block_traces: list
     y: np.ndarray
 
@@ -404,9 +393,10 @@ def _run_chain(chain, x, want_trace):
 
 def _middle_forward(cfg: NetworkConfig, blk, delay, h, want_trace):
     """The layers both kinds share, on the hidden carrier h: bias, leaky
-    activation, frozen delay and skip.  Returns (pre1, y1, y2, y3).
-    Untraced, all four are h, overwritten in place; traced, each stage gets
-    its own array."""
+    activation, frozen delay and skip.  Returns (pre1, y1, y3).  Untraced,
+    all three are h, overwritten in place; traced, pre1 is h and y1 and y3
+    get arrays of their own, the delay writing into y3 and the skip term
+    added there."""
     stage = np.empty_like if want_trace else (lambda a: a)
     # the real-split bias is added as the complex vector b_re + j b_im:
     # complex addition is the two real additions, and numpy runs it on h
@@ -415,10 +405,9 @@ def _middle_forward(cfg: NetworkConfig, blk, delay, h, want_trace):
     y1 = stage(h)
     leaky_relu(h.view(np.float64), cfg.activation_slope, out=y1.view(np.float64))
     skip_term = blk.skip.reshape(2, -1, 1) * _planes(y1)
-    y2 = np.multiply(delay[:, None], y1, out=stage(y1))
-    y3 = stage(y2)
-    np.add(_planes(y2), skip_term, out=_planes(y3))
-    return h, y1, y2, y3
+    y3 = np.multiply(delay[:, None], y1, out=stage(y1))
+    np.add(_planes(y3), skip_term, out=_planes(y3))
+    return h, y1, y3
 
 
 def _block_forward(cfg: NetworkConfig, blk, delay, x, want_trace):
@@ -439,7 +428,7 @@ def _block_forward(cfg: NetworkConfig, blk, delay, x, want_trace):
         h = np.multiply(blk.d_breve[:, :, None], c, out=None if want_trace else c)
         h = h.reshape(p * m, -1)
 
-    pre1, y1, y2, y3 = _middle_forward(cfg, blk, delay, h, want_trace)
+    pre1, y1, y3 = _middle_forward(cfg, blk, delay, h, want_trace)
 
     if dense:
         y_out = blk.w4 @ real_split(y3)
@@ -453,10 +442,8 @@ def _block_forward(cfg: NetworkConfig, blk, delay, x, want_trace):
 
     trace = None
     if want_trace:
-        trace = BlockTrace(
-            x=x, x_c=x_c, chain_trace=chain_trace, chain_out=chain_out, pre1=pre1,
-            y1=y1, y2=y2, y3=y3, fstar_trace=fstar_trace, t_trunc=t_trunc, y_out=y_out,
-        )
+        trace = BlockTrace(x=x, x_c=x_c, chain_trace=chain_trace, chain_out=chain_out,
+                           pre1=pre1, y1=y1, y3=y3, fstar_trace=fstar_trace, t_trunc=t_trunc)
     return y_out, trace
 
 
@@ -506,7 +493,7 @@ def _forward(net: Network, x, want_trace):
     starts = [0] if want_trace else _block_starts(net.config, cols)
     if len(starts) == 1:
         y, traces = _blocks_forward(net, x, want_trace)
-        return y, (ForwardTrace(x=x, block_traces=traces, y=y) if want_trace else None)
+        return y, (ForwardTrace(block_traces=traces, y=y) if want_trace else None)
     y = np.empty((x.shape[0], cols))
     for a, b in zip(starts, [*starts[1:], cols]):
         y[:, a:b] = _blocks_forward(net, x[:, a:b], False)[0]
@@ -547,7 +534,7 @@ def _middle_backward(cfg: NetworkConfig, blk, gblk, delay, tr, g_h):
     """Reverse of _middle_forward: add the bias1 and skip gradients into
     gblk and return the carrier of the pre-activation gradient, given g_h,
     the carrier of y3's."""
-    # y3 = delay*y1 + skip*y1 hands g_h to y2 unchanged
+    # y3 = delay*y1 + skip*y1: g_h reaches y1 through both terms
     _add_column_sums(gblk.skip, g_h.view(np.float64) * tr.y1.view(np.float64))
     g = np.conj(delay)[:, None] * g_h
     np.add(_planes(g), _planes(g_h) * blk.skip.reshape(2, -1, 1), out=_planes(g))
@@ -651,8 +638,8 @@ def init_from_dvm(net: Network, alpha: complex) -> Network:
     if cfg.kind != KIND_STRUCTURED:
         raise ValueError("exact initialization applies to the structured kind")
     chirp = build_bluestein_chain(DvmSpec(cfg.n, alpha)).factors
-    exact_f = build_recursive_dft_chain(cfg.m, cfg.resolved_depth, normalized=True)
-    exact_fs = build_recursive_dft_chain(cfg.m, cfg.resolved_depth, inverse=True, normalized=True)
+    exact_f = build_recursive_dft_chain(cfg.m, cfg.depth, normalized=True)
+    exact_fs = build_recursive_dft_chain(cfg.m, cfg.depth, inverse=True, normalized=True)
     # one exact W1 row and one W4 row, in the layout of _carve's rows
     w1_row = np.concatenate([chirp[0].values, exact_f.values[0], chirp[3].values])
     w4_row = exact_fs.values[0]
@@ -674,7 +661,7 @@ def expected_param_count(cfg: NetworkConfig) -> int:
     if cfg.kind == KIND_DENSE:
         per_block = 2 * hidden * 2 * n + 2 * hidden + 2 * n
     else:
-        entries = n + cfg.m + 2 * chain_entries(cfg.m, cfg.resolved_depth)
+        entries = n + cfg.m + 2 * chain_entries(cfg.m, cfg.depth)
         per_block = p * 2 * entries + 2 * hidden + 2 * n
     return per_block * cfg.blocks_count
 
@@ -714,7 +701,7 @@ def save_network(net: Network, path: str) -> None:
         _FORMAT_VERSION,
         cfg.n,
         cfg.p,
-        cfg.resolved_depth,
+        cfg.depth,
         cfg.l_layers,
         _KIND_CODE[cfg.kind],
         0,  # parameter mode: complex

@@ -264,7 +264,7 @@ def save_dataset(ds: Dataset, path: str) -> None:
 
 def load_dataset(path: str, verify: bool = True) -> Dataset:
     """Read a saved binary dataset; unless disabled, recompute every target
-    from its input and fail loudly on drift beyond 1e-9 (see
+    from its input and fail loudly on drift beyond TARGET_TOL (see
     _check_targets).  load_dataset_csv reads the tabular twin."""
     with open(path, "rb") as fh:
         data = fh.read()
@@ -323,13 +323,24 @@ def _check_finite_rows(path: str, angle, time) -> None:
                          "angles and times must be finite")
 
 
+# Largest deviation of a stored target from the transform of its stored
+# input (verify_targets) that a set passes with: gen-data reports PASS and
+# load_dataset accepts the set exactly when targets_pass holds.
+TARGET_TOL = 1e-9
+
+
+def targets_pass(err: float) -> bool:
+    """Whether a verify_targets deviation is within TARGET_TOL; NaN fails."""
+    return err <= TARGET_TOL
+
+
 def _check_targets(path: str, ds: Dataset) -> None:
-    """Raise ValueError unless every stored target is within 1e-9 of the
-    transform of its stored input.  A NaN or infinity in x or y fails, and
+    """Raise ValueError unless every stored target is within TARGET_TOL of
+    the transform of its stored input.  A NaN or infinity in x or y fails, and
     the message then names the first row that holds one; so does a finite
     input whose transform overflows."""
     err = verify_targets(ds)
-    if not err <= 1e-9:
+    if not targets_pass(err):
         bad = ~(np.isfinite(ds.x).all(axis=1) & np.isfinite(ds.y).all(axis=1))
         if bad.any():
             i = int(bad.argmax())
@@ -343,7 +354,7 @@ def _check_targets(path: str, ds: Dataset) -> None:
                              "for a finite target")
         raise ValueError(
             f"{path}: stored targets deviate from recomputed transform "
-            f"by {err:.3e} (limit 1e-9); file is stale or corrupt"
+            f"by {err:.3e} (limit {TARGET_TOL:.0e}); file is stale or corrupt"
         )
 
 

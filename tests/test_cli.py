@@ -22,8 +22,11 @@ from dvmbeam.cli import (
     EXIT_USAGE,
     EXIT_VERIFY,
     GEN_DATA_ENTRIES_MAX,
+    TRAIN_CARRIER_ENTRIES_MAX,
+    TRAIN_PARAMS_MAX,
     main,
 )
+from dvmbeam import network
 from dvmbeam.network import NetworkConfig, build_network, init_from_dvm, save_network
 from dvmbeam.signals import load_dataset, make_dataset, save_dataset, transform_alpha
 
@@ -107,6 +110,24 @@ def test_gen_data_rejects_an_oversized_set_before_allocating(work, capsys, n, sp
     assert code == EXIT_USAGE
     assert f"at most {GEN_DATA_ENTRIES_MAX}" in capsys.readouterr().err
     assert peak < 1 << 20 and not out.exists()
+
+
+def test_gen_data_and_load_agree_at_the_target_bound(work, capsys, monkeypatch):
+    # gen-data printed FAIL (exit 1) for a set exactly at the bound, which
+    # load_dataset then accepted; one step past it, both refuse
+    path = work / "at_bound.bin"
+    monkeypatch.setattr(signals, "verify_targets", lambda ds: signals.TARGET_TOL)
+    assert main(["gen-data", "--n", "4", "--freq-ghz", "24", "--samples-per-angle", "2",
+                 "--out", str(path)]) == EXIT_OK
+    assert "target consistency: PASS" in capsys.readouterr().out
+    assert load_dataset(str(path)).n_samples == 6
+    past = np.nextafter(signals.TARGET_TOL, 1)
+    monkeypatch.setattr(signals, "verify_targets", lambda ds: past)
+    assert main(["gen-data", "--n", "4", "--freq-ghz", "24", "--samples-per-angle", "2",
+                 "--out", str(path)]) == EXIT_VERIFY
+    assert "target consistency: FAIL" in capsys.readouterr().out
+    with pytest.raises(ValueError, match="limit 1e-09"):
+        load_dataset(str(path))
 
 
 def test_gen_data_negative_noise(work):
@@ -294,6 +315,50 @@ def test_train_rejects_a_dataset_without_samples(work, capsys):
     captured = capsys.readouterr()
     assert str(path) in captured.err and "no samples" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("n,model,p,built", [
+    (16, "stnn", 100000, False),  # 35M parameters, a 1.6 GB carrier per chunk
+    (16, "stnn", 4097, False),    # the carrier cap alone, one submatrix over
+    (16, "stnn", 4096, True),     # at the carrier cap
+    (4096, "ffnn", 1, False),     # the parameter cap alone: 268M parameters
+], ids=["p100000", "carrier_just_over", "carrier_at_cap", "ffnn_n4096"])
+def test_train_refuses_a_net_too_large_before_building_it(work, capsys, monkeypatch,
+                                                          n, model, p, built):
+    # these used to end in a numpy MemoryError traceback and exit 1, or ask
+    # for hundreds of GiB (an ffnn at n=65536 wants 512 GiB)
+    import tracemalloc
+
+    path = work / f"cap_n{n}.bin"
+    if not path.exists():
+        save_dataset(make_dataset(n, 24e9, [30.0, 40.0, 50.0], 4, 0.1, seed=0), str(path))
+
+    class Built(Exception):
+        pass
+
+    def refuse(cfg):
+        raise Built(cfg)
+
+    monkeypatch.setattr(network, "build_network", refuse)
+    model_path = work / "cap.net"
+    tracemalloc.start()
+    try:
+        try:
+            code = main(["train", "--data", str(path), "--model", model, "--p", str(p),
+                         "--out-model", str(model_path)])
+        except Built:
+            code = None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert not model_path.exists() and peak < 1 << 25
+    if built:
+        assert code is None and err == ""
+        return
+    assert code == EXIT_USAGE
+    assert f"--p {p}" in err and f"n={n}" in err
+    assert f"at most {TRAIN_PARAMS_MAX} and {TRAIN_CARRIER_ENTRIES_MAX}" in err
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])

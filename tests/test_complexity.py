@@ -247,10 +247,10 @@ def test_report_row_invariants():
 
 
 def test_report_carries_conventions_and_settings():
-    rep = reduction_report(ns=(8,), depths=(3,))
+    rep = reduction_report(ns=(8,))
     assert rep["conventions"] == CONVENTIONS
     assert rep["settings"]["l_layers"] == 5
-    assert rep["rows"][0]["depth"] == 3
+    assert rep["rows"][0]["depth"] == 4
 
 
 def test_csv_schema_and_roundtrip(tmp_path):

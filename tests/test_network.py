@@ -110,7 +110,7 @@ def test_config_validation():
         with pytest.raises(ValueError, match="p must be an integer >= 1"):
             NetworkConfig(n=16, p=p)
     cfg = NetworkConfig(n=np.int64(16), p=np.int32(2))
-    assert (type(cfg.n), type(cfg.p), cfg.resolved_depth) == (int, int, 5)
+    assert (type(cfg.n), type(cfg.p), cfg.depth) == (int, int, 5)
     assert cfg == NetworkConfig(n=16, p=2)
 
 
@@ -147,9 +147,12 @@ def test_config_roundtrip():
 
 
 def test_default_depth_schedule():
-    assert NetworkConfig(n=8).resolved_depth == 4
-    assert NetworkConfig(n=16).resolved_depth == 5
-    assert NetworkConfig(n=32).resolved_depth == 6
+    # the default depth is resolved when the config is built, for both kinds
+    for kind in (KIND_STRUCTURED, KIND_DENSE):
+        for n, depth in ((2, 1), (4, 2), (8, 4), (16, 5), (32, 6), (64, 6), (1024, 10)):
+            cfg = NetworkConfig(n=n, kind=kind)
+            assert cfg.depth == cfg.resolved_depth == depth
+            assert cfg == NetworkConfig(n=n, depth=depth, kind=kind)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +203,8 @@ def test_delay_layer_is_isometry():
     net = build_network(NetworkConfig(n=8, delay_alpha=alpha, seed=4))
     _, trace = forward(net, rng.normal(size=16), want_trace=True)
     blk = trace.block_traces[0]
-    assert abs(np.linalg.norm(blk.y2) - np.linalg.norm(blk.y1)) <= 1e-12
+    # the skip diagonal starts at zero, so y3 is the delayed activation
+    assert abs(np.linalg.norm(blk.y3) - np.linalg.norm(blk.y1)) <= 1e-12
 
 
 @pytest.mark.parametrize("cfg", [
@@ -640,8 +644,6 @@ def test_chain_entries_is_each_chains_share_of_the_layout():
 
 
 def test_binary_roundtrip(tmp_path):
-    import dataclasses
-
     rng = np.random.default_rng(49)
     for kind in (KIND_STRUCTURED, KIND_DENSE):
         cfg = NetworkConfig(n=8, kind=kind, seed=11,
@@ -651,8 +653,8 @@ def test_binary_roundtrip(tmp_path):
         path = tmp_path / f"{kind}.stnn"
         save_network(net, str(path))
         back = load_network(str(path))
-        # the file stores the resolved depth, so default-None comes back pinned
-        assert back.config == dataclasses.replace(cfg, depth=cfg.resolved_depth)
+        # the config holds its resolved depth, which is what the file stores
+        assert back.config == cfg
         assert np.array_equal(back.get_flat(), net.get_flat())
 
 
