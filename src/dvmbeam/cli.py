@@ -118,15 +118,14 @@ def cmd_gen_data(args):
         )
     except ValueError as e:
         return _fail(EXIT_USAGE, str(e))
-    err = signals.verify_targets(ds)
-    check = "PASS" if signals.targets_pass(err) else "FAIL"
+    save = signals.save_dataset_csv if args.format == "csv" else signals.save_dataset
+    # the file is written while the targets are checked (on one CPU, after)
     try:
-        if args.format == "csv":
-            signals.save_dataset_csv(ds, args.out)
-        else:
-            signals.save_dataset(ds, args.out)
+        err, _ = dvm._on_threads([functools.partial(signals.verify_targets, ds),
+                                  functools.partial(save, ds, args.out)])
     except OSError as e:
         return _fail(EXIT_IO, f"cannot write {args.out}: {e}")
+    check = "PASS" if signals.targets_pass(err) else "FAIL"
     print(f"wrote {ds.n_samples} samples to {args.out} "
           f"(n={ds.n}, f={args.freq_ghz} GHz, alpha={ds.alpha:.6f})")
     print(f"target consistency: {check} (max deviation {err:.3e})")
@@ -144,6 +143,26 @@ def cmd_gen_data(args):
 # traceback.  The check runs before the net is built.
 TRAIN_PARAMS_MAX = 2**25
 TRAIN_CARRIER_ENTRIES_MAX = 2**22
+# Largest hidden carrier of a dense net's whole-set pass (p.2n.samples
+# complex entries): the dense kind runs evaluate_mse and eval over a whole
+# set in one unblocked pass, which peaks at about 32 bytes a carrier entry
+# (tracemalloc, n=16, p = 8..256, 2,400 columns).  At the cap that is 2.1
+# GB, so with the parameter cap's 1.9 GB a train or eval run stays under 4
+# GB.  The check runs before the net is built (train) or run (eval).
+DENSE_SET_ENTRIES_MAX = 2**26
+
+
+def _refuse_dense_set(cfg, samples, what):
+    """Report a usage error and return EXIT_USAGE for a dense config (what
+    names it) whose whole-set pass over samples columns would exceed
+    DENSE_SET_ENTRIES_MAX; else None."""
+    entries = cfg.p * cfg.m * samples
+    if cfg.kind != network.KIND_DENSE or entries <= DENSE_SET_ENTRIES_MAX:
+        return None
+    return _fail(EXIT_USAGE,
+                 f"{what} with --p {cfg.p} on {samples} samples has {entries} hidden "
+                 f"carrier entries in its whole-set pass; at most {DENSE_SET_ENTRIES_MAX}: "
+                 f"lower --p or use a set with fewer samples")
 
 
 def cmd_train(args):
@@ -179,6 +198,9 @@ def cmd_train(args):
             f"chunk; train takes at most {TRAIN_PARAMS_MAX} and {TRAIN_CARRIER_ENTRIES_MAX}: "
             f"lower --p or use a set with a smaller n",
         )
+    refused = _refuse_dense_set(net_cfg, ds.n_samples, f"an ffnn net on {args.data}")
+    if refused:
+        return refused
     tr, va = signals.split_dataset(ds, seed=args.seed)
     if len(va.x) == 0:
         return _fail(
@@ -232,6 +254,10 @@ def cmd_eval(args):
             EXIT_SHAPE,
             f"model expects n={net.config.n} channels, dataset has n={ds.n}",
         )
+    refused = _refuse_dense_set(net.config, ds.n_samples,
+                                 f"the ffnn model {args.model} on {args.data}")
+    if refused:
+        return refused
     y, _ = network.forward(net, ds.x.T)
     total = training.mse_loss(y, ds.y.T, ds.n)
     print(f"samples: {ds.n_samples}  overall MSE: {total:.6e}")

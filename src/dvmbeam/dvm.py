@@ -339,7 +339,9 @@ class FactorChain:
     The factors tuple is the chain's inspectable description: each factor
     applies on its own.  The chain is frozen and fixes, when it is built,
     what every apply of its size needs: n, m = 2n and the orthonormal DFT
-    factor 1/sqrt(m).  The factors' values are read on every apply, so an
+    factor 1/sqrt(m), as the float scale and as scale_0d, a read-only 0-d
+    float64 array, which the kernel's gufunc calls take without converting
+    it on every call.  The factors' values are read on every apply, so an
     in-place edit of one shows in the next, at both ends for D.  dense()
     applies the chain to the identity, for verification at small sizes; it
     is the only place the product is ever materialized.
@@ -350,6 +352,7 @@ class FactorChain:
     n: int = field(init=False, repr=False)
     m: int = field(init=False, repr=False)
     scale: float = field(init=False, repr=False)
+    scale_0d: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         spec = self.spec
@@ -358,7 +361,12 @@ class FactorChain:
         d = Diagonal(cis(spec.phi, 0.5 * k * k))
         d_breve = Diagonal(_dft(circulant_first_column(spec), 1.0))
         factors = (d, ZeroPad(m, n), Dft(m), d_breve, Dft(m, conj=True), Truncate(n, m), d)
-        for name, value in (("factors", factors), ("n", n), ("m", m), ("scale", _ortho_scale(m))):
+        scale = _ortho_scale(m)
+        # the gufuncs convert a float factor to an array on every call
+        scale_0d = np.array(scale)
+        scale_0d.flags.writeable = False
+        for name, value in (("factors", factors), ("n", n), ("m", m), ("scale", scale),
+                            ("scale_0d", scale_0d)):
             object.__setattr__(self, name, value)
 
     def apply(self, x, counter: OpCounter | None = None) -> np.ndarray:
@@ -383,10 +391,10 @@ class FactorChain:
         at least _SPLIT_MIN_ENTRIES entries runs as k column blocks, counted
         or not: k is at most one per usable CPU and per column, and at most
         _SPLIT_MAX_BLOCKS.  The calling thread runs one block; k - 1
-        short-lived threads run the others (the pocketfft gufuncs and
-        np.multiply release the interpreter lock).  The output is
-        bit-identical, and a split apply allocates what a serial one does:
-        the pad buffer and the result, 3 N.B.16 bytes.
+        short-lived threads run the others (_on_threads; the pocketfft
+        gufuncs and np.multiply release the interpreter lock).  The output
+        is bit-identical, and a split apply allocates what a serial one
+        does: the pad buffer and the result, 3 N.B.16 bytes.
         """
         x = np.asarray(x, dtype=np.complex128)
         n, fs = self.n, self.factors
@@ -401,19 +409,20 @@ class FactorChain:
             pad = np.zeros(self.m, np.complex128)
             head = pad[:n]
             np.multiply(x, fs[0].values, head)
-            _pocketfft.fft(pad, self.scale, pad)
+            _pocketfft.fft(pad, self.scale_0d, pad)
             np.multiply(pad, fs[3].values, pad)
-            _pocketfft.ifft(pad, self.scale, pad)
+            _pocketfft.ifft(pad, self.scale_0d, pad)
             return np.multiply(head, fs[6].values)
         m, b = self.m, x.shape[1]
         pad = np.empty((m, b), np.complex128, order="F")
         out = np.empty((n, b), np.complex128, order="F")
-        args = fs[0].values, fs[3].values, fs[6].values, self.scale
+        args = fs[0].values, fs[3].values, fs[6].values, self.scale_0d
         k = min(_usable_cpus(), _SPLIT_MAX_BLOCKS, b) if m * b >= _SPLIT_MIN_ENTRIES else 1
         if k == 1:
             _bluestein(*args, x, pad, out)
         else:
-            _in_column_blocks(k, functools.partial(_bluestein, *args), x, pad, out)
+            blocks = zip(*(np.array_split(a, k, axis=1) for a in (x, pad, out)))
+            _on_threads([functools.partial(_bluestein, *args, *block) for block in blocks])
         return out
 
     def dense(self) -> np.ndarray:
@@ -433,9 +442,9 @@ def _bluestein_steps(d_in, d_mid, d_out, scale, x, pad, out):
     place in pad, and d_out times its leading rows into out.
 
     The two DFTs call pocketfft's gufuncs directly along axis 0 with scale,
-    numpy's orthonormal factor, so their bytes are those of numpy.fft.fft and
-    numpy.fft.ifft with norm="ortho" and of the Dft factors' own applies,
-    without the wrappers' cost."""
+    numpy's orthonormal factor (the chain's scale_0d), so their bytes are
+    those of numpy.fft.fft and numpy.fft.ifft with norm="ortho" and of the
+    Dft factors' own applies, without the wrappers' cost."""
     n = x.shape[0]
     head = pad[:n]
     pad[n:] = 0
@@ -619,38 +628,45 @@ def _usable_cpus() -> int:
     return max(1, min(cpus, int(quota))) if quota > 0 else cpus
 
 
-def _in_column_blocks(k, run, *arrays) -> None:
-    """Call run on k column blocks of arrays (views, all cut alike).
+def _on_threads(calls) -> list:
+    """Run the callables of calls at once; return their results in order.
 
-    The calling thread takes the first block and k - 1 threads the others,
-    each under the caller's floating-point error state (numpy keeps it per
-    thread, and a new thread starts from the defaults); every thread has
-    joined before this returns or raises, and an exception from a worker is
-    re-raised here.
+    calls[0] runs on the calling thread and each other one on a short-lived
+    thread of its own, under the caller's floating-point error state (numpy
+    keeps it per thread, and a new thread starts from the defaults).  Every
+    thread has joined before this returns or raises.  An exception on the
+    calling thread propagates; else the first worker exception, in the
+    order of calls, is re-raised here.  With one usable CPU the calls run
+    one after another on the calling thread, in order.  The Bluestein
+    kernel's column blocks, make_dataset's noise draw and gen-data's file
+    write run through it.
     """
-    blocks = list(zip(*(np.array_split(a, k, axis=1) for a in arrays)))
-    errors = []
-    err, call = np.geterr(), np.geterrcall()
+    if _usable_cpus() < 2:
+        return [call() for call in calls]
+    results = [None] * len(calls)
+    errors = {}  # index in calls -> exception
+    err, errcall = np.geterr(), np.geterrcall()
 
-    def work(block):
+    def work(i):
         try:
-            with np.errstate(call=call, **err):
-                run(*block)
+            with np.errstate(call=errcall, **err):
+                results[i] = calls[i]()
         except Exception as e:  # re-raised by the caller after the join
-            errors.append(e)
+            errors[i] = e
 
     threads = []
     try:
-        for block in blocks[1:]:
-            t = threading.Thread(target=work, args=(block,))
+        for i in range(1, len(calls)):
+            t = threading.Thread(target=work, args=(i,))
             t.start()
             threads.append(t)
-        run(*blocks[0])
+        results[0] = calls[0]()
     finally:
         for t in threads:
             t.join()
     if errors:
-        raise errors[0]
+        raise errors[min(errors)]
+    return results
 
 
 def build_bluestein_chain(spec: DvmSpec) -> FactorChain:

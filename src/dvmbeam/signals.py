@@ -16,13 +16,14 @@ single sample can be regenerated without replaying the whole stream.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 import math
 import struct
 
 import numpy as np
 
-from .dvm import (DvmSpec, build_bluestein_chain, check_int, check_seed, cis, fast_dvm_apply,
-                  power_of_two)
+from .dvm import (DvmSpec, _on_threads, build_bluestein_chain, check_int, check_seed, cis,
+                  fast_dvm_apply, power_of_two)
 
 SPEED_OF_LIGHT = 299792458.0
 DEFAULT_SAMPLE_RATE = 32e9
@@ -40,8 +41,8 @@ _SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
 _SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
 _SS_POOL = 4
 _MASK32 = 0xFFFFFFFF
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+_PCG_MULT_HI = np.uint64(0x2360ED051FC65DA4)
+_PCG_MULT_LO = np.uint64(0x4385DF649FCCF645)
 
 
 def synth_received(n: int, freq: float, thetas, t) -> np.ndarray:
@@ -94,15 +95,43 @@ def _hashmix(word, const: int, mult: int):
     return word ^ (word >> 16), const
 
 
+def _mul_hi(a, b):
+    """High 64 bits of the 128-bit products a * b, for a uint64 array a and
+    a uint64 scalar b, from the four products of their 32-bit halves."""
+    a0, a1 = a & _MASK32, a >> 32
+    b0, b1 = b & _MASK32, b >> 32
+    p00, p01, p10, p11 = a0 * b0, a0 * b1, a1 * b0, a1 * b1
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    return p11 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+
+
+def _pcg64_seed(s_hi, s_lo, q_hi, q_lo):
+    """PCG64's seeding of (initstate, initseq), each given as uint64 (hi, lo)
+    limb arrays: inc = 2 initseq + 1 and state = (inc + initstate) mult + inc,
+    mod 2**128.  Returns (state hi, state lo, inc hi, inc lo), uint64 arrays;
+    sums carry from the low limb by an unsigned compare."""
+    inc_hi = (q_hi << 1) | (q_lo >> 63)
+    inc_lo = (q_lo << 1) | 1
+    lo = inc_lo + s_lo
+    hi = inc_hi + s_hi + (lo < inc_lo)
+    mul_lo = lo * _PCG_MULT_LO
+    mul_hi = _mul_hi(lo, _PCG_MULT_LO) + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO
+    state_lo = mul_lo + inc_lo
+    return mul_hi + inc_hi + (state_lo < inc_lo), state_lo, inc_hi, inc_lo
+
+
 def _row_normals(seed: int, rows: int, width: int) -> np.ndarray:
     """(rows, width) matrix whose row r is, bit for bit,
     np.random.default_rng([seed, r]).standard_normal(width).
 
     default_rng hashes the 32-bit entropy words of [seed, r] with
     SeedSequence into four 64-bit words, which seed PCG64.  Here that hash
-    runs once for all rows on uint32 arrays, and each row's 128-bit PCG64
-    state is then set on one reused generator.  seed must pass check_seed,
-    so it has at most two words; r must fit in one.
+    and PCG64's own seeding step run once for all rows, on uint32 and uint64
+    arrays, and the loop over rows only sets each row's 128-bit state on one
+    reused generator and draws into the row.  A row depends on (seed, r)
+    alone, so make_dataset may draw the rows on a second thread while it
+    does other work: no byte depends on which thread draws them.  seed must
+    pass check_seed, so it has at most two words; r must fit in one.
     """
     if rows >= 1 << 32:
         raise ValueError(f"{rows} rows: per-sample noise streams stop at 2**32 rows")
@@ -128,18 +157,19 @@ def _row_normals(seed: int, rows: int, width: int) -> np.ndarray:
     for i in range(8):
         w, const = _hashmix(pool[i % _SS_POOL], const, _SS_MULT_B)
         out.append(w.astype(np.uint64))
-    seeds = [(out[k] | (out[k + 1] << 32)).tolist() for k in range(0, 8, 2)]
+    seeds = [out[k] | (out[k + 1] << 32) for k in range(0, 8, 2)]
+    limbs = [a.tolist() for a in _pcg64_seed(*seeds)]
 
     bitgen = np.random.PCG64(0)  # its state is replaced before every draw
     gen = np.random.Generator(bitgen)
+    pcg = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
     z = np.empty((rows, width))
-    for row, (s_hi, s_lo, q_hi, q_lo) in enumerate(zip(*seeds)):
-        # PCG64's seeding: inc = 2 initseq + 1, step, add initstate, step
-        inc = ((((q_hi << 64) | q_lo) << 1) | 1) & _MASK128
-        state = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
-        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                        "has_uint32": 0, "uinteger": 0}
-        gen.standard_normal(out=z[row])
+    for row, s_hi, s_lo, i_hi, i_lo in zip(z, *limbs):
+        pcg["state"] = s_hi << 64 | s_lo
+        pcg["inc"] = i_hi << 64 | i_lo
+        bitgen.state = state
+        gen.standard_normal(out=row)
     return z
 
 
@@ -158,10 +188,14 @@ def make_dataset(
     [0, 1) with step 1/samples_per_angle.  Sample s (counted across the
     whole set) draws its noise from default_rng([seed, s]): 2n standard
     normals, the real parts first.  The streams are bit for bit those
-    generators' but are not built one default_rng at a time: the seed
-    hashing for all samples runs as one vectorized pass, and a single
-    PCG64 generator is reseeded per sample (_row_normals).  All targets
-    come from one batched transform of the (n, samples) snapshot matrix.
+    generators' but are not built one default_rng at a time: the seeding
+    of all samples runs as one vectorized pass, and a single PCG64
+    generator is reseeded per sample (_row_normals).  With two usable CPUs
+    and noise, a second thread draws the noise rows while this one
+    synthesizes the snapshots and builds the transform (dvm._on_threads);
+    with one CPU or noise_std 0 all runs on the calling thread.  No byte
+    depends on which.  All targets come from one batched transform of the
+    (n, samples) snapshot matrix.
     seed must be an integer in 0..2**63-1 (check_seed), samples_per_angle
     an integer >= 1 (check_int), and sample_rate must pass load_dataset's
     header check, so that the set loads back.  A noise_std so large that a
@@ -183,17 +217,23 @@ def make_dataset(
     spec = DvmSpec(n, transform_alpha(freq, n, sample_rate))
     t_grid = np.arange(samples_per_angle, dtype=np.float64) / samples_per_angle
     thetas = np.radians(angles_deg)
-    u = synth_received(n, freq, thetas, t_grid)
-    total = u.shape[1]
+    total = thetas.size * samples_per_angle
+
+    def synthesize():
+        return synth_received(n, freq, thetas, t_grid), build_bluestein_chain(spec)
+
+    if noise_std:
+        (u, chain), z = _on_threads([synthesize, partial(_row_normals, seed, total, 2 * n)])
+    else:
+        u, chain = synthesize()
     # a noise_std near the float range overflows the snapshots or their
     # transform; the check below refuses such a set, so numpy's overflow
     # warnings on the way are not shown
     with np.errstate(over="ignore", invalid="ignore"):
         if noise_std:
-            z = _row_normals(seed, total, 2 * n)
             s = noise_std / math.sqrt(2.0)
             u += s * (z[:, :n] + 1j * z[:, n:]).T
-        v = fast_dvm_apply(build_bluestein_chain(spec), u)
+        v = fast_dvm_apply(chain, u)
     x = np.empty((total, 2 * n))
     y = np.empty((total, 2 * n))
     x[:, :n] = u.real.T

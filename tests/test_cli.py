@@ -361,6 +361,88 @@ def test_train_refuses_a_net_too_large_before_building_it(work, capsys, monkeypa
     assert f"at most {TRAIN_PARAMS_MAX} and {TRAIN_CARRIER_ENTRIES_MAX}" in err
 
 
+@pytest.mark.parametrize("model", ["ffnn", "stnn"])
+def test_a_dense_whole_set_pass_over_the_cap_is_refused(data16, work, capsys, monkeypatch,
+                                                         model):
+    # the dense kind runs evaluate_mse (train) and eval over the whole set in
+    # one unblocked pass: --p 4096 on a 3000-sample n=16 set asked for a
+    # 4.69 GiB product and ended in a MemoryError traceback.  The 30-sample
+    # n=16 set at --p 2 has 2 * 32 * 30 = 1920 carrier entries; the
+    # structured kind runs in column blocks and is never refused
+    import dvmbeam.cli as cli
+
+    model_path = work / f"dense_cap_{model}.net"
+    train = ["train", "--data", str(data16), "--model", model, "--p", "2", "--epochs", "1",
+             "--out-model", str(model_path)]
+    monkeypatch.setattr(cli, "DENSE_SET_ENTRIES_MAX", 1919)
+    code = main(train)
+    err = capsys.readouterr().err
+    if model == "stnn":
+        assert code == EXIT_OK and err == ""
+    else:
+        assert code == EXIT_USAGE and not model_path.exists()
+        assert "--p 2" in err and "30 samples" in err and "at most 1919" in err
+        monkeypatch.setattr(cli, "DENSE_SET_ENTRIES_MAX", 1920)
+        assert main(train) == EXIT_OK
+        monkeypatch.setattr(cli, "DENSE_SET_ENTRIES_MAX", 1919)
+    capsys.readouterr()
+    # eval checks a loaded model against the same cap, before its pass
+
+    class Ran(Exception):
+        pass
+
+    def forward(*args, **kwargs):
+        raise Ran
+
+    monkeypatch.setattr(network, "forward", forward)
+    evaluate = ["eval", "--model", str(model_path), "--data", str(data16)]
+    if model == "stnn":
+        with pytest.raises(Ran):
+            main(evaluate)
+    else:
+        assert main(evaluate) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(model_path) in err and "--p 2" in err and "at most 1919" in err
+
+
+@pytest.mark.parametrize("fmt", ["binary", "csv"])
+def test_gen_data_bytes_do_not_depend_on_the_cpu_count(work, capsys, monkeypatch, fmt):
+    # with two usable CPUs the noise rows are drawn beside the snapshot
+    # synthesis and the file is written while the targets are checked; the
+    # benchmark's 900-sample shape
+    import threading
+
+    from test_dvm import spy_threads
+
+    outputs = {}
+    for cpus in (1, 2):
+        started = spy_threads(monkeypatch, cpus, force=False)
+        path = work / f"cpus{cpus}.{fmt}"
+        before = threading.active_count()
+        code = main(["gen-data", "--n", "16", "--freq-ghz", "24", "--samples-per-angle", "300",
+                     "--seed", "7301", "--format", fmt, "--out", str(path)])
+        assert code == EXIT_OK and threading.active_count() == before
+        assert len(started) == 2 * (cpus - 1) and not any(t.is_alive() for t in started)
+        outputs[cpus] = (path.read_bytes(), capsys.readouterr().out.replace(str(path), "OUT"))
+    assert outputs[1] == outputs[2]
+
+
+def test_gen_data_write_error_on_the_worker_exits_with_the_io_code(work, capsys,
+                                                                   monkeypatch):
+    import threading
+
+    import dvmbeam.dvm as dvm
+
+    monkeypatch.setattr(dvm, "_usable_cpus", lambda: 2)
+    path = work / "no_such_dir" / "set.bin"
+    before = threading.active_count()
+    code = main(["gen-data", "--n", "4", "--freq-ghz", "24", "--samples-per-angle", "3",
+                 "--out", str(path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_IO and threading.active_count() == before
+    assert captured.err.startswith(f"error: cannot write {path}:") and captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_a_nan_angle_in_the_dataset_exits_with_the_io_code(exact_model, work, capsys, command):
     # a 6-sample n=4 set with one NaN angle used to load: eval then died in

@@ -317,9 +317,10 @@ def composed_apply(chain, x, counter=None):
 
 
 def spy_threads(monkeypatch, cpus, force=True):
-    """Make FactorChain.apply see cpus usable CPUs; with force, also let it
-    split any chain that can split into up to cpus blocks.  Returns the list of
-    threads it starts."""
+    """Make dvm see cpus usable CPUs (FactorChain.apply's split and
+    _on_threads read them); with force, also let FactorChain.apply split any
+    chain that can split into up to cpus blocks.  Returns the list of
+    threads started from then on."""
     started = []
 
     class Spy(threading.Thread):
@@ -454,7 +455,14 @@ def test_chain_is_frozen_and_reads_its_factor_values_on_every_apply():
     rng = np.random.default_rng(29)
     chain = build_bluestein_chain(DvmSpec(16, random_unit(rng)))
     assert (chain.n, chain.m, chain.scale) == (16, 32, dvm._ortho_scale(32))
-    for name, value in (("n", 32), ("m", 64), ("scale", 1.0), ("factors", ())):
+    assert type(chain.scale) is float
+    # the kernel's gufunc calls take the factor as a read-only 0-d array
+    factor = chain.scale_0d
+    assert factor.shape == () and factor.dtype == np.float64 and factor == chain.scale
+    with pytest.raises(ValueError, match="read-only"):
+        factor[()] = 1.0
+    for name, value in (("n", 32), ("m", 64), ("scale", 1.0), ("scale_0d", np.array(1.0)),
+                        ("factors", ())):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(chain, name, value)
     for shape in ((16,), (16, 3)):
@@ -652,6 +660,34 @@ def test_split_apply_reraises_a_block_error_after_the_join(monkeypatch, in_worke
         chain.apply(np.ones((16, 9), dtype=complex))
     assert len(started) == 2 and not any(t.is_alive() for t in started)
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_on_threads_runs_each_call_once_and_reraises_in_call_order(monkeypatch, cpus):
+    # calls[0] on the calling thread, the others on workers with two CPUs and
+    # after it, in order, with one; the results come back in call order
+    started = spy_threads(monkeypatch, cpus, force=False)
+    ran_on = {}
+
+    def call(i):
+        ran_on[i] = threading.current_thread()
+        return 10 * i
+
+    calls = [functools.partial(call, i) for i in range(3)]
+    assert dvm._on_threads(calls) == [0, 10, 20]
+    assert ran_on[0] is threading.current_thread()
+    assert [ran_on[1], ran_on[2]] == (started if cpus == 2 else [ran_on[0]] * 2)
+
+    def fail(what):
+        raise KeyError(what)
+
+    a, b, c = (functools.partial(fail, what) for what in "abc")
+    before = threading.active_count()
+    for calls, first in (([calls[0], b, c], "b"), ([a, b], "a")):
+        with pytest.raises(KeyError, match=first):
+            dvm._on_threads(calls)
+        assert threading.active_count() == before
+    assert not any(t.is_alive() for t in started)
 
 
 @pytest.mark.parametrize("caller_bufsize", [8192, 1 << 16])

@@ -6,6 +6,7 @@ import inspect
 import math
 import re
 import struct
+import threading
 import warnings
 
 import numpy as np
@@ -28,6 +29,7 @@ from dvmbeam.signals import (
     transform_alpha,
     verify_targets,
 )
+from test_dvm import spy_threads
 
 N = 8
 
@@ -379,6 +381,82 @@ def test_row_normals_row_limits():
     # a row index past one 32-bit word would change the stream's entropy
     with pytest.raises(ValueError, match="2\\*\\*32"):
         _row_normals(3, 1 << 32, 8)
+
+
+_M64 = (1 << 64) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _pcg64_seed_ints(initstate, initseq):
+    """PCG64's seeding in Python integers: (state, inc) mod 2**128."""
+    inc = (initseq << 1 | 1) & (1 << 128) - 1
+    return ((inc + initstate) * _PCG_MULT + inc) & (1 << 128) - 1, inc
+
+
+def test_pcg64_seeding_on_limbs_equals_the_128_bit_integers():
+    # limbs at 0 and 2**64 - 1 force every carry out of the low limb, and
+    # random ones cover the cross products of the multiply
+    edge = [0, 1, 1 << 63, _M64 - 1, _M64]
+    cases = [(a, b, c, d) for a in edge for b in edge for c in (0, _M64) for d in edge]
+    rng = np.random.default_rng(5)
+    cases += rng.integers(0, 1 << 64, size=(2000, 4), dtype=np.uint64).tolist()
+    limbs = np.array(cases, dtype=np.uint64).T
+    got = [a.tolist() for a in signals._pcg64_seed(*limbs)]
+    for (s_hi, s_lo, q_hi, q_lo), st_hi, st_lo, inc_hi, inc_lo in zip(cases, *got):
+        state, inc = _pcg64_seed_ints(s_hi << 64 | s_lo, q_hi << 64 | q_lo)
+        assert (st_hi << 64 | st_lo, inc_hi << 64 | inc_lo) == (state, inc)
+
+
+@pytest.mark.parametrize("seed", ROW_SEEDS)
+def test_row_normal_rows_carry_out_of_the_low_limb(seed):
+    # the rows test_row_normals_equal_per_sample_generators compares, at
+    # two-word seeds on the word boundaries and at one-word seeds, include
+    # rows whose 128-bit seeding sums carry out of the low limb and rows
+    # whose sums do not, for both sums
+    carries = {"inc + initstate": set(), "product + inc": set()}
+    for r in range(3000):
+        words = np.random.SeedSequence([seed, r]).generate_state(4, np.uint64).tolist()
+        initstate, initseq = words[0] << 64 | words[1], words[2] << 64 | words[3]
+        inc = _pcg64_seed_ints(initstate, initseq)[1]
+        carries["inc + initstate"].add((inc & _M64) + words[1] > _M64)
+        product = ((inc + initstate) * _PCG_MULT) & (1 << 128) - 1
+        carries["product + inc"].add((product & _M64) + (inc & _M64) > _M64)
+    assert all(seen == {False, True} for seen in carries.values()), carries
+
+
+@pytest.mark.parametrize("noise", [0.1, 0.0])
+def test_make_dataset_bytes_do_not_depend_on_the_cpu_count(monkeypatch, noise):
+    # the recipe's n=16 shape, whose noise rows a second CPU draws while the
+    # snapshots are synthesized, and the n=64 set, whose transform splits too
+    sets = {}
+    for cpus in (1, 2):
+        started = spy_threads(monkeypatch, cpus, force=False)
+        before = threading.active_count()
+        sets[cpus] = [make_dataset(n, 24e9, [30.0, 40.0, 50.0], 1000, noise, seed=100)
+                      for n in (16, 64)]
+        assert threading.active_count() == before
+        assert not any(t.is_alive() for t in started)
+        # one noise worker per noisy set, and the n=64 transform's block
+        assert len(started) == (cpus - 1) * (3 if noise else 1)
+    for one, two in zip(*sets.values()):
+        for field in ("x", "y", "angle", "time"):
+            assert getattr(one, field).tobytes() == getattr(two, field).tobytes()
+
+
+def test_a_noise_worker_error_reaches_the_caller(monkeypatch):
+    started = spy_threads(monkeypatch, 2, force=False)
+    drew_on = []
+
+    def failing(*args):
+        drew_on.append(threading.current_thread())
+        raise MemoryError("noise rows")
+
+    monkeypatch.setattr(signals, "_row_normals", failing)
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="noise rows"):
+        make_dataset(16, 24e9, [30.0], 50, 0.1, seed=1)
+    assert drew_on == started and len(started) == 1
+    assert not started[0].is_alive() and threading.active_count() == before
 
 
 def test_make_dataset_seeds_a_constant_number_of_generators(monkeypatch):
